@@ -9,6 +9,13 @@ the precomputed vertex (or, in rank 3, point) list against the sign vector
 yields the corner rays, and a hyperplane bounds the chamber exactly when its
 tight corners span a hyperplane of the ambient space.
 
+The per-arrangement context holds every corner in exact integer forms, built
+once: a rank form (primitive ints for rational corners, (a, b) integer pairs
+for Q(tau) ones) on which the wall test runs the division-free
+`linalg.int_rank`, and a witness form scaled by one common denominator, so a
+chamber's interior witness (the sum of its oriented corners) is a sum of
+plain integers converted to field scalars once per chamber.
+
 The `walls` operation decides each candidate independently instead, by
 eliminating onto the candidate hyperplane and running an exact strict
 Fourier-Motzkin feasibility test; the two routes are cross-checked in the
@@ -20,17 +27,19 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 
 from .linalg import (
     canonicalize_ray,
     dot,
+    int_rank,
     kernel_basis,
     pair_dot,
     pair_sign,
-    rank,
     to_int_pairs,
 )
-from .scalars import Field, sign
+from .scalars import Field, QuadScalar, sign
 
 
 class GenericPointNotFound(RuntimeError):
@@ -104,23 +113,44 @@ def feasible_strict(rows) -> bool:
 
 
 class _Context:
-    __slots__ = ("n", "dim", "full", "corners")
+    """Sign masks and exact integer forms of every corner flat of one arrangement.
+
+    Each corner is (rank form, witness form, negated witness form, zero mask,
+    positive mask, negative mask).  The rank form is the corner point as
+    primitive ints (rational) or integer pairs (Q(tau)); a positive rescaling
+    keeps its rank.  The witness form is the point times one common
+    denominator of the whole arrangement, flattened to ints (a0, b0, a1, b1,
+    ...) for Q(tau), so chamber witnesses are plain integer sums.
+    """
+
+    __slots__ = ("n", "dim", "full", "corners", "denominator")
 
     def __init__(self, arr):
         self.n = arr.n
         self.dim = arr.dim
         self.full = (1 << arr.n) - 1
+        flats = arr.corner_flats()
         quadratic = arr.field is Field.QUADRATIC_TAU
         if quadratic:
             normals = [to_int_pairs(v) for v in arr.normals]
+            points = [to_int_pairs(flat.point) for flat in flats]
+            scale = lcm(
+                *(x.denominator for flat in flats for q in flat.point for x in (q.a, q.b))
+            )
+            witnesses = [
+                tuple(int(x * scale) for q in flat.point for x in (q.a, q.b))
+                for flat in flats
+            ]
+            self.denominator = scale
         else:
             normals = arr.normals
+            points = witnesses = [flat.point for flat in flats]
+            self.denominator = None
         corners = []
-        for flat in arr.corner_flats():
+        for flat, point, wit in zip(flats, points, witnesses):
             zmask = flat.mask
             pmask = 0
             nmask = 0
-            point = to_int_pairs(flat.point) if quadratic else flat.point
             for i, vi in enumerate(normals):
                 if zmask >> i & 1:
                     continue
@@ -131,7 +161,7 @@ class _Context:
                     nmask |= 1 << i
                 else:
                     raise AssertionError("corner flat membership is incomplete")
-            corners.append((flat.point, zmask, pmask, nmask))
+            corners.append((point, wit, tuple(-x for x in wit), zmask, pmask, nmask))
         self.corners = corners
 
 
@@ -148,16 +178,19 @@ def _canonical_mask(mask: int, full: int) -> int:
 
 
 def _compatible_corners(ctx: _Context, mask: int):
-    """Corner rays of the closed cone of the chamber, with orientations."""
+    """Corner rays of the closed cone of the chamber.
+
+    Each is (rank form, zero mask, witness form oriented into the cone).
+    """
     notm = ctx.full ^ mask
     out = [
-        (point, zmask, 1)
-        for point, zmask, pmask, nmask in ctx.corners
+        (point, zmask, wit)
+        for point, wit, _, zmask, pmask, nmask in ctx.corners
         if not (pmask & mask or nmask & notm)
     ]
     out += [
-        (point, zmask, -1)
-        for point, zmask, pmask, nmask in ctx.corners
+        (point, zmask, neg)
+        for point, _, neg, zmask, pmask, nmask in ctx.corners
         if not (nmask & mask or pmask & notm)
     ]
     return out
@@ -169,18 +202,21 @@ def _walls_from_corners(ctx: _Context, corners):
     for h in range(ctx.n):
         tight = [point for point, zmask, _ in corners if zmask >> h & 1]
         if len(tight) >= need:
-            if rank(tight) != need:
+            if int_rank(tight) != need:
                 raise AssertionError("tight corner rays of a facet must span it")
             out.append(h)
     return tuple(out)
 
 
-def _witness(corners, dim):
-    total = [0] * dim
-    for point, _, orient in corners:
-        for k in range(dim):
-            total[k] = total[k] + (point[k] if orient > 0 else -point[k])
-    return tuple(total)
+def _witness(ctx: _Context, corners):
+    total = [sum(column) for column in zip(*(wit for _, _, wit in corners))]
+    scale = ctx.denominator
+    if scale is None:
+        return tuple(total)
+    return tuple(
+        QuadScalar(Fraction(a, scale), Fraction(b, scale))
+        for a, b in zip(total[::2], total[1::2])
+    )
 
 
 def _primes(count: int):
@@ -236,7 +272,7 @@ def _bfs_chambers(arr, limit=None):
         wl = _walls_from_corners(ctx, corners)
         signs = tuple(-1 if m >> i & 1 else 1 for i in range(ctx.n))
         count += 1
-        yield Chamber(signs, wl, _witness(corners, ctx.dim), m)
+        yield Chamber(signs, wl, _witness(ctx, corners), m)
         for h in wl:
             nm = _canonical_mask(m ^ (1 << h), ctx.full)
             if nm not in visited:
@@ -284,7 +320,9 @@ def chamber_face_counts(arr, chamber):
     edges = 0
     for flat in arr.lines():
         tight = [point for point, zmask, _ in corners if zmask & flat.mask == flat.mask]
-        if len(tight) >= 2 and rank(tight) == 2:
+        if len(tight) >= 2:
+            if int_rank(tight) != 2:
+                raise AssertionError("tight corner rays of an edge must span it")
             edges += 1
     return len(corners), edges
 
@@ -423,8 +461,9 @@ def simply_laced_h_criterion(arr) -> bool:
 def is_simply_laced(arr) -> bool:
     """Diagram route: no chamber diagram carries an edge of weight >= 4.
 
-    Cross-checked against the h-vector criterion; a disagreement is reported
-    as a diagnostic (the diagram verdict is returned either way).
+    Cross-checked against the h-vector criterion on simplicial arrangements,
+    the only ones where the two must agree; a disagreement is reported as a
+    diagnostic (the diagram verdict is returned either way).
     """
     pw = _pair_weights(arr)
     verdict = True
@@ -439,7 +478,7 @@ def is_simply_laced(arr) -> bool:
             verdict = False
             break
     expected = simply_laced_h_criterion(arr)
-    if verdict != expected:
+    if verdict != expected and is_simplicial(arr):
         warnings.warn(
             f"diagram route says simply_laced={verdict} but the h-vector "
             f"criterion says {expected}",

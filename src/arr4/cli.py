@@ -7,8 +7,9 @@ Commands:
 
 Exit codes: 0 success, 1 verification failures, 2 parse/usage errors,
 3 validation errors (duplicate or non-essential normals), 4 unknown labels.
-The environment variable ARR4_THREADS (a positive integer) caps the internal
-worker count; computation is deterministic regardless of its value.
+The environment variable ARR4_THREADS is validated (a positive integer, else
+exit 2) but otherwise inert: no command starts worker threads or processes,
+and output is byte-identical whatever its value.
 """
 
 from __future__ import annotations

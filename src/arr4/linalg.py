@@ -235,9 +235,12 @@ def compare_vectors(u, v) -> int:
 # -- integer-pair fast path for Q(tau) hot loops ----------------------------------
 #
 # A quadratic vector scaled by the positive lcm of its component denominators
-# becomes a tuple of plain integer pairs (a, b) standing for a + b*tau.  Signs
-# and zero tests are unchanged by the positive scaling, so bulk sign-of-dot
-# work can run on machine integers instead of Fraction-backed scalars.
+# becomes a tuple of plain integer pairs (a, b) standing for a + b*tau.  Signs,
+# zero tests and ranks are unchanged by the positive scaling, so bulk
+# sign-of-dot work and rank tests can run on machine integers instead of
+# Fraction-backed scalars.  The chamber engine keeps every corner in such an
+# integer form (plain primitive ints for rational corners, pairs for Q(tau)
+# ones) and decides walls with the division-free `int_rank` below.
 
 
 def to_int_pairs(vec):
@@ -289,6 +292,52 @@ def pair_sign(x) -> int:
     if su == (1 if b > 0 else -1):
         return su
     return su if u * u > 5 * b * b else (1 if b > 0 else -1)
+
+
+def int_rank(rows) -> int:
+    """Exact rank of integer rows or of integer-pair rows, without division.
+
+    Entries are either all ints or all (a, b) pairs standing for a + b*tau.
+    Z[tau] is an integral domain, so clearing a column by cross-multiplication
+    (row <- p*row - f*pivot_row, p the pivot) never leaves the ring and a zero
+    entry is exactly 0 or (0, 0).  Rows are only a few columns wide, so the
+    entry growth of the division-free update stays small.
+    """
+    work = list(rows)
+    if not work or not work[0]:
+        return 0
+    pairs = isinstance(work[0][0], tuple)
+    found = 0
+    while work and work[0]:
+        for k, row in enumerate(work):
+            head = row[0]
+            if (head[0] or head[1]) if pairs else head:
+                break
+        else:
+            work = [row[1:] for row in work]
+            continue
+        pivot = work.pop(k)
+        p, ptail = pivot[0], pivot[1:]
+        reduced = []
+        for row in work:
+            f, tail = row[0], row[1:]
+            if pairs:
+                if f[0] or f[1]:
+                    pa, pb = p
+                    fa, fb = f
+                    tail = tuple(
+                        (
+                            pa * xa + pb * xb - fa * ya - fb * yb,
+                            pa * xb + pb * (xa + xb) - fa * yb - fb * (ya + yb),
+                        )
+                        for (xa, xb), (ya, yb) in zip(tail, ptail)
+                    )
+            elif f:
+                tail = tuple(p * x - f * y for x, y in zip(tail, ptail))
+            reduced.append(tail)
+        work = reduced
+        found += 1
+    return found
 
 
 def pair_vector_canonical(pairs):

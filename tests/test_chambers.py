@@ -23,7 +23,7 @@ from arr4.chambers import (
     generic_point,
 )
 from arr4.linalg import dot
-from arr4.scalars import sign
+from arr4.scalars import Field, QuadScalar, sign
 
 
 def _chamber_count_oracle(arr):
@@ -215,3 +215,46 @@ def test_simpliciality_agrees_with_facet_counting(boolean, generic5):
     for arr in (boolean, generic5, builtin("A4"), builtin("D4")):
         f = f_vector(arr)
         assert is_simplicial(arr) == (f[2] == 2 * f[3])
+
+
+def _random_arrangements(field, count, seed):
+    """Small essential arrangements with coordinates from a tiny range.
+
+    The tiny range makes many lines and vertices of higher weight, so most
+    draws are non-simplicial.
+    """
+    rng = random.Random(seed)
+    if field is Field.QUADRATIC_TAU:
+        def coord():
+            return QuadScalar(rng.randint(-1, 1), rng.randint(-1, 1))
+    else:
+        def coord():
+            return rng.randint(-2, 2)
+    out = []
+    while len(out) < count:
+        normals = [tuple(coord() for _ in range(4)) for _ in range(rng.randint(5, 6))]
+        try:
+            out.append(Arrangement(normals, field))
+        except ValueError:  # zero, repeated or non-spanning normals
+            continue
+    return out
+
+
+@pytest.mark.parametrize("field,count", [(Field.RATIONAL, 8), (Field.QUADRATIC_TAU, 5)])
+def test_chamber_routes_agree_on_random_arrangements(field, count):
+    """Zaslavsky count, Fourier-Motzkin walls and witness signs on every chamber."""
+    simplicial = []
+    for arr in _random_arrangements(field, count, seed=20240615):
+        sub = arr.restriction(0)
+        for target, expected in (
+            (arr, _chamber_count_oracle(arr)),
+            (sub, sub.projective_chamber_count()),
+        ):
+            chambers = enumerate_chambers(target)
+            assert len(chambers) == expected
+            for ch in chambers:
+                assert walls(target, ch.signs) == ch.walls
+                observed = tuple(sign(dot(v, ch.witness)) for v in target.normals)
+                assert observed == ch.signs
+        simplicial.append(is_simplicial(arr))
+    assert not all(simplicial)

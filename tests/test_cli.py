@@ -47,6 +47,22 @@ def test_analyze_boolean(capsys, tmp_path):
     assert doc["chambers"]["count"] == 8
 
 
+def test_analyze_non_simplicial_irreducible(capsys, tmp_path):
+    # disconnected chamber diagrams, yet no product structure: the diagram
+    # route decides irreducibility only for simplicial arrangements
+    path = tmp_path / "mixed.arr"
+    path.write_text(
+        "field: rational\n-2 0 -2 1\n1 1 1 -1\n-2 1 -2 1\n"
+        "1 2 -2 1\n0 -1 2 -2\n0 -2 -2 -2\n"
+    )
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["chambers"]["count"] == 26
+    assert doc["simplicial"] is False
+    assert doc["irreducible"] is True
+
+
 def test_analyze_round_trip_matches_catalogue(capsys, tmp_path):
     path = tmp_path / "d4.arr"
     assert run_cli(capsys, "generate", "D4", "-o", str(path))[0] == 0

@@ -2,15 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arr4 import Matrix, QuadScalar, TAU, kernel_basis, rank
 from arr4.linalg import (
     canonicalize_ray,
     canonicalize_vector,
     dot,
+    int_rank,
     pair_dot,
+    pair_mul,
     pair_sign,
     pair_vector_canonical,
+    pairs_to_quads,
     to_int_pairs,
 )
 from arr4.scalars import Field
@@ -118,3 +122,54 @@ def test_pair_vector_canonical_collapses_field_scalings():
     for factor in (QuadScalar(-1), TAU, QuadScalar(2, -5), QuadScalar(Fraction(1, 3))):
         scaled = [factor * x for x in base]
         assert pair_vector_canonical(to_int_pairs(scaled)) == key
+
+
+_SMALL = st.integers(-4, 4)
+
+
+@st.composite
+def _rank_rows(draw, pairs):
+    """Rows of width 3 or 4 mixing free rows with zero, repeated and dependent ones."""
+    width = draw(st.sampled_from((3, 4)))
+    entry = st.tuples(_SMALL, _SMALL) if pairs else _SMALL
+    zero = (0, 0) if pairs else 0
+    base = draw(st.lists(st.tuples(*[entry] * width), min_size=1, max_size=4))
+    rows = list(base)
+    for kind in draw(st.lists(st.sampled_from(("zero", "repeat", "combo")), max_size=4)):
+        if kind == "zero":
+            rows.append((zero,) * width)
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(base)))
+        else:
+            coeffs = draw(st.lists(entry, min_size=len(base), max_size=len(base)))
+            combo = [zero] * width
+            for c, row in zip(coeffs, base):
+                for j, x in enumerate(row):
+                    if pairs:
+                        m = pair_mul(c, x)
+                        combo[j] = (combo[j][0] + m[0], combo[j][1] + m[1])
+                    else:
+                        combo[j] += c * x
+            rows.append(tuple(combo))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_rank_rows(pairs=False))
+def test_int_rank_matches_rank_on_int_rows(rows):
+    assert int_rank(rows) == rank(rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_rank_rows(pairs=True))
+def test_int_rank_matches_rank_on_pair_rows(rows):
+    assert int_rank(rows) == rank([pairs_to_quads(row) for row in rows])
+
+
+def test_int_rank_edge_cases():
+    assert int_rank([]) == 0
+    assert int_rank([(0, 0, 0)]) == 0
+    assert int_rank([((0, 0), (0, 0), (0, 0))]) == 0
+    # 1 and tau are independent over Q but not over Q(tau)
+    assert int_rank([((1, 0), (0, 1)), ((0, 1), (1, 1))]) == 1
+    assert int_rank([(0, 1, 0), (0, 2, 0), (0, 0, 5)]) == 2
