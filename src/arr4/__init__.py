@@ -9,15 +9,14 @@ consulted for a decision.
 """
 
 from .scalars import Field, QuadScalar, Rational, TAU, sign
-from .linalg import Matrix, kernel_basis, rank
+from .linalg import kernel_basis, rank
 from .arrangement import (
     Arrangement,
     DuplicateHyperplane,
-    LineFlat,
+    Flat,
     MixedField,
     NotEssential,
     Rank3Arrangement,
-    VertexFlat,
 )
 from .invariants import (
     ArrangementData,
@@ -70,9 +69,8 @@ __all__ = [
     "DuplicateHyperplane",
     "EmptyChamber",
     "Field",
+    "Flat",
     "GenericPointNotFound",
-    "LineFlat",
-    "Matrix",
     "MixedField",
     "NegativeRadicand",
     "NoVectorsAvailable",
@@ -84,7 +82,6 @@ __all__ = [
     "RootSystemSpec",
     "TAU",
     "UnknownLabel",
-    "VertexFlat",
     "builtin",
     "catalogue_rows",
     "char_poly_formula",

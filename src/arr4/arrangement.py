@@ -1,11 +1,22 @@
-"""Central hyperplane arrangements in K^4 and their intersection lattice.
+"""Central hyperplane arrangements and their intersection lattice.
 
 An arrangement is an ordered list of pairwise non-proportional normal vectors
 that jointly span K^4 (projectively: hyperplanes of P^3 with empty common
 intersection).  The rank-2 flats are the lines of the induced projective
 arrangement, the rank-3 flats its vertices; both carry weights counting the
 hyperplanes containing them.  Restrictions to a hyperplane and parabolic
-subarrangements at a vertex are returned as rank-3 arrangements in K^3.
+subarrangements at a vertex are returned as rank-3 arrangements in K^3, whose
+rank-2 flats are the points of P^2.
+
+The lattice is computed on exact integer forms of the normals (primitive ints
+over Q, integer pairs a + b*tau over Q(tau)), through the per-field table
+`linalg.KERNELS`; nothing else here depends on the field.  Rank-2 flats group
+the hyperplane pairs by the canonical 2x2 minors of their normals: the
+Pluecker coordinates of the line in K^4, the cross product (which is the
+point itself) in K^3.  A vertex candidate is the Hodge dual of a line's
+Pluecker vector applied to a normal off the line, and a vertex's members are
+the union of the lines and normals whose candidates land on it: every member
+of a vertex lies on a line through it, so no membership re-scan is needed.
 """
 
 from __future__ import annotations
@@ -13,18 +24,12 @@ from __future__ import annotations
 from collections import Counter
 
 from .linalg import (
+    KERNELS,
     canonicalize_vector,
-    cross3,
     dot,
     kernel_basis,
-    pair_dot,
-    pair_mul,
-    pair_vector_canonical,
-    pairs_to_quads,
-    plucker,
     rank as matrix_rank,
     rref,
-    to_int_pairs,
 )
 from .scalars import Field, infer_field, lift
 
@@ -41,34 +46,53 @@ class MixedField(ValueError):
     """Irrational coordinates supplied for a rational arrangement."""
 
 
-class LineFlat:
-    """A rank-2 flat: the intersection of at least two hyperplanes."""
+class Flat:
+    """A flat of the intersection lattice: the hyperplanes containing it.
 
-    __slots__ = ("members", "mask", "weight", "basis")
-
-    def __init__(self, members, mask, basis):
-        self.members = members          # sorted tuple of hyperplane indices
-        self.mask = mask                # same set as a bitmask
-        self.weight = len(members)
-        self.basis = basis              # two kernel vectors spanning the flat
-
-    def __repr__(self):
-        return f"LineFlat(members={self.members})"
-
-
-class VertexFlat:
-    """A rank-3 flat: a projective point lying on at least three hyperplanes."""
+    `point` is the canonical spanning vector of a point flat (a vertex of P^3,
+    or a point of P^2 for a rank-3 arrangement) and None for a line of P^3.
+    """
 
     __slots__ = ("members", "mask", "weight", "point")
 
-    def __init__(self, members, mask, point):
-        self.members = members
-        self.mask = mask
+    def __init__(self, mask, point=None):
+        members = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
+        self.members = tuple(members)   # sorted hyperplane indices
+        self.mask = mask                # same set as a bitmask
         self.weight = len(members)
-        self.point = point              # canonical spanning vector of the flat
+        self.point = point
 
     def __repr__(self):
-        return f"VertexFlat(point={self.point}, weight={self.weight})"
+        return f"Flat(members={self.members}, point={self.point})"
+
+
+def _sorted_flats(flats):
+    return tuple(sorted(flats, key=lambda flat: flat.members))
+
+
+#: Coordinate pairs (a, b) of the 2x2 minors u_a v_b - u_b v_a of two normals:
+#: the Pluecker coordinates of their line in K^4, and in K^3 the cross
+#: product, i.e. the point of P^2 on both lines.
+_MINORS = {
+    3: ((1, 2), (2, 0), (0, 1)),
+    4: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
+}
+
+#: Rows of the Hodge dual *P of a Pluecker vector P: x_i = sum_j eps_ijkl p_kl w_j,
+#: {k < l} the remaining two coordinates, is the point where the line meets
+#: the hyperplane with normal w.  Entries are (index of p_kl in _MINORS[4], j,
+#: eps_ijkl).
+_HODGE = (
+    ((5, 1, 1), (4, 2, -1), (3, 3, 1)),
+    ((5, 0, -1), (2, 2, 1), (1, 3, -1)),
+    ((4, 0, 1), (2, 1, -1), (0, 3, 1)),
+    ((3, 0, -1), (1, 1, 1), (0, 2, -1)),
+)
 
 
 def _canonical_normals(normals, field, ambient):
@@ -94,10 +118,10 @@ def _canonical_normals(normals, field, ambient):
     return tuple(canon)
 
 
-class Arrangement:
-    """An essential central arrangement of n >= 1 hyperplanes in K^4."""
+class _CentralArrangement:
+    """Construction and rank-2 flats, shared by both ambient dimensions."""
 
-    dim = 4
+    dim: int
 
     def __init__(self, normals, field: Field | None = None):
         normals = list(normals)
@@ -110,9 +134,7 @@ class Arrangement:
         r = matrix_rank(self.normals)
         if r != self.dim:
             raise NotEssential(f"normals span a subspace of rank {r}, need {self.dim}")
-        self._lines = None
-        self._vertices = None
-        self._pair_line = None
+        self._kernel = KERNELS[field]
         self._cache = {}
 
     @property
@@ -120,124 +142,77 @@ class Arrangement:
         return len(self.normals)
 
     def __repr__(self):
-        return f"Arrangement(n={self.n}, field={self.field.value})"
+        return f"{type(self).__name__}(n={self.n}, field={self.field.value})"
+
+    def _integer_normals(self):
+        """Integer forms of every normal and of its negation."""
+        if "ints" not in self._cache:
+            ints = self._kernel.ints
+            self._cache["ints"] = (
+                [ints(v) for v in self.normals],
+                [ints(tuple(-x for x in v)) for v in self.normals],
+            )
+        return self._cache["ints"]
+
+    def _rank2(self):
+        """Every rank-2 flat as canonical minors -> member mask."""
+        if "rank2" not in self._cache:
+            idot, canonical = self._kernel.dot, self._kernel.canonical
+            ints, negs = self._integer_normals()
+            minors = _MINORS[self.dim]
+            # u_a v_b - u_b v_a = (u_a, u_b) . (v_b, -v_a)
+            left = [tuple((u[a], u[b]) for a, b in minors) for u in ints]
+            right = [tuple((v[b], nv[a]) for a, b in minors) for v, nv in zip(ints, negs)]
+            groups = {}
+            for i, li in enumerate(left):
+                bit = 1 << i
+                for j in range(i + 1, self.n):
+                    key = canonical(tuple(map(idot, li, right[j])))
+                    groups[key] = groups.get(key, 0) | bit | 1 << j
+            self._cache["rank2"] = groups
+        return self._cache["rank2"]
+
+
+class Arrangement(_CentralArrangement):
+    """An essential central arrangement of n >= 1 hyperplanes in K^4."""
+
+    dim = 4
 
     # -- intersection lattice -------------------------------------------------
 
     def lines(self):
         """All rank-2 flats, sorted by member index sets."""
-        if self._lines is None:
-            self._compute_lines()
-        return self._lines
-
-    def _compute_lines(self):
-        groups = {}
-        for i in range(self.n):
-            vi = self.normals[i]
-            for j in range(i + 1, self.n):
-                key = plucker(vi, self.normals[j], self.field)
-                grp = groups.get(key)
-                if grp is None:
-                    groups[key] = grp = set()
-                grp.add(i)
-                grp.add(j)
-        lines = []
-        pair_line = {}
-        for grp in groups.values():
-            members = tuple(sorted(grp))
-            mask = 0
-            for i in members:
-                mask |= 1 << i
-            basis = tuple(
-                kernel_basis([self.normals[members[0]], self.normals[members[1]]])
-            )
-            lines.append(LineFlat(members, mask, basis))
-        lines.sort(key=lambda flat: flat.members)
-        for idx, flat in enumerate(lines):
-            for a in range(flat.weight):
-                for b in range(a + 1, flat.weight):
-                    pair_line[(flat.members[a], flat.members[b])] = idx
-        self._lines = tuple(lines)
-        self._pair_line = pair_line
-
-    def line_of_pair(self, i: int, j: int) -> LineFlat:
-        """The unique line flat containing hyperplanes i and j."""
-        if i == j:
-            raise ValueError("need two distinct hyperplanes")
-        if i > j:
-            i, j = j, i
-        lines = self.lines()
-        return lines[self._pair_line[(i, j)]]
+        if "lines" not in self._cache:
+            self._cache["lines"] = _sorted_flats(Flat(mask) for mask in self._rank2().values())
+        return self._cache["lines"]
 
     def vertices(self):
         """All rank-3 flats, sorted by member index sets."""
-        if self._vertices is None:
-            self._compute_vertices()
-        return self._vertices
+        if "vertices" not in self._cache:
+            self._cache["vertices"] = self._compute_vertices()
+        return self._cache["vertices"]
 
     def _compute_vertices(self):
-        if self.field is Field.QUADRATIC_TAU:
-            verts = self._vertices_by_pairs()
-        else:
-            points = {}
-            for flat in self.lines():
-                b1, b2 = flat.basis
-                for k in range(self.n):
-                    if flat.mask >> k & 1:
-                        continue
-                    vk = self.normals[k]
-                    d1 = dot(vk, b1)
-                    d2 = dot(vk, b2)
-                    # the unique point of the line killed by hyperplane k
-                    p = tuple(d2 * x - d1 * y for x, y in zip(b1, b2))
-                    points[canonicalize_vector(p, self.field)] = None
-            verts = []
-            for p in points:
-                mask = 0
-                members = []
-                for i, vi in enumerate(self.normals):
-                    if not dot(vi, p):
-                        mask |= 1 << i
-                        members.append(i)
-                verts.append(VertexFlat(tuple(members), mask, p))
+        idot, canonical, point = self._kernel.dot, self._kernel.canonical, self._kernel.point
+        ints, negs = self._integer_normals()
+        hodge_w = [
+            tuple(tuple((w if s > 0 else nw)[j] for _, j, s in row) for row in _HODGE)
+            for w, nw in zip(ints, negs)
+        ]
+        masks = {}
+        for key, line_mask in self._rank2().items():
+            hodge_p = tuple(tuple(key[p] for p, _, _ in row) for row in _HODGE)
+            for k, wk in enumerate(hodge_w):
+                if line_mask >> k & 1:
+                    continue
+                x = canonical(tuple(map(idot, hodge_p, wk)))
+                masks[x] = masks.get(x, 0) | line_mask | 1 << k
+        verts = _sorted_flats(Flat(mask, point(x)) for x, mask in masks.items())
         for v in verts:
             if not 3 <= v.weight <= self.n - 1:
                 raise AssertionError(
                     f"vertex {v.point} lies on {v.weight} hyperplanes"
                 )
-        verts.sort(key=lambda v: v.members)
-        self._vertices = tuple(verts)
-
-    def _vertices_by_pairs(self):
-        # integer-pair arithmetic; positive rescalings keep all signs intact
-        pnormals = [to_int_pairs(v) for v in self.normals]
-        keys = {}
-        for flat in self.lines():
-            pb1 = to_int_pairs(flat.basis[0])
-            pb2 = to_int_pairs(flat.basis[1])
-            for k in range(self.n):
-                if flat.mask >> k & 1:
-                    continue
-                vk = pnormals[k]
-                d1 = pair_dot(vk, pb1)
-                d2 = pair_dot(vk, pb2)
-                p = []
-                for x, y in zip(pb1, pb2):
-                    m1 = pair_mul(d2, x)
-                    m2 = pair_mul(d1, y)
-                    p.append((m1[0] - m2[0], m1[1] - m2[1]))
-                keys[pair_vector_canonical(p)] = None
-        verts = []
-        for key in keys:
-            mask = 0
-            members = []
-            for i, vi in enumerate(pnormals):
-                da, db = pair_dot(vi, key)
-                if not da and not db:
-                    mask |= 1 << i
-                    members.append(i)
-            point = canonicalize_vector(pairs_to_quads(key), self.field)
-            verts.append(VertexFlat(tuple(members), mask, point))
         return verts
 
     def h_vector(self) -> dict[int, int]:
@@ -270,7 +245,7 @@ class Arrangement:
             sub.append(tuple(dot(vk, b) for b in basis))
         return Rank3Arrangement(sub, self.field)
 
-    def parabolic(self, vertex: VertexFlat) -> "Rank3Arrangement":
+    def parabolic(self, vertex: Flat) -> "Rank3Arrangement":
         """The hyperplanes through a vertex, modulo the spanned line."""
         _, pivots = rref([vertex.point])
         free = [c for c in range(self.dim) if c not in pivots]
@@ -346,93 +321,19 @@ class Arrangement:
         return self.vertices()
 
 
-def _pair_cross3(u, v):
-    out = []
-    for a, b in ((1, 2), (2, 0), (0, 1)):
-        m1 = pair_mul(u[a], v[b])
-        m2 = pair_mul(u[b], v[a])
-        out.append((m1[0] - m2[0], m1[1] - m2[1]))
-    return tuple(out)
-
-
-class PointFlat:
-    """A rank-2 flat of a rank-3 arrangement: a projective point of P^2."""
-
-    __slots__ = ("members", "mask", "weight", "point")
-
-    def __init__(self, members, mask, point):
-        self.members = members
-        self.mask = mask
-        self.weight = len(members)
-        self.point = point
-
-    def __repr__(self):
-        return f"PointFlat(point={self.point}, weight={self.weight})"
-
-
-class Rank3Arrangement:
+class Rank3Arrangement(_CentralArrangement):
     """An essential central arrangement in K^3 (restrictions, parabolics)."""
 
     dim = 3
 
-    def __init__(self, normals, field: Field | None = None):
-        normals = list(normals)
-        if not normals:
-            raise ValueError("an arrangement needs at least one hyperplane")
-        if field is None:
-            field = infer_field(x for vec in normals for x in vec)
-        self.field = field
-        self.normals = _canonical_normals(normals, field, self.dim)
-        r = matrix_rank(self.normals)
-        if r != self.dim:
-            raise NotEssential(f"normals span a subspace of rank {r}, need {self.dim}")
-        self._points = None
-        self._cache = {}
-
-    @property
-    def n(self) -> int:
-        return len(self.normals)
-
-    def __repr__(self):
-        return f"Rank3Arrangement(n={self.n}, field={self.field.value})"
-
     def points(self):
         """All rank-2 flats (projective points), sorted by member sets."""
-        if self._points is None:
-            quadratic = self.field is Field.QUADRATIC_TAU
-            if quadratic:
-                work = [to_int_pairs(v) for v in self.normals]
-            else:
-                work = self.normals
-            groups = {}
-            for i in range(self.n):
-                vi = work[i]
-                for j in range(i + 1, self.n):
-                    vj = work[j]
-                    if quadratic:
-                        key = pair_vector_canonical(_pair_cross3(vi, vj))
-                    else:
-                        key = canonicalize_vector(cross3(vi, vj), self.field)
-                    grp = groups.get(key)
-                    if grp is None:
-                        groups[key] = grp = set()
-                    grp.add(i)
-                    grp.add(j)
-            pts = []
-            for key, grp in groups.items():
-                members = tuple(sorted(grp))
-                mask = 0
-                for i in members:
-                    mask |= 1 << i
-                point = (
-                    canonicalize_vector(pairs_to_quads(key), self.field)
-                    if quadratic
-                    else key
-                )
-                pts.append(PointFlat(members, mask, point))
-            pts.sort(key=lambda p: p.members)
-            self._points = tuple(pts)
-        return self._points
+        if "points" not in self._cache:
+            point = self._kernel.point
+            self._cache["points"] = _sorted_flats(
+                Flat(mask, point(key)) for key, mask in self._rank2().items()
+            )
+        return self._cache["points"]
 
     def point_weights(self) -> dict[int, int]:
         counts = Counter(p.weight for p in self.points())

@@ -301,10 +301,6 @@ def builtin(label: str) -> Arrangement:
     return _build(label)
 
 
-def builtin_labels() -> tuple[str, ...]:
-    return tuple(row.label for row in _ROWS if row.has_vectors)
-
-
 # -- row verification -----------------------------------------------------------------
 
 

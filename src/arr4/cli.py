@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Commands:
-    analyze PATH [--json] [--chambers | --no-chambers] [--max-chambers N]
+    analyze PATH [--json] [--chambers | --no-chambers] [--max-chambers N >= 1]
     generate LABEL [-o PATH]
     catalogue list | verify (LABEL | --all) [--json] | export [-o PATH]
 
@@ -53,12 +53,24 @@ def _worker_cap() -> int | None:
     return value
 
 
+def _chamber_cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def cmd_analyze(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         return _fail(str(exc), 2)
+    except UnicodeDecodeError as exc:
+        return _fail(f"{args.path}: not UTF-8 text ({exc.reason} at byte {exc.start})", 2)
     try:
         arrangement = parse_arrangement(text)
     except ArrangementParseError as exc:
@@ -198,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="force chamber enumeration")
     analyze.add_argument("--no-chambers", action="store_true",
                          help="skip chamber enumeration")
-    analyze.add_argument("--max-chambers", type=int, default=None, metavar="N",
+    analyze.add_argument("--max-chambers", type=_chamber_cap, default=None, metavar="N",
                          help="abort enumeration past N chambers")
 
     generate = sub.add_parser("generate", help="write a built-in arrangement file")

@@ -1,16 +1,23 @@
 """Exact dense linear algebra over the coordinate fields.
 
-Row counts are unbounded; column counts stay tiny (at most 6, for the
-Grassmann coordinates of a plane).  Elimination pivots on the first nonzero
-entry in row-major scan order so results are deterministic across runs.
+Two layers.  Field-scalar routines (`rref`, `rank`, `kernel_basis`, the
+canonical forms) work on Fraction and QuadScalar entries; row counts are
+unbounded and column counts tiny (at most 4).  Elimination pivots on the
+first nonzero entry in row-major scan order so results are deterministic
+across runs.  The integer kernel works on positive rescalings of vectors
+into primitive ints (Q) or integer pairs a + b*tau (Q(tau)): `int_rank` for
+the chamber engine, and the per-field table `KERNELS` (integer form, dot
+product, canonical key, field point) on which the intersection lattice runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
+from typing import Callable, NamedTuple
 
-from .scalars import Field, QuadScalar, lift, sign
+from .scalars import Field, QuadScalar, lift, pair_sign, sign
 
 
 def _as_field_entry(x):
@@ -52,76 +59,23 @@ def rref(rows):
     return [tuple(row) for row in work[:r]], tuple(pivots)
 
 
-class Matrix:
-    """Immutable exact matrix, used for rank and kernel computations."""
-
-    __slots__ = ("entries", "rows", "cols")
-
-    def __init__(self, rows, cols=None):
-        entries = tuple(tuple(_as_field_entry(x) for x in row) for row in rows)
-        if entries:
-            width = len(entries[0])
-            if any(len(row) != width for row in entries):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
-                raise ValueError("cols does not match row width")
-            cols = width
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", cols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    def __repr__(self):
-        return f"Matrix({list(map(list, self.entries))!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.entries == other.entries and self.cols == other.cols
-
-    def __hash__(self):
-        return hash((self.entries, self.cols))
-
-    def transpose(self) -> "Matrix":
-        if not self.entries:
-            return Matrix([() for _ in range(self.cols)], cols=0)
-        return Matrix(list(zip(*self.entries)), cols=self.rows)
-
-    def rref(self):
-        return rref(self.entries)
-
-    def rank(self) -> int:
-        _, pivots = rref(self.entries)
-        return len(pivots)
-
-    def kernel_basis(self):
-        return kernel_basis(self)
-
-
-def rank(matrix) -> int:
-    """Exact rank of a Matrix or an iterable of rows."""
-    if isinstance(matrix, Matrix):
-        return matrix.rank()
-    _, pivots = rref(matrix)
+def rank(rows) -> int:
+    """Exact rank of an iterable of rows."""
+    _, pivots = rref(rows)
     return len(pivots)
 
 
-def kernel_basis(matrix, cols=None):
+def kernel_basis(rows, cols=None):
     """Deterministic basis of the right kernel.
 
     Each basis vector carries a 1 in its own free column and 0 in every other
     free column (reduced echelon back-substitution), which makes coordinates
     with respect to this basis readable directly off the free columns.
     """
-    if isinstance(matrix, Matrix):
-        rows, ncols = matrix.entries, matrix.cols
-    else:
-        rows = [tuple(r) for r in matrix]
-        ncols = len(rows[0]) if rows else cols
-        if ncols is None:
-            raise ValueError("column count required for an empty system")
+    rows = [tuple(r) for r in rows]
+    ncols = len(rows[0]) if rows else cols
+    if ncols is None:
+        raise ValueError("column count required for an empty system")
     quadratic = any(isinstance(x, QuadScalar) for row in rows for x in row)
     one = QuadScalar(1) if quadratic else Fraction(1)
     zero = QuadScalar(0) if quadratic else Fraction(0)
@@ -147,10 +101,6 @@ def dot(u, v):
     return total
 
 
-def vec_is_zero(vec) -> bool:
-    return not any(vec)
-
-
 def canonicalize_vector(vec, field: Field):
     """Canonical projective representative of a nonzero vector.
 
@@ -167,15 +117,7 @@ def canonicalize_vector(vec, field: Field):
     entries = [lift(x, field) for x in vec]
     if not any(entries):
         raise ValueError("zero vector has no canonical form")
-    scale = lcm(*(x.denominator for x in entries))
-    ints = [int(x * scale) for x in entries]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    first = next(x for x in ints if x)
-    if first < 0:
-        g = -g
-    return tuple(x // g for x in ints)
+    return primitive(_cleared(entries))
 
 
 def canonicalize_ray(vec):
@@ -193,34 +135,25 @@ def canonicalize_ray(vec):
     entries = [x if isinstance(x, Fraction) else Fraction(x) for x in vec]
     if not any(entries):
         return None
-    scale = lcm(*(x.denominator for x in entries))
-    ints = [int(x * scale) for x in entries]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints)
+    return primitive(_cleared(entries), oriented=True)
 
 
-def plucker(u, v, field: Field):
-    """Canonical Grassmann coordinates of the plane spanned by two 4-vectors.
+def _cleared(vec):
+    """A rational vector times the lcm of its denominators, as ints."""
+    scale = lcm(*(x.denominator for x in vec))
+    return [int(x * scale) for x in vec]
 
-    The six 2x2 minors identify the span uniquely up to scale, so the
-    canonicalized tuple is a hashable key for rank-2 flats.
+
+def primitive(ints, oriented=False):
+    """A nonzero integer vector divided by the gcd of its entries.
+
+    Unless `oriented`, the sign is also fixed so that the first nonzero entry
+    is positive, which makes the result unique per projective class.
     """
-    minors = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            minors.append(u[i] * v[j] - u[j] * v[i])
-    return canonicalize_vector(minors, field)
-
-
-def cross3(u, v):
-    """Cross product in K^3; spans the intersection of the two normal planes."""
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
+    g = gcd(*ints)
+    if not oriented and next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 def compare_vectors(u, v) -> int:
@@ -240,7 +173,8 @@ def compare_vectors(u, v) -> int:
 # sign-of-dot work and rank tests can run on machine integers instead of
 # Fraction-backed scalars.  The chamber engine keeps every corner in such an
 # integer form (plain primitive ints for rational corners, pairs for Q(tau)
-# ones) and decides walls with the division-free `int_rank` below.
+# ones) and decides walls with the division-free `int_rank` below; the
+# lattice kernel at the end of this module does the same for flats.
 
 
 def to_int_pairs(vec):
@@ -274,24 +208,6 @@ def pair_dot(u, v):
         sa += a * c + bd
         sb += a * d + b * c + bd
     return (sa, sb)
-
-
-def pair_sign(x) -> int:
-    """Exact sign of a + b*tau for an integer pair (a, b)."""
-    a, b = x
-    if not b:
-        return -1 if a < 0 else (1 if a > 0 else 0)
-    if not a:
-        return 1 if b > 0 else -1
-    if (a > 0) == (b > 0):
-        return 1 if a > 0 else -1
-    u = 2 * a + b
-    if not u:
-        return 1 if b > 0 else -1
-    su = 1 if u > 0 else -1
-    if su == (1 if b > 0 else -1):
-        return su
-    return su if u * u > 5 * b * b else (1 if b > 0 else -1)
 
 
 def int_rank(rows) -> int:
@@ -366,3 +282,46 @@ def pair_vector_canonical(pairs):
 
 def pairs_to_quads(pairs):
     return tuple(QuadScalar(a, b) for a, b in pairs)
+
+
+# -- the lattice kernel ------------------------------------------------------------
+#
+# The intersection lattice runs on integer forms only.  Each vector is scaled
+# by a positive factor into primitive ints (rational) or integer pairs
+# (Q(tau)); minors and dot products then stay in Z or Z[tau], and flats are
+# grouped by a canonical key that is unique per projective class.  Field
+# scalars come back only when a key becomes a flat's point.  The table below
+# holds every field decision the lattice makes.
+
+
+class FieldKernel(NamedTuple):
+    """Integer lattice arithmetic of one coordinate field."""
+
+    #: field vector -> integer form, a positive rescaling of it
+    ints: Callable
+    #: inner product of two integer forms, an integer-form scalar
+    dot: Callable
+    #: nonzero integer form -> hashable key, unique per projective class
+    canonical: Callable
+    #: key -> the vector canonicalize_vector gives for that class
+    point: Callable
+
+
+def _int_dot(u, v):
+    return sum(map(mul, u, v))
+
+
+KERNELS = {
+    Field.RATIONAL: FieldKernel(
+        ints=lambda vec: primitive(_cleared(vec), oriented=True),
+        dot=_int_dot,
+        canonical=primitive,
+        point=tuple,
+    ),
+    Field.QUADRATIC_TAU: FieldKernel(
+        ints=to_int_pairs,
+        dot=pair_dot,
+        canonical=pair_vector_canonical,
+        point=lambda key: canonicalize_vector(pairs_to_quads(key), Field.QUADRATIC_TAU),
+    ),
+}

@@ -171,27 +171,32 @@ class QuadScalar:
         return self._a * self._a + self._a * self._b - self._b * self._b
 
     def sign(self) -> int:
-        a, b = self._a, self._b
-        if not b:
-            return -1 if a < 0 else (1 if a > 0 else 0)
-        if not a:
-            return 1 if b > 0 else -1
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        # a + b*tau = (u + w*sqrt(5)) / 2 with u = 2a + b, w = b.
-        u = 2 * a + b
-        w = b
-        if not u:
-            return 1 if w > 0 else -1
-        su = 1 if u > 0 else -1
-        if su == (1 if w > 0 else -1):
-            return su
-        # Opposite sides: u*u == 5*w*w would make sqrt(5) rational.
-        return su if u * u > 5 * w * w else (1 if w > 0 else -1)
+        return pair_sign((self._a, self._b))
 
 
 #: The golden ratio tau = (1 + sqrt(5)) / 2 as a quadratic scalar.
 TAU = QuadScalar(0, 1)
+
+
+def pair_sign(x) -> int:
+    """Exact sign of a + b*tau for a pair (a, b) of ints or Fractions."""
+    a, b = x
+    if not b:
+        return -1 if a < 0 else (1 if a > 0 else 0)
+    if not a:
+        return 1 if b > 0 else -1
+    if (a > 0) == (b > 0):
+        return 1 if a > 0 else -1
+    # a + b*tau = (u + w*sqrt(5)) / 2 with u = 2a + b, w = b.
+    u = 2 * a + b
+    w = b
+    if not u:
+        return 1 if w > 0 else -1
+    su = 1 if u > 0 else -1
+    if su == (1 if w > 0 else -1):
+        return su
+    # Opposite sides: u*u == 5*w*w would make sqrt(5) rational.
+    return su if u * u > 5 * w * w else (1 if w > 0 else -1)
 
 
 def sign(x) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from arr4 import Arrangement, QuadScalar, sign
+from arr4 import Arrangement, Field, QuadScalar, sign
 from arr4.invariants import (
     ceil_sub_sqrt,
     ceil_sub_sqrt_interval,
@@ -27,6 +27,29 @@ def generic5_arrangement() -> Arrangement:
     return Arrangement(
         [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 2, 3, 5)]
     )
+
+
+def random_arrangements(field, count, seed):
+    """Small essential arrangements with coordinates from a tiny range.
+
+    The tiny range makes many lines and vertices of higher weight, so most
+    draws are non-simplicial.
+    """
+    rng = random.Random(seed)
+    if field is Field.QUADRATIC_TAU:
+        def coord():
+            return QuadScalar(rng.randint(-1, 1), rng.randint(-1, 1))
+    else:
+        def coord():
+            return rng.randint(-2, 2)
+    out = []
+    while len(out) < count:
+        normals = [tuple(coord() for _ in range(4)) for _ in range(rng.randint(5, 6))]
+        try:
+            out.append(Arrangement(normals, field))
+        except ValueError:  # zero, repeated or non-spanning normals
+            continue
+    return out
 
 
 def _random_rational(rng: random.Random) -> Fraction:

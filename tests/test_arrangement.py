@@ -11,8 +11,9 @@ from arr4 import (
     TAU,
     builtin,
 )
-from arr4.linalg import dot
+from arr4.linalg import canonicalize_vector, dot, kernel_basis
 from arr4.scalars import Field
+from helpers import boolean_arrangement, random_arrangements
 
 
 def test_boolean_lattice(boolean):
@@ -63,9 +64,61 @@ def test_pair_and_vertex_incidences(name):
 
 def test_line_flat_membership_is_exact(generic5):
     for flat in generic5.lines():
+        basis = kernel_basis([generic5.normals[i] for i in flat.members[:2]])
         for i, normal in enumerate(generic5.normals):
-            inside = all(dot(normal, b) == 0 for b in flat.basis)
+            inside = all(dot(normal, b) == 0 for b in basis)
             assert inside == bool(flat.mask >> i & 1)
+
+
+def _brute_force_flat(arr, flat, dim):
+    """Reference membership: every normal is dotted with the flat's kernel.
+
+    The kernel is that of all members, so a mask naming a non-member leaves
+    a kernel of the wrong dimension.  Returns the kernel basis.
+    """
+    basis = kernel_basis([arr.normals[i] for i in flat.members])
+    assert len(basis) == dim
+    mask = 0
+    for i, normal in enumerate(arr.normals):
+        if all(dot(normal, b) == 0 for b in basis):
+            mask |= 1 << i
+    assert mask == flat.mask
+    return basis
+
+
+def _lattice_inputs(name):
+    if name == "random-rational":
+        return random_arrangements(Field.RATIONAL, 8, seed=20240616)
+    if name == "random-quadratic":
+        return random_arrangements(Field.QUADRATIC_TAU, 5, seed=20240616)
+    if name == "boolean":
+        return [boolean_arrangement()]
+    return [builtin(name)]
+
+
+@pytest.mark.parametrize(
+    "name", ["boolean", "A4", "F4", "A^3_1(27)", "random-rational", "random-quadratic"]
+)
+def test_lattice_matches_brute_force_membership(name):
+    """Line, vertex and restriction-point masks and points against a re-scan."""
+    for arr in _lattice_inputs(name):
+        lines = arr.lines()
+        verts = arr.vertices()
+        for flat in lines:
+            _brute_force_flat(arr, flat, 2)
+            assert flat.point is None
+        for v in verts:
+            basis = _brute_force_flat(arr, v, 1)
+            assert v.point == canonicalize_vector(basis[0], arr.field)
+        # every hyperplane off a line meets it in exactly one listed vertex
+        for flat in lines:
+            on_line = [v for v in verts if v.mask & flat.mask == flat.mask]
+            assert sum(v.weight - flat.weight for v in on_line) == arr.n - flat.weight
+        sub = arr.restriction(0)
+        for p in sub.points():
+            basis = _brute_force_flat(sub, p, 1)
+            assert p.point == canonicalize_vector(basis[0], sub.field)
+        assert sum(comb(p.weight, 2) for p in sub.points()) == comb(sub.n, 2)
 
 
 def test_vertex_weights_bounded(boolean, generic5):

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from arr4 import (
-    Arrangement,
     ChamberLimitReached,
     EmptyChamber,
     builtin,
@@ -23,7 +22,8 @@ from arr4.chambers import (
     generic_point,
 )
 from arr4.linalg import dot
-from arr4.scalars import Field, QuadScalar, sign
+from arr4.scalars import Field, sign
+from helpers import random_arrangements
 
 
 def _chamber_count_oracle(arr):
@@ -217,34 +217,11 @@ def test_simpliciality_agrees_with_facet_counting(boolean, generic5):
         assert is_simplicial(arr) == (f[2] == 2 * f[3])
 
 
-def _random_arrangements(field, count, seed):
-    """Small essential arrangements with coordinates from a tiny range.
-
-    The tiny range makes many lines and vertices of higher weight, so most
-    draws are non-simplicial.
-    """
-    rng = random.Random(seed)
-    if field is Field.QUADRATIC_TAU:
-        def coord():
-            return QuadScalar(rng.randint(-1, 1), rng.randint(-1, 1))
-    else:
-        def coord():
-            return rng.randint(-2, 2)
-    out = []
-    while len(out) < count:
-        normals = [tuple(coord() for _ in range(4)) for _ in range(rng.randint(5, 6))]
-        try:
-            out.append(Arrangement(normals, field))
-        except ValueError:  # zero, repeated or non-spanning normals
-            continue
-    return out
-
-
 @pytest.mark.parametrize("field,count", [(Field.RATIONAL, 8), (Field.QUADRATIC_TAU, 5)])
 def test_chamber_routes_agree_on_random_arrangements(field, count):
     """Zaslavsky count, Fourier-Motzkin walls and witness signs on every chamber."""
     simplicial = []
-    for arr in _random_arrangements(field, count, seed=20240615):
+    for arr in random_arrangements(field, count, seed=20240615):
         sub = arr.restriction(0)
         for target, expected in (
             (arr, _chamber_count_oracle(arr)),

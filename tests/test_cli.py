@@ -84,6 +84,23 @@ def test_analyze_parse_error_exit2(capsys, tmp_path):
     assert code == 2 and "line 2" in err
 
 
+def test_analyze_non_utf8_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "latin1.arr"
+    path.write_bytes(b"field: rational\n# caf\xe9\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2 and "UTF-8" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3", "many"])
+def test_max_chambers_must_be_positive(capsys, tmp_path, cap):
+    path = tmp_path / "boolean.arr"
+    path.write_text("field: rational\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(path), "--max-chambers", cap])
+    assert exc.value.code == 2
+    assert "--max-chambers" in capsys.readouterr().err
+
+
 def test_analyze_validation_error_exit3(capsys, tmp_path):
     path = tmp_path / "dup.arr"
     path.write_text("field: rational\n1 0 0 0\n2 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
