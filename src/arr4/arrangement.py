@@ -17,20 +17,16 @@ point itself) in K^3.  A vertex candidate is the Hodge dual of a line's
 Pluecker vector applied to a normal off the line, and a vertex's members are
 the union of the lines and normals whose candidates land on it: every member
 of a vertex lies on a line through it, so no membership re-scan is needed.
+A restriction's normals are read off the Pluecker keys of the lines inside
+the hyperplane, and essentialness is the division-free `int_rank` of the
+integer normals.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .linalg import (
-    KERNELS,
-    canonicalize_vector,
-    dot,
-    kernel_basis,
-    rank as matrix_rank,
-    rref,
-)
+from .linalg import KERNELS, int_rank, rref
 from .scalars import Field, infer_field, lift
 
 
@@ -95,8 +91,23 @@ _HODGE = (
 )
 
 
+#: For each pivot p, the (index in _MINORS[4], sign flip) of the minor (p, f)
+#: for every f != p in increasing order: minor (p, f) = -minor (f, p).
+_RESTRICT = tuple(
+    tuple((_MINORS[4].index((min(p, f), max(p, f))), f < p) for f in range(4) if f != p)
+    for p in range(4)
+)
+
+
 def _canonical_normals(normals, field, ambient):
-    canon = []
+    """Canonical field normals, and their canonical integer keys.
+
+    A key is a positive rescaling of its normal (its leading entry is
+    positive, the normal's is 1 or positive), so the keys serve as the
+    arrangement's integer normals.
+    """
+    kernel = KERNELS[field]
+    keys = []
     seen = {}
     for idx, vec in enumerate(normals):
         vec = tuple(vec)
@@ -108,14 +119,14 @@ def _canonical_normals(normals, field, ambient):
             raise MixedField(str(exc)) from None
         if not any(lifted):
             raise ValueError(f"normal {idx} is the zero vector")
-        cv = canonicalize_vector(lifted, field)
-        if cv in seen:
+        key = kernel.canonical(kernel.ints(lifted))
+        if key in seen:
             raise DuplicateHyperplane(
-                f"normals {seen[cv]} and {idx} define the same hyperplane"
+                f"normals {seen[key]} and {idx} define the same hyperplane"
             )
-        seen[cv] = idx
-        canon.append(cv)
-    return tuple(canon)
+        seen[key] = idx
+        keys.append(key)
+    return tuple(map(kernel.point, keys)), keys
 
 
 class _CentralArrangement:
@@ -130,12 +141,13 @@ class _CentralArrangement:
         if field is None:
             field = infer_field(x for vec in normals for x in vec)
         self.field = field
-        self.normals = _canonical_normals(normals, field, self.dim)
-        r = matrix_rank(self.normals)
+        self.normals, ints = _canonical_normals(normals, field, self.dim)
+        self._kernel = KERNELS[field]
+        neg = self._kernel.neg
+        self._cache = {"ints": (ints, [tuple(map(neg, u)) for u in ints])}
+        r = int_rank(ints)
         if r != self.dim:
             raise NotEssential(f"normals span a subspace of rank {r}, need {self.dim}")
-        self._kernel = KERNELS[field]
-        self._cache = {}
 
     @property
     def n(self) -> int:
@@ -145,13 +157,7 @@ class _CentralArrangement:
         return f"{type(self).__name__}(n={self.n}, field={self.field.value})"
 
     def _integer_normals(self):
-        """Integer forms of every normal and of its negation."""
-        if "ints" not in self._cache:
-            ints = self._kernel.ints
-            self._cache["ints"] = (
-                [ints(v) for v in self.normals],
-                [ints(tuple(-x for x in v)) for v in self.normals],
-            )
+        """Integer forms of every normal (its canonical key) and of its negation."""
         return self._cache["ints"]
 
     def _rank2(self):
@@ -183,7 +189,12 @@ class Arrangement(_CentralArrangement):
     def lines(self):
         """All rank-2 flats, sorted by member index sets."""
         if "lines" not in self._cache:
-            self._cache["lines"] = _sorted_flats(Flat(mask) for mask in self._rank2().values())
+            groups = self._rank2()
+            keys = list(groups)
+            flats = [Flat(groups[key]) for key in keys]
+            order = sorted(range(len(keys)), key=lambda i: flats[i].members)
+            self._cache["lines"] = tuple(flats[i] for i in order)
+            self._cache["line_keys"] = tuple(keys[i] for i in order)
         return self._cache["lines"]
 
     def vertices(self):
@@ -232,18 +243,39 @@ class Arrangement(_CentralArrangement):
     # -- derived rank-3 arrangements -------------------------------------------
 
     def restriction(self, h: int) -> "Rank3Arrangement":
-        """The lines inside hyperplane h, as an arrangement in K^3."""
+        """The lines inside hyperplane h, as an arrangement in K^3.
+
+        Coordinates on H_h are the coordinates other than the pivot p (the
+        first nonzero one) of normal h.  A line through h and k induces the
+        normal v_k restricted to H_h, which is proportional to
+        (h_p v_f - h_f v_p) for f != p: the line's (p, f) Pluecker minors,
+        read off its key with the sign flipped where f < p.
+        """
         if not 0 <= h < self.n:
             raise IndexError(f"hyperplane index {h} out of range")
-        basis = kernel_basis([self.normals[h]])
+        p = next(i for i, x in enumerate(self.normals[h]) if x)
+        coords = _RESTRICT[p]
+        neg, canonical, point = self._kernel.neg, self._kernel.canonical, self._kernel.point
+        lines = self.lines()
         sub = []
-        for flat in self.lines():
-            if not flat.mask >> h & 1:
-                continue
-            k = next(i for i in flat.members if i != h)
-            vk = self.normals[k]
-            sub.append(tuple(dot(vk, b) for b in basis))
+        for flat, key in zip(lines, self._cache["line_keys"]):
+            if flat.mask >> h & 1:
+                vec = tuple(neg(key[i]) if flip else key[i] for i, flip in coords)
+                sub.append(point(canonical(vec)))
         return Rank3Arrangement(sub, self.field)
+
+    def restriction_counts(self) -> tuple[tuple[int, int], ...]:
+        """(size, projective chamber count) of the restriction to each hyperplane.
+
+        Cached; each restriction is built once and then dropped.
+        """
+        if "restriction_counts" not in self._cache:
+            counts = []
+            for h in range(self.n):
+                sub = self.restriction(h)
+                counts.append((sub.n, sub.projective_chamber_count()))
+            self._cache["restriction_counts"] = tuple(counts)
+        return self._cache["restriction_counts"]
 
     def parabolic(self, vertex: Flat) -> "Rank3Arrangement":
         """The hyperplanes through a vertex, modulo the spanned line."""
@@ -341,7 +373,7 @@ class Rank3Arrangement(_CentralArrangement):
 
     def char_poly(self) -> tuple[int, int, int, int]:
         """Coefficients (descending) of the cubic characteristic polynomial."""
-        second = sum(p.weight - 1 for p in self.points())
+        second = sum(mask.bit_count() - 1 for mask in self._rank2().values())
         constant = -(1 - self.n + second)
         return (1, -self.n, second, constant)
 

@@ -7,6 +7,12 @@ simple system under its reflections, and two golden-ratio arrangements of 27
 and 28 hyperplanes given by explicit vectors.  The remaining rows are data
 only; verification degrades gracefully for them.
 
+A reflection arrangement is the orbit of the simple-root lines under the
+simple reflections, computed on the integer forms of `linalg.KERNELS`: each
+simple reflection is one integer matrix, applied without division, and root
+lines are compared by canonical integer keys.  Field scalars appear only
+when a key becomes a stored normal.
+
 Realizations of A4 and H4: neither admits coordinates in the stated field
 with the standard dot product as invariant form (their form discriminants are
 not squares), so those two are generated in simple-root coordinates with the
@@ -18,6 +24,7 @@ verification suite certifies against the embedded table.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from fractions import Fraction
@@ -30,8 +37,8 @@ from .invariants import (
     f_vector,
     run_data_checks,
 )
-from .linalg import canonicalize_vector, compare_vectors, dot
-from .scalars import Field, QuadScalar, TAU
+from .linalg import KERNELS, compare_vectors, dot
+from .scalars import Field, QuadScalar, TAU, lift
 
 
 class UnknownLabel(KeyError):
@@ -184,50 +191,59 @@ REFLECTION_SPECS = {
 
 
 def reflection_closure(spec: RootSystemSpec, cap: int = 10000) -> Arrangement:
-    """Close the simple-root lines under all reflections found along the way.
+    """Orbit of the simple-root lines under the simple reflections, in integers.
 
-    Applies s_a(x) = x - 2 B(x,a)/B(a,a) * a for every root line a, where B
-    is the spec's invariant form, until the set of root lines is stable; the
-    arrangement collects the hyperplanes fixed by those reflections, whose
-    normals under the standard pairing are the Gram images of the root lines.
+    The reflection group W is generated by the simple reflections, and
+    s_{w a} = w s_a w^-1, so the orbit W.{simple roots} is the set of root
+    lines closed under every reflection.  Each simple reflection is stored
+    once as the integer form of the division-free matrix
+    B(a,a) I - 2 a (G a)^T, which maps x to B(a,a) x - 2 B(x,a) a, a positive
+    multiple of s_a(x) when B is the spec's invariant form with Gram matrix G.
+    The orbit is a worklist over canonical integer keys of
+    `linalg.KERNELS`; the arrangement collects the hyperplanes fixed by the
+    reflections, whose normals under the standard pairing are the Gram
+    images of the root lines.  More than `cap` root lines raise
+    ClosureOverflow (the group is not finite).
     """
-    gram = spec.gram
+    field = spec.field
+    kernel = KERNELS[field]
+    idot, canonical = kernel.dot, kernel.canonical
+    gram = spec.gram or _E
+    dim = len(gram)
 
-    def form(x, y):
-        if gram is None:
-            return dot(x, y)
-        return dot(x, tuple(dot(row, y) for row in gram))
+    def integer_matrix(entries):
+        flat = kernel.ints(entries)   # one positive scale for the whole matrix
+        return [flat[i * dim:(i + 1) * dim] for i in range(dim)]
 
-    lines: dict = {}
+    reflections = []
     for root in spec.simple_roots:
-        lines[canonicalize_vector(root, spec.field)] = None
-    changed = True
-    while changed:
-        changed = False
-        reps = list(lines)
-        for alpha in reps:
-            aa = form(alpha, alpha)
-            for x in reps:
-                twice = 2 * form(x, alpha)
-                if isinstance(twice, int):
-                    twice = Fraction(twice)
-                coef = twice / aa
-                image = tuple(xi - coef * ai for xi, ai in zip(x, alpha))
-                key = canonicalize_vector(image, spec.field)
-                if key not in lines:
-                    lines[key] = None
-                    changed = True
-                    if len(lines) > cap:
-                        raise ClosureOverflow(
-                            f"more than {cap} root lines; input is not a finite system"
-                        )
-    if gram is None:
-        normals = list(lines)
-    else:
-        normals = [tuple(dot(row, r) for row in gram) for r in lines]
-    normals = [canonicalize_vector(v, spec.field) for v in normals]
+        alpha = [lift(x, field) for x in root]
+        g_alpha = [dot(row, alpha) for row in gram]
+        aa = dot(alpha, g_alpha)
+        reflections.append(integer_matrix([
+            (aa if i == j else 0) - 2 * alpha[i] * g_alpha[j]
+            for i in range(dim) for j in range(dim)
+        ]))
+    lines = {canonical(kernel.ints(root)): None for root in spec.simple_roots}
+    work = deque(lines)
+    while work:
+        x = work.popleft()
+        for matrix in reflections:
+            key = canonical(tuple(idot(row, x) for row in matrix))
+            if key not in lines:
+                lines[key] = None
+                if len(lines) > cap:
+                    raise ClosureOverflow(
+                        f"more than {cap} root lines; input is not a finite system"
+                    )
+                work.append(key)
+    gram_ints = integer_matrix([x for row in gram for x in row])
+    normals = [
+        kernel.point(canonical(tuple(idot(row, r) for row in gram_ints)))
+        for r in lines
+    ]
     normals.sort(key=cmp_to_key(compare_vectors))
-    return Arrangement(normals, spec.field)
+    return Arrangement(normals, field)
 
 
 # -- the two explicit golden-ratio arrangements -------------------------------------
@@ -347,7 +363,7 @@ def verify_row(label: str) -> RowReport:
         geometry.append(_match("f_vector", f_vector(arr), entry.f))
         # h = sum of restriction sizes minus the number of lines
         data = entry.data()
-        lhs = sum(arr.restriction(i).n for i in range(arr.n)) - data.g1
+        lhs = sum(size for size, _ in arr.restriction_counts()) - data.g1
         geometry.append(_match("restriction_sum_identity", lhs, data.h_total))
     else:
         for name in ("n", "h_vector", "t_vector", "f_vector",

@@ -10,8 +10,9 @@ yields the corner rays, and a hyperplane bounds the chamber exactly when its
 tight corners span a hyperplane of the ambient space.
 
 The per-arrangement context holds every corner in exact integer forms, built
-once: a rank form (primitive ints for rational corners, (a, b) integer pairs
-for Q(tau) ones) on which the wall test runs the division-free
+once: a rank form (the integer form of `linalg.KERNELS`, primitive ints for
+rational corners and (a, b) integer pairs for Q(tau) ones, read against the
+arrangement's integer normals) on which the wall test runs the division-free
 `linalg.int_rank`, and a witness form scaled by one common denominator, so a
 chamber's interior witness (the sum of its oriented corners) is a sum of
 plain integers converted to field scalars once per chamber.
@@ -30,15 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .linalg import (
-    canonicalize_ray,
-    dot,
-    int_rank,
-    kernel_basis,
-    pair_dot,
-    pair_sign,
-    to_int_pairs,
-)
+from .linalg import KERNELS, canonicalize_ray, dot, int_rank, kernel_basis
 from .scalars import Field, QuadScalar, sign
 
 
@@ -130,10 +123,10 @@ class _Context:
         self.dim = arr.dim
         self.full = (1 << arr.n) - 1
         flats = arr.corner_flats()
-        quadratic = arr.field is Field.QUADRATIC_TAU
-        if quadratic:
-            normals = [to_int_pairs(v) for v in arr.normals]
-            points = [to_int_pairs(flat.point) for flat in flats]
+        kernel = KERNELS[arr.field]
+        normals = arr._integer_normals()[0]
+        points = [kernel.ints(flat.point) for flat in flats]
+        if arr.field is Field.QUADRATIC_TAU:
             scale = lcm(
                 *(x.denominator for flat in flats for q in flat.point for x in (q.a, q.b))
             )
@@ -143,9 +136,9 @@ class _Context:
             ]
             self.denominator = scale
         else:
-            normals = arr.normals
-            points = witnesses = [flat.point for flat in flats]
+            witnesses = points
             self.denominator = None
+        idot, isign = kernel.dot, kernel.sign
         corners = []
         for flat, point, wit in zip(flats, points, witnesses):
             zmask = flat.mask
@@ -154,7 +147,7 @@ class _Context:
             for i, vi in enumerate(normals):
                 if zmask >> i & 1:
                     continue
-                s = pair_sign(pair_dot(vi, point)) if quadratic else sign(dot(vi, point))
+                s = isign(idot(vi, point))
                 if s > 0:
                     pmask |= 1 << i
                 elif s < 0:

@@ -6,7 +6,10 @@ Commands:
     catalogue list | verify (LABEL | --all) [--json] | export [-o PATH]
 
 Exit codes: 0 success, 1 verification failures, 2 parse/usage errors,
-3 validation errors (duplicate or non-essential normals), 4 unknown labels.
+3 validation errors (duplicate or non-essential normals), 4 unknown labels,
+5 internal check failures (two independent routes disagreed, e.g. Moebius vs
+closed-form characteristic polynomial, corner vs Fourier-Motzkin walls, or a
+chi(-1) parity check; this is a bug, reported as "internal check failed").
 The environment variable ARR4_THREADS is validated (a positive integer, else
 exit 2) but otherwise inert: no command starts worker threads or processes,
 and output is byte-identical whatever its value.
@@ -236,13 +239,13 @@ def main(argv=None) -> int:
         _worker_cap()
     except ValueError as exc:
         return _fail(str(exc), 2)
-    if args.command == "analyze":
-        return cmd_analyze(args)
-    if args.command == "generate":
-        return cmd_generate(args)
-    if args.command == "catalogue":
-        return cmd_catalogue(args)
-    return _fail(f"unknown command {args.command!r}", 2)
+    commands = {"analyze": cmd_analyze, "generate": cmd_generate, "catalogue": cmd_catalogue}
+    if args.command not in commands:
+        return _fail(f"unknown command {args.command!r}", 2)
+    try:
+        return commands[args.command](args)
+    except AssertionError as exc:
+        return _fail(f"internal check failed: {exc}", 5)
 
 
 def entry() -> None:

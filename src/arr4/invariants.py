@@ -226,10 +226,7 @@ def f_vector(arrangement: Arrangement) -> tuple[int, int, int, int]:
     _, _, vertex_line_count = _mu_data(arrangement)
     f0 = len(arrangement.vertices())
     f1 = sum(vertex_line_count)
-    f2 = sum(
-        arrangement.restriction(h).projective_chamber_count()
-        for h in range(arrangement.n)
-    )
+    f2 = sum(chambers for _, chambers in arrangement.restriction_counts())
     chi = char_poly_moebius(arrangement)
     value = chi(-1)
     if value <= 0 or value % 2:

@@ -1,20 +1,22 @@
 """Exact dense linear algebra over the coordinate fields.
 
-Two layers.  Field-scalar routines (`rref`, `rank`, `kernel_basis`, the
-canonical forms) work on Fraction and QuadScalar entries; row counts are
+Two layers.  Field-scalar routines (`rref`, `rank`, `kernel_basis`,
+`canonicalize_ray`) work on Fraction and QuadScalar entries; row counts are
 unbounded and column counts tiny (at most 4).  Elimination pivots on the
 first nonzero entry in row-major scan order so results are deterministic
 across runs.  The integer kernel works on positive rescalings of vectors
-into primitive ints (Q) or integer pairs a + b*tau (Q(tau)): `int_rank` for
-the chamber engine, and the per-field table `KERNELS` (integer form, dot
-product, canonical key, field point) on which the intersection lattice runs.
+into primitive ints (Q) or integer pairs a + b*tau (Q(tau)): `int_rank`
+(division-free rank), and the per-field table `KERNELS` (integer form, dot,
+negation, sign, canonical key, field point) on which the intersection
+lattice, the restrictions, the reflection closure, the chamber context and
+`canonicalize_vector` run.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import mul, neg
 from typing import Callable, NamedTuple
 
 from .scalars import Field, QuadScalar, lift, pair_sign, sign
@@ -106,18 +108,13 @@ def canonicalize_vector(vec, field: Field):
 
     Rational field: primitive integer coordinates with the first nonzero one
     positive.  Quadratic field: scaled so the first nonzero coordinate is 1.
+    Both come from the field's lattice kernel: point(canonical(ints(vec))).
     """
-    if field is Field.QUADRATIC_TAU:
-        entries = [lift(x, field) for x in vec]
-        first = next((x for x in entries if x), None)
-        if first is None:
-            raise ValueError("zero vector has no canonical form")
-        inv = first.inverse()
-        return tuple(x * inv for x in entries)
     entries = [lift(x, field) for x in vec]
     if not any(entries):
         raise ValueError("zero vector has no canonical form")
-    return primitive(_cleared(entries))
+    kernel = KERNELS[field]
+    return kernel.point(kernel.canonical(kernel.ints(entries)))
 
 
 def canonicalize_ray(vec):
@@ -141,7 +138,7 @@ def canonicalize_ray(vec):
 def _cleared(vec):
     """A rational vector times the lcm of its denominators, as ints."""
     scale = lcm(*(x.denominator for x in vec))
-    return [int(x * scale) for x in vec]
+    return [x.numerator * (scale // x.denominator) for x in vec]
 
 
 def primitive(ints, oriented=False):
@@ -179,25 +176,12 @@ def compare_vectors(u, v) -> int:
 
 def to_int_pairs(vec):
     """Clear denominators: vector of scalars -> tuple of (a, b) integer pairs."""
-    pairs = []
-    denominators = []
-    for x in vec:
-        if isinstance(x, QuadScalar):
-            a, b = x.a, x.b
-        else:
-            a, b = Fraction(x), Fraction(0)
-        pairs.append((a, b))
-        denominators.append(a.denominator)
-        denominators.append(b.denominator)
-    scale = lcm(*denominators)
-    return tuple((int(a * scale), int(b * scale)) for a, b in pairs)
-
-
-def pair_mul(x, y):
-    a, b = x
-    c, d = y
-    bd = b * d
-    return (a * c + bd, a * d + b * c + bd)
+    pairs = [(x.a, x.b) if isinstance(x, QuadScalar) else (x, 0) for x in vec]
+    scale = lcm(*(y.denominator for pair in pairs for y in pair))
+    return tuple(
+        (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
+        for a, b in pairs
+    )
 
 
 def pair_dot(u, v):
@@ -256,6 +240,21 @@ def int_rank(rows) -> int:
     return found
 
 
+def _times_conj_of_first(pairs):
+    """The pairs times the conjugate of the first nonzero one, and that one's norm.
+
+    For the first nonzero entry c + d*tau the conjugate is (c + d) - d*tau,
+    and the product turns that entry into the rational norm c^2 + cd - d^2.
+    """
+    first = next((p for p in pairs if p[0] or p[1]), None)
+    if first is None:
+        raise ValueError("zero vector has no canonical form")
+    c, d = first
+    e = c + d
+    scaled = [(a * e - b * d, b * e - (a + b) * d) for a, b in pairs]
+    return scaled, c * c + c * d - d * d
+
+
 def pair_vector_canonical(pairs):
     """Canonical form of a nonzero integer-pair vector, unique per projective class.
 
@@ -263,44 +262,54 @@ def pair_vector_canonical(pairs):
     two representatives (which may differ by an irrational factor) into
     vectors differing by a rational factor only, because lambda * conj(lambda)
     is the rational field norm; dividing by the integer content and fixing
-    the sign of the first nonzero pair then lands on a unique representative.
+    the sign of the first nonzero entry (that norm) then lands on a unique
+    representative.
     """
-    first = next((p for p in pairs if p[0] or p[1]), None)
-    if first is None:
-        raise ValueError("zero vector has no canonical form")
-    conj = (first[0] + first[1], -first[1])
-    scaled = [pair_mul(p, conj) for p in pairs]
+    scaled, norm = _times_conj_of_first(pairs)
     g = 0
     for a, b in scaled:
-        g = gcd(g, a)
-        g = gcd(g, b)
-    lead = next(p for p in scaled if p[0] or p[1])
-    if pair_sign(lead) < 0:
+        g = gcd(g, a, b)
+    if norm < 0:
         g = -g
     return tuple((a // g, b // g) for a, b in scaled)
 
 
-def pairs_to_quads(pairs):
-    return tuple(QuadScalar(a, b) for a, b in pairs)
+def pair_point(pairs):
+    """Field vector of a nonzero integer-pair vector, its first nonzero entry 1.
+
+    After multiplying by the conjugate of the first nonzero entry, that
+    entry's rational norm is the only divisor.
+    """
+    scaled, norm = _times_conj_of_first(pairs)
+    return tuple(QuadScalar(Fraction(a, norm), Fraction(b, norm)) for a, b in scaled)
 
 
 # -- the lattice kernel ------------------------------------------------------------
 #
-# The intersection lattice runs on integer forms only.  Each vector is scaled
-# by a positive factor into primitive ints (rational) or integer pairs
-# (Q(tau)); minors and dot products then stay in Z or Z[tau], and flats are
+# The intersection lattice, the restrictions and the reflection closure run
+# on integer forms only.  Each vector is scaled by a positive factor into
+# primitive ints (rational) or integer pairs (Q(tau)); minors, dot products
+# and reflections then stay in Z or Z[tau], and flats and root lines are
 # grouped by a canonical key that is unique per projective class.  Field
-# scalars come back only when a key becomes a flat's point.  The table below
-# holds every field decision the lattice makes.
+# scalars come back only when a key becomes a stored normal or a flat's
+# point: `point` divides by the first nonzero coordinate in integers (for
+# Q(tau), by its norm after multiplying by its conjugate), and
+# `canonicalize_vector` is point(canonical(ints(v))) for both fields, the
+# one canonical path.  The table below holds every field decision these
+# layers and the chamber context make.
 
 
 class FieldKernel(NamedTuple):
-    """Integer lattice arithmetic of one coordinate field."""
+    """Integer arithmetic of one coordinate field."""
 
     #: field vector -> integer form, a positive rescaling of it
     ints: Callable
     #: inner product of two integer forms, an integer-form scalar
     dot: Callable
+    #: negation of an integer-form scalar
+    neg: Callable
+    #: sign of an integer-form scalar
+    sign: Callable
     #: nonzero integer form -> hashable key, unique per projective class
     canonical: Callable
     #: key -> the vector canonicalize_vector gives for that class
@@ -315,13 +324,17 @@ KERNELS = {
     Field.RATIONAL: FieldKernel(
         ints=lambda vec: primitive(_cleared(vec), oriented=True),
         dot=_int_dot,
+        neg=neg,
+        sign=sign,
         canonical=primitive,
         point=tuple,
     ),
     Field.QUADRATIC_TAU: FieldKernel(
         ints=to_int_pairs,
         dot=pair_dot,
+        neg=lambda x: (-x[0], -x[1]),
+        sign=pair_sign,
         canonical=pair_vector_canonical,
-        point=lambda key: canonicalize_vector(pairs_to_quads(key), Field.QUADRATIC_TAU),
+        point=pair_point,
     ),
 }

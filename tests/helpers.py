@@ -8,14 +8,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
-from arr4 import Arrangement, Field, QuadScalar, sign
+from arr4 import Arrangement, Field, QuadScalar, Rank3Arrangement, sign
 from arr4.invariants import (
     ceil_sub_sqrt,
     ceil_sub_sqrt_interval,
     floor_add_sqrt,
     floor_add_sqrt_interval,
 )
+from arr4.linalg import canonicalize_vector, compare_vectors, dot, kernel_basis
 
 
 def boolean_arrangement() -> Arrangement:
@@ -50,6 +52,61 @@ def random_arrangements(field, count, seed):
         except ValueError:  # zero, repeated or non-spanning normals
             continue
     return out
+
+
+def reference_closure_normals(spec):
+    """Sorted canonical normals of the reflection closure, in field scalars.
+
+    The reference route: every reflection found so far is applied to every
+    root line, s_a(x) = x - 2 B(x,a)/B(a,a) * a with Fraction or QuadScalar
+    division, round after round until no new line appears.
+    """
+    gram = spec.gram
+
+    def form(x, y):
+        if gram is None:
+            return dot(x, y)
+        return dot(x, tuple(dot(row, y) for row in gram))
+
+    lines = {canonicalize_vector(root, spec.field): None for root in spec.simple_roots}
+    changed = True
+    while changed:
+        changed = False
+        reps = list(lines)
+        for alpha in reps:
+            aa = form(alpha, alpha)
+            for x in reps:
+                twice = 2 * form(x, alpha)
+                if isinstance(twice, int):
+                    twice = Fraction(twice)
+                coef = twice / aa
+                image = tuple(xi - coef * ai for xi, ai in zip(x, alpha))
+                key = canonicalize_vector(image, spec.field)
+                if key not in lines:
+                    lines[key] = None
+                    changed = True
+    if gram is None:
+        normals = list(lines)
+    else:
+        normals = [tuple(dot(row, r) for row in gram) for r in lines]
+    normals = [canonicalize_vector(v, spec.field) for v in normals]
+    normals.sort(key=cmp_to_key(compare_vectors))
+    return tuple(normals)
+
+
+def reference_restriction_normals(arr, h):
+    """Canonical normals of the restriction to hyperplane h, in field scalars.
+
+    The reference route: each line through h contributes a second member's
+    normal, dotted with the reduced-echelon kernel basis of normal h.
+    """
+    basis = kernel_basis([arr.normals[h]])
+    sub = []
+    for flat in arr.lines():
+        if flat.mask >> h & 1:
+            k = next(i for i in flat.members if i != h)
+            sub.append(tuple(dot(arr.normals[k], b) for b in basis))
+    return Rank3Arrangement(sub, arr.field).normals
 
 
 def _random_rational(rng: random.Random) -> Fraction:

@@ -13,7 +13,7 @@ from arr4 import (
 )
 from arr4.linalg import canonicalize_vector, dot, kernel_basis
 from arr4.scalars import Field
-from helpers import boolean_arrangement, random_arrangements
+from helpers import boolean_arrangement, random_arrangements, reference_restriction_normals
 
 
 def test_boolean_lattice(boolean):
@@ -119,6 +119,16 @@ def test_lattice_matches_brute_force_membership(name):
             basis = _brute_force_flat(sub, p, 1)
             assert p.point == canonicalize_vector(basis[0], sub.field)
         assert sum(comb(p.weight, 2) for p in sub.points()) == comb(sub.n, 2)
+
+
+@pytest.mark.parametrize(
+    "name", ["boolean", "A4", "F4", "A^3_1(27)", "random-rational", "random-quadratic"]
+)
+def test_restrictions_match_reference(name):
+    """Normals read off the Pluecker keys vs kernel basis and field dot products."""
+    for arr in _lattice_inputs(name):
+        for h in range(arr.n):
+            assert arr.restriction(h).normals == reference_restriction_normals(arr, h)
 
 
 def test_vertex_weights_bounded(boolean, generic5):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -17,6 +18,7 @@ from arr4 import (
 )
 from arr4.catalogue import REFLECTION_SPECS, catalogue_entry
 from arr4.invariants import positional
+from helpers import reference_closure_normals
 
 # Positional transcriptions of the embedded table (h from weight 2, t from 3).
 TABLE = {
@@ -93,6 +95,23 @@ def test_closure_invariant_under_root_order_and_scaling():
             RootSystemSpec(spec.name, spec.field, tuple(roots), spec.gram)
         )
         assert shuffled.normals == reference
+
+
+@pytest.mark.parametrize("name", ["A4", "D4", "B4", "F4"])
+def test_closure_matches_reference(name):
+    """Integer orbit under the simple reflections vs the all-pairs field closure."""
+    spec = REFLECTION_SPECS[name]
+    reference = reference_closure_normals(spec)
+    assert reflection_closure(spec).normals == reference
+    rng = random.Random(name)
+    for _ in range(2):
+        roots = list(spec.simple_roots)
+        rng.shuffle(roots)
+        factors = [rng.choice([1, -1, 3, Fraction(-1, 2), Fraction(5, 3)]) for _ in roots]
+        roots = tuple(tuple(f * x for x in r) for f, r in zip(factors, roots))
+        varied = RootSystemSpec(spec.name, spec.field, roots, spec.gram)
+        assert reference_closure_normals(varied) == reference
+        assert reflection_closure(varied).normals == reference
 
 
 def test_closure_overflow_guard():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from arr4.cli import main
+from arr4.invariants import CharPoly
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +151,27 @@ def test_catalogue_verify_json(capsys):
     doc = json.loads(out)
     assert doc["failures"] == 0
     assert doc["rows"][0]["label"] == "A^3_2(28)"
+
+
+def test_internal_check_failure_exit5_analyze(capsys, tmp_path, monkeypatch):
+    # a wrong closed form makes the Moebius vs formula cross-check fail
+    path = tmp_path / "boolean.arr"
+    path.write_text("field: rational\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    monkeypatch.setattr(
+        "arr4.report.char_poly_formula", lambda n, h, f3: CharPoly((1, 0, 0, 0, -1))
+    )
+    code, out, err = run_cli(capsys, "analyze", str(path), "--json")
+    assert code == 5 and out == ""
+    assert err.startswith("arr4: internal check failed: ")
+    assert "characteristic polynomials disagree" in err
+
+
+def test_internal_check_failure_exit5_catalogue(capsys, monkeypatch):
+    # a wrong floor makes the relation vs discriminant cross-check fail
+    monkeypatch.setattr("arr4.invariants.floor_add_sqrt", lambda a, s, d: -1)
+    code, out, err = run_cli(capsys, "catalogue", "verify", "A^3_2(15)")
+    assert code == 5 and out == ""
+    assert err.startswith("arr4: internal check failed: relation verdict")
 
 
 def test_catalogue_export(capsys, tmp_path):

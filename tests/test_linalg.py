@@ -1,26 +1,38 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arr4 import QuadScalar, TAU, kernel_basis, rank
 from arr4.linalg import (
+    KERNELS,
     canonicalize_ray,
     canonicalize_vector,
     dot,
     int_rank,
     pair_dot,
-    pair_mul,
     pair_sign,
     pair_vector_canonical,
-    pairs_to_quads,
     to_int_pairs,
 )
 from arr4.scalars import Field
 
 
 E = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+
+
+def pairs_to_quads(pairs):
+    return tuple(QuadScalar(a, b) for a, b in pairs)
+
+
+def pair_mul(x, y):
+    """(a + b*tau)(c + d*tau) = ac + bd + (ad + bc + bd)*tau, on integer pairs."""
+    a, b = x
+    c, d = y
+    bd = b * d
+    return (a * c + bd, a * d + b * c + bd)
 
 
 def test_rank_examples():
@@ -172,3 +184,62 @@ def test_int_rank_edge_cases():
     # 1 and tau are independent over Q but not over Q(tau)
     assert int_rank([((1, 0), (0, 1)), ((0, 1), (1, 1))]) == 1
     assert int_rank([(0, 1, 0), (0, 2, 0), (0, 0, 5)]) == 2
+
+
+# -- the integer point against the field-division canonical forms ----------------
+
+_FRACTIONS = st.builds(
+    Fraction, st.integers(-30, 30), st.integers(1, 12)
+) | st.just(Fraction(0))
+
+
+@st.composite
+def _field_vectors(draw, quadratic):
+    """Nonzero vectors of width 3 or 4, often with leading zeros."""
+    width = draw(st.sampled_from((3, 4)))
+    if quadratic:
+        entry = st.builds(QuadScalar, _FRACTIONS, _FRACTIONS)
+    else:
+        entry = _FRACTIONS
+    vec = draw(st.lists(entry, min_size=width, max_size=width))
+    lead = draw(st.integers(0, width - 1))
+    vec[:lead] = [0 * x for x in vec[:lead]]
+    if not any(vec):
+        vec[-1] = draw(entry.filter(bool))
+    return tuple(vec)
+
+
+def _inverse_canonical(vec):
+    """Reference Q(tau) form: every entry times the inverse of the first nonzero one."""
+    quads = [QuadScalar._coerce(x) for x in vec]
+    inv = next(x for x in quads if x).inverse()
+    return tuple(x * inv for x in quads)
+
+
+def _rational_canonical(vec):
+    """Reference Q form: divide by the first nonzero entry, clear denominators."""
+    first = next(x for x in vec if x)
+    scaled = [Fraction(x) / first for x in vec]
+    common = 1
+    for x in scaled:
+        common = common * x.denominator // gcd(common, x.denominator)
+    return tuple(int(x * common) for x in scaled)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.booleans().flatmap(_field_vectors))
+def test_integer_point_matches_inverse_canonical(vec):
+    """point(canonical(ints(v))) is the Q(tau) form the scalar inverse gives."""
+    kernel = KERNELS[Field.QUADRATIC_TAU]
+    expected = _inverse_canonical(vec)
+    assert kernel.point(kernel.canonical(kernel.ints(vec))) == expected
+    assert canonicalize_vector(vec, Field.QUADRATIC_TAU) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_field_vectors(quadratic=False))
+def test_rational_point_matches_divided_canonical(vec):
+    kernel = KERNELS[Field.RATIONAL]
+    expected = _rational_canonical(vec)
+    assert kernel.point(kernel.canonical(kernel.ints(vec))) == expected
+    assert canonicalize_vector(vec, Field.RATIONAL) == expected
