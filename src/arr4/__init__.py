@@ -9,7 +9,6 @@ consulted for a decision.
 """
 
 from .scalars import Field, QuadScalar, Rational, TAU, sign
-from .linalg import kernel_basis, rank
 from .arrangement import (
     Arrangement,
     DuplicateHyperplane,
@@ -93,9 +92,7 @@ __all__ = [
     "is_irreducible_diagrams",
     "is_simplicial",
     "is_simply_laced",
-    "kernel_basis",
     "parse_arrangement",
-    "rank",
     "real_roots_test",
     "reflection_closure",
     "sign",

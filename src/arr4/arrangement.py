@@ -18,15 +18,15 @@ Pluecker vector applied to a normal off the line, and a vertex's members are
 the union of the lines and normals whose candidates land on it: every member
 of a vertex lies on a line through it, so no membership re-scan is needed.
 A restriction's normals are read off the Pluecker keys of the lines inside
-the hyperplane, and essentialness is the division-free `int_rank` of the
-integer normals.
+the hyperplane.  Essentialness and reducibility (fundamental circuits of a
+greedy basis) are division-free `int_rank` tests on the integer normals.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .linalg import KERNELS, int_rank, rref
+from .linalg import KERNELS, int_rank
 from .scalars import Field, infer_field, lift
 
 
@@ -278,11 +278,14 @@ class Arrangement(_CentralArrangement):
         return self._cache["restriction_counts"]
 
     def parabolic(self, vertex: Flat) -> "Rank3Arrangement":
-        """The hyperplanes through a vertex, modulo the spanned line."""
-        _, pivots = rref([vertex.point])
-        free = [c for c in range(self.dim) if c not in pivots]
+        """The hyperplanes through a vertex, modulo the spanned line.
+
+        Coordinates on the quotient are those other than the pivot (the
+        first nonzero one) of the vertex point.
+        """
+        p = next(i for i, x in enumerate(vertex.point) if x)
         sub = [
-            tuple(self.normals[i][f] for f in free)
+            tuple(x for f, x in enumerate(self.normals[i]) if f != p)
             for i in vertex.members
         ]
         return Rank3Arrangement(sub, self.field)
@@ -293,8 +296,9 @@ class Arrangement(_CentralArrangement):
         """Two-block partition witnessing a product structure, or None.
 
         Computes the finest decomposition of K^4 into summands each containing
-        a subset of the normals: starting from a greedy basis, every dependent
-        normal ties together the basis normals appearing in its expansion.
+        a subset of the normals, from the fundamental circuits of a greedy
+        basis B: a normal e off B is tied to every b in B with B - b + e
+        again a basis, i.e. to the basis normals appearing in its expansion.
         The blocks are the classes of that relation; the arrangement is
         reducible exactly when there are at least two.
         """
@@ -311,29 +315,20 @@ class Arrangement(_CentralArrangement):
             if rx != ry:
                 parent[max(rx, ry)] = min(rx, ry)
 
-        echelon = []  # (reduced row, pivot column, expression over basis indices)
-        for idx, vec in enumerate(self.normals):
-            row = [lift(x, self.field) for x in vec]
-            combo = {}
-            for erow, pc, expr in echelon:
-                f = row[pc]
-                if f:
-                    row = [x - f * y for x, y in zip(row, erow)]
-                    for b, c in expr.items():
-                        combo[b] = combo.get(b, 0) + f * c
-            pivot = next((c for c in range(self.dim) if row[c]), None)
-            if pivot is None:
-                support = [b for b, c in combo.items() if c]
-                for b in support:
-                    union(idx, b)
-            else:
-                pv = row[pivot]
-                erow = [x / pv for x in row]
-                expr = {idx: 1 / pv}
-                for b, c in combo.items():
-                    if c:
-                        expr[b] = -c / pv
-                echelon.append((erow, pivot, expr))
+        ints = self._integer_normals()[0]
+        basis = []
+        for i, u in enumerate(ints):
+            if int_rank([ints[b] for b in basis] + [u]) > len(basis):
+                basis.append(i)
+                if len(basis) == self.dim:
+                    break
+        rows = [ints[b] for b in basis]
+        for e, u in enumerate(ints):
+            if e in basis:
+                continue
+            for k, b in enumerate(basis):
+                if int_rank(rows[:k] + [u] + rows[k + 1:]) == self.dim:
+                    union(e, b)
         blocks = {}
         for i in range(self.n):
             blocks.setdefault(find(i), []).append(i)

@@ -128,6 +128,15 @@ _ROWS = (
 
 _BY_LABEL = {row.label: row for row in _ROWS}
 
+#: Reflection-type shorthands for the rows of the five reflection arrangements.
+_ALIASES = {
+    "A4": "A^3_1(10)",
+    "D4": "A^3_1(12)",
+    "B4": "A^3_1(16)",
+    "F4": "A^3_1(24)",
+    "H4": "A^3_1(60)",
+}
+
 
 def catalogue_rows() -> tuple[CatalogueEntry, ...]:
     """All embedded catalogue rows, in table order."""
@@ -135,8 +144,9 @@ def catalogue_rows() -> tuple[CatalogueEntry, ...]:
 
 
 def catalogue_entry(label: str) -> CatalogueEntry:
+    """The row with that label, or with the label a shorthand (A4, ..., H4) names."""
     try:
-        return _BY_LABEL[label]
+        return _BY_LABEL[_ALIASES.get(label, label)]
     except KeyError:
         raise UnknownLabel(f"unknown catalogue label {label!r}") from None
 
@@ -282,14 +292,6 @@ _APPENDIX_28 = (
     (QuadScalar(2, 3), QuadScalar(2, 4), QuadScalar(1, 3), _T1),
 )
 
-_ALIASES = {
-    "A4": "A^3_1(10)",
-    "D4": "A^3_1(12)",
-    "B4": "A^3_1(16)",
-    "F4": "A^3_1(24)",
-    "H4": "A^3_1(60)",
-}
-
 _REFLECTION_LABELS = {label: name for name, label in _ALIASES.items()}
 
 
@@ -310,11 +312,10 @@ def builtin(label: str) -> Arrangement:
     Accepts catalogue labels and the reflection-type shorthands A4, D4, B4,
     F4, H4.
     """
-    label = _ALIASES.get(label, label)
     entry = catalogue_entry(label)
     if not entry.has_vectors:
-        raise NoVectorsAvailable(f"no normal vectors are known for {label}")
-    return _build(label)
+        raise NoVectorsAvailable(f"no normal vectors are known for {entry.label}")
+    return _build(entry.label)
 
 
 # -- row verification -----------------------------------------------------------------
@@ -356,7 +357,7 @@ def verify_row(label: str) -> RowReport:
     entry = catalogue_entry(label)
     geometry: list[CheckOutcome] = []
     if entry.has_vectors:
-        arr = builtin(label)
+        arr = builtin(entry.label)
         geometry.append(_match("n", arr.n, entry.n))
         geometry.append(_match("h_vector", arr.h_vector(), dict(entry.h)))
         geometry.append(_match("t_vector", arr.t_vector(), dict(entry.t)))
@@ -370,4 +371,4 @@ def verify_row(label: str) -> RowReport:
                      "restriction_sum_identity"):
             geometry.append(CheckOutcome(name, "skip", note="no vectors known"))
     checks = run_data_checks(entry.data(), simplicial=True, irreducible=True)
-    return RowReport(label, entry.has_vectors, tuple(geometry), tuple(checks))
+    return RowReport(entry.label, entry.has_vectors, tuple(geometry), tuple(checks))

@@ -19,8 +19,12 @@ plain integers converted to field scalars once per chamber.
 
 The `walls` operation decides each candidate independently instead, by
 eliminating onto the candidate hyperplane and running an exact strict
-Fourier-Motzkin feasibility test; the two routes are cross-checked in the
-test suite.
+Fourier-Motzkin feasibility test.  It runs on integer rows too: the oriented
+integer normals restricted to the candidate through their own 2x2 minors
+against its normal, never the lattice's line keys, so the two routes share
+only the integer normals and are cross-checked in the test suite.  The
+seed point's signs are read off the same integer normals; field scalars are
+built only for the witness.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .linalg import KERNELS, canonicalize_ray, dot, int_rank, kernel_basis
-from .scalars import Field, QuadScalar, sign
+from .linalg import KERNELS, int_rank
+from .scalars import Field, QuadScalar
 
 
 class GenericPointNotFound(RuntimeError):
@@ -57,49 +61,41 @@ class ChamberLimitReached(RuntimeError):
 def feasible_strict(rows) -> bool:
     """Exact feasibility of {x : r . x > 0 for every row r}.
 
-    Eliminates variables left to right; rows are deduplicated up to positive
-    scaling after every round.  An all-zero combination certifies 0 > 0 and
-    therefore infeasibility.
+    Rows are integer forms, as `linalg.int_rank` takes them: all ints (Q) or
+    all (a, b) pairs standing for a + b*tau (Q(tau)).  Eliminates variables
+    left to right: a row p with a positive and a row q with a negative
+    leading entry combine into p0*q - q0*p, a positive combination without
+    that variable.  Rows are deduplicated up to positive scaling (the
+    oriented canonical form) every round.  An all-zero row certifies 0 > 0
+    and therefore infeasibility.
     """
-    work = []
-    seen = set()
-    for row in rows:
-        cr = canonicalize_ray(row)
-        if cr is None:
-            return False
-        if cr not in seen:
-            seen.add(cr)
-            work.append(cr)
-    while work and len(work[0]) > 0:
-        pos, neg, passed = [], [], []
+    work = list(rows)
+    pairs = bool(work) and any(isinstance(x, tuple) for x in work[0])
+    kernel = KERNELS[Field.QUADRATIC_TAU if pairs else Field.RATIONAL]
+    isign, idot, neg, canonical = kernel.sign, kernel.dot, kernel.neg, kernel.canonical
+    while work:
+        distinct = {}
         for row in work:
-            s = sign(row[0])
+            if not any(map(isign, row)):
+                return False
+            distinct[canonical(row, oriented=True)] = None
+        pos, negs, work = [], [], []
+        for row in distinct:
+            s = isign(row[0])
             if s > 0:
                 pos.append(row)
             elif s < 0:
-                neg.append(row)
+                negs.append(row)
             else:
-                passed.append(row[1:])
-        combined = passed
+                work.append(row[1:])
         for p in pos:
             p0, ptail = p[0], p[1:]
-            for q in neg:
-                q0, qtail = q[0], q[1:]
-                combined.append(
-                    tuple(p0 * qj - q0 * pj for pj, qj in zip(ptail, qtail))
+            for q in negs:
+                q0 = q[0]
+                work.append(
+                    tuple(idot((p0, q0), (qj, neg(pj))) for pj, qj in zip(ptail, q[1:]))
                 )
-        work = []
-        seen = set()
-        for row in combined:
-            if len(row) == 0:
-                return False
-            cr = canonicalize_ray(row)
-            if cr is None:
-                return False
-            if cr not in seen:
-                seen.add(cr)
-                work.append(cr)
-    return not work
+    return True
 
 
 # -- per-arrangement chamber context ---------------------------------------------
@@ -226,11 +222,15 @@ def generic_point(arr):
     """Deterministic point off every hyperplane: first good moment-curve point.
 
     Candidates are (1, p, p^2, ..., p^(dim-1)) for increasing primes p; each
-    hyperplane can reject at most dim-1 of them.
+    hyperplane can reject at most dim-1 of them.  Signs are read off the
+    integer normals.
     """
+    kernel = KERNELS[arr.field]
+    normals = arr._integer_normals()[0]
     for p in _primes(3 * arr.n + 8):
         cand = tuple(p**k for k in range(arr.dim))
-        signs = [sign(dot(v, cand)) for v in arr.normals]
+        icand = kernel.ints(cand)
+        signs = [kernel.sign(kernel.dot(v, icand)) for v in normals]
         if all(signs):
             return cand, signs
     raise GenericPointNotFound("moment-curve candidates exhausted")
@@ -323,12 +323,15 @@ def chamber_face_counts(arr, chamber):
 # -- the independent Fourier-Motzkin wall test -----------------------------------
 
 
+def _oriented_normals(arr, signs):
+    """The integer normals, each negated where its sign is -1."""
+    ints, negs = arr._integer_normals()
+    return [u if s > 0 else nu for s, u, nu in zip(signs, ints, negs)]
+
+
 def chamber_feasible(arr, signs) -> bool:
-    """Whether the open cone cut out by the sign vector is nonempty."""
-    rows = [
-        tuple(s * x for x in vec) for s, vec in zip(signs, arr.normals)
-    ]
-    return feasible_strict(rows)
+    """Whether the open cone cut out by the +-1 sign vector is nonempty."""
+    return feasible_strict(_oriented_normals(arr, signs))
 
 
 def walls(arr, signs):
@@ -336,23 +339,29 @@ def walls(arr, signs):
 
     A hyperplane H bounds the chamber iff the system keeping every other
     constraint strict and pinning x onto H stays solvable; each candidate is
-    decided by eliminating onto H (three coordinates) and testing strict
-    feasibility with Fourier-Motzkin elimination.
+    decided by eliminating onto H and testing strict feasibility with
+    Fourier-Motzkin elimination.  With p the pivot (first nonzero entry) of
+    the integer normal w of H, the coordinates off p parametrize H, and an
+    oriented normal v restricts to the minors v_f*w_p - v_p*w_f, f != p: a
+    positive rescaling of v restricted to H.
     """
     signs = tuple(signs)
     if len(signs) != arr.n or any(s not in (-1, 1) for s in signs):
         raise ValueError("signs must be a +-1 vector over the hyperplanes")
-    if not chamber_feasible(arr, signs):
+    rows = _oriented_normals(arr, signs)
+    if not feasible_strict(rows):
         raise EmptyChamber("sign vector cuts out an empty cone")
+    kernel = KERNELS[arr.field]
+    idot, neg, isign = kernel.dot, kernel.neg, kernel.sign
     out = []
-    for h in range(arr.n):
-        basis = kernel_basis([arr.normals[h]])
-        reduced = []
-        for i in range(arr.n):
-            if i == h:
-                continue
-            vi = arr.normals[i]
-            reduced.append(tuple(signs[i] * dot(vi, b) for b in basis))
+    for h, w in enumerate(arr._integer_normals()[0]):
+        p = next(i for i, x in enumerate(w) if isign(x))
+        cols = [(f, (w[p], neg(w[f]))) for f in range(arr.dim) if f != p]
+        reduced = [
+            tuple(idot((v[f], v[p]), right) for f, right in cols)
+            for i, v in enumerate(rows)
+            if i != h
+        ]
         if feasible_strict(reduced):
             out.append(h)
     return tuple(out)

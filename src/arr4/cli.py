@@ -5,6 +5,11 @@ Commands:
     generate LABEL [-o PATH]
     catalogue list | verify (LABEL | --all) [--json] | export [-o PATH]
 
+LABEL is a catalogue label such as A^3_1(27) or one of the reflection-type
+shorthands A4, D4, B4, F4, H4; reports carry the catalogue label.  The
+alternatives in parentheses or around `|` exclude each other: --chambers
+with --no-chambers, or a LABEL with --all, is a usage error.
+
 Exit codes: 0 success, 1 verification failures, 2 parse/usage errors,
 3 validation errors (duplicate or non-essential normals), 4 unknown labels,
 5 internal check failures (two independent routes disagreed, e.g. Moebius vs
@@ -128,12 +133,7 @@ def _catalogue_list() -> int:
 
 
 def _catalogue_verify(args) -> int:
-    if args.all:
-        labels = [row.label for row in catalogue_rows()]
-    elif args.label:
-        labels = [args.label]
-    else:
-        return _fail("verify needs a label or --all", 2)
+    labels = [row.label for row in catalogue_rows()] if args.all else [args.label]
     reports = []
     for label in labels:
         try:
@@ -209,10 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="analyze an arrangement file")
     analyze.add_argument("path")
     analyze.add_argument("--json", action="store_true")
-    analyze.add_argument("--chambers", action="store_true",
-                         help="force chamber enumeration")
-    analyze.add_argument("--no-chambers", action="store_true",
-                         help="skip chamber enumeration")
+    chambers = analyze.add_mutually_exclusive_group()
+    chambers.add_argument("--chambers", action="store_true",
+                          help="force chamber enumeration")
+    chambers.add_argument("--no-chambers", action="store_true",
+                          help="skip chamber enumeration")
     analyze.add_argument("--max-chambers", type=_chamber_cap, default=None, metavar="N",
                          help="abort enumeration past N chambers")
 
@@ -224,8 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     cat_sub = catalogue.add_subparsers(dest="action", required=True)
     cat_sub.add_parser("list", help="print all catalogue rows")
     verify = cat_sub.add_parser("verify", help="verify catalogue rows")
-    verify.add_argument("label", nargs="?", default=None)
-    verify.add_argument("--all", action="store_true")
+    rows = verify.add_mutually_exclusive_group(required=True)
+    rows.add_argument("label", nargs="?", default=None)
+    rows.add_argument("--all", action="store_true")
     verify.add_argument("--json", action="store_true")
     export = cat_sub.add_parser("export", help="write the catalogue as JSON")
     export.add_argument("-o", "--output", default=None)

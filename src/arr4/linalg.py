@@ -1,15 +1,15 @@
-"""Exact dense linear algebra over the coordinate fields.
+"""Exact linear algebra over the coordinate fields, on one integer kernel.
 
-Two layers.  Field-scalar routines (`rref`, `rank`, `kernel_basis`,
-`canonicalize_ray`) work on Fraction and QuadScalar entries; row counts are
-unbounded and column counts tiny (at most 4).  Elimination pivots on the
-first nonzero entry in row-major scan order so results are deterministic
-across runs.  The integer kernel works on positive rescalings of vectors
-into primitive ints (Q) or integer pairs a + b*tau (Q(tau)): `int_rank`
-(division-free rank), and the per-field table `KERNELS` (integer form, dot,
-negation, sign, canonical key, field point) on which the intersection
-lattice, the restrictions, the reflection closure, the chamber context and
-`canonicalize_vector` run.
+Every decision runs on positive rescalings of vectors into primitive ints
+(Q) or integer pairs a + b*tau (Q(tau)): `int_rank` (division-free rank) and
+the per-field table `KERNELS` (integer form, dot, negation, sign, canonical
+key with an orientation flag, field point).  The intersection lattice, the
+restrictions, the reflection closure, reducibility, the chamber context and
+the Fourier-Motzkin wall test all run on it.  Three field-scalar helpers
+remain: `dot` (inner product of field vectors, for the Gram forms of the
+reflection closure), `compare_vectors` (the exact lexicographic order that
+sorts normals for output) and `canonicalize_vector`, the canonical field
+form of a vector, which is point(canonical(ints(v))) for both fields.
 """
 
 from __future__ import annotations
@@ -20,77 +20,6 @@ from operator import mul, neg
 from typing import Callable, NamedTuple
 
 from .scalars import Field, QuadScalar, lift, pair_sign, sign
-
-
-def _as_field_entry(x):
-    if isinstance(x, int):
-        return Fraction(x)
-    return x
-
-
-def rref(rows):
-    """Reduced row echelon form.
-
-    Returns (echelon_rows, pivot_columns); zero rows are dropped.  Entries
-    may be Fraction or QuadScalar (ints are lifted to Fraction).
-    """
-    work = [[_as_field_entry(x) for x in row] for row in rows]
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                row_r = work[r]
-                work[i] = [x - f * y for x, y in zip(work[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return [tuple(row) for row in work[:r]], tuple(pivots)
-
-
-def rank(rows) -> int:
-    """Exact rank of an iterable of rows."""
-    _, pivots = rref(rows)
-    return len(pivots)
-
-
-def kernel_basis(rows, cols=None):
-    """Deterministic basis of the right kernel.
-
-    Each basis vector carries a 1 in its own free column and 0 in every other
-    free column (reduced echelon back-substitution), which makes coordinates
-    with respect to this basis readable directly off the free columns.
-    """
-    rows = [tuple(r) for r in rows]
-    ncols = len(rows[0]) if rows else cols
-    if ncols is None:
-        raise ValueError("column count required for an empty system")
-    quadratic = any(isinstance(x, QuadScalar) for row in rows for x in row)
-    one = QuadScalar(1) if quadratic else Fraction(1)
-    zero = QuadScalar(0) if quadratic else Fraction(0)
-    ech, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -ech[r][f]
-        basis.append(tuple(vec))
-    return basis
 
 
 def dot(u, v):
@@ -117,24 +46,6 @@ def canonicalize_vector(vec, field: Field):
     return kernel.point(kernel.canonical(kernel.ints(entries)))
 
 
-def canonicalize_ray(vec):
-    """Scale a nonzero vector by a positive factor into a unique form.
-
-    Unlike canonicalize_vector this preserves orientation, so it identifies
-    equal open half-space constraints without merging opposite ones.
-    """
-    if any(isinstance(x, QuadScalar) for x in vec):
-        first = next((x for x in vec if x), None)
-        if first is None:
-            return None
-        inv = abs(QuadScalar._coerce(first)).inverse()
-        return tuple(QuadScalar._coerce(x) * inv for x in vec)
-    entries = [x if isinstance(x, Fraction) else Fraction(x) for x in vec]
-    if not any(entries):
-        return None
-    return primitive(_cleared(entries), oriented=True)
-
-
 def _cleared(vec):
     """A rational vector times the lcm of its denominators, as ints."""
     scale = lcm(*(x.denominator for x in vec))
@@ -145,7 +56,9 @@ def primitive(ints, oriented=False):
     """A nonzero integer vector divided by the gcd of its entries.
 
     Unless `oriented`, the sign is also fixed so that the first nonzero entry
-    is positive, which makes the result unique per projective class.
+    is positive, which makes the result unique per projective class.  With
+    `oriented` the divisor is positive, so the result is unique per class of
+    positive rescalings (one open half-space constraint).
     """
     g = gcd(*ints)
     if not oriented and next(x for x in ints if x) < 0:
@@ -162,16 +75,13 @@ def compare_vectors(u, v) -> int:
     return 0
 
 
-# -- integer-pair fast path for Q(tau) hot loops ----------------------------------
+# -- integer pairs for Q(tau) ------------------------------------------------------
 #
 # A quadratic vector scaled by the positive lcm of its component denominators
 # becomes a tuple of plain integer pairs (a, b) standing for a + b*tau.  Signs,
-# zero tests and ranks are unchanged by the positive scaling, so bulk
-# sign-of-dot work and rank tests can run on machine integers instead of
-# Fraction-backed scalars.  The chamber engine keeps every corner in such an
-# integer form (plain primitive ints for rational corners, pairs for Q(tau)
-# ones) and decides walls with the division-free `int_rank` below; the
-# lattice kernel at the end of this module does the same for flats.
+# zero tests and ranks are unchanged by the positive scaling, so sign-of-dot
+# work, rank tests and elimination run on machine integers instead of
+# Fraction-backed scalars.
 
 
 def to_int_pairs(vec):
@@ -241,7 +151,7 @@ def int_rank(rows) -> int:
 
 
 def _times_conj_of_first(pairs):
-    """The pairs times the conjugate of the first nonzero one, and that one's norm.
+    """The pairs times the conjugate of the first nonzero one, its norm, the conjugate.
 
     For the first nonzero entry c + d*tau the conjugate is (c + d) - d*tau,
     and the product turns that entry into the rational norm c^2 + cd - d^2.
@@ -252,10 +162,10 @@ def _times_conj_of_first(pairs):
     c, d = first
     e = c + d
     scaled = [(a * e - b * d, b * e - (a + b) * d) for a, b in pairs]
-    return scaled, c * c + c * d - d * d
+    return scaled, c * c + c * d - d * d, (e, -d)
 
 
-def pair_vector_canonical(pairs):
+def pair_vector_canonical(pairs, oriented=False):
     """Canonical form of a nonzero integer-pair vector, unique per projective class.
 
     Multiplying through by the conjugate of the first nonzero entry turns any
@@ -263,13 +173,15 @@ def pair_vector_canonical(pairs):
     vectors differing by a rational factor only, because lambda * conj(lambda)
     is the rational field norm; dividing by the integer content and fixing
     the sign of the first nonzero entry (that norm) then lands on a unique
-    representative.
+    representative.  With `oriented` the sign is fixed instead so that the
+    whole factor, conjugate over content, is positive: the result is then a
+    positive multiple of the input, unique per class of positive rescalings.
     """
-    scaled, norm = _times_conj_of_first(pairs)
+    scaled, norm, conj = _times_conj_of_first(pairs)
     g = 0
     for a, b in scaled:
         g = gcd(g, a, b)
-    if norm < 0:
+    if (pair_sign(conj) if oriented else norm) < 0:
         g = -g
     return tuple((a // g, b // g) for a, b in scaled)
 
@@ -280,23 +192,25 @@ def pair_point(pairs):
     After multiplying by the conjugate of the first nonzero entry, that
     entry's rational norm is the only divisor.
     """
-    scaled, norm = _times_conj_of_first(pairs)
+    scaled, norm, _ = _times_conj_of_first(pairs)
     return tuple(QuadScalar(Fraction(a, norm), Fraction(b, norm)) for a, b in scaled)
 
 
-# -- the lattice kernel ------------------------------------------------------------
+# -- the kernel table --------------------------------------------------------------
 #
-# The intersection lattice, the restrictions and the reflection closure run
-# on integer forms only.  Each vector is scaled by a positive factor into
-# primitive ints (rational) or integer pairs (Q(tau)); minors, dot products
-# and reflections then stay in Z or Z[tau], and flats and root lines are
-# grouped by a canonical key that is unique per projective class.  Field
-# scalars come back only when a key becomes a stored normal or a flat's
-# point: `point` divides by the first nonzero coordinate in integers (for
-# Q(tau), by its norm after multiplying by its conjugate), and
-# `canonicalize_vector` is point(canonical(ints(v))) for both fields, the
-# one canonical path.  The table below holds every field decision these
-# layers and the chamber context make.
+# The intersection lattice, the restrictions, the reflection closure,
+# reducibility and both chamber routes run on integer forms only.  Each
+# vector is scaled by a positive factor into primitive ints (rational) or
+# integer pairs (Q(tau)); minors, dot products, reflections and elimination
+# then stay in Z or Z[tau], and flats and root lines are grouped by a
+# canonical key that is unique per projective class.  Field scalars come back
+# only when a key becomes a stored normal or a flat's point: `point` divides
+# by the first nonzero coordinate in integers (for Q(tau), by its norm after
+# multiplying by its conjugate), and `canonicalize_vector` is
+# point(canonical(ints(v))) for both fields, the one canonical path.  With
+# `oriented=True` the same `canonical` keeps the sign (a positive multiple of
+# its input), which is how Fourier-Motzkin deduplicates half-space
+# constraints.  The table below holds every field decision these layers make.
 
 
 class FieldKernel(NamedTuple):
@@ -310,7 +224,8 @@ class FieldKernel(NamedTuple):
     neg: Callable
     #: sign of an integer-form scalar
     sign: Callable
-    #: nonzero integer form -> hashable key, unique per projective class
+    #: nonzero integer form -> hashable key, unique per projective class;
+    #: with oriented=True, a positive multiple unique per positive rescaling
     canonical: Callable
     #: key -> the vector canonicalize_vector gives for that class
     point: Callable

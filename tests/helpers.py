@@ -1,7 +1,10 @@
-"""Shared fixtures-in-code and the randomized property suites.
+"""Shared fixtures-in-code, reference routes and the randomized property suites.
 
 The property runners live here (not in a test module) so both the unit tests
-and the acceptance suite can invoke them with their own case counts.
+and the acceptance suite can invoke them with their own case counts.  The
+reference routes (field-scalar `rref`/`rank`/`kernel_basis`, the all-pairs
+reflection closure, kernel-basis restrictions) are the slow, obvious
+versions that the package's integer kernel is compared against.
 """
 
 from __future__ import annotations
@@ -17,7 +20,76 @@ from arr4.invariants import (
     floor_add_sqrt,
     floor_add_sqrt_interval,
 )
-from arr4.linalg import canonicalize_vector, compare_vectors, dot, kernel_basis
+from arr4.linalg import canonicalize_vector, compare_vectors, dot
+
+
+# -- field-scalar reference elimination ---------------------------------------------
+
+
+def rref(rows):
+    """Reduced row echelon form over Fraction or QuadScalar entries.
+
+    Returns (echelon_rows, pivot_columns); zero rows are dropped and ints are
+    lifted to Fraction.  Elimination pivots on the first nonzero entry in
+    row-major scan order, so results are deterministic.
+    """
+    work = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(work)):
+            if work[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        pv = work[r][c]
+        work[r] = [x / pv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                row_r = work[r]
+                work[i] = [x - f * y for x, y in zip(work[i], row_r)]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return [tuple(row) for row in work[:r]], tuple(pivots)
+
+
+def rank(rows) -> int:
+    """Exact rank of an iterable of rows, by field-scalar elimination."""
+    _, pivots = rref(rows)
+    return len(pivots)
+
+
+def kernel_basis(rows, cols=None):
+    """Deterministic basis of the right kernel, by field-scalar elimination.
+
+    Each basis vector carries a 1 in its own free column and 0 in every other
+    free column (reduced echelon back-substitution), which makes coordinates
+    with respect to this basis readable directly off the free columns.
+    """
+    rows = [tuple(r) for r in rows]
+    ncols = len(rows[0]) if rows else cols
+    if ncols is None:
+        raise ValueError("column count required for an empty system")
+    quadratic = any(isinstance(x, QuadScalar) for row in rows for x in row)
+    one = QuadScalar(1) if quadratic else Fraction(1)
+    zero = QuadScalar(0) if quadratic else Fraction(0)
+    ech, pivots = rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [zero] * ncols
+        vec[f] = one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -ech[r][f]
+        basis.append(tuple(vec))
+    return basis
 
 
 def boolean_arrangement() -> Arrangement:
@@ -106,6 +178,18 @@ def reference_restriction_normals(arr, h):
         if flat.mask >> h & 1:
             k = next(i for i in flat.members if i != h)
             sub.append(tuple(dot(arr.normals[k], b) for b in basis))
+    return Rank3Arrangement(sub, arr.field).normals
+
+
+def reference_parabolic_normals(arr, vertex):
+    """Canonical normals of the parabolic at a vertex, in field scalars.
+
+    The reference route: the free columns of the reduced echelon form of the
+    vertex point are the coordinates on the quotient by its line.
+    """
+    _, pivots = rref([vertex.point])
+    free = [c for c in range(arr.dim) if c not in pivots]
+    sub = [tuple(arr.normals[i][f] for f in free) for i in vertex.members]
     return Rank3Arrangement(sub, arr.field).normals
 
 

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -7,13 +8,22 @@ from arr4 import (
     DuplicateHyperplane,
     MixedField,
     NotEssential,
+    QuadScalar,
     Rank3Arrangement,
     TAU,
     builtin,
+    char_poly_moebius,
 )
-from arr4.linalg import canonicalize_vector, dot, kernel_basis
+from arr4.linalg import canonicalize_vector, dot
 from arr4.scalars import Field
-from helpers import boolean_arrangement, random_arrangements, reference_restriction_normals
+from helpers import (
+    boolean_arrangement,
+    kernel_basis,
+    random_arrangements,
+    rank,
+    reference_parabolic_normals,
+    reference_restriction_normals,
+)
 
 
 def test_boolean_lattice(boolean):
@@ -131,6 +141,16 @@ def test_restrictions_match_reference(name):
             assert arr.restriction(h).normals == reference_restriction_normals(arr, h)
 
 
+@pytest.mark.parametrize(
+    "name", ["boolean", "A4", "F4", "A^3_1(27)", "random-rational", "random-quadratic"]
+)
+def test_parabolics_match_reference(name):
+    """Parabolic normals on the pivot chart vs the reduced-echelon reference."""
+    for arr in _lattice_inputs(name):
+        for v in arr.vertices():
+            assert arr.parabolic(v).normals == reference_parabolic_normals(arr, v)
+
+
 def test_vertex_weights_bounded(boolean, generic5):
     for arr in (boolean, generic5):
         for v in arr.vertices():
@@ -170,6 +190,91 @@ def test_reducibility(boolean):
     # one dependent normal ties three coordinates together
     arr = Arrangement([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     assert arr.reducible_partition() == ((0, 1, 2), (3, 4))
+
+
+def _assert_crapo_oracle(arr):
+    """Reducibility against Crapo's beta invariant, and rank additivity.
+
+    For a matroid on n >= 2 elements, beta = +-chi'(1) is nonzero exactly
+    when the matroid is connected (Crapo 1967); chi(t) = (t - 1) * cubic(t),
+    so chi'(1) is the cubic at 1.  Returns the partition.
+    """
+    partition = arr.reducible_partition()
+    cubic = char_poly_moebius(arr).reduced_cubic()
+    assert (partition is None) == (1 + cubic.p + cubic.q + cubic.r != 0)
+    if partition is not None:
+        assert sorted(partition[0] + partition[1]) == list(range(arr.n))
+        assert sum(rank([arr.normals[i] for i in block]) for block in partition) == 4
+    return partition
+
+
+@pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU])
+def test_reducible_partition_matches_crapo_beta(field):
+    # 11 rational and 3 quadratic draws of these 120 are reducible
+    partitions = [_assert_crapo_oracle(arr) for arr in random_arrangements(field, 60, 6)]
+    assert 0 < sum(part is not None for part in partitions) < len(partitions)
+
+
+def _connected_block(rng, field, rank):
+    """Normals of an irreducible arrangement of the given rank in K^rank."""
+    if field is Field.QUADRATIC_TAU:
+        def coef():
+            return QuadScalar(rng.choice((-2, -1, 1, 2)), rng.randint(-2, 2))
+    else:
+        def coef():
+            return rng.choice((-3, -2, -1, 1, 2, 3))
+    unit = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    if rank == 1:
+        return unit
+    # every coordinate of the extra normal is nonzero: the rank + 1 normals
+    # are in general position, a connected (uniform) matroid
+    return unit + [(1,) + tuple(coef() for _ in range(rank - 1))]
+
+
+def _hidden_product(rng, field, ranks):
+    """A product arrangement behind a random unimodular change of coordinates.
+
+    Returns the normals (in shuffled order) and the partition that
+    reducible_partition must report: the block holding normal 0, and the
+    union of the others.
+    """
+    normals, labels = [], []
+    offset = 0
+    for k, r in enumerate(ranks):
+        for vec in _connected_block(rng, field, r):
+            normals.append((0,) * offset + tuple(vec) + (0,) * (4 - offset - r))
+            labels.append(k)
+        offset += r
+    unimodular = [[int(i == j) for j in range(4)] for i in range(4)]
+    for _ in range(10):
+        i, j = rng.sample(range(4), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        unimodular[i] = [x + c * y for x, y in zip(unimodular[i], unimodular[j])]
+    normals = [
+        tuple(sum(v[i] * unimodular[i][j] for i in range(4)) for j in range(4))
+        for v in normals
+    ]
+    order = list(range(len(normals)))
+    rng.shuffle(order)
+    normals = [normals[i] for i in order]
+    labels = [labels[i] for i in order]
+    first = tuple(i for i, lab in enumerate(labels) if lab == labels[0])
+    rest = tuple(i for i, lab in enumerate(labels) if lab != labels[0])
+    return normals, (first, rest)
+
+
+@pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU])
+def test_reducible_partition_finds_hidden_products(field):
+    rng = random.Random(20240617)
+    for ranks in [(2, 2), (1, 3), (3, 1), (1, 1, 2), (2, 1, 1), (1, 1, 1, 1)] * 4:
+        normals, expected = _hidden_product(rng, field, ranks)
+        arr = Arrangement(normals, field)
+        assert arr.reducible_partition() == expected
+        _assert_crapo_oracle(arr)
+    # the unimodular change alone keeps an irreducible arrangement irreducible
+    normals, expected = _hidden_product(rng, field, (4,))
+    assert expected[1] == ()
+    assert _assert_crapo_oracle(Arrangement(normals, field)) is None
 
 
 def test_rank3_points_and_chamber_count(boolean):

@@ -121,10 +121,10 @@ def test_fm_walls_match_corner_walls(boolean, generic5):
         for ch in enumerate_chambers(arr):
             assert walls(arr, ch.signs) == ch.walls
     b4 = builtin("B4")
-    for ch in enumerate_chambers(b4)[:24]:
+    for ch in enumerate_chambers(b4):
         assert walls(b4, ch.signs) == ch.walls
     a27 = builtin("A^3_1(27)")
-    for ch in enumerate_chambers(a27)[:6]:
+    for ch in enumerate_chambers(a27)[:20]:
         assert walls(a27, ch.signs) == ch.walls
 
 

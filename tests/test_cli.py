@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -151,6 +152,64 @@ def test_catalogue_verify_json(capsys):
     doc = json.loads(out)
     assert doc["failures"] == 0
     assert doc["rows"][0]["label"] == "A^3_2(28)"
+
+
+def test_catalogue_verify_accepts_shorthand(capsys):
+    code, out, _ = run_cli(capsys, "catalogue", "verify", "A4", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["failures"] == 0
+    assert doc["rows"][0]["label"] == "A^3_1(10)"
+    assert run_cli(capsys, "catalogue", "verify", "A^3_1(10)", "--json")[1] == out
+    code, out, _ = run_cli(capsys, "catalogue", "verify", "B4")
+    assert code == 0 and out.startswith("A^3_1(16)    ok")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("analyze", "{path}", "--chambers", "--no-chambers"), "not allowed with"),
+        (("analyze", "{path}", "--no-chambers", "--json", "--chambers"), "not allowed with"),
+        (("catalogue", "verify", "A4", "--all"), "not allowed with"),
+        (("catalogue", "verify", "--all", "A^3_1(12)"), "not allowed with"),
+        (("catalogue", "verify", "--json"), "one of the arguments label --all is required"),
+    ],
+    ids=["chambers-no-chambers", "no-chambers-chambers", "label-all", "all-label", "neither"],
+)
+def test_contradictory_flags_are_usage_errors(capsys, tmp_path, argv, message):
+    path = tmp_path / "boolean.arr"
+    path.write_text("field: rational\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(path=path) for arg in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert message in captured.err
+
+
+#: sha256 of `analyze --json --chambers` output, captured before the
+#: Fourier-Motzkin, reducibility and seed routes moved onto the integer kernel.
+_GOLDEN_ANALYZE = {
+    "boolean": (
+        "field: rational\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
+        "03e469c9eb354b317e719f622de23a0a9ce5b9c08dcf771c2c1a120644a8a71e",
+    ),
+    "non-simplicial": (
+        "field: rational\n-2 0 -2 1\n1 1 1 -1\n-2 1 -2 1\n"
+        "1 2 -2 1\n0 -1 2 -2\n0 -2 -2 -2\n",
+        "fb025997f3331c6d8d468850ec7ffd7b2b5c38ff74a73cc79ee785d6140154dd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_ANALYZE))
+def test_analyze_json_golden_digest(capsys, tmp_path, name):
+    """Reducible and non-simplicial inputs, which the built-in digests miss."""
+    text, digest = _GOLDEN_ANALYZE[name]
+    path = tmp_path / "input.arr"
+    path.write_text(text)
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--json", "--chambers")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_internal_check_failure_exit5_analyze(capsys, tmp_path, monkeypatch):

@@ -5,19 +5,21 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arr4 import QuadScalar, TAU, kernel_basis, rank
+from arr4 import QuadScalar, TAU
+from arr4.chambers import feasible_strict
 from arr4.linalg import (
     KERNELS,
-    canonicalize_ray,
     canonicalize_vector,
     dot,
     int_rank,
     pair_dot,
     pair_sign,
     pair_vector_canonical,
+    primitive,
     to_int_pairs,
 )
 from arr4.scalars import Field
+from helpers import kernel_basis, rank
 
 
 E = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
@@ -103,12 +105,38 @@ def test_canonicalize_vector_quadratic():
     assert canonicalize_vector(scaled, Field.QUADRATIC_TAU) == vec
 
 
-def test_canonicalize_ray_preserves_orientation():
-    assert canonicalize_ray((2, -4, 6)) == (1, -2, 3)
-    assert canonicalize_ray((-2, 4, -6)) == (-1, 2, -3)
-    assert canonicalize_ray((0, 0)) is None
-    ray = canonicalize_ray((QuadScalar(0, -2), QuadScalar(4)))
-    assert pair_sign((int(ray[0].a), int(ray[0].b))) == -1
+def test_oriented_forms_preserve_orientation():
+    assert primitive((2, -4, 6), oriented=True) == (1, -2, 3)
+    assert primitive((-2, 4, -6), oriented=True) == (-1, 2, -3)
+    assert pair_vector_canonical(((2, 0), (-4, 0), (6, 0)), oriented=True) == (
+        (1, 0), (-2, 0), (3, 0))
+    assert pair_vector_canonical(((-2, 0), (4, 0), (-6, 0)), oriented=True) == (
+        (-1, 0), (2, 0), (-3, 0))
+    # a zero row has no oriented form: Fourier-Motzkin reads it as 0 > 0
+    assert not feasible_strict([(0, 0)])
+    assert not feasible_strict([((0, 0), (0, 0))])
+    ray = pair_vector_canonical(to_int_pairs((QuadScalar(0, -2), QuadScalar(4))), oriented=True)
+    assert pair_sign(ray[0]) == -1
+
+
+_PAIR = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(_PAIR, min_size=1, max_size=4).filter(lambda v: any(a or b for a, b in v)),
+    _PAIR.filter(lambda x: x != (0, 0)),
+)
+def test_oriented_pair_form_follows_the_sign_of_the_scale(vec, scale):
+    """Unchanged by positive Z[tau] scalars, negated by negative ones."""
+    form = pair_vector_canonical(vec, oriented=True)
+    # a positive multiple of its input: same projective class, same leading sign
+    assert pair_vector_canonical(form) == pair_vector_canonical(vec)
+    lead = next(i for i, x in enumerate(vec) if x != (0, 0))
+    assert pair_sign(form[lead]) == pair_sign(vec[lead])
+    scaled = [pair_mul(scale, x) for x in vec]
+    expected = form if pair_sign(scale) > 0 else tuple((-a, -b) for a, b in form)
+    assert pair_vector_canonical(scaled, oriented=True) == expected
 
 
 def test_int_pair_arithmetic_matches_quadscalar():
