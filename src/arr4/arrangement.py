@@ -17,6 +17,9 @@ point itself) in K^3.  A vertex candidate is the Hodge dual of a line's
 Pluecker vector applied to a normal off the line, and a vertex's members are
 the union of the lines and normals whose candidates land on it: every member
 of a vertex lies on a line through it, so no membership re-scan is needed.
+The same pass tallies, per vertex, the lines through it and the sum of their
+weights (`vertex_line_tallies`), from which the vertices' Moebius values and
+the f-vector are read.
 A restriction's normals are read off the Pluecker keys of the lines inside
 the hyperplane.  Essentialness and reducibility (fundamental circuits of a
 greedy basis) are division-free `int_rank` tests on the integer normals.
@@ -203,22 +206,57 @@ class Arrangement(_CentralArrangement):
             self._cache["vertices"] = self._compute_vertices()
         return self._cache["vertices"]
 
+    def vertex_line_tallies(self):
+        """Per vertex, in `vertices()` order: the number of lines through it,
+        and the sum of those lines' weights."""
+        self.vertices()
+        return self._cache["vertex_tallies"]
+
     def _compute_vertices(self):
+        """Vertices, plus the tallies of `vertex_line_tallies` in the same pass.
+
+        Every line through a vertex x meets it (via a normal of x off the
+        line), and all of one line's hits fall in that line's iteration, so
+        remembering the last line seen at x counts each incidence once.
+        """
         idot, canonical, point = self._kernel.dot, self._kernel.canonical, self._kernel.point
         ints, negs = self._integer_normals()
         hodge_w = [
             tuple(tuple((w if s > 0 else nw)[j] for _, j, s in row) for row in _HODGE)
             for w, nw in zip(ints, negs)
         ]
-        masks = {}
-        for key, line_mask in self._rank2().items():
+        # x -> [member mask, last line index, lines through x, their weight sum]
+        found = {}
+        for i, (key, line_mask) in enumerate(self._rank2().items()):
+            size = line_mask.bit_count()
             hodge_p = tuple(tuple(key[p] for p, _, _ in row) for row in _HODGE)
             for k, wk in enumerate(hodge_w):
                 if line_mask >> k & 1:
                     continue
                 x = canonical(tuple(map(idot, hodge_p, wk)))
-                masks[x] = masks.get(x, 0) | line_mask | 1 << k
-        verts = _sorted_flats(Flat(mask, point(x)) for x, mask in masks.items())
+                entry = found.get(x)
+                if entry is None:
+                    found[x] = [line_mask | 1 << k, i, 1, size]
+                else:
+                    entry[0] |= 1 << k
+                    if entry[1] != i:
+                        entry[0] |= line_mask
+                        entry[1] = i
+                        entry[2] += 1
+                        entry[3] += size
+        flats, counts, weights = [], [], []
+        while found:  # popping frees each entry as its flat is made
+            x, entry = found.popitem()
+            flats.append(Flat(entry[0], point(x)))
+            counts.append(entry[2])
+            weights.append(entry[3])
+        found.clear()  # and this frees the emptied table
+        order = sorted(range(len(flats)), key=lambda j: flats[j].members)
+        verts = tuple(flats[j] for j in order)
+        self._cache["vertex_tallies"] = (
+            tuple(counts[j] for j in order),
+            tuple(weights[j] for j in order),
+        )
         for v in verts:
             if not 3 <= v.weight <= self.n - 1:
                 raise AssertionError(

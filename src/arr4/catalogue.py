@@ -352,7 +352,9 @@ def verify_row(label: str) -> RowReport:
 
     Rows with vectors get their geometry (h/t/f-vectors, restriction sizes)
     recomputed from scratch and compared to the table; data-only rows report
-    those comparisons as skipped.
+    those comparisons as skipped.  For rows with vectors, f2 is also built
+    restriction by restriction and asserted equal to the f2 of the vertex
+    tallies.
     """
     entry = catalogue_entry(label)
     geometry: list[CheckOutcome] = []
@@ -361,11 +363,19 @@ def verify_row(label: str) -> RowReport:
         geometry.append(_match("n", arr.n, entry.n))
         geometry.append(_match("h_vector", arr.h_vector(), dict(entry.h)))
         geometry.append(_match("t_vector", arr.t_vector(), dict(entry.t)))
-        geometry.append(_match("f_vector", f_vector(arr), entry.f))
+        f = f_vector(arr)
+        geometry.append(_match("f_vector", f, entry.f))
         # h = sum of restriction sizes minus the number of lines
         data = entry.data()
-        lhs = sum(size for size, _ in arr.restriction_counts()) - data.g1
+        counts = arr.restriction_counts()
+        lhs = sum(size for size, _ in counts) - data.g1
         geometry.append(_match("restriction_sum_identity", lhs, data.h_total))
+        f2 = sum(chambers for _, chambers in counts)
+        if f2 != f[2]:
+            raise AssertionError(
+                f"restriction chamber counts sum to {f2}, the vertex tallies "
+                f"give f2 = {f[2]}"
+            )
     else:
         for name in ("n", "h_vector", "t_vector", "f_vector",
                      "restriction_sum_identity"):

@@ -33,6 +33,8 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations
 from math import lcm
 
 from .linalg import KERNELS, int_rank
@@ -419,23 +421,28 @@ class CoxeterDiagram:
     def canonical_key(self) -> str:
         """Isomorphism-invariant label, exact for up to six walls."""
         k = len(self.walls)
-        index = {w: i for i, w in enumerate(self.walls)}
-        weight = [[0] * k for _ in range(k)]
-        for i, j, w in self.edges:
-            a, b = index[i], index[j]
-            weight[a][b] = weight[b][a] = w
         if k > 6:
             return f"walls={k};weights={sorted(self.edge_weights())}"
-        from itertools import permutations
+        index = {w: i for i, w in enumerate(self.walls)}
+        return _graph_key(k, tuple((index[i], index[j], w) for i, j, w in self.edges))
 
-        best = None
-        for perm in permutations(range(k)):
-            key = tuple(
-                weight[perm[a]][perm[b]] for a in range(k) for b in range(a + 1, k)
-            )
-            if best is None or key < best:
-                best = key
-        return f"walls={k};graph={','.join(map(str, best))}"
+
+@lru_cache(maxsize=4096)
+def _graph_key(k: int, edges: tuple) -> str:
+    """Smallest upper-triangle weight word over all orderings of k <= 6 walls,
+    edges given between wall positions; memoised, as most chambers share a
+    few diagram shapes."""
+    weight = [[0] * k for _ in range(k)]
+    for a, b, w in edges:
+        weight[a][b] = weight[b][a] = w
+    best = None
+    for perm in permutations(range(k)):
+        key = tuple(
+            weight[perm[a]][perm[b]] for a in range(k) for b in range(a + 1, k)
+        )
+        if best is None or key < best:
+            best = key
+    return f"walls={k};graph={','.join(map(str, best))}"
 
 
 def coxeter_diagram(arr, chamber: Chamber) -> CoxeterDiagram:

@@ -13,8 +13,10 @@ with --no-chambers, or a LABEL with --all, is a usage error.
 Exit codes: 0 success, 1 verification failures, 2 parse/usage errors,
 3 validation errors (duplicate or non-essential normals), 4 unknown labels,
 5 internal check failures (two independent routes disagreed, e.g. Moebius vs
-closed-form characteristic polynomial, corner vs Fourier-Motzkin walls, or a
-chi(-1) parity check; this is a bug, reported as "internal check failed").
+closed-form characteristic polynomial, enumerated chambers vs f3, vertex
+tallies vs restriction chamber counts for f2, corner vs Fourier-Motzkin
+walls, or a chi(-1) parity check; this is a bug, reported as "internal check
+failed").
 The environment variable ARR4_THREADS is validated (a positive integer, else
 exit 2) but otherwise inert: no command starts worker threads or processes,
 and output is byte-identical whatever its value.
@@ -224,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     catalogue = sub.add_parser("catalogue", help="catalogue operations")
     cat_sub = catalogue.add_subparsers(dest="action", required=True)
     cat_sub.add_parser("list", help="print all catalogue rows")
-    verify = cat_sub.add_parser("verify", help="verify catalogue rows")
+    verify = cat_sub.add_parser("verify", help="verify catalogue rows",
+                                usage="%(prog)s (LABEL | --all) [--json]")
     rows = verify.add_mutually_exclusive_group(required=True)
     rows.add_argument("label", nargs="?", default=None)
     rows.add_argument("--all", action="store_true")

@@ -7,6 +7,14 @@ three integer relations (with exact floor/ceil handling of square roots via
 integer-sqrt bracketing) and from the discriminant of the cubic factor; the
 two verdicts are asserted to agree on every evaluation.
 
+The Moebius values of the vertices and the whole f-vector are read off the
+per-vertex line tallies that the vertex pass takes
+(`Arrangement.vertex_line_tallies`), in O(V); f2 is Zaslavsky's chamber count
+of each restriction summed over the hyperplanes, so in `analyze` the Euler
+relation holds by construction.  The independent route to f2, building every
+restriction (`Arrangement.restriction_counts`), runs in `catalogue verify`
+and in the tests.
+
 Every checker accepts plain combinatorial data (n, h-vector, t-vector,
 f-vector), so catalogue rows without known normal vectors can be verified.
 """
@@ -179,34 +187,26 @@ def char_poly_formula(n: int, h: int, f3: int) -> CharPoly:
 
 
 def _mu_data(arrangement: Arrangement):
-    """Moebius values plus per-vertex incident-line tallies, cached."""
+    """Moebius value and incident-line count of every vertex, cached.
+
+    Read off the tallies of the vertex pass: mu(v) = -(1 - w_v + sum over the
+    lines L through v of (|L| - 1)).
+    """
     cache = arrangement._cache
-    if "mu" in cache:
-        return cache["mu"]
-    lines = arrangement.lines()
-    vertices = arrangement.vertices()
-    line_info = [(flat.mask, flat.weight - 1) for flat in lines]
-    vertex_mu = []
-    vertex_line_count = []
-    for v in vertices:
-        vmask = v.mask
-        incident = 0
-        mu_sum = 0
-        for lmask, lmu in line_info:
-            if lmask & vmask == lmask:
-                incident += 1
-                mu_sum += lmu
-        vertex_line_count.append(incident)
-        vertex_mu.append(-(1 - v.weight + mu_sum))
-    data = (line_info, vertex_mu, vertex_line_count)
-    cache["mu"] = data
-    return data
+    if "mu" not in cache:
+        line_counts, line_weights = arrangement.vertex_line_tallies()
+        vertex_mu = tuple(
+            -(1 - v.weight + weights - count)
+            for v, count, weights in zip(arrangement.vertices(), line_counts, line_weights)
+        )
+        cache["mu"] = (vertex_mu, line_counts)
+    return cache["mu"]
 
 
 def char_poly_moebius(arrangement: Arrangement) -> CharPoly:
     """Characteristic polynomial by Moebius recursion over all flats."""
-    line_info, vertex_mu, _ = _mu_data(arrangement)
-    c2 = sum(mu for _, mu in line_info)
+    vertex_mu, _ = _mu_data(arrangement)
+    c2 = sum(flat.weight - 1 for flat in arrangement.lines())
     c1 = sum(vertex_mu)
     c0 = -(1 - arrangement.n + c2 + c1)
     return CharPoly((1, -arrangement.n, c2, c1, c0))
@@ -215,18 +215,24 @@ def char_poly_moebius(arrangement: Arrangement) -> CharPoly:
 def f_vector(arrangement: Arrangement) -> tuple[int, int, int, int]:
     """Cell counts of the induced decomposition of projective 3-space.
 
-    f0 = vertices; f1 sums, over the lines, the marked points on each
-    (a projective line with k points carries k arcs); f2 sums the projective
-    chamber counts of the restrictions; f3 comes from the characteristic
-    polynomial at -1.
+    f0 = vertices; f1 counts the (line, vertex) incidences (a projective
+    line with k vertices carries k arcs); f2 sums the projective
+    chamber counts 1 + sum_p (w_p - 1) of the restrictions (Zaslavsky), whose
+    points are the vertices in the hyperplane and whose point weights are
+    the lines through them: f2 = n + sum_v (sum_{L through v} |L| - w_v);
+    f3 comes from the characteristic polynomial at -1.  Every term is read
+    off the vertex pass, so the Euler relation holds by construction; the
+    restriction route to f2 (`Arrangement.restriction_counts`) is compared
+    with this one in `catalogue.verify_row` and the tests.
     """
     cache = arrangement._cache
     if "f_vector" in cache:
         return cache["f_vector"]
-    _, _, vertex_line_count = _mu_data(arrangement)
-    f0 = len(arrangement.vertices())
-    f1 = sum(vertex_line_count)
-    f2 = sum(chambers for _, chambers in arrangement.restriction_counts())
+    line_counts, line_weights = arrangement.vertex_line_tallies()
+    vertices = arrangement.vertices()
+    f0 = len(vertices)
+    f1 = sum(line_counts)
+    f2 = arrangement.n + sum(line_weights) - sum(v.weight for v in vertices)
     chi = char_poly_moebius(arrangement)
     value = chi(-1)
     if value <= 0 or value % 2:

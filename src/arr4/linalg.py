@@ -5,11 +5,11 @@ Every decision runs on positive rescalings of vectors into primitive ints
 the per-field table `KERNELS` (integer form, dot, negation, sign, canonical
 key with an orientation flag, field point).  The intersection lattice, the
 restrictions, the reflection closure, reducibility, the chamber context and
-the Fourier-Motzkin wall test all run on it.  Three field-scalar helpers
+the Fourier-Motzkin wall test all run on it.  Two field-scalar helpers
 remain: `dot` (inner product of field vectors, for the Gram forms of the
-reflection closure), `compare_vectors` (the exact lexicographic order that
-sorts normals for output) and `canonicalize_vector`, the canonical field
-form of a vector, which is point(canonical(ints(v))) for both fields.
+reflection closure) and `compare_vectors` (the exact lexicographic order
+that sorts normals for output).  The canonical field form of a vector is
+point(canonical(ints(v))) for both fields.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import gcd, lcm
 from operator import mul, neg
 from typing import Callable, NamedTuple
 
-from .scalars import Field, QuadScalar, lift, pair_sign, sign
+from .scalars import Field, QuadScalar, pair_sign, sign
 
 
 def dot(u, v):
@@ -30,20 +30,6 @@ def dot(u, v):
     for a, b in zip(u[1:], v[1:]):
         total = total + a * b
     return total
-
-
-def canonicalize_vector(vec, field: Field):
-    """Canonical projective representative of a nonzero vector.
-
-    Rational field: primitive integer coordinates with the first nonzero one
-    positive.  Quadratic field: scaled so the first nonzero coordinate is 1.
-    Both come from the field's lattice kernel: point(canonical(ints(vec))).
-    """
-    entries = [lift(x, field) for x in vec]
-    if not any(entries):
-        raise ValueError("zero vector has no canonical form")
-    kernel = KERNELS[field]
-    return kernel.point(kernel.canonical(kernel.ints(entries)))
 
 
 def _cleared(vec):
@@ -206,8 +192,8 @@ def pair_point(pairs):
 # canonical key that is unique per projective class.  Field scalars come back
 # only when a key becomes a stored normal or a flat's point: `point` divides
 # by the first nonzero coordinate in integers (for Q(tau), by its norm after
-# multiplying by its conjugate), and `canonicalize_vector` is
-# point(canonical(ints(v))) for both fields, the one canonical path.  With
+# multiplying by its conjugate), and point(canonical(ints(v))) is the one
+# canonical path from a field vector to its class representative.  With
 # `oriented=True` the same `canonical` keeps the sign (a positive multiple of
 # its input), which is how Fourier-Motzkin deduplicates half-space
 # constraints.  The table below holds every field decision these layers make.
@@ -227,7 +213,8 @@ class FieldKernel(NamedTuple):
     #: nonzero integer form -> hashable key, unique per projective class;
     #: with oriented=True, a positive multiple unique per positive rescaling
     canonical: Callable
-    #: key -> the vector canonicalize_vector gives for that class
+    #: key -> the class representative in field scalars: primitive ints with
+    #: a positive lead for Q, first nonzero coordinate 1 for Q(tau)
     point: Callable
 
 

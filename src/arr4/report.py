@@ -81,6 +81,14 @@ def build_report(
     Chamber-derived verdicts (simpliciality, simply-lacedness, diagram
     irreducibility) come from the chamber engine when enumeration runs, and
     from the counting criteria otherwise.
+
+    The Moebius polynomial is always compared with the closed form in n, h
+    and f3, but with f3 = chi(-1)/2 = n - c1 and h = c2 both taken from the
+    lattice that comparison is an identity: it checks the two expansions
+    against each other, not the lattice.  When enumeration completes, the
+    closed form is evaluated again with the chamber count in place of f3,
+    which compares Zaslavsky's count from the lattice with the chambers
+    found.
     """
     data = ArrangementData.from_arrangement(arrangement)
     chi = char_poly_moebius(arrangement)
@@ -101,6 +109,11 @@ def build_report(
         except ChamberLimitReached as stop:
             chambers_doc = {"complete": False, "count_at_stop": stop.count}
         else:
+            if char_poly_formula(data.n, data.h_total, len(chambers)) != chi:
+                raise AssertionError(
+                    f"{len(chambers)} chambers enumerated, but the lattice "
+                    f"gives f3 = {data.f[3]}"
+                )
             tally: dict[str, int] = {}
             for ch in chambers:
                 key = coxeter_diagram(arrangement, ch).canonical_key()

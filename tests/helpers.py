@@ -2,8 +2,9 @@
 
 The property runners live here (not in a test module) so both the unit tests
 and the acceptance suite can invoke them with their own case counts.  The
-reference routes (field-scalar `rref`/`rank`/`kernel_basis`, the all-pairs
-reflection closure, kernel-basis restrictions) are the slow, obvious
+reference routes (field-scalar `rref`/`rank`/`kernel_basis` and
+`canonicalize_vector`, the all-pairs reflection closure, kernel-basis
+restrictions, the vertex-by-line Moebius scan) are the slow, obvious
 versions that the package's integer kernel is compared against.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import permutations
 
 from arr4 import Arrangement, Field, QuadScalar, Rank3Arrangement, sign
 from arr4.invariants import (
@@ -20,7 +22,8 @@ from arr4.invariants import (
     floor_add_sqrt,
     floor_add_sqrt_interval,
 )
-from arr4.linalg import canonicalize_vector, compare_vectors, dot
+from arr4.linalg import KERNELS, compare_vectors, dot
+from arr4.scalars import lift
 
 
 # -- field-scalar reference elimination ---------------------------------------------
@@ -90,6 +93,20 @@ def kernel_basis(rows, cols=None):
             vec[pc] = -ech[r][f]
         basis.append(tuple(vec))
     return basis
+
+
+def canonicalize_vector(vec, field: Field):
+    """Canonical projective representative of a nonzero field vector.
+
+    Rational field: primitive integer coordinates with the first nonzero one
+    positive.  Quadratic field: scaled so the first nonzero coordinate is 1.
+    Both come from the field's lattice kernel: point(canonical(ints(vec))).
+    """
+    entries = [lift(x, field) for x in vec]
+    if not any(entries):
+        raise ValueError("zero vector has no canonical form")
+    kernel = KERNELS[field]
+    return kernel.point(kernel.canonical(kernel.ints(entries)))
 
 
 def boolean_arrangement() -> Arrangement:
@@ -179,6 +196,47 @@ def reference_restriction_normals(arr, h):
             k = next(i for i in flat.members if i != h)
             sub.append(tuple(dot(arr.normals[k], b) for b in basis))
     return Rank3Arrangement(sub, arr.field).normals
+
+
+def reference_mu_data(arr):
+    """(Moebius value, incident-line count) of every vertex, in vertex order.
+
+    The reference route: every line is tested against every vertex, O(V*L);
+    a line lies through a vertex when its member mask is inside the vertex's.
+    """
+    line_info = [(flat.mask, flat.weight - 1) for flat in arr.lines()]
+    vertex_mu = []
+    vertex_line_count = []
+    for v in arr.vertices():
+        incident = 0
+        mu_sum = 0
+        for lmask, lmu in line_info:
+            if lmask & v.mask == lmask:
+                incident += 1
+                mu_sum += lmu
+        vertex_line_count.append(incident)
+        vertex_mu.append(-(1 - v.weight + mu_sum))
+    return tuple(vertex_mu), tuple(vertex_line_count)
+
+
+def reference_canonical_key(diagram):
+    """`CoxeterDiagram.canonical_key` by a fresh, uncached search.
+
+    The reference route: the smallest upper-triangle weight word over every
+    ordering of up to six walls, recomputed for each diagram.
+    """
+    k = len(diagram.walls)
+    if k > 6:
+        return f"walls={k};weights={sorted(diagram.edge_weights())}"
+    index = {w: i for i, w in enumerate(diagram.walls)}
+    weight = [[0] * k for _ in range(k)]
+    for i, j, w in diagram.edges:
+        weight[index[i]][index[j]] = weight[index[j]][index[i]] = w
+    words = (
+        tuple(weight[perm[a]][perm[b]] for a in range(k) for b in range(a + 1, k))
+        for perm in permutations(range(k))
+    )
+    return f"walls={k};graph={','.join(map(str, min(words)))}"
 
 
 def reference_parabolic_normals(arr, vertex):

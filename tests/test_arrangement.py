@@ -14,10 +14,11 @@ from arr4 import (
     builtin,
     char_poly_moebius,
 )
-from arr4.linalg import canonicalize_vector, dot
+from arr4.linalg import dot
 from arr4.scalars import Field
 from helpers import (
     boolean_arrangement,
+    canonicalize_vector,
     kernel_basis,
     random_arrangements,
     rank,

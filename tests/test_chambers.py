@@ -23,7 +23,7 @@ from arr4.chambers import (
 )
 from arr4.linalg import dot
 from arr4.scalars import Field, sign
-from helpers import random_arrangements
+from helpers import random_arrangements, reference_canonical_key
 
 
 def _chamber_count_oracle(arr):
@@ -235,3 +235,18 @@ def test_chamber_routes_agree_on_random_arrangements(field, count):
                 assert observed == ch.signs
         simplicial.append(is_simplicial(arr))
     assert not all(simplicial)
+
+
+def test_canonical_key_matches_uncached_search():
+    """The memoised diagram labels equal a fresh search on every chamber."""
+    arrangements = [builtin("B4"), builtin("F4"), builtin("A^3_1(27)")]
+    for field in (Field.RATIONAL, Field.QUADRATIC_TAU):
+        arrangements += random_arrangements(field, 10, seed=20240620)
+    labels = set()
+    for arr in arrangements:
+        for ch in enumerate_chambers(arr):
+            diagram = coxeter_diagram(arr, ch)
+            assert diagram.canonical_key() == reference_canonical_key(diagram)
+            labels.add(diagram.canonical_key())
+    # several shapes share a wall count, so a key that ignored the edges fails
+    assert len(labels) > len({label.split(";")[0] for label in labels})

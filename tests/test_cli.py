@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+import arr4.report
+from arr4 import Arrangement
 from arr4.cli import main
 from arr4.invariants import CharPoly
 
@@ -231,6 +233,45 @@ def test_internal_check_failure_exit5_catalogue(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "catalogue", "verify", "A^3_2(15)")
     assert code == 5 and out == ""
     assert err.startswith("arr4: internal check failed: relation verdict")
+
+
+def test_internal_check_failure_exit5_chamber_count(capsys, tmp_path, monkeypatch):
+    # one chamber lost makes the lattice's f3 disagree with the enumeration
+    path = tmp_path / "boolean.arr"
+    path.write_text("field: rational\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    enumerate_chambers = arr4.report.enumerate_chambers
+    monkeypatch.setattr(
+        "arr4.report.enumerate_chambers", lambda arr, limit: enumerate_chambers(arr)[1:]
+    )
+    code, out, err = run_cli(capsys, "analyze", str(path), "--json", "--chambers")
+    assert code == 5 and out == ""
+    assert "7 chambers enumerated, but the lattice gives f3 = 8" in err
+
+
+def test_internal_check_failure_exit5_f2_routes(capsys, monkeypatch):
+    # one restriction chamber too many makes the two routes to f2 disagree
+    restriction_counts = Arrangement.restriction_counts
+
+    def one_too_many(self):
+        (size, chambers), *rest = restriction_counts(self)
+        return ((size, chambers + 1), *rest)
+
+    monkeypatch.setattr(Arrangement, "restriction_counts", one_too_many)
+    code, out, err = run_cli(capsys, "catalogue", "verify", "D4")
+    assert code == 5 and out == ""
+    assert "restriction chamber counts sum to 193, the vertex tallies give f2 = 192" in err
+
+
+def test_catalogue_verify_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["catalogue", "verify"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: arr4 catalogue verify (LABEL | --all) [--json]\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["catalogue", "verify", "--help"])
+    assert exc.value.code == 0
+    assert "usage: arr4 catalogue verify (LABEL | --all) [--json]" in capsys.readouterr().out
 
 
 def test_catalogue_export(capsys, tmp_path):
