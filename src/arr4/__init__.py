@@ -16,6 +16,7 @@ from .arrangement import (
     MixedField,
     NotEssential,
     Rank3Arrangement,
+    ZeroNormal,
 )
 from .invariants import (
     ArrangementData,
@@ -81,6 +82,7 @@ __all__ = [
     "RootSystemSpec",
     "TAU",
     "UnknownLabel",
+    "ZeroNormal",
     "builtin",
     "catalogue_rows",
     "char_poly_formula",

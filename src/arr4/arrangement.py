@@ -13,15 +13,20 @@ over Q, integer pairs a + b*tau over Q(tau)), through the per-field table
 `linalg.KERNELS`; nothing else here depends on the field.  Rank-2 flats group
 the hyperplane pairs by the canonical 2x2 minors of their normals: the
 Pluecker coordinates of the line in K^4, the cross product (which is the
-point itself) in K^3.  A vertex candidate is the Hodge dual of a line's
-Pluecker vector applied to a normal off the line, and a vertex's members are
-the union of the lines and normals whose candidates land on it: every member
-of a vertex lies on a line through it, so no membership re-scan is needed.
-The same pass tallies, per vertex, the lines through it and the sum of their
+point itself) in K^3.  A normal off a line meets it in the Hodge dual of the
+line's Pluecker vector applied to that normal; the line projects injectively
+onto two coordinates, so the canonical pair of those two Hodge rows is the
+hit's position on the line, and the normals with one position, together
+with the line's members, are the members of one vertex.  Vertices are keyed
+by their member masks and each line reports each of its vertices once, so
+the same pass tallies, per vertex, the lines through it and the sum of their
 weights (`vertex_line_tallies`), from which the vertices' Moebius values and
-the f-vector are read.
+the f-vector are read; a vertex's full point is made once, when it is first
+seen.
 A restriction's normals are read off the Pluecker keys of the lines inside
-the hyperplane.  Essentialness and reducibility (fundamental circuits of a
+the hyperplane, and its chamber count off the positions of the later lines
+on each line, the same way in P^2 (`restriction_counts` builds no rank-3
+arrangement).  Essentialness and reducibility (fundamental circuits of a
 greedy basis) are division-free `int_rank` tests on the integer normals.
 """
 
@@ -43,6 +48,10 @@ class NotEssential(ValueError):
 
 class MixedField(ValueError):
     """Irrational coordinates supplied for a rational arrangement."""
+
+
+class ZeroNormal(ValueError):
+    """One of the supplied normals is the zero vector."""
 
 
 class Flat:
@@ -94,6 +103,12 @@ _HODGE = (
 )
 
 
+#: For each Pluecker index t, the two coordinates off the minor's pair: when
+#: p_t != 0 no nonzero point of the line has both of them 0, so the line
+#: projects injectively onto them and their two Hodge rows fix a point's
+#: position on the line.
+_COMPLEMENT = tuple(tuple(f for f in range(4) if f not in pair) for pair in _MINORS[4])
+
 #: For each pivot p, the (index in _MINORS[4], sign flip) of the minor (p, f)
 #: for every f != p in increasing order: minor (p, f) = -minor (f, p).
 _RESTRICT = tuple(
@@ -103,11 +118,11 @@ _RESTRICT = tuple(
 
 
 def _canonical_normals(normals, field, ambient):
-    """Canonical field normals, and their canonical integer keys.
+    """The canonical integer keys of the normals, checked pairwise distinct.
 
-    A key is a positive rescaling of its normal (its leading entry is
-    positive, the normal's is 1 or positive), so the keys serve as the
-    arrangement's integer normals.
+    A key is a positive rescaling of its normal's canonical field form
+    (`point` of the key: leading entry 1 or positive), so the keys serve as
+    the arrangement's integer normals.
     """
     kernel = KERNELS[field]
     keys = []
@@ -121,7 +136,7 @@ def _canonical_normals(normals, field, ambient):
         except ValueError as exc:
             raise MixedField(str(exc)) from None
         if not any(lifted):
-            raise ValueError(f"normal {idx} is the zero vector")
+            raise ZeroNormal(f"normal {idx} is the zero vector")
         key = kernel.canonical(kernel.ints(lifted))
         if key in seen:
             raise DuplicateHyperplane(
@@ -129,7 +144,46 @@ def _canonical_normals(normals, field, ambient):
             )
         seen[key] = idx
         keys.append(key)
-    return tuple(map(kernel.point, keys)), keys
+    return keys
+
+
+def _rank3_second(keys, kernel):
+    """sum over the points p of P^2 of (w_p - 1), for distinct rank-3 keys.
+
+    Lines i and j meet in the cross product u_i x u_j.  With u_i[c] != 0 no
+    nonzero point of line i has both coordinates other than c equal to 0, so
+    the canonical pair of those two cross-product components is a point's
+    position on line i.  Counting the distinct positions of the later lines
+    j > i on each line i counts a point of weight w on every member but its
+    last, i.e. w - 1 times.
+    """
+    idot, canonical, sign, neg = kernel.dot, kernel.canonical, kernel.sign, kernel.neg
+    minors = _MINORS[3]
+    # component m of u x v: u_a v_b - u_b v_a = (u_a, u_b) . (v_b, -v_a), (a, b) = minors[m]
+    right = [tuple((v[b], neg(v[a])) for a, b in minors) for v in keys]
+    total = 0
+    for i, u in enumerate(keys):
+        c = next(f for f, x in enumerate(u) if sign(x))
+        m0, m1 = (m for m in range(3) if m != c)
+        (a0, b0), (a1, b1) = minors[m0], minors[m1]
+        l0, l1 = (u[a0], u[b0]), (u[a1], u[b1])
+        total += len({canonical((idot(l0, r[m0]), idot(l1, r[m1]))) for r in right[i + 1:]})
+    return total
+
+
+def _rank3_char_poly(n, second):
+    """Coefficients (descending) of the cubic characteristic polynomial of a
+    rank-3 arrangement of n lines with sum_p (w_p - 1) = second."""
+    return (1, -n, second, -(1 - n + second))
+
+
+def _projective_chamber_count(char_poly) -> int:
+    """Chambers of the induced decomposition of P^2: -chi(-1) / 2."""
+    c3, c2, c1, c0 = char_poly
+    count = -(-c3 + c2 - c1 + c0)  # minus the polynomial at -1
+    if count <= 0 or count % 2:
+        raise AssertionError("chamber count must be a positive even integer")
+    return count // 2
 
 
 class _CentralArrangement:
@@ -143,14 +197,25 @@ class _CentralArrangement:
             raise ValueError("an arrangement needs at least one hyperplane")
         if field is None:
             field = infer_field(x for vec in normals for x in vec)
-        self.field = field
-        self.normals, ints = _canonical_normals(normals, field, self.dim)
-        self._kernel = KERNELS[field]
-        neg = self._kernel.neg
-        self._cache = {"ints": (ints, [tuple(map(neg, u)) for u in ints])}
-        r = int_rank(ints)
+        keys = _canonical_normals(normals, field, self.dim)
+        r = int_rank(keys)
         if r != self.dim:
             raise NotEssential(f"normals span a subspace of rank {r}, need {self.dim}")
+        self._setup(keys, field)
+
+    @classmethod
+    def _from_keys(cls, keys, field: Field):
+        """The arrangement on distinct canonical integer keys spanning K^dim."""
+        arr = cls.__new__(cls)
+        arr._setup(keys, field)
+        return arr
+
+    def _setup(self, keys, field):
+        """Store the field, the field normals and the integer forms of the keys."""
+        self.field = field
+        self._kernel = kernel = KERNELS[field]
+        self.normals = tuple(map(kernel.point, keys))
+        self._cache = {"ints": (keys, [tuple(map(kernel.neg, u)) for u in keys])}
 
     @property
     def n(self) -> int:
@@ -215,41 +280,55 @@ class Arrangement(_CentralArrangement):
     def _compute_vertices(self):
         """Vertices, plus the tallies of `vertex_line_tallies` in the same pass.
 
-        Every line through a vertex x meets it (via a normal of x off the
-        line), and all of one line's hits fall in that line's iteration, so
-        remembering the last line seen at x counts each incidence once.
+        A normal w_k off the line with key q meets it in Hodge(q) w_k.  With
+        q_t the key's first nonzero entry, the two Hodge rows of the
+        coordinates `_COMPLEMENT[t]` already fix that point on the line, so
+        their canonical pair is the hit's position.  The normals with one
+        position and the line's members are the vertex's members (every
+        member of a vertex is on the line or meets it there), so each line
+        reports each of its vertices once, keyed by the member mask; the
+        vertex's point is canonicalized only when it is first reported.
         """
-        idot, canonical, point = self._kernel.dot, self._kernel.canonical, self._kernel.point
+        idot, canonical, sign = self._kernel.dot, self._kernel.canonical, self._kernel.sign
+        point = self._kernel.point
         ints, negs = self._integer_normals()
         hodge_w = [
             tuple(tuple((w if s > 0 else nw)[j] for _, j, s in row) for row in _HODGE)
             for w, nw in zip(ints, negs)
         ]
-        # x -> [member mask, last line index, lines through x, their weight sum]
+        # per complement (c, d): every normal's bit and its two Hodge rows
+        hodge_cd = [
+            [(1 << k, hw[c], hw[d]) for k, hw in enumerate(hodge_w)] for c, d in _COMPLEMENT
+        ]
+        # member mask -> [point key, lines through the vertex, their weight sum]
         found = {}
-        for i, (key, line_mask) in enumerate(self._rank2().items()):
-            size = line_mask.bit_count()
+        for key, line_mask in self._rank2().items():
             hodge_p = tuple(tuple(key[p] for p, _, _ in row) for row in _HODGE)
-            for k, wk in enumerate(hodge_w):
-                if line_mask >> k & 1:
+            t = next(i for i, x in enumerate(key) if sign(x))
+            c, d = _COMPLEMENT[t]
+            pc, pd = hodge_p[c], hodge_p[d]
+            groups = {}
+            for bit, wc, wd in hodge_cd[t]:
+                if line_mask & bit:
                     continue
-                x = canonical(tuple(map(idot, hodge_p, wk)))
-                entry = found.get(x)
+                pos = canonical((idot(pc, wc), idot(pd, wd)))
+                groups[pos] = groups.get(pos, 0) | bit
+            size = line_mask.bit_count()
+            for group in groups.values():
+                mask = line_mask | group
+                entry = found.get(mask)
                 if entry is None:
-                    found[x] = [line_mask | 1 << k, i, 1, size]
+                    wk = hodge_w[(group & -group).bit_length() - 1]
+                    found[mask] = [canonical(tuple(map(idot, hodge_p, wk))), 1, size]
                 else:
-                    entry[0] |= 1 << k
-                    if entry[1] != i:
-                        entry[0] |= line_mask
-                        entry[1] = i
-                        entry[2] += 1
-                        entry[3] += size
+                    entry[1] += 1
+                    entry[2] += size
         flats, counts, weights = [], [], []
         while found:  # popping frees each entry as its flat is made
-            x, entry = found.popitem()
-            flats.append(Flat(entry[0], point(x)))
-            counts.append(entry[2])
-            weights.append(entry[3])
+            mask, entry = found.popitem()
+            flats.append(Flat(mask, point(entry[0])))
+            counts.append(entry[1])
+            weights.append(entry[2])
         found.clear()  # and this frees the emptied table
         order = sorted(range(len(flats)), key=lambda j: flats[j].members)
         verts = tuple(flats[j] for j in order)
@@ -281,37 +360,55 @@ class Arrangement(_CentralArrangement):
     # -- derived rank-3 arrangements -------------------------------------------
 
     def restriction(self, h: int) -> "Rank3Arrangement":
-        """The lines inside hyperplane h, as an arrangement in K^3.
+        """The lines inside hyperplane h, as an arrangement in K^3."""
+        if not 0 <= h < self.n:
+            raise IndexError(f"hyperplane index {h} out of range")
+        line_keys = [
+            key for flat, key in zip(self.lines(), self._cache["line_keys"])
+            if flat.mask >> h & 1
+        ]
+        return Rank3Arrangement._from_keys(self._restricted_keys(h, line_keys), self.field)
+
+    def _restricted_keys(self, h, line_keys):
+        """Canonical keys of the normals that the lines inside h induce on H_h.
 
         Coordinates on H_h are the coordinates other than the pivot p (the
         first nonzero one) of normal h.  A line through h and k induces the
         normal v_k restricted to H_h, which is proportional to
         (h_p v_f - h_f v_p) for f != p: the line's (p, f) Pluecker minors,
-        read off its key with the sign flipped where f < p.
+        read off its key with the sign flipped where f < p.  Distinct lines
+        give distinct normals that span K^3; both are asserted.
         """
-        if not 0 <= h < self.n:
-            raise IndexError(f"hyperplane index {h} out of range")
         p = next(i for i, x in enumerate(self.normals[h]) if x)
         coords = _RESTRICT[p]
-        neg, canonical, point = self._kernel.neg, self._kernel.canonical, self._kernel.point
-        lines = self.lines()
-        sub = []
-        for flat, key in zip(lines, self._cache["line_keys"]):
-            if flat.mask >> h & 1:
-                vec = tuple(neg(key[i]) if flip else key[i] for i, flip in coords)
-                sub.append(point(canonical(vec)))
-        return Rank3Arrangement(sub, self.field)
+        neg, canonical = self._kernel.neg, self._kernel.canonical
+        keys = [
+            canonical(tuple(neg(key[i]) if flip else key[i] for i, flip in coords))
+            for key in line_keys
+        ]
+        if len(set(keys)) != len(keys):
+            raise AssertionError(f"two lines inside hyperplane {h} restrict to one normal")
+        if int_rank(keys) != 3:
+            raise AssertionError(f"the restriction to hyperplane {h} is not essential")
+        return keys
 
     def restriction_counts(self) -> tuple[tuple[int, int], ...]:
         """(size, projective chamber count) of the restriction to each hyperplane.
 
-        Cached; each restriction is built once and then dropped.
+        Cached.  Each count comes from the restricted keys directly
+        (`_rank3_second`); no rank-3 arrangement is built.
         """
         if "restriction_counts" not in self._cache:
+            inside = [[] for _ in range(self.n)]
+            for flat, key in zip(self.lines(), self._cache["line_keys"]):
+                for h in flat.members:
+                    inside[h].append(key)
             counts = []
-            for h in range(self.n):
-                sub = self.restriction(h)
-                counts.append((sub.n, sub.projective_chamber_count()))
+            for h, line_keys in enumerate(inside):
+                keys = self._restricted_keys(h, line_keys)
+                second = _rank3_second(keys, self._kernel)
+                chambers = _projective_chamber_count(_rank3_char_poly(len(keys), second))
+                counts.append((len(keys), chambers))
             self._cache["restriction_counts"] = tuple(counts)
         return self._cache["restriction_counts"]
 
@@ -406,18 +503,12 @@ class Rank3Arrangement(_CentralArrangement):
 
     def char_poly(self) -> tuple[int, int, int, int]:
         """Coefficients (descending) of the cubic characteristic polynomial."""
-        second = sum(mask.bit_count() - 1 for mask in self._rank2().values())
-        constant = -(1 - self.n + second)
-        return (1, -self.n, second, constant)
+        second = _rank3_second(self._integer_normals()[0], self._kernel)
+        return _rank3_char_poly(self.n, second)
 
     def projective_chamber_count(self) -> int:
         """Number of chambers of the induced decomposition of P^2."""
-        c3, c2, c1, c0 = self.char_poly()
-        value = -c3 + c2 - c1 + c0  # the polynomial at -1
-        count = -value
-        if count <= 0 or count % 2:
-            raise AssertionError("chamber count must be a positive even integer")
-        return count // 2
+        return _projective_chamber_count(self.char_poly())
 
     def corner_flats(self):
         return self.points()

@@ -352,9 +352,10 @@ def verify_row(label: str) -> RowReport:
 
     Rows with vectors get their geometry (h/t/f-vectors, restriction sizes)
     recomputed from scratch and compared to the table; data-only rows report
-    those comparisons as skipped.  For rows with vectors, f2 is also built
-    restriction by restriction and asserted equal to the f2 of the vertex
-    tallies.
+    those comparisons as skipped.  For rows with vectors, f2 is also
+    counted restriction by restriction, from the points of the restricted
+    normals (`Arrangement.restriction_counts`), and asserted equal to the f2
+    of the vertex tallies.
     """
     entry = catalogue_entry(label)
     geometry: list[CheckOutcome] = []

@@ -11,7 +11,7 @@ alternatives in parentheses or around `|` exclude each other: --chambers
 with --no-chambers, or a LABEL with --all, is a usage error.
 
 Exit codes: 0 success, 1 verification failures, 2 parse/usage errors,
-3 validation errors (duplicate or non-essential normals), 4 unknown labels,
+3 validation errors (duplicate, zero or non-essential normals), 4 unknown labels,
 5 internal check failures (two independent routes disagreed, e.g. Moebius vs
 closed-form characteristic polynomial, enumerated chambers vs f3, vertex
 tallies vs restriction chamber counts for f2, corner vs Fourier-Motzkin
@@ -28,7 +28,7 @@ import argparse
 import os
 import sys
 
-from .arrangement import DuplicateHyperplane, MixedField, NotEssential
+from .arrangement import DuplicateHyperplane, MixedField, NotEssential, ZeroNormal
 from .catalogue import (
     NoVectorsAvailable,
     UnknownLabel,
@@ -85,7 +85,7 @@ def cmd_analyze(args) -> int:
         arrangement = parse_arrangement(text)
     except ArrangementParseError as exc:
         return _fail(f"{args.path}: {exc}", 2)
-    except (DuplicateHyperplane, NotEssential, MixedField) as exc:
+    except (DuplicateHyperplane, NotEssential, MixedField, ZeroNormal) as exc:
         return _fail(f"{args.path}: {exc}", 3)
     if args.no_chambers:
         with_chambers = False

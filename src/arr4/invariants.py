@@ -11,9 +11,10 @@ The Moebius values of the vertices and the whole f-vector are read off the
 per-vertex line tallies that the vertex pass takes
 (`Arrangement.vertex_line_tallies`), in O(V); f2 is Zaslavsky's chamber count
 of each restriction summed over the hyperplanes, so in `analyze` the Euler
-relation holds by construction.  The independent route to f2, building every
-restriction (`Arrangement.restriction_counts`), runs in `catalogue verify`
-and in the tests.
+relation holds by construction.  The independent route to f2 counts the
+points of every restriction from the restricted normals' own pair geometry
+(`Arrangement.restriction_counts`); it runs in `catalogue verify` and in the
+tests.
 
 Every checker accepts plain combinatorial data (n, h-vector, t-vector,
 f-vector), so catalogue rows without known normal vectors can be verified.

@@ -47,9 +47,13 @@ def primitive(ints, oriented=False):
     positive rescalings (one open half-space constraint).
     """
     g = gcd(*ints)
-    if not oriented and next(x for x in ints if x) < 0:
-        g = -g
-    return tuple(x // g for x in ints)
+    if not oriented:
+        for x in ints:
+            if x:
+                if x < 0:
+                    g = -g
+                break
+    return tuple([x // g for x in ints])
 
 
 def compare_vectors(u, v) -> int:
@@ -142,10 +146,11 @@ def _times_conj_of_first(pairs):
     For the first nonzero entry c + d*tau the conjugate is (c + d) - d*tau,
     and the product turns that entry into the rational norm c^2 + cd - d^2.
     """
-    first = next((p for p in pairs if p[0] or p[1]), None)
-    if first is None:
+    for c, d in pairs:
+        if c or d:
+            break
+    else:
         raise ValueError("zero vector has no canonical form")
-    c, d = first
     e = c + d
     scaled = [(a * e - b * d, b * e - (a + b) * d) for a, b in pairs]
     return scaled, c * c + c * d - d * d, (e, -d)
@@ -169,7 +174,7 @@ def pair_vector_canonical(pairs, oriented=False):
         g = gcd(g, a, b)
     if (pair_sign(conj) if oriented else norm) < 0:
         g = -g
-    return tuple((a // g, b // g) for a, b in scaled)
+    return tuple([(a // g, b // g) for a, b in scaled])
 
 
 def pair_point(pairs):

@@ -4,8 +4,9 @@ The property runners live here (not in a test module) so both the unit tests
 and the acceptance suite can invoke them with their own case counts.  The
 reference routes (field-scalar `rref`/`rank`/`kernel_basis` and
 `canonicalize_vector`, the all-pairs reflection closure, kernel-basis
-restrictions, the vertex-by-line Moebius scan) are the slow, obvious
-versions that the package's integer kernel is compared against.
+restrictions, the vertex-by-line Moebius scan, the vertex pass with one
+full point per candidate) are the slow, obvious versions that the package's
+integer kernel is compared against.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import permutations
 
-from arr4 import Arrangement, Field, QuadScalar, Rank3Arrangement, sign
+from arr4 import Arrangement, Field, Flat, QuadScalar, Rank3Arrangement, sign
+from arr4.arrangement import _HODGE
 from arr4.invariants import (
     ceil_sub_sqrt,
     ceil_sub_sqrt_interval,
@@ -217,6 +219,46 @@ def reference_mu_data(arr):
         vertex_line_count.append(incident)
         vertex_mu.append(-(1 - v.weight + mu_sum))
     return tuple(vertex_mu), tuple(vertex_line_count)
+
+
+def reference_vertices(arr):
+    """(vertices, vertex line tallies) with one full point key per candidate.
+
+    The reference route: every (line, normal off the line) pair gives the
+    point Hodge(q) w_k in all four coordinates, and the candidates are
+    grouped by that canonical point; a line is counted at a vertex when the
+    last line seen there changes, since all of one line's hits fall in its
+    own iteration.
+    """
+    kernel = arr._kernel
+    idot, canonical, point = kernel.dot, kernel.canonical, kernel.point
+    ints, negs = arr._integer_normals()
+    hodge_w = [
+        tuple(tuple((w if s > 0 else nw)[j] for _, j, s in row) for row in _HODGE)
+        for w, nw in zip(ints, negs)
+    ]
+    # point -> [member mask, last line index, lines through it, their weight sum]
+    found = {}
+    for i, (key, line_mask) in enumerate(arr._rank2().items()):
+        size = line_mask.bit_count()
+        hodge_p = tuple(tuple(key[p] for p, _, _ in row) for row in _HODGE)
+        for k, wk in enumerate(hodge_w):
+            if line_mask >> k & 1:
+                continue
+            x = canonical(tuple(map(idot, hodge_p, wk)))
+            entry = found.setdefault(x, [line_mask | 1 << k, i, 1, size])
+            entry[0] |= 1 << k
+            if entry[1] != i:
+                entry[0] |= line_mask
+                entry[1] = i
+                entry[2] += 1
+                entry[3] += size
+    rows = sorted(
+        ((Flat(mask, point(x)), count, weights) for x, (mask, _, count, weights) in found.items()),
+        key=lambda row: row[0].members,
+    )
+    verts = tuple(row[0] for row in rows)
+    return verts, (tuple(row[1] for row in rows), tuple(row[2] for row in rows))
 
 
 def reference_canonical_key(diagram):

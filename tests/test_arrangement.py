@@ -11,6 +11,7 @@ from arr4 import (
     QuadScalar,
     Rank3Arrangement,
     TAU,
+    ZeroNormal,
     builtin,
     char_poly_moebius,
 )
@@ -19,6 +20,7 @@ from arr4.scalars import Field
 from helpers import (
     boolean_arrangement,
     canonicalize_vector,
+    generic5_arrangement,
     kernel_basis,
     random_arrangements,
     rank,
@@ -46,6 +48,8 @@ def test_construction_errors():
     with pytest.raises(MixedField):
         Arrangement([(1, 0, 0, 0), (0, TAU, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
                      Field.RATIONAL)
+    with pytest.raises(ZeroNormal):
+        Arrangement([(1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     with pytest.raises(ValueError):
         Arrangement([])
 
@@ -156,6 +160,33 @@ def test_vertex_weights_bounded(boolean, generic5):
     for arr in (boolean, generic5):
         for v in arr.vertices():
             assert 3 <= v.weight <= arr.n - 1
+
+
+@pytest.mark.parametrize("name", ["A4", "D4", "B4", "F4", "H4", "A^3_1(27)", "A^3_1(28)"])
+def test_restriction_counts_match_built_restrictions(name):
+    """Counts read off the restricted keys equal the built restrictions' points."""
+    arr = builtin(name)
+    for h, counts in enumerate(arr.restriction_counts()):
+        sub = arr.restriction(h)
+        assert counts == (sub.n, 1 + sum(p.weight - 1 for p in sub.points()))
+
+
+@pytest.mark.parametrize("make, line, key, message", [
+    # four lines inside hyperplane 0, two of them restricting to (1, 0, 0)
+    (generic5_arrangement, 3, (1, 0, 0, 0, 0, 0), "restrict to one normal"),
+    # three lines inside hyperplane 0, restricting to (1, 0, 0), (0, 1, 0), (1, 1, 0)
+    (boolean_arrangement, 2, (1, 1, 0, 0, 0, 0), "not essential"),
+])
+def test_restriction_checks_fire(make, line, key, message):
+    """A restriction whose normals repeat or do not span is an internal error."""
+    for restricted in (lambda arr: arr.restriction_counts(), lambda arr: arr.restriction(0)):
+        arr = make()
+        assert arr.lines()[line].members[0] == 0
+        keys = list(arr._cache["line_keys"])
+        keys[line] = key
+        arr._cache["line_keys"] = tuple(keys)
+        with pytest.raises(AssertionError, match=f"hyperplane 0.* {message}"):
+            restricted(arr)
 
 
 def test_restriction_boolean(boolean):

@@ -115,6 +115,18 @@ def test_analyze_validation_error_exit3(capsys, tmp_path):
     assert code == 3 and "rank" in err
 
 
+@pytest.mark.parametrize("header, zero", [
+    ("field: rational", "0 0 0 0"),
+    ("field: quadratic-tau", "0 0 0 0+0*t"),
+])
+def test_analyze_zero_normal_exit3(capsys, tmp_path, header, zero):
+    path = tmp_path / "zero.arr"
+    path.write_text(f"{header}\n1 0 0 0\n{zero}\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 3 and out == ""
+    assert err == f"arr4: {path}: normal 1 is the zero vector\n"
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/x.arr")
     assert code == 2

@@ -1,9 +1,10 @@
 """Whole-pipeline identities on seeded random arrangements of both fields.
 
 The draws come from `helpers.random_arrangements`: small coordinates, so
-most are non-simplicial and some are reducible.  The lattice tallies are also
-compared on larger draws from a tiny coordinate pool, whose lines and
-vertices are heavy.  The wall routes are compared in `test_chambers.py`;
+most are non-simplicial and some are reducible.  The lattice tallies and
+the vertex pass are also compared on larger draws from a tiny coordinate
+pool, whose lines and vertices are heavy, and the rank-3 point count on
+draws with leading zeros.  The wall routes are compared in `test_chambers.py`;
 these are the remaining checks.
 """
 
@@ -15,18 +16,31 @@ import pytest
 from arr4 import (
     TAU,
     Arrangement,
+    Rank3Arrangement,
+    builtin,
     char_poly_moebius,
     emit_arrangement,
     enumerate_chambers,
     f_vector,
     parse_arrangement,
 )
+from arr4.arrangement import _rank3_second
 from arr4.invariants import _mu_data
 from arr4.report import build_report, to_json
 from arr4.scalars import Field
-from helpers import canonicalize_vector, random_arrangements, reference_mu_data
+from helpers import (
+    canonicalize_vector,
+    random_arrangements,
+    reference_mu_data,
+    reference_vertices,
+)
 
 _DRAWS = {Field.RATIONAL: 12, Field.QUADRATIC_TAU: 8}
+
+_BUILTINS = {
+    Field.RATIONAL: ("A4", "D4", "B4", "F4", "A^3_1(27)", "A^3_1(28)"),
+    Field.QUADRATIC_TAU: ("H4",),
+}
 
 
 def _draws(field):
@@ -61,6 +75,53 @@ def test_vertex_tallies_match_reference_scan(field):
         assert _mu_data(arr) == reference_mu_data(arr)
         heavy += max(v.weight for v in arr.vertices()) >= 6
     assert heavy  # the draws do reach heavy vertices
+
+
+@pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU])
+def test_vertex_pass_matches_full_point_reference(field):
+    """Vertices keyed by their positions on each line equal the vertices
+    grouped by full 4-coordinate points: members, points and tallies."""
+    leads = set()
+    builtins = [builtin(label) for label in _BUILTINS[field]]
+    for arr in builtins + _draws(field) + _heavy_draws(field):
+        verts, tallies = reference_vertices(arr)
+        assert [(v.members, v.point) for v in arr.vertices()] == [
+            (v.members, v.point) for v in verts
+        ]
+        assert arr.vertex_line_tallies() == tallies
+        nonzero = arr._kernel.sign
+        leads.update(next(t for t, x in enumerate(key) if nonzero(x)) for key in arr._rank2())
+    assert leads == set(range(6))  # every complement pair is used
+
+
+def _rank3_draws(field, count=40, seed=20240620):
+    """5-9 lines in K^3 from a pool rich in zeros, so leading zeros are common."""
+    rng = random.Random(seed)
+    pool = (0, 0, 1, -1, 2) if field is Field.RATIONAL else (0, 0, 1, -1, TAU, -TAU)
+    out = []
+    while len(out) < count:
+        normals = [tuple(rng.choice(pool) for _ in range(3)) for _ in range(rng.randint(5, 9))]
+        try:
+            out.append(Rank3Arrangement(normals, field))
+        except ValueError:  # zero, repeated or non-spanning normals
+            continue
+    return out
+
+
+@pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU])
+def test_rank3_second_matches_point_grouping(field):
+    """Positions of the later lines on each line count sum_p (w_p - 1)."""
+    dropped = set()
+    heavy = 0
+    for sub in _rank3_draws(field):
+        keys = sub._integer_normals()[0]
+        groups = sub._rank2().values()
+        assert _rank3_second(keys, sub._kernel) == sum(m.bit_count() - 1 for m in groups)
+        nonzero = sub._kernel.sign
+        dropped.update(next(c for c, x in enumerate(u) if nonzero(x)) for u in keys[:-1])
+        heavy += max(m.bit_count() for m in groups) >= 3
+    assert dropped == {0, 1, 2}
+    assert heavy  # some points carry three or more lines
 
 
 @pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU])
