@@ -4,18 +4,28 @@ Chambers are antipodal pairs of open full-dimensional cones, identified by a
 sign vector over the hyperplanes with the first sign normalized to +.  The
 enumerator walks the chamber graph breadth-first, flipping one wall at a
 time.  Walls are found through the extreme rays of the closed cone: every
-extreme ray of a chamber spans a rank-3 flat of the arrangement, so scanning
-the precomputed vertex (or, in rank 3, point) list against the sign vector
-yields the corner rays, and a hyperplane bounds the chamber exactly when its
-tight corners span a hyperplane of the ambient space.
+extreme ray of a chamber spans a rank-3 flat of the arrangement (in rank 3,
+a point), so the corner rays are those corner flats, taken with one of
+their two orientations, that no hyperplane puts on the wrong side of the
+chamber, and a hyperplane bounds the chamber exactly when its tight corners
+span a hyperplane of the ambient space.
 
-The per-arrangement context holds every corner in exact integer forms, built
-once: a rank form (the integer form of `linalg.KERNELS`, primitive ints for
-rational corners and (a, b) integer pairs for Q(tau) ones, read against the
-arrangement's integer normals) on which the wall test runs the division-free
-`linalg.int_rank`, and a witness form scaled by one common denominator, so a
-chamber's interior witness (the sum of its oriented corners) is a sum of
-plain integers converted to field scalars once per chamber.
+The per-arrangement context keeps big-int bitsets over the oriented
+corners, built once: bit j is corner j and bit j + C its negation, C the
+number of corners.  Each hyperplane i has `P_i`, `N_i` and `Z_i`, the
+oriented corners on its positive side, on its negative side and on it.  The
+corner rays of the chamber with sign mask m (bit i set where the sign is -1)
+are then `ALL & ~(OR_{i in m} P_i | OR_{i not in m} N_i)`, n big-int ORs;
+the tight corners on h are that set ANDed with `Z_h`, and a popcount below
+dim - 1 rules h out.  Every other h is a wall, and its facet is certified:
+the division-free `linalg.int_rank` of the tight corners' rank forms (the
+integer form of `linalg.KERNELS`, primitive ints for rational corners and
+(a, b) integer pairs for Q(tau) ones) must be dim - 1.  The certificate runs
+once per distinct facet, keyed by h and the unoriented tight corner set: the
+neighbour across h has the same facet, its corners negated when mask
+canonicalization flips the global sign.  The interior witness is the sum of
+the corner rays' witness forms, each scaled by one common denominator, so it
+is a sum of plain integers converted to field scalars once per chamber.
 
 The `walls` operation decides each candidate independently instead, by
 eliminating onto the candidate hyperplane and running an exact strict
@@ -104,17 +114,24 @@ def feasible_strict(rows) -> bool:
 
 
 class _Context:
-    """Sign masks and exact integer forms of every corner flat of one arrangement.
+    """Per-hyperplane bitsets over the oriented corners of one arrangement.
 
-    Each corner is (rank form, witness form, negated witness form, zero mask,
-    positive mask, negative mask).  The rank form is the corner point as
-    primitive ints (rational) or integer pairs (Q(tau)); a positive rescaling
-    keeps its rank.  The witness form is the point times one common
-    denominator of the whole arrangement, flattened to ints (a0, b0, a1, b1,
-    ...) for Q(tau), so chamber witnesses are plain integer sums.
+    Bit j stands for corner j of `corner_flats()` and bit j + size for its
+    negation.  `pos[i]`, `neg[i]` and `zero[i]` hold the oriented corners on
+    the positive side of hyperplane i, on its negative side and on it.
+    `forms[j]` is the rank form of corner j (primitive ints, or integer pairs
+    for Q(tau)); a positive rescaling keeps its rank.  `witnesses[b]` is the
+    witness form of oriented corner b: the point times one common denominator
+    of the whole arrangement, flattened to ints (a0, b0, a1, b1, ...) for
+    Q(tau), so chamber witnesses are plain integer sums.  `certified` holds
+    the facets whose tight corners `int_rank` has shown to span a hyperplane
+    in the current walk, as (hyperplane, unoriented corner set).
     """
 
-    __slots__ = ("n", "dim", "full", "corners", "denominator")
+    __slots__ = (
+        "n", "dim", "full", "size", "low", "everything",
+        "pos", "neg", "zero", "forms", "witnesses", "denominator", "certified",
+    )
 
     def __init__(self, arr):
         self.n = arr.n
@@ -123,7 +140,7 @@ class _Context:
         flats = arr.corner_flats()
         kernel = KERNELS[arr.field]
         normals = arr._integer_normals()[0]
-        points = [kernel.ints(flat.point) for flat in flats]
+        self.forms = [kernel.ints(flat.point) for flat in flats]
         if arr.field is Field.QUADRATIC_TAU:
             scale = lcm(
                 *(x.denominator for flat in flats for q in flat.point for x in (q.a, q.b))
@@ -134,26 +151,86 @@ class _Context:
             ]
             self.denominator = scale
         else:
-            witnesses = points
+            witnesses = self.forms
             self.denominator = None
+        self.witnesses = witnesses + [tuple(-x for x in wit) for wit in witnesses]
+        size = self.size = len(flats)
+        self.low = (1 << size) - 1
+        self.everything = (1 << 2 * size) - 1
         idot, isign = kernel.dot, kernel.sign
-        corners = []
-        for flat, point, wit in zip(flats, points, witnesses):
-            zmask = flat.mask
-            pmask = 0
-            nmask = 0
+        pos, neg, zero = [0] * arr.n, [0] * arr.n, [0] * arr.n
+        for j, (flat, point) in enumerate(zip(flats, self.forms)):
+            bit, anti = 1 << j, 1 << j + size
             for i, vi in enumerate(normals):
-                if zmask >> i & 1:
+                if flat.mask >> i & 1:
+                    zero[i] |= bit | anti
                     continue
                 s = isign(idot(vi, point))
                 if s > 0:
-                    pmask |= 1 << i
+                    pos[i] |= bit
+                    neg[i] |= anti
                 elif s < 0:
-                    nmask |= 1 << i
+                    neg[i] |= bit
+                    pos[i] |= anti
                 else:
                     raise AssertionError("corner flat membership is incomplete")
-            corners.append((point, wit, tuple(-x for x in wit), zmask, pmask, nmask))
-        self.corners = corners
+        self.pos, self.neg, self.zero = pos, neg, zero
+        self.certified = set()
+
+    def compatible(self, mask: int) -> int:
+        """Oriented corner rays of the closed cone of the chamber `mask`."""
+        pos, neg = self.pos, self.neg
+        against = 0
+        for i in range(self.n):
+            against |= pos[i] if mask >> i & 1 else neg[i]
+        return self.everything & ~against
+
+    def unoriented(self, corners: int) -> int:
+        """The corner indices of a set of oriented corners, as bits below size."""
+        return corners & self.low | corners >> self.size
+
+    def walls(self, corners: int):
+        """Hyperplanes whose tight corners among `corners` span a facet.
+
+        A popcount screens each hyperplane before the rank test.  Each
+        distinct facet is certified by `int_rank` once: the neighbour across
+        it sees the same corner set, up to the global sign of mask
+        canonicalization, and finds it certified.
+        """
+        need = self.dim - 1
+        certified = self.certified
+        out = []
+        for h, on in enumerate(self.zero):
+            tight = corners & on
+            if tight.bit_count() < need:
+                continue
+            facet = (h, self.unoriented(tight))
+            if facet not in certified:
+                if int_rank([self.forms[j] for j in _bits(facet[1])]) != need:
+                    raise AssertionError("tight corner rays of a facet must span it")
+                certified.add(facet)
+            out.append(h)
+        return tuple(out)
+
+    def witness(self, corners: int):
+        """The sum of the oriented corners, as field scalars."""
+        wits = self.witnesses
+        total = [sum(column) for column in zip(*(wits[b] for b in _bits(corners)))]
+        scale = self.denominator
+        if scale is None:
+            return tuple(total)
+        return tuple(
+            QuadScalar(Fraction(a, scale), Fraction(b, scale))
+            for a, b in zip(total[::2], total[1::2])
+        )
+
+
+def _bits(x: int):
+    """Indices of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def _context(arr) -> _Context:
@@ -166,48 +243,6 @@ def _context(arr) -> _Context:
 
 def _canonical_mask(mask: int, full: int) -> int:
     return mask ^ full if mask & 1 else mask
-
-
-def _compatible_corners(ctx: _Context, mask: int):
-    """Corner rays of the closed cone of the chamber.
-
-    Each is (rank form, zero mask, witness form oriented into the cone).
-    """
-    notm = ctx.full ^ mask
-    out = [
-        (point, zmask, wit)
-        for point, wit, _, zmask, pmask, nmask in ctx.corners
-        if not (pmask & mask or nmask & notm)
-    ]
-    out += [
-        (point, zmask, neg)
-        for point, _, neg, zmask, pmask, nmask in ctx.corners
-        if not (nmask & mask or pmask & notm)
-    ]
-    return out
-
-
-def _walls_from_corners(ctx: _Context, corners):
-    need = ctx.dim - 1
-    out = []
-    for h in range(ctx.n):
-        tight = [point for point, zmask, _ in corners if zmask >> h & 1]
-        if len(tight) >= need:
-            if int_rank(tight) != need:
-                raise AssertionError("tight corner rays of a facet must span it")
-            out.append(h)
-    return tuple(out)
-
-
-def _witness(ctx: _Context, corners):
-    total = [sum(column) for column in zip(*(wit for _, _, wit in corners))]
-    scale = ctx.denominator
-    if scale is None:
-        return tuple(total)
-    return tuple(
-        QuadScalar(Fraction(a, scale), Fraction(b, scale))
-        for a, b in zip(total[::2], total[1::2])
-    )
 
 
 def _primes(count: int):
@@ -261,13 +296,13 @@ def _bfs_chambers(arr, limit=None):
     count = 0
     while queue:
         m = queue.popleft()
-        corners = _compatible_corners(ctx, m)
+        corners = ctx.compatible(m)
         if not corners:
             raise AssertionError("enumerated chamber has no extreme rays")
-        wl = _walls_from_corners(ctx, corners)
+        wl = ctx.walls(corners)
         signs = tuple(-1 if m >> i & 1 else 1 for i in range(ctx.n))
         count += 1
-        yield Chamber(signs, wl, _witness(ctx, corners), m)
+        yield Chamber(signs, wl, ctx.witness(corners), m)
         for h in wl:
             nm = _canonical_mask(m ^ (1 << h), ctx.full)
             if nm not in visited:
@@ -275,6 +310,9 @@ def _bfs_chambers(arr, limit=None):
                 queue.append(nm)
         if limit is not None and count >= limit and queue:
             raise ChamberLimitReached(count)
+    # every facet has been met from both sides, so the keys are dead weight
+    # (about 3 MB for H4) once the walk is complete
+    ctx.certified.clear()
 
 
 def iter_chambers(arr):
@@ -309,17 +347,26 @@ def enumerate_chambers(arr, limit=None):
 
 
 def chamber_face_counts(arr, chamber):
-    """(corner count, edge count) of the closed cone of one chamber."""
+    """(corner count, 2-face count) of the closed cone of one chamber.
+
+    In rank 4 the 2-faces are the edges: lines whose tight corners span
+    them.  In rank 3 they are the walls.
+    """
     ctx = _context(arr)
-    corners = _compatible_corners(ctx, chamber.mask)
+    corners = ctx.compatible(chamber.mask)
+    if arr.dim == 3:
+        return corners.bit_count(), len(chamber.walls)
+    zero = ctx.zero
     edges = 0
     for flat in arr.lines():
-        tight = [point for point, zmask, _ in corners if zmask & flat.mask == flat.mask]
-        if len(tight) >= 2:
-            if int_rank(tight) != 2:
+        tight = corners
+        for i in flat.members:
+            tight &= zero[i]
+        if tight.bit_count() >= 2:
+            if int_rank([ctx.forms[j] for j in _bits(ctx.unoriented(tight))]) != 2:
                 raise AssertionError("tight corner rays of an edge must span it")
             edges += 1
-    return len(corners), edges
+    return corners.bit_count(), edges
 
 
 # -- the independent Fourier-Motzkin wall test -----------------------------------

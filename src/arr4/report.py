@@ -16,7 +16,6 @@ from .chambers import (
     ChamberLimitReached,
     coxeter_diagram,
     enumerate_chambers,
-    is_irreducible_diagrams,
     is_simply_laced,
 )
 from .invariants import (
@@ -114,15 +113,16 @@ def build_report(
                     f"{len(chambers)} chambers enumerated, but the lattice "
                     f"gives f3 = {data.f[3]}"
                 )
+            diagrams = [coxeter_diagram(arrangement, ch) for ch in chambers]
             tally: dict[str, int] = {}
-            for ch in chambers:
-                key = coxeter_diagram(arrangement, ch).canonical_key()
+            for diagram in diagrams:
+                key = diagram.canonical_key()
                 tally[key] = tally.get(key, 0) + 1
             simplicial = all(len(ch.walls) == arrangement.dim for ch in chambers)
             simply_laced = is_simply_laced(arrangement)
             # A disconnected chamber diagram implies a product structure only
             # for simplicial arrangements, so the routes are compared there.
-            if simplicial and is_irreducible_diagrams(arrangement) != irreducible:
+            if simplicial and all(d.is_connected() for d in diagrams) != irreducible:
                 raise AssertionError(
                     "diagram and span routes disagree about irreducibility"
                 )

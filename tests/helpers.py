@@ -5,8 +5,8 @@ and the acceptance suite can invoke them with their own case counts.  The
 reference routes (field-scalar `rref`/`rank`/`kernel_basis` and
 `canonicalize_vector`, the all-pairs reflection closure, kernel-basis
 restrictions, the vertex-by-line Moebius scan, the vertex pass with one
-full point per candidate) are the slow, obvious versions that the package's
-integer kernel is compared against.
+full point per candidate, the chamber corner list scan) are the slow,
+obvious versions that the package's integer kernel is compared against.
 """
 
 from __future__ import annotations
@@ -259,6 +259,47 @@ def reference_vertices(arr):
     )
     verts = tuple(row[0] for row in rows)
     return verts, (tuple(row[1] for row in rows), tuple(row[2] for row in rows))
+
+
+def reference_corner_signs(arr):
+    """(positive mask, negative mask) of every corner flat, in corner order.
+
+    Bit i of a mask is set when the corner's point lies on that side of
+    hyperplane i, decided by the field dot product with the field normal.
+    """
+    out = []
+    for flat in arr.corner_flats():
+        pmask = nmask = 0
+        for i, v in enumerate(arr.normals):
+            s = sign(dot(v, flat.point))
+            if s > 0:
+                pmask |= 1 << i
+            elif s < 0:
+                nmask |= 1 << i
+        out.append((pmask, nmask))
+    return out
+
+
+def reference_compatible_corners(corner_signs, mask, n):
+    """Oriented corners of the closed cone of the chamber `mask`, as a list scan.
+
+    The reference route: each corner and its negation are tested against the
+    chamber's sign vector; a corner is kept with orientation +1 or -1 when no
+    hyperplane puts it on the wrong side.  Returns (corner index, orientation)
+    pairs.
+    """
+    notm = ((1 << n) - 1) ^ mask
+    out = [
+        (j, 1)
+        for j, (pmask, nmask) in enumerate(corner_signs)
+        if not (pmask & mask or nmask & notm)
+    ]
+    out += [
+        (j, -1)
+        for j, (pmask, nmask) in enumerate(corner_signs)
+        if not (nmask & mask or pmask & notm)
+    ]
+    return out
 
 
 def reference_canonical_key(diagram):

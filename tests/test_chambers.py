@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import arr4.chambers
 from arr4 import (
+    Arrangement,
     ChamberLimitReached,
     EmptyChamber,
     builtin,
@@ -15,7 +17,10 @@ from arr4 import (
     walls,
 )
 from arr4.chambers import (
+    _bits,
     _canonical_mask,
+    _Context,
+    _context,
     chamber_face_counts,
     chamber_feasible,
     feasible_strict,
@@ -23,7 +28,12 @@ from arr4.chambers import (
 )
 from arr4.linalg import dot
 from arr4.scalars import Field, sign
-from helpers import random_arrangements, reference_canonical_key
+from helpers import (
+    random_arrangements,
+    reference_canonical_key,
+    reference_compatible_corners,
+    reference_corner_signs,
+)
 
 
 def _chamber_count_oracle(arr):
@@ -164,6 +174,106 @@ def test_simplicial_face_counts():
     a28 = builtin("A^3_1(28)")
     for ch in enumerate_chambers(a28)[:5]:
         assert chamber_face_counts(a28, ch) == (4, 6)
+
+
+@pytest.mark.parametrize("field,count", [(Field.RATIONAL, 8), (Field.QUADRATIC_TAU, 5)])
+def test_face_counts_satisfy_euler(field, count):
+    """corners - edges + walls == 2 on every chamber cone of rank 4."""
+    chambers = 0
+    for arr in random_arrangements(field, count, seed=20240615):
+        for ch in enumerate_chambers(arr):
+            corners, edges = chamber_face_counts(arr, ch)
+            assert corners - edges + len(ch.walls) == 2, (arr.normals, ch.signs)
+            chambers += 1
+    assert chambers > 50
+
+
+def test_rank3_face_counts():
+    """A chamber cone of rank 3 has as many corners as walls, its 2-faces."""
+    arrangements = [builtin("A4").restriction(h) for h in (0, 3)]
+    arrangements.append(builtin("F4").restriction(0))
+    for field in (Field.RATIONAL, Field.QUADRATIC_TAU):
+        arrangements += [
+            arr.restriction(0) for arr in random_arrangements(field, 4, seed=20240615)
+        ]
+    for sub in arrangements:
+        for ch in enumerate_chambers(sub):
+            assert chamber_face_counts(sub, ch) == (len(ch.walls), len(ch.walls))
+    f4 = builtin("F4")
+    v = max(f4.vertices(), key=lambda flat: flat.weight)
+    parabolic = f4.parabolic(v)
+    for ch in enumerate_chambers(parabolic):
+        assert chamber_face_counts(parabolic, ch) == (3, 3)
+
+
+def _compatible_sets_agree(arr):
+    ctx = _context(arr)
+    signs = reference_corner_signs(arr)
+    for ch in enumerate_chambers(arr):
+        found = {
+            (b % ctx.size, 1 if b < ctx.size else -1)
+            for b in _bits(ctx.compatible(ch.mask))
+        }
+        expected = reference_compatible_corners(signs, ch.mask, arr.n)
+        assert found == set(expected) and len(expected) == len(found)
+    return is_simplicial(arr)
+
+
+@pytest.mark.parametrize("name", ["A4", "D4", "B4", "F4", "A^3_1(27)", "A^3_1(28)"])
+def test_compatible_corners_match_list_scan_builtins(name):
+    arr = builtin(name)
+    assert _compatible_sets_agree(arr)
+    assert _compatible_sets_agree(arr.restriction(0))
+
+
+@pytest.mark.parametrize("field,count", [(Field.RATIONAL, 8), (Field.QUADRATIC_TAU, 5)])
+def test_compatible_corners_match_list_scan_random(field, count, boolean, generic5):
+    simplicial = []
+    for arr in [boolean, generic5, *random_arrangements(field, count, seed=20240615)]:
+        simplicial.append(_compatible_sets_agree(arr))
+        _compatible_sets_agree(arr.restriction(0))
+    assert not all(simplicial)
+
+
+@pytest.mark.parametrize("field,count", [(Field.RATIONAL, 4), (Field.QUADRATIC_TAU, 3)])
+def test_every_facet_certified_once(field, count, monkeypatch):
+    """`int_rank` runs once per distinct facet, on that facet's corners."""
+    int_rank = arr4.chambers.int_rank
+    calls = []
+
+    def counting_rank(rows):
+        calls.append(len(rows))
+        return int_rank(rows)
+
+    monkeypatch.setattr(arr4.chambers, "int_rank", counting_rank)
+    arrangements = [builtin("A4"), builtin("A^3_1(27)")]
+    arrangements += random_arrangements(field, count, seed=20240620)
+    for template in arrangements:
+        fresh = Arrangement(template.normals, template.field)
+        for arr in (fresh, fresh.restriction(0)):
+            calls.clear()
+            chambers = enumerate_chambers(arr)
+            facets = sum(len(ch.walls) for ch in chambers)
+            assert facets % 2 == 0 and len(calls) == facets // 2
+            assert min(calls) >= arr.dim - 1
+
+
+def _corrupted(arr):
+    """A fresh chamber context whose corner 0 has the zero rank form."""
+    ctx = _Context(arr)
+    ctx.forms[0] = tuple(0 if isinstance(x, int) else (0, 0) for x in ctx.forms[0])
+    return ctx
+
+
+@pytest.mark.parametrize("name", ["A4", "A^3_1(28)"])
+def test_facet_certificate_fires(name):
+    """Tight corners that stop spanning their facet raise, in both ranks."""
+    template = builtin(name)
+    fresh = Arrangement(template.normals, template.field)
+    for arr in (fresh, fresh.restriction(0)):
+        arr._cache["chamber_ctx"] = _corrupted(arr)
+        with pytest.raises(AssertionError, match="tight corner rays of a facet"):
+            enumerate_chambers(arr)
 
 
 def test_enumeration_limit():

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import arr4.chambers
 import arr4.report
 from arr4 import Arrangement
 from arr4.cli import main
@@ -272,6 +273,35 @@ def test_internal_check_failure_exit5_f2_routes(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "catalogue", "verify", "D4")
     assert code == 5 and out == ""
     assert "restriction chamber counts sum to 193, the vertex tallies give f2 = 192" in err
+
+
+def test_internal_check_failure_exit5_facet_certificate(capsys, tmp_path, monkeypatch):
+    # a corner with the zero rank form leaves its facets' tight corners
+    # short of spanning them
+    class Corrupted(arr4.chambers._Context):
+        def __init__(self, arr):
+            super().__init__(arr)
+            self.forms[0] = (0,) * len(self.forms[0])
+
+    monkeypatch.setattr(arr4.chambers, "_Context", Corrupted)
+    path = tmp_path / "a4.arr"
+    assert run_cli(capsys, "generate", "A4", "-o", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "analyze", str(path), "--json", "--chambers")
+    assert code == 5 and out == ""
+    assert err.startswith("arr4: internal check failed: ")
+    assert "tight corner rays of a facet must span it" in err
+
+
+def test_internal_check_failure_exit5_irreducibility(capsys, tmp_path, monkeypatch):
+    # a product structure claimed for A4 contradicts its connected diagrams
+    monkeypatch.setattr(
+        Arrangement, "reducible_partition", lambda self: ((0,), tuple(range(1, self.n)))
+    )
+    path = tmp_path / "a4.arr"
+    assert run_cli(capsys, "generate", "A4", "-o", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "analyze", str(path), "--json", "--chambers")
+    assert code == 5 and out == ""
+    assert "diagram and span routes disagree about irreducibility" in err
 
 
 def test_catalogue_verify_usage(capsys):
