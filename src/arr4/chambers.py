@@ -21,11 +21,12 @@ dim - 1 rules h out.  Every other h is a wall, and its facet is certified:
 the division-free `linalg.int_rank` of the tight corners' rank forms (the
 integer form of `linalg.KERNELS`, primitive ints for rational corners and
 (a, b) integer pairs for Q(tau) ones) must be dim - 1.  The certificate runs
-once per distinct facet, keyed by h and the unoriented tight corner set: the
-neighbour across h has the same facet, its corners negated when mask
-canonicalization flips the global sign.  The interior witness is the sum of
-the corner rays' witness forms, each scaled by one common denominator, so it
-is a sum of plain integers converted to field scalars once per chamber.
+once per distinct facet of a walk, keyed by h and the unoriented tight
+corner set in a set local to that walk: the neighbour across h has the same
+facet, its corners negated when mask canonicalization flips the global
+sign.  The interior witness is the sum of the corner rays' rank forms, each
+a positive rescaling of its ray, so it is a sum of plain integers (pairs
+flattened to ints over Q(tau)) converted to field scalars once per chamber.
 
 The `walls` operation decides each candidate independently instead, by
 eliminating onto the candidate hyperplane and running an exact strict
@@ -39,13 +40,10 @@ built only for the witness.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import lcm
 
 from .linalg import KERNELS, int_rank
 from .scalars import Field, QuadScalar
@@ -120,17 +118,15 @@ class _Context:
     negation.  `pos[i]`, `neg[i]` and `zero[i]` hold the oriented corners on
     the positive side of hyperplane i, on its negative side and on it.
     `forms[j]` is the rank form of corner j (primitive ints, or integer pairs
-    for Q(tau)); a positive rescaling keeps its rank.  `witnesses[b]` is the
-    witness form of oriented corner b: the point times one common denominator
-    of the whole arrangement, flattened to ints (a0, b0, a1, b1, ...) for
-    Q(tau), so chamber witnesses are plain integer sums.  `certified` holds
-    the facets whose tight corners `int_rank` has shown to span a hyperplane
-    in the current walk, as (hyperplane, unoriented corner set).
+    for Q(tau)), a positive rescaling of its point.  `rows[b]` is the form of
+    oriented corner b, flattened to ints (a0, b0, a1, b1, ...) for Q(tau), so
+    a chamber's witness, the sum of the rank forms of its corners, is a sum
+    of plain integers.  The context holds no walk state: the facets already
+    certified belong to one walk of `_bfs_chambers`.
     """
 
     __slots__ = (
-        "n", "dim", "full", "size", "low", "everything",
-        "pos", "neg", "zero", "forms", "witnesses", "denominator", "certified",
+        "n", "dim", "full", "size", "low", "everything", "pos", "neg", "zero", "forms", "rows",
     )
 
     def __init__(self, arr):
@@ -141,19 +137,10 @@ class _Context:
         kernel = KERNELS[arr.field]
         normals = arr._integer_normals()[0]
         self.forms = [kernel.ints(flat.point) for flat in flats]
+        rows = self.forms
         if arr.field is Field.QUADRATIC_TAU:
-            scale = lcm(
-                *(x.denominator for flat in flats for q in flat.point for x in (q.a, q.b))
-            )
-            witnesses = [
-                tuple(int(x * scale) for q in flat.point for x in (q.a, q.b))
-                for flat in flats
-            ]
-            self.denominator = scale
-        else:
-            witnesses = self.forms
-            self.denominator = None
-        self.witnesses = witnesses + [tuple(-x for x in wit) for wit in witnesses]
+            rows = [tuple(x for pair in form for x in pair) for form in rows]
+        self.rows = rows + [tuple(-x for x in row) for row in rows]
         size = self.size = len(flats)
         self.low = (1 << size) - 1
         self.everything = (1 << 2 * size) - 1
@@ -175,7 +162,6 @@ class _Context:
                 else:
                     raise AssertionError("corner flat membership is incomplete")
         self.pos, self.neg, self.zero = pos, neg, zero
-        self.certified = set()
 
     def compatible(self, mask: int) -> int:
         """Oriented corner rays of the closed cone of the chamber `mask`."""
@@ -189,16 +175,16 @@ class _Context:
         """The corner indices of a set of oriented corners, as bits below size."""
         return corners & self.low | corners >> self.size
 
-    def walls(self, corners: int):
+    def walls(self, corners: int, certified: set):
         """Hyperplanes whose tight corners among `corners` span a facet.
 
-        A popcount screens each hyperplane before the rank test.  Each
-        distinct facet is certified by `int_rank` once: the neighbour across
-        it sees the same corner set, up to the global sign of mask
-        canonicalization, and finds it certified.
+        A popcount screens each hyperplane before the rank test.  `certified`
+        holds the facets the current walk has certified, as (hyperplane,
+        unoriented corner set).  Each distinct facet is certified by
+        `int_rank` once: the neighbour across it sees the same corner set, up
+        to the global sign of mask canonicalization, and finds it certified.
         """
         need = self.dim - 1
-        certified = self.certified
         out = []
         for h, on in enumerate(self.zero):
             tight = corners & on
@@ -213,16 +199,12 @@ class _Context:
         return tuple(out)
 
     def witness(self, corners: int):
-        """The sum of the oriented corners, as field scalars."""
-        wits = self.witnesses
-        total = [sum(column) for column in zip(*(wits[b] for b in _bits(corners)))]
-        scale = self.denominator
-        if scale is None:
+        """The sum of the oriented corners' rank forms, as field scalars."""
+        rows = self.rows
+        total = [sum(column) for column in zip(*(rows[b] for b in _bits(corners)))]
+        if len(total) == self.dim:  # rational; Q(tau) rows hold 2 * dim ints
             return tuple(total)
-        return tuple(
-            QuadScalar(Fraction(a, scale), Fraction(b, scale))
-            for a, b in zip(total[::2], total[1::2])
-        )
+        return tuple(QuadScalar(a, b) for a, b in zip(total[::2], total[1::2]))
 
 
 def _bits(x: int):
@@ -293,13 +275,14 @@ def _bfs_chambers(arr, limit=None):
     mask = _canonical_mask(mask, ctx.full)
     visited = {mask}
     queue = deque([mask])
+    certified = set()
     count = 0
     while queue:
         m = queue.popleft()
         corners = ctx.compatible(m)
         if not corners:
             raise AssertionError("enumerated chamber has no extreme rays")
-        wl = ctx.walls(corners)
+        wl = ctx.walls(corners, certified)
         signs = tuple(-1 if m >> i & 1 else 1 for i in range(ctx.n))
         count += 1
         yield Chamber(signs, wl, ctx.witness(corners), m)
@@ -310,28 +293,6 @@ def _bfs_chambers(arr, limit=None):
                 queue.append(nm)
         if limit is not None and count >= limit and queue:
             raise ChamberLimitReached(count)
-    # every facet has been met from both sides, so the keys are dead weight
-    # (about 3 MB for H4) once the walk is complete
-    ctx.certified.clear()
-
-
-def iter_chambers(arr):
-    """Yield chambers lazily (canonical order only when served from cache).
-
-    A fully consumed iteration fills the cache; an early exit leaves it
-    empty, so a short-circuiting predicate never pays for chambers it did
-    not visit.
-    """
-    cached = arr._cache.get("chambers")
-    if cached is not None:
-        yield from cached
-        return
-    collected = []
-    for chamber in _bfs_chambers(arr):
-        collected.append(chamber)
-        yield chamber
-    collected.sort(key=lambda c: c.mask)
-    arr._cache["chambers"] = tuple(collected)
 
 
 def enumerate_chambers(arr, limit=None):
@@ -420,14 +381,16 @@ def walls(arr, signs):
 
 
 def _pair_weights(arr):
+    """(i, j) with i < j -> weight of the rank-2 flat on both hyperplanes
+    (a line of P^3, a point of P^2)."""
     pw = arr._cache.get("pair_weights")
     if pw is None:
         pw = {}
-        for flat in arr.lines():
-            mem = flat.members
-            for a in range(len(mem)):
-                for b in range(a + 1, len(mem)):
-                    pw[(mem[a], mem[b])] = flat.weight
+        for mask in arr._rank2().values():
+            members = list(_bits(mask))
+            for a, i in enumerate(members):
+                for j in members[a + 1:]:
+                    pw[(i, j)] = len(members)
         arr._cache["pair_weights"] = pw
     return pw
 
@@ -506,46 +469,36 @@ def coxeter_diagram(arr, chamber: Chamber) -> CoxeterDiagram:
 
 def is_simplicial(arr) -> bool:
     """Every chamber bounded by exactly dim walls (4 in P^3, 3 in P^2)."""
-    return all(len(ch.walls) == arr.dim for ch in iter_chambers(arr))
+    return all(len(ch.walls) == arr.dim for ch in enumerate_chambers(arr))
 
 
 def simply_laced_h_criterion(arr) -> bool:
-    """Counting criterion: no line lies on four or more hyperplanes."""
-    return all(weight <= 3 for weight in arr.h_vector())
+    """Counting criterion: no rank-2 flat (a line of P^3, a point of P^2) lies
+    on four or more hyperplanes."""
+    return all(mask.bit_count() <= 3 for mask in arr._rank2().values())
 
 
 def is_simply_laced(arr) -> bool:
     """Diagram route: no chamber diagram carries an edge of weight >= 4.
 
-    Cross-checked against the h-vector criterion on simplicial arrangements,
-    the only ones where the two must agree; a disagreement is reported as a
-    diagnostic (the diagram verdict is returned either way).
+    On a simplicial arrangement the counting criterion must agree, and the
+    agreement is asserted: every rank-2 flat is a 2-face of some chamber
+    cone, and a simplicial cone cuts that face out by exactly two of its
+    walls, whose diagram edge then carries the flat's weight.
     """
-    pw = _pair_weights(arr)
-    verdict = True
-    for ch in iter_chambers(arr):
-        w = ch.walls
-        heavy = any(
-            pw[(w[a], w[b])] >= 4
-            for a in range(len(w))
-            for b in range(a + 1, len(w))
-        )
-        if heavy:
-            verdict = False
-            break
+    verdict = all(
+        max(coxeter_diagram(arr, ch).edge_weights(), default=0) < 4
+        for ch in enumerate_chambers(arr)
+    )
     expected = simply_laced_h_criterion(arr)
     if verdict != expected and is_simplicial(arr):
-        warnings.warn(
+        raise AssertionError(
             f"diagram route says simply_laced={verdict} but the h-vector "
-            f"criterion says {expected}",
-            stacklevel=2,
+            f"criterion says {expected}"
         )
     return verdict
 
 
 def is_irreducible_diagrams(arr) -> bool:
     """Diagram route: every chamber's Coxeter diagram is connected."""
-    for ch in iter_chambers(arr):
-        if not coxeter_diagram(arr, ch).is_connected():
-            return False
-    return True
+    return all(coxeter_diagram(arr, ch).is_connected() for ch in enumerate_chambers(arr))

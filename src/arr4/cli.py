@@ -15,8 +15,8 @@ Exit codes: 0 success, 1 verification failures, 2 parse/usage errors,
 5 internal check failures (two independent routes disagreed, e.g. Moebius vs
 closed-form characteristic polynomial, enumerated chambers vs f3, vertex
 tallies vs restriction chamber counts for f2, corner vs Fourier-Motzkin
-walls, or a chi(-1) parity check; this is a bug, reported as "internal check
-failed").
+walls, diagram vs h-vector simply-lacedness, or a chi(-1) parity check; this
+is a bug, reported as "internal check failed").
 The environment variable ARR4_THREADS is validated (a positive integer, else
 exit 2) but otherwise inert: no command starts worker threads or processes,
 and output is byte-identical whatever its value.

@@ -25,6 +25,7 @@ from arr4.chambers import (
     chamber_feasible,
     feasible_strict,
     generic_point,
+    simply_laced_h_criterion,
 )
 from arr4.linalg import dot
 from arr4.scalars import Field, sign
@@ -99,7 +100,8 @@ def test_generic5_not_simplicial(generic5):
 
 
 def test_witness_points_realize_signs(boolean, generic5):
-    for arr in (boolean, generic5, builtin("A4")):
+    a28 = builtin("A^3_1(28)")
+    for arr in (boolean, generic5, builtin("A4"), a28, a28.restriction(0)):
         for ch in enumerate_chambers(arr):
             observed = tuple(sign(dot(v, ch.witness)) for v in arr.normals)
             assert observed == ch.signs
@@ -235,9 +237,9 @@ def test_compatible_corners_match_list_scan_random(field, count, boolean, generi
     assert not all(simplicial)
 
 
-@pytest.mark.parametrize("field,count", [(Field.RATIONAL, 4), (Field.QUADRATIC_TAU, 3)])
-def test_every_facet_certified_once(field, count, monkeypatch):
-    """`int_rank` runs once per distinct facet, on that facet's corners."""
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """The row count of every `int_rank` call the chamber code makes."""
     int_rank = arr4.chambers.int_rank
     calls = []
 
@@ -246,16 +248,22 @@ def test_every_facet_certified_once(field, count, monkeypatch):
         return int_rank(rows)
 
     monkeypatch.setattr(arr4.chambers, "int_rank", counting_rank)
+    return calls
+
+
+@pytest.mark.parametrize("field,count", [(Field.RATIONAL, 4), (Field.QUADRATIC_TAU, 3)])
+def test_every_facet_certified_once(field, count, rank_calls):
+    """`int_rank` runs once per distinct facet, on that facet's corners."""
     arrangements = [builtin("A4"), builtin("A^3_1(27)")]
     arrangements += random_arrangements(field, count, seed=20240620)
     for template in arrangements:
         fresh = Arrangement(template.normals, template.field)
         for arr in (fresh, fresh.restriction(0)):
-            calls.clear()
+            rank_calls.clear()
             chambers = enumerate_chambers(arr)
             facets = sum(len(ch.walls) for ch in chambers)
-            assert facets % 2 == 0 and len(calls) == facets // 2
-            assert min(calls) >= arr.dim - 1
+            assert facets % 2 == 0 and len(rank_calls) == facets // 2
+            assert min(rank_calls) >= arr.dim - 1
 
 
 def _corrupted(arr):
@@ -274,6 +282,17 @@ def test_facet_certificate_fires(name):
         arr._cache["chamber_ctx"] = _corrupted(arr)
         with pytest.raises(AssertionError, match="tight corner rays of a facet"):
             enumerate_chambers(arr)
+
+
+def test_aborted_walk_leaves_no_certificates(rank_calls):
+    """A walk stopped by the limit certifies nothing for the next walk."""
+    template = builtin("D4")
+    arr = Arrangement(template.normals, template.field)
+    with pytest.raises(ChamberLimitReached):
+        enumerate_chambers(arr, limit=10)
+    rank_calls.clear()
+    chambers = enumerate_chambers(arr)
+    assert len(rank_calls) == sum(len(ch.walls) for ch in chambers) // 2 == 192
 
 
 def test_enumeration_limit():
@@ -317,6 +336,25 @@ def test_parabolics_of_simplicial_builtins_are_simplicial():
                 continue
             seen.add(v.weight)
             assert is_simplicial(arr.parabolic(v)), (name, v.weight)
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "F4", "A^3_1(28)"])
+def test_rank3_diagram_predicates(name, boolean):
+    """The diagram predicates on a restriction and the heaviest parabolic.
+
+    Both are simplicial, so the diagram verdicts must match the counting
+    criterion and the reducibility of a rank-3 arrangement: a point on all
+    lines but one.
+    """
+    arr = builtin(name)
+    heaviest = max(arr.vertices(), key=lambda flat: flat.weight)
+    for sub in (arr.restriction(0), arr.parabolic(heaviest)):
+        assert is_simplicial(sub)
+        verdict = is_simply_laced(sub)
+        assert verdict == simply_laced_h_criterion(sub)
+        assert verdict == (max(sub.point_weights()) <= 3)
+        assert is_irreducible_diagrams(sub) == (max(sub.point_weights()) < sub.n - 1)
+    assert not is_irreducible_diagrams(boolean.restriction(0))
 
 
 def test_simpliciality_agrees_with_facet_counting(boolean, generic5):

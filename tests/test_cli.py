@@ -304,6 +304,17 @@ def test_internal_check_failure_exit5_irreducibility(capsys, tmp_path, monkeypat
     assert "diagram and span routes disagree about irreducibility" in err
 
 
+def test_internal_check_failure_exit5_simply_laced(capsys, tmp_path, monkeypatch):
+    # a counting criterion that calls A4 non-simply-laced contradicts its diagrams
+    monkeypatch.setattr(arr4.chambers, "simply_laced_h_criterion", lambda arr: False)
+    path = tmp_path / "a4.arr"
+    assert run_cli(capsys, "generate", "A4", "-o", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "analyze", str(path), "--json", "--chambers")
+    assert code == 5 and out == ""
+    assert err.startswith("arr4: internal check failed: ")
+    assert "diagram route says simply_laced=True but the h-vector criterion says False" in err
+
+
 def test_catalogue_verify_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["catalogue", "verify"])
