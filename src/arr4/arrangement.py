@@ -10,24 +10,28 @@ rank-2 flats are the points of P^2.
 
 The lattice is computed on exact integer forms of the normals (primitive ints
 over Q, integer pairs a + b*tau over Q(tau)), through the per-field table
-`linalg.KERNELS`; nothing else here depends on the field.  Rank-2 flats group
-the hyperplane pairs by the canonical 2x2 minors of their normals: the
-Pluecker coordinates of the line in K^4, the cross product (which is the
-point itself) in K^3.  A normal off a line meets it in the Hodge dual of the
-line's Pluecker vector applied to that normal; the line projects injectively
+`linalg.KERNELS`; nothing else here depends on the field.  Every flat carries
+its canonical integer form as its `key`, which is all the lattice, the
+derived arrangements and the chamber context read; field scalars are made
+only from the input normals and for the public `normals` and `Flat.point`.
+Rank-2 flats group the hyperplane pairs by the canonical 2x2 minors of
+their normals: the Pluecker coordinates of the line in K^4, the cross
+product (which is the point itself) in K^3.  A normal off a line meets it in
+the Hodge dual of the line's Pluecker vector applied to that normal; the line projects injectively
 onto two coordinates, so the canonical pair of those two Hodge rows is the
 hit's position on the line, and the normals with one position, together
 with the line's members, are the members of one vertex.  Vertices are keyed
 by their member masks and each line reports each of its vertices once, so
 the same pass tallies, per vertex, the lines through it and the sum of their
 weights (`vertex_line_tallies`), from which the vertices' Moebius values and
-the f-vector are read; a vertex's full point is made once, when it is first
-seen.
+the f-vector are read; a vertex's key is made once, when it is first seen.
 A restriction's normals are read off the Pluecker keys of the lines inside
 the hyperplane, and its chamber count off the positions of the later lines
 on each line, the same way in P^2 (`restriction_counts` builds no rank-3
-arrangement).  Essentialness and reducibility (fundamental circuits of a
-greedy basis) are division-free `int_rank` tests on the integer normals.
+arrangement); a parabolic's are the integer normals through the vertex
+with the pivot of the vertex key dropped.  Essentialness and reducibility
+(fundamental circuits of a greedy basis) are division-free `int_rank` tests
+on the integer normals.
 """
 
 from __future__ import annotations
@@ -57,13 +61,14 @@ class ZeroNormal(ValueError):
 class Flat:
     """A flat of the intersection lattice: the hyperplanes containing it.
 
-    `point` is the canonical spanning vector of a point flat (a vertex of P^3,
-    or a point of P^2 for a rank-3 arrangement) and None for a line of P^3.
+    `key` is its canonical `linalg.KERNELS` form: the Pluecker minors of a
+    line of P^3, the point itself for a vertex or a point of P^2.  `point` is
+    a point flat's key in field scalars, None for a line of P^3.
     """
 
-    __slots__ = ("members", "mask", "weight", "point")
+    __slots__ = ("members", "mask", "weight", "key", "point")
 
-    def __init__(self, mask, point=None):
+    def __init__(self, mask, key, point=None):
         members = []
         rest = mask
         while rest:
@@ -73,14 +78,11 @@ class Flat:
         self.members = tuple(members)   # sorted hyperplane indices
         self.mask = mask                # same set as a bitmask
         self.weight = len(members)
+        self.key = key
         self.point = point
 
     def __repr__(self):
         return f"Flat(members={self.members}, point={self.point})"
-
-
-def _sorted_flats(flats):
-    return tuple(sorted(flats, key=lambda flat: flat.members))
 
 
 #: Coordinate pairs (a, b) of the 2x2 minors u_a v_b - u_b v_a of two normals:
@@ -144,6 +146,15 @@ def _canonical_normals(normals, field, ambient):
             )
         seen[key] = idx
         keys.append(key)
+    return keys
+
+
+def _checked_keys(keys, where):
+    """The keys of a derived rank-3 arrangement, asserted distinct and spanning K^3."""
+    if len(set(keys)) != len(keys):
+        raise AssertionError(f"{where}: two of its members restrict to one normal")
+    if int_rank(keys) != 3:
+        raise AssertionError(f"{where} is not essential")
     return keys
 
 
@@ -229,9 +240,10 @@ class _CentralArrangement:
         return self._cache["ints"]
 
     def _rank2(self):
-        """Every rank-2 flat as canonical minors -> member mask."""
+        """Every rank-2 flat (a line of P^3, a point of P^2), sorted by member
+        sets; its key is the canonical minors of any two members' normals."""
         if "rank2" not in self._cache:
-            idot, canonical = self._kernel.dot, self._kernel.canonical
+            idot, canonical, point = self._kernel.dot, self._kernel.canonical, self._kernel.point
             ints, negs = self._integer_normals()
             minors = _MINORS[self.dim]
             # u_a v_b - u_b v_a = (u_a, u_b) . (v_b, -v_a)
@@ -243,7 +255,11 @@ class _CentralArrangement:
                 for j in range(i + 1, self.n):
                     key = canonical(tuple(map(idot, li, right[j])))
                     groups[key] = groups.get(key, 0) | bit | 1 << j
-            self._cache["rank2"] = groups
+            flats = [
+                Flat(mask, key, point(key) if self.dim == 3 else None)
+                for key, mask in groups.items()
+            ]
+            self._cache["rank2"] = tuple(sorted(flats, key=lambda flat: flat.members))
         return self._cache["rank2"]
 
 
@@ -256,14 +272,7 @@ class Arrangement(_CentralArrangement):
 
     def lines(self):
         """All rank-2 flats, sorted by member index sets."""
-        if "lines" not in self._cache:
-            groups = self._rank2()
-            keys = list(groups)
-            flats = [Flat(groups[key]) for key in keys]
-            order = sorted(range(len(keys)), key=lambda i: flats[i].members)
-            self._cache["lines"] = tuple(flats[i] for i in order)
-            self._cache["line_keys"] = tuple(keys[i] for i in order)
-        return self._cache["lines"]
+        return self._rank2()
 
     def vertices(self):
         """All rank-3 flats, sorted by member index sets."""
@@ -302,7 +311,8 @@ class Arrangement(_CentralArrangement):
         ]
         # member mask -> [point key, lines through the vertex, their weight sum]
         found = {}
-        for key, line_mask in self._rank2().items():
+        for line in self._rank2():
+            key, line_mask = line.key, line.mask
             hodge_p = tuple(tuple(key[p] for p, _, _ in row) for row in _HODGE)
             t = next(i for i, x in enumerate(key) if sign(x))
             c, d = _COMPLEMENT[t]
@@ -326,7 +336,7 @@ class Arrangement(_CentralArrangement):
         flats, counts, weights = [], [], []
         while found:  # popping frees each entry as its flat is made
             mask, entry = found.popitem()
-            flats.append(Flat(mask, point(entry[0])))
+            flats.append(Flat(mask, entry[0], point(entry[0])))
             counts.append(entry[1])
             weights.append(entry[2])
         found.clear()  # and this frees the emptied table
@@ -363,34 +373,27 @@ class Arrangement(_CentralArrangement):
         """The lines inside hyperplane h, as an arrangement in K^3."""
         if not 0 <= h < self.n:
             raise IndexError(f"hyperplane index {h} out of range")
-        line_keys = [
-            key for flat, key in zip(self.lines(), self._cache["line_keys"])
-            if flat.mask >> h & 1
-        ]
+        line_keys = [flat.key for flat in self.lines() if flat.mask >> h & 1]
         return Rank3Arrangement._from_keys(self._restricted_keys(h, line_keys), self.field)
 
     def _restricted_keys(self, h, line_keys):
         """Canonical keys of the normals that the lines inside h induce on H_h.
 
         Coordinates on H_h are the coordinates other than the pivot p (the
-        first nonzero one) of normal h.  A line through h and k induces the
-        normal v_k restricted to H_h, which is proportional to
+        first nonzero one) of integer normal h.  A line through h and k
+        induces the normal v_k restricted to H_h, which is proportional to
         (h_p v_f - h_f v_p) for f != p: the line's (p, f) Pluecker minors,
         read off its key with the sign flipped where f < p.  Distinct lines
         give distinct normals that span K^3; both are asserted.
         """
-        p = next(i for i, x in enumerate(self.normals[h]) if x)
+        neg, canonical, sign = self._kernel.neg, self._kernel.canonical, self._kernel.sign
+        p = next(i for i, x in enumerate(self._integer_normals()[0][h]) if sign(x))
         coords = _RESTRICT[p]
-        neg, canonical = self._kernel.neg, self._kernel.canonical
         keys = [
             canonical(tuple(neg(key[i]) if flip else key[i] for i, flip in coords))
             for key in line_keys
         ]
-        if len(set(keys)) != len(keys):
-            raise AssertionError(f"two lines inside hyperplane {h} restrict to one normal")
-        if int_rank(keys) != 3:
-            raise AssertionError(f"the restriction to hyperplane {h} is not essential")
-        return keys
+        return _checked_keys(keys, f"the restriction to hyperplane {h}")
 
     def restriction_counts(self) -> tuple[tuple[int, int], ...]:
         """(size, projective chamber count) of the restriction to each hyperplane.
@@ -400,9 +403,9 @@ class Arrangement(_CentralArrangement):
         """
         if "restriction_counts" not in self._cache:
             inside = [[] for _ in range(self.n)]
-            for flat, key in zip(self.lines(), self._cache["line_keys"]):
+            for flat in self.lines():
                 for h in flat.members:
-                    inside[h].append(key)
+                    inside[h].append(flat.key)
             counts = []
             for h, line_keys in enumerate(inside):
                 keys = self._restricted_keys(h, line_keys)
@@ -415,15 +418,22 @@ class Arrangement(_CentralArrangement):
     def parabolic(self, vertex: Flat) -> "Rank3Arrangement":
         """The hyperplanes through a vertex, modulo the spanned line.
 
-        Coordinates on the quotient are those other than the pivot (the
-        first nonzero one) of the vertex point.
+        `vertex` must be one of `vertices()`.  Coordinates on the quotient
+        are those other than the pivot p (the first nonzero one) of the
+        vertex key, so the members' integer normals with coordinate p dropped
+        are the normals; they are asserted distinct and spanning.
         """
-        p = next(i for i, x in enumerate(vertex.point) if x)
-        sub = [
-            tuple(x for f, x in enumerate(self.normals[i]) if f != p)
+        if not any(v is vertex for v in self.vertices()):
+            raise ValueError(f"{vertex!r} is not a vertex of this arrangement")
+        canonical, sign = self._kernel.canonical, self._kernel.sign
+        p = next(i for i, x in enumerate(vertex.key) if sign(x))
+        ints = self._integer_normals()[0]
+        keys = [
+            canonical(tuple(x for f, x in enumerate(ints[i]) if f != p))
             for i in vertex.members
         ]
-        return Rank3Arrangement(sub, self.field)
+        where = f"the parabolic at vertex {vertex.members}"
+        return Rank3Arrangement._from_keys(_checked_keys(keys, where), self.field)
 
     # -- reducibility -----------------------------------------------------------
 
@@ -490,12 +500,7 @@ class Rank3Arrangement(_CentralArrangement):
 
     def points(self):
         """All rank-2 flats (projective points), sorted by member sets."""
-        if "points" not in self._cache:
-            point = self._kernel.point
-            self._cache["points"] = _sorted_flats(
-                Flat(mask, point(key)) for key, mask in self._rank2().items()
-            )
-        return self._cache["points"]
+        return self._rank2()
 
     def point_weights(self) -> dict[int, int]:
         counts = Counter(p.weight for p in self.points())

@@ -117,11 +117,11 @@ class _Context:
     Bit j stands for corner j of `corner_flats()` and bit j + size for its
     negation.  `pos[i]`, `neg[i]` and `zero[i]` hold the oriented corners on
     the positive side of hyperplane i, on its negative side and on it.
-    `forms[j]` is the rank form of corner j (primitive ints, or integer pairs
-    for Q(tau)), a positive rescaling of its point.  `rows[b]` is the form of
-    oriented corner b, flattened to ints (a0, b0, a1, b1, ...) for Q(tau), so
-    a chamber's witness, the sum of the rank forms of its corners, is a sum
-    of plain integers.  The context holds no walk state: the facets already
+    `forms[j]` is the rank form of corner j, its flat's key (primitive ints,
+    or integer pairs for Q(tau)), a positive rescaling of its point.
+    `rows[b]` is the form of oriented corner b, flattened to ints
+    (a0, b0, a1, b1, ...) for Q(tau), so a chamber's witness, the sum of the
+    rank forms of its corners, is a sum of plain integers.  The context holds no walk state: the facets already
     certified belong to one walk of `_bfs_chambers`.
     """
 
@@ -136,7 +136,7 @@ class _Context:
         flats = arr.corner_flats()
         kernel = KERNELS[arr.field]
         normals = arr._integer_normals()[0]
-        self.forms = [kernel.ints(flat.point) for flat in flats]
+        self.forms = [flat.key for flat in flats]
         rows = self.forms
         if arr.field is Field.QUADRATIC_TAU:
             rows = [tuple(x for pair in form for x in pair) for form in rows]
@@ -386,11 +386,11 @@ def _pair_weights(arr):
     pw = arr._cache.get("pair_weights")
     if pw is None:
         pw = {}
-        for mask in arr._rank2().values():
-            members = list(_bits(mask))
+        for flat in arr._rank2():
+            members = flat.members
             for a, i in enumerate(members):
                 for j in members[a + 1:]:
-                    pw[(i, j)] = len(members)
+                    pw[(i, j)] = flat.weight
         arr._cache["pair_weights"] = pw
     return pw
 
@@ -475,7 +475,7 @@ def is_simplicial(arr) -> bool:
 def simply_laced_h_criterion(arr) -> bool:
     """Counting criterion: no rank-2 flat (a line of P^3, a point of P^2) lies
     on four or more hyperplanes."""
-    return all(mask.bit_count() <= 3 for mask in arr._rank2().values())
+    return all(flat.weight <= 3 for flat in arr._rank2())
 
 
 def is_simply_laced(arr) -> bool:

@@ -188,20 +188,17 @@ def char_poly_formula(n: int, h: int, f3: int) -> CharPoly:
 
 
 def _mu_data(arrangement: Arrangement):
-    """Moebius value and incident-line count of every vertex, cached.
+    """Moebius value and incident-line count of every vertex.
 
     Read off the tallies of the vertex pass: mu(v) = -(1 - w_v + sum over the
     lines L through v of (|L| - 1)).
     """
-    cache = arrangement._cache
-    if "mu" not in cache:
-        line_counts, line_weights = arrangement.vertex_line_tallies()
-        vertex_mu = tuple(
-            -(1 - v.weight + weights - count)
-            for v, count, weights in zip(arrangement.vertices(), line_counts, line_weights)
-        )
-        cache["mu"] = (vertex_mu, line_counts)
-    return cache["mu"]
+    line_counts, line_weights = arrangement.vertex_line_tallies()
+    vertex_mu = tuple(
+        -(1 - v.weight + weights - count)
+        for v, count, weights in zip(arrangement.vertices(), line_counts, line_weights)
+    )
+    return vertex_mu, line_counts
 
 
 def char_poly_moebius(arrangement: Arrangement) -> CharPoly:
@@ -226,9 +223,6 @@ def f_vector(arrangement: Arrangement) -> tuple[int, int, int, int]:
     restriction route to f2 (`Arrangement.restriction_counts`) is compared
     with this one in `catalogue.verify_row` and the tests.
     """
-    cache = arrangement._cache
-    if "f_vector" in cache:
-        return cache["f_vector"]
     line_counts, line_weights = arrangement.vertex_line_tallies()
     vertices = arrangement.vertices()
     f0 = len(vertices)
@@ -238,10 +232,7 @@ def f_vector(arrangement: Arrangement) -> tuple[int, int, int, int]:
     value = chi(-1)
     if value <= 0 or value % 2:
         raise AssertionError("chi(-1) must be a positive even integer")
-    f3 = value // 2
-    result = (f0, f1, f2, f3)
-    cache["f_vector"] = result
-    return result
+    return (f0, f1, f2, value // 2)
 
 
 # -- combinatorial data records ---------------------------------------------------

@@ -239,7 +239,8 @@ def reference_vertices(arr):
     ]
     # point -> [member mask, last line index, lines through it, their weight sum]
     found = {}
-    for i, (key, line_mask) in enumerate(arr._rank2().items()):
+    for i, line in enumerate(arr._rank2()):
+        key, line_mask = line.key, line.mask
         size = line_mask.bit_count()
         hodge_p = tuple(tuple(key[p] for p, _, _ in row) for row in _HODGE)
         for k, wk in enumerate(hodge_w):
@@ -254,7 +255,10 @@ def reference_vertices(arr):
                 entry[2] += 1
                 entry[3] += size
     rows = sorted(
-        ((Flat(mask, point(x)), count, weights) for x, (mask, _, count, weights) in found.items()),
+        (
+            (Flat(mask, x, point(x)), count, weights)
+            for x, (mask, _, count, weights) in found.items()
+        ),
         key=lambda row: row[0].members,
     )
     verts = tuple(row[0] for row in rows)

@@ -1,4 +1,5 @@
 import random
+import re
 from math import comb
 
 import pytest
@@ -182,9 +183,7 @@ def test_restriction_checks_fire(make, line, key, message):
     for restricted in (lambda arr: arr.restriction_counts(), lambda arr: arr.restriction(0)):
         arr = make()
         assert arr.lines()[line].members[0] == 0
-        keys = list(arr._cache["line_keys"])
-        keys[line] = key
-        arr._cache["line_keys"] = tuple(keys)
+        arr.lines()[line].key = key
         with pytest.raises(AssertionError, match=f"hyperplane 0.* {message}"):
             restricted(arr)
 
@@ -212,6 +211,38 @@ def test_parabolic_sizes(boolean):
     a4 = builtin("A4")
     for v in a4.vertices():
         assert a4.parabolic(v).n == v.weight
+
+
+def test_parabolic_rejects_non_vertices():
+    """Only a vertex of the arrangement itself has a parabolic."""
+    a4 = builtin("A4")
+    with pytest.raises(ValueError, match="not a vertex"):
+        a4.parabolic(a4.lines()[0])
+    with pytest.raises(ValueError, match="not a vertex"):
+        a4.parabolic(builtin("D4").vertices()[0])
+
+
+@pytest.mark.parametrize("make, key, message", [
+    # six normals through (1, 0, 0, 0), two of which differ by a multiple of e_1
+    # (a fresh copy: builtin() shares its arrangements between tests)
+    (lambda: Arrangement(builtin("D4").normals), (0, 1, 0, 0), "restrict to one normal"),
+    # three normals through (1, 0, 0, 0), all in the plane x_0 = 0 once x_1 is dropped
+    (
+        lambda: Arrangement([(0, 1, 1, 0), (0, 1, 2, 3), (0, 2, 1, 1), (1, 1, 1, 1)]),
+        (0, 1, 0, 0),
+        "not essential",
+    ),
+])
+def test_parabolic_checks_fire(make, key, message):
+    """A parabolic whose normals repeat or do not span is an internal error;
+    a corrupted vertex key moves the pivot onto a coordinate the vertex lacks."""
+    arr = make()
+    vertex = arr.vertices()[0]
+    assert vertex.key == (1, 0, 0, 0)
+    vertex.key = key
+    where = re.escape(f"parabolic at vertex {vertex.members}")
+    with pytest.raises(AssertionError, match=f"{where}.* {message}"):
+        arr.parabolic(vertex)
 
 
 def test_reducibility(boolean):

@@ -24,8 +24,9 @@ from arr4 import (
     f_vector,
     parse_arrangement,
 )
-from arr4.arrangement import _rank3_second
+from arr4.arrangement import _MINORS, _rank3_second
 from arr4.invariants import _mu_data
+from arr4.linalg import KERNELS
 from arr4.report import build_report, to_json
 from arr4.scalars import Field
 from helpers import (
@@ -90,7 +91,9 @@ def test_vertex_pass_matches_full_point_reference(field):
         ]
         assert arr.vertex_line_tallies() == tallies
         nonzero = arr._kernel.sign
-        leads.update(next(t for t, x in enumerate(key) if nonzero(x)) for key in arr._rank2())
+        leads.update(
+            next(t for t, x in enumerate(line.key) if nonzero(x)) for line in arr._rank2()
+        )
     assert leads == set(range(6))  # every complement pair is used
 
 
@@ -115,13 +118,41 @@ def test_rank3_second_matches_point_grouping(field):
     heavy = 0
     for sub in _rank3_draws(field):
         keys = sub._integer_normals()[0]
-        groups = sub._rank2().values()
+        groups = [flat.mask for flat in sub._rank2()]
         assert _rank3_second(keys, sub._kernel) == sum(m.bit_count() - 1 for m in groups)
         nonzero = sub._kernel.sign
         dropped.update(next(c for c, x in enumerate(u) if nonzero(x)) for u in keys[:-1])
         heavy += max(m.bit_count() for m in groups) >= 3
     assert dropped == {0, 1, 2}
     assert heavy  # some points carry three or more lines
+
+
+@pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU])
+def test_flat_keys_are_canonical_integer_forms(field):
+    """A point flat's key is the integer form of its point; a rank-2 flat's
+    key is the canonical minors of its first two members' integer normals.
+
+    Over the built-ins, restriction 0 and the heaviest parabolic of each, and
+    the seeded draws of both ranks.
+    """
+    arrangements = [builtin(label) for label in _BUILTINS[field]]
+    for arr in list(arrangements):
+        heaviest = max(arr.vertices(), key=lambda v: v.weight)
+        arrangements += [arr.restriction(0), arr.parabolic(heaviest)]
+    checked = 0
+    for arr in arrangements + _draws(field) + _rank3_draws(field):
+        kernel = KERNELS[arr.field]  # A^3_1(27) and A^3_1(28) are over Q(tau)
+        idot, neg, canonical = kernel.dot, kernel.neg, kernel.canonical
+        rank2, points = (arr.lines(), arr.vertices()) if arr.dim == 4 else (arr.points(),) * 2
+        for flat in points:
+            assert kernel.ints(flat.point) == flat.key
+        ints = arr._integer_normals()[0]
+        for flat in rank2:
+            u, v = (ints[i] for i in flat.members[:2])
+            minors = tuple(idot((u[a], u[b]), (v[b], neg(v[a]))) for a, b in _MINORS[arr.dim])
+            assert flat.key == canonical(minors)
+        checked += arr.dim == 3
+    assert checked == 2 * len(_BUILTINS[field]) + 40
 
 
 @pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU])
