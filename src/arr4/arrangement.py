@@ -17,10 +17,12 @@ only from the input normals and for the public `normals` and `Flat.point`.
 Rank-2 flats group the hyperplane pairs by the canonical 2x2 minors of
 their normals: the Pluecker coordinates of the line in K^4, the cross
 product (which is the point itself) in K^3.  A normal off a line meets it in
-the Hodge dual of the line's Pluecker vector applied to that normal; the line projects injectively
-onto two coordinates, so the canonical pair of those two Hodge rows is the
-hit's position on the line, and the normals with one position, together
-with the line's members, are the members of one vertex.  Vertices are keyed
+the Hodge dual of the line's Pluecker vector applied to that normal; the
+line projects injectively onto two coordinates, so the P^1 position key
+(`position`) of those two Hodge rows is the hit's position on the line, and
+the normals with one position, together with the line's members, are the
+members of one vertex.  Position keys only group hits; every key a flat
+stores comes from `canonical`.  Vertices are keyed
 by their member masks and each line reports each of its vertices once, so
 the same pass tallies, per vertex, the lines through it and the sum of their
 weights (`vertex_line_tallies`), from which the vertices' Moebius values and
@@ -163,12 +165,12 @@ def _rank3_second(keys, kernel):
 
     Lines i and j meet in the cross product u_i x u_j.  With u_i[c] != 0 no
     nonzero point of line i has both coordinates other than c equal to 0, so
-    the canonical pair of those two cross-product components is a point's
+    the P^1 position key of those two cross-product components is a point's
     position on line i.  Counting the distinct positions of the later lines
     j > i on each line i counts a point of weight w on every member but its
     last, i.e. w - 1 times.
     """
-    idot, canonical, sign, neg = kernel.dot, kernel.canonical, kernel.sign, kernel.neg
+    idot, position, sign, neg = kernel.dot, kernel.position, kernel.sign, kernel.neg
     minors = _MINORS[3]
     # component m of u x v: u_a v_b - u_b v_a = (u_a, u_b) . (v_b, -v_a), (a, b) = minors[m]
     right = [tuple((v[b], neg(v[a])) for a, b in minors) for v in keys]
@@ -178,7 +180,7 @@ def _rank3_second(keys, kernel):
         m0, m1 = (m for m in range(3) if m != c)
         (a0, b0), (a1, b1) = minors[m0], minors[m1]
         l0, l1 = (u[a0], u[b0]), (u[a1], u[b1])
-        total += len({canonical((idot(l0, r[m0]), idot(l1, r[m1]))) for r in right[i + 1:]})
+        total += len({position(idot(l0, r[m0]), idot(l1, r[m1])) for r in right[i + 1:]})
     return total
 
 
@@ -292,14 +294,15 @@ class Arrangement(_CentralArrangement):
         A normal w_k off the line with key q meets it in Hodge(q) w_k.  With
         q_t the key's first nonzero entry, the two Hodge rows of the
         coordinates `_COMPLEMENT[t]` already fix that point on the line, so
-        their canonical pair is the hit's position.  The normals with one
+        their P^1 position key is the hit's position.  The normals with one
         position and the line's members are the vertex's members (every
         member of a vertex is on the line or meets it there), so each line
         reports each of its vertices once, keyed by the member mask; the
         vertex's point is canonicalized only when it is first reported.
         """
-        idot, canonical, sign = self._kernel.dot, self._kernel.canonical, self._kernel.sign
-        point = self._kernel.point
+        kernel = self._kernel
+        idot, canonical, position = kernel.dot, kernel.canonical, kernel.position
+        sign, point = kernel.sign, kernel.point
         ints, negs = self._integer_normals()
         hodge_w = [
             tuple(tuple((w if s > 0 else nw)[j] for _, j, s in row) for row in _HODGE)
@@ -321,7 +324,7 @@ class Arrangement(_CentralArrangement):
             for bit, wc, wd in hodge_cd[t]:
                 if line_mask & bit:
                     continue
-                pos = canonical((idot(pc, wc), idot(pd, wd)))
+                pos = position(idot(pc, wc), idot(pd, wd))
                 groups[pos] = groups.get(pos, 0) | bit
             size = line_mask.bit_count()
             for group in groups.values():

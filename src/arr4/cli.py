@@ -17,6 +17,7 @@ closed-form characteristic polynomial, enumerated chambers vs f3, vertex
 tallies vs restriction chamber counts for f2, corner vs Fourier-Motzkin
 walls, diagram vs h-vector simply-lacedness, or a chi(-1) parity check; this
 is a bug, reported as "internal check failed").
+A closed standard output ends the process by SIGPIPE, without a message.
 The environment variable ARR4_THREADS is validated (a positive integer, else
 exit 2) but otherwise inert: no command starts worker threads or processes,
 and output is byte-identical whatever its value.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 
 from .arrangement import DuplicateHyperplane, MixedField, NotEssential, ZeroNormal
@@ -254,8 +256,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """Console entry point.  A closed standard output (`arr4 ... | head`) ends
+    the process quietly by SIGPIPE, as it does `cat`, not with a traceback."""
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -3,13 +3,17 @@
 Every decision runs on positive rescalings of vectors into primitive ints
 (Q) or integer pairs a + b*tau (Q(tau)): `int_rank` (division-free rank) and
 the per-field table `KERNELS` (integer form, dot, negation, sign, canonical
-key with an orientation flag, field point).  The intersection lattice, the
-restrictions, the reflection closure, reducibility, the chamber context and
-the Fourier-Motzkin wall test all run on it.  Two field-scalar helpers
-remain: `dot` (inner product of field vectors, for the Gram forms of the
-reflection closure) and `compare_vectors` (the exact lexicographic order
-that sorts normals for output).  The canonical field form of a vector is
-point(canonical(ints(v))) for both fields.
+key with an orientation flag, position key on P^1, field point).  The
+intersection lattice, the restrictions, the reflection closure,
+reducibility, the chamber context and the Fourier-Motzkin wall test all run
+on it.  Two field-scalar helpers remain: `dot` (inner product of field
+vectors, for the Gram forms of the reflection closure) and `compare_vectors`
+(the exact lexicographic order that sorts normals for output).  The
+canonical field form of a vector is point(canonical(ints(v))) for both
+fields.  `position` keys a point [x : y] of P^1 from its two integer-form
+scalars without building a vector (for Q(tau), by the ratio y/x); the
+lattice groups the hits on a line by it, and its keys are never stored:
+every stored key comes from `canonical`.
 """
 
 from __future__ import annotations
@@ -44,9 +48,12 @@ def primitive(ints, oriented=False):
     Unless `oriented`, the sign is also fixed so that the first nonzero entry
     is positive, which makes the result unique per projective class.  With
     `oriented` the divisor is positive, so the result is unique per class of
-    positive rescalings (one open half-space constraint).
+    positive rescalings (one open half-space constraint).  A zero vector
+    raises ValueError, as in `pair_vector_canonical`.
     """
     g = gcd(*ints)
+    if not g:
+        raise ValueError("zero vector has no canonical form")
     if not oriented:
         for x in ints:
             if x:
@@ -54,6 +61,17 @@ def primitive(ints, oriented=False):
                     g = -g
                 break
     return tuple([x // g for x in ints])
+
+
+def int_position(x, y):
+    """Key of the point [x : y] of P^1 for integers, unique per class:
+    (x, y) over their gcd, the first nonzero entry positive."""
+    g = gcd(x, y)
+    if not g:
+        raise ValueError("zero vector has no position")
+    if x < 0 or not x and y < 0:
+        g = -g
+    return (x // g, y // g)
 
 
 def compare_vectors(u, v) -> int:
@@ -85,6 +103,25 @@ def to_int_pairs(vec):
 
 
 def pair_dot(u, v):
+    """Inner product of two integer-pair vectors, as an integer pair.
+
+    The 3- and 2-term products (a hit's position on a line, a point's on a
+    restricted line, the minors of two normals) are written out.
+    """
+    n = len(u)
+    if n == 3:
+        (a0, b0), (a1, b1), (a2, b2) = u
+        (c0, d0), (c1, d1), (c2, d2) = v
+        bd = b0 * d0 + b1 * d1 + b2 * d2
+        return (
+            a0 * c0 + a1 * c1 + a2 * c2 + bd,
+            a0 * d0 + b0 * c0 + a1 * d1 + b1 * c1 + a2 * d2 + b2 * c2 + bd,
+        )
+    if n == 2:
+        (a0, b0), (a1, b1) = u
+        (c0, d0), (c1, d1) = v
+        bd = b0 * d0 + b1 * d1
+        return (a0 * c0 + a1 * c1 + bd, a0 * d0 + b0 * c0 + a1 * d1 + b1 * c1 + bd)
     sa = 0
     sb = 0
     for (a, b), (c, d) in zip(u, v):
@@ -177,6 +214,35 @@ def pair_vector_canonical(pairs, oriented=False):
     return tuple([(a // g, b // g) for a, b in scaled])
 
 
+#: the position key of [0 : 1], where the ratio y/x is infinite; every other
+#: key has a positive first entry
+_PAIR_INFINITY = (0, 1, 0)
+
+
+def pair_position(x, y):
+    """Key of the point [x : y] of P^1 for integer pairs, unique per class.
+
+    For x != 0 the key is the ratio y/x = y*conj(x) / N(x), N(x) the nonzero
+    rational norm, as the triple (N, p, q) standing for (p + q*tau)/N, with
+    N > 0 and no common factor.  The point x = 0 is `_PAIR_INFINITY`.
+    """
+    a, b = x
+    c, d = y
+    if not (a or b):
+        if c or d:
+            return _PAIR_INFINITY
+        raise ValueError("zero vector has no position")
+    e = a + b  # conj(x) = e - b*tau
+    bd = b * d
+    n = a * e - b * b
+    p = c * e - bd
+    q = d * e - b * c - bd
+    g = gcd(n, p, q)
+    if n < 0:
+        g = -g
+    return (n // g, p // g, q // g)
+
+
 def pair_point(pairs):
     """Field vector of a nonzero integer-pair vector, its first nonzero entry 1.
 
@@ -218,12 +284,26 @@ class FieldKernel(NamedTuple):
     #: nonzero integer form -> hashable key, unique per projective class;
     #: with oriented=True, a positive multiple unique per positive rescaling
     canonical: Callable
+    #: two integer-form scalars x, y -> hashable key of the point [x : y] of
+    #: P^1, unique per projective class; a grouping key only, never stored
+    position: Callable
     #: key -> the class representative in field scalars: primitive ints with
     #: a positive lead for Q, first nonzero coordinate 1 for Q(tau)
     point: Callable
 
 
 def _int_dot(u, v):
+    """Inner product of two integer vectors; the 3- and 2-term products are
+    written out, as in `pair_dot`."""
+    n = len(u)
+    if n == 3:
+        a0, a1, a2 = u
+        c0, c1, c2 = v
+        return a0 * c0 + a1 * c1 + a2 * c2
+    if n == 2:
+        a0, a1 = u
+        c0, c1 = v
+        return a0 * c0 + a1 * c1
     return sum(map(mul, u, v))
 
 
@@ -234,6 +314,7 @@ KERNELS = {
         neg=neg,
         sign=sign,
         canonical=primitive,
+        position=int_position,
         point=tuple,
     ),
     Field.QUADRATIC_TAU: FieldKernel(
@@ -242,6 +323,7 @@ KERNELS = {
         neg=lambda x: (-x[0], -x[1]),
         sign=pair_sign,
         canonical=pair_vector_canonical,
+        position=pair_position,
         point=pair_point,
     ),
 }

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
+import arr4
 import arr4.chambers
 import arr4.report
 from arr4 import Arrangement
@@ -344,3 +349,19 @@ def test_invalid_thread_env(capsys, monkeypatch):
     monkeypatch.setenv("ARR4_THREADS", "4")
     code, _, _ = run_cli(capsys, "catalogue", "list")
     assert code == 0
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_quietly():
+    """`arr4 catalogue list | head -1`: the closed pipe ends the process by
+    SIGPIPE, like `cat`, and prints nothing to stderr."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arr4.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "arr4", "catalogue", "list"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # no reader is left before the first write
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""

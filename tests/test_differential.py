@@ -39,8 +39,8 @@ from helpers import (
 _DRAWS = {Field.RATIONAL: 12, Field.QUADRATIC_TAU: 8}
 
 _BUILTINS = {
-    Field.RATIONAL: ("A4", "D4", "B4", "F4", "A^3_1(27)", "A^3_1(28)"),
-    Field.QUADRATIC_TAU: ("H4",),
+    Field.RATIONAL: ("A4", "D4", "B4", "F4"),
+    Field.QUADRATIC_TAU: ("H4", "A^3_1(27)", "A^3_1(28)"),
 }
 
 
@@ -85,6 +85,7 @@ def test_vertex_pass_matches_full_point_reference(field):
     leads = set()
     builtins = [builtin(label) for label in _BUILTINS[field]]
     for arr in builtins + _draws(field) + _heavy_draws(field):
+        assert arr.field is field
         verts, tallies = reference_vertices(arr)
         assert [(v.members, v.point) for v in arr.vertices()] == [
             (v.members, v.point) for v in verts
@@ -141,7 +142,8 @@ def test_flat_keys_are_canonical_integer_forms(field):
         arrangements += [arr.restriction(0), arr.parabolic(heaviest)]
     checked = 0
     for arr in arrangements + _draws(field) + _rank3_draws(field):
-        kernel = KERNELS[arr.field]  # A^3_1(27) and A^3_1(28) are over Q(tau)
+        assert arr.field is field
+        kernel = KERNELS[field]
         idot, neg, canonical = kernel.dot, kernel.neg, kernel.canonical
         rank2, points = (arr.lines(), arr.vertices()) if arr.dim == 4 else (arr.points(),) * 2
         for flat in points:

@@ -154,6 +154,20 @@ def test_int_pair_arithmetic_matches_quadscalar():
         assert pair_sign((da, db)) == expected.sign()
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.tuples(_PAIR, _PAIR), min_size=n,
+                                                    max_size=n)))
+def test_dots_match_termwise_sums(terms):
+    """Both kernels' dots, written out for 2 and 3 terms, are the sums of
+    the termwise products at every length."""
+    u, v = zip(*terms)
+    products = [pair_mul(x, y) for x, y in terms]
+    assert pair_dot(u, v) == (sum(p[0] for p in products), sum(p[1] for p in products))
+    assert KERNELS[Field.RATIONAL].dot([a for a, _ in u], [c for c, _ in v]) == sum(
+        a * c for (a, _), (c, _) in terms
+    )
+
+
 def test_pair_vector_canonical_collapses_field_scalings():
     base = [TAU, QuadScalar(1, -1), QuadScalar(0), QuadScalar(3, 2)]
     key = pair_vector_canonical(to_int_pairs(base))
@@ -270,3 +284,70 @@ def test_rational_point_matches_divided_canonical(vec):
     expected = _rational_canonical(vec)
     assert kernel.point(kernel.canonical(kernel.ints(vec))) == expected
     assert canonicalize_vector(vec, Field.RATIONAL) == expected
+
+
+# -- P^1 position keys ----------------------------------------------------------
+
+_FIELDS = (Field.RATIONAL, Field.QUADRATIC_TAU)
+_ZERO = {Field.RATIONAL: 0, Field.QUADRATIC_TAU: (0, 0)}
+
+
+def _scalars(field):
+    """Small integer-form scalars of the field, zero among them."""
+    if field is Field.RATIONAL:
+        return st.integers(-6, 6)
+    return st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+def _times(field, x, y):
+    return x * y if field is Field.RATIONAL else pair_mul(x, y)
+
+
+def _nonzero_factors(field):
+    """Nonzero scalars, always offering -1 and, over Q(tau), tau and 1 - tau
+    (irrational, the latter of norm -1)."""
+    if field is Field.RATIONAL:
+        must = (-1, -3)
+    else:
+        must = ((-1, 0), (0, 1), (1, -1), (0, -2), (-3, 2))
+    return st.sampled_from(must) | _scalars(field).filter(lambda x: x != _ZERO[field])
+
+
+@st.composite
+def _p1_points(draw, field):
+    """[x : y] with x, y not both zero; x = 0 or y = 0 often."""
+    zero = _ZERO[field]
+    x, y = (draw(st.just(zero) | _scalars(field)) for _ in range(2))
+    if x == zero and y == zero:
+        y = draw(_nonzero_factors(field))
+    return x, y
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.value)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_position_keys_are_projective_classes(field, data):
+    """Two points get one key exactly when x1*y2 - x2*y1 = 0, and a key does
+    not change when both coordinates are scaled by a nonzero factor."""
+    position = KERNELS[field].position
+    x1, y1 = data.draw(_p1_points(field))
+    if data.draw(st.booleans()):  # a multiple of the first point
+        factor = data.draw(_nonzero_factors(field))
+        x2, y2 = _times(field, factor, x1), _times(field, factor, y1)
+    else:
+        x2, y2 = data.draw(_p1_points(field))
+    same = _times(field, x1, y2) == _times(field, x2, y1)
+    assert (position(x1, y1) == position(x2, y2)) is same
+    factor = data.draw(_nonzero_factors(field))
+    assert position(_times(field, factor, x1), _times(field, factor, y1)) == position(x1, y1)
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.value)
+def test_zero_vectors_raise_value_error(field):
+    kernel, zero = KERNELS[field], _ZERO[field]
+    with pytest.raises(ValueError):
+        kernel.position(zero, zero)
+    with pytest.raises(ValueError):
+        kernel.canonical((zero,) * 3)
+    with pytest.raises(ValueError):
+        kernel.canonical((zero,) * 4, oriented=True)
