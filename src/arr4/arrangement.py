@@ -65,7 +65,8 @@ class Flat:
 
     `key` is its canonical `linalg.KERNELS` form: the Pluecker minors of a
     line of P^3, the point itself for a vertex or a point of P^2.  `point` is
-    a point flat's key in field scalars, None for a line of P^3.
+    a point flat's key in field scalars, None for a line of P^3.  Flats are
+    read-only, since arrangements (and the shared built-ins) cache them.
     """
 
     __slots__ = ("members", "mask", "weight", "key", "point")
@@ -77,11 +78,18 @@ class Flat:
             low = rest & -rest
             members.append(low.bit_length() - 1)
             rest ^= low
-        self.members = tuple(members)   # sorted hyperplane indices
-        self.mask = mask                # same set as a bitmask
-        self.weight = len(members)
-        self.key = key
-        self.point = point
+        setattr_ = object.__setattr__
+        setattr_(self, "members", tuple(members))   # sorted hyperplane indices
+        setattr_(self, "mask", mask)                # same set as a bitmask
+        setattr_(self, "weight", len(members))
+        setattr_(self, "key", key)
+        setattr_(self, "point", point)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Flat is read-only; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Flat is read-only; cannot delete {name!r}")
 
     def __repr__(self):
         return f"Flat(members={self.members}, point={self.point})"

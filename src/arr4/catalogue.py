@@ -7,19 +7,23 @@ simple system under its reflections, and two golden-ratio arrangements of 27
 and 28 hyperplanes given by explicit vectors.  The remaining rows are data
 only; verification degrades gracefully for them.
 
-A reflection arrangement is the orbit of the simple-root lines under the
-simple reflections, computed on the integer forms of `linalg.KERNELS`: each
-simple reflection is one integer matrix, applied without division, and root
-lines are compared by canonical integer keys.  Field scalars appear only
-when a key becomes a stored normal.
+A reflection arrangement is given by integer data only: the Cartan matrix
+of its simple system (ints, or integer pairs a + b*tau for H4, whose Cartan
+entry -tau is irrational) and one integer-form mirror normal per simple
+root.  The positive roots are closed under the simple reflections in
+simple-root coordinates, where each reflection changes one coordinate to a
+dot product with a Cartan column, and each root's mirror normal is the same
+combination of the simple mirrors.  Field scalars appear only when that
+normal's canonical key becomes a stored normal.
 
 Realizations of A4 and H4: neither admits coordinates in the stated field
 with the standard dot product as invariant form (their form discriminants are
-not squares), so those two are generated in simple-root coordinates with the
-invariant Gram matrix supplied explicitly, and the hyperplane normals are
-read off through the Gram map.  That realization is linearly isomorphic to
-the usual one, so all combinatorial output is identical, which the
-verification suite certifies against the embedded table.
+not squares), so they are realized in simple-root coordinates, where the
+mirror of a_i has normal G a_i for the Gram matrix G of the invariant form:
+with every B(a_i, a_i) = 2, the mirrors are the rows of the symmetric Cartan
+matrix.  That realization is linearly isomorphic to the usual one, so all
+combinatorial output is identical, which the verification suite certifies
+against the embedded table.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
-from fractions import Fraction
 
 from .arrangement import Arrangement
 from .invariants import (
@@ -37,8 +40,8 @@ from .invariants import (
     f_vector,
     run_data_checks,
 )
-from .linalg import KERNELS, compare_vectors, dot
-from .scalars import Field, QuadScalar, TAU, lift
+from .linalg import KERNELS, compare_vectors
+from .scalars import Field, QuadScalar, TAU
 
 
 class UnknownLabel(KeyError):
@@ -156,104 +159,92 @@ def catalogue_entry(label: str) -> CatalogueEntry:
 
 @dataclass(frozen=True)
 class RootSystemSpec:
-    """Simple system of a finite reflection group.
+    """Integer Cartan data of a finite reflection group.
 
-    `gram` is the invariant symmetric bilinear form as a 4x4 matrix of
-    scalars; None means the standard dot product.
+    `cartan[i][j]` is <a_i, a_j^v> = 2 B(a_i, a_j) / B(a_j, a_j) for the
+    simple roots a_i and the invariant form B, in the integer form of
+    `linalg.KERNELS[field]`: ints, or (a, b) pairs standing for a + b*tau.
+    `mirrors[i]` is an integer-form normal of the mirror of a_i, all at one
+    positive scale, so the root sum_i b_i a_i has mirror normal
+    sum_i b_i mirrors[i].
     """
 
     name: str
     field: Field
-    simple_roots: tuple
-    gram: tuple | None = None
+    cartan: tuple
+    mirrors: tuple
 
 
-_E = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-_HALF = Fraction(1, 2)
+_A4 = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+_H4 = (
+    ((2, 0), (0, -1), (0, 0), (0, 0)),
+    ((0, -1), (2, 0), (-1, 0), (0, 0)),
+    ((0, 0), (-1, 0), (2, 0), (-1, 0)),
+    ((0, 0), (0, 0), (-1, 0), (2, 0)),
+)
 
 REFLECTION_SPECS = {
-    "A4": RootSystemSpec(
-        "A4", Field.RATIONAL, _E,
-        gram=((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
-    ),
+    "A4": RootSystemSpec("A4", Field.RATIONAL, _A4, _A4),
     "D4": RootSystemSpec(
         "D4", Field.RATIONAL,
+        ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)),
         ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 1, 1)),
     ),
     "B4": RootSystemSpec(
         "B4", Field.RATIONAL,
+        ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -2), (0, 0, -1, 2)),
         ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1)),
     ),
     "F4": RootSystemSpec(
         "F4", Field.RATIONAL,
-        ((0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (_HALF, -_HALF, -_HALF, -_HALF)),
+        ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
+        ((0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)),
     ),
-    "H4": RootSystemSpec(
-        "H4", Field.QUADRATIC_TAU, _E,
-        gram=(
-            (QuadScalar(2), -TAU, QuadScalar(0), QuadScalar(0)),
-            (-TAU, QuadScalar(2), QuadScalar(-1), QuadScalar(0)),
-            (QuadScalar(0), QuadScalar(-1), QuadScalar(2), QuadScalar(-1)),
-            (QuadScalar(0), QuadScalar(0), QuadScalar(-1), QuadScalar(2)),
-        ),
-    ),
+    "H4": RootSystemSpec("H4", Field.QUADRATIC_TAU, _H4, _H4),
 }
 
 
 def reflection_closure(spec: RootSystemSpec, cap: int = 10000) -> Arrangement:
-    """Orbit of the simple-root lines under the simple reflections, in integers.
+    """The positive roots in simple-root coordinates, closed under the simple
+    reflections on the Cartan matrix; their mirrors are the arrangement.
 
-    The reflection group W is generated by the simple reflections, and
-    s_{w a} = w s_a w^-1, so the orbit W.{simple roots} is the set of root
-    lines closed under every reflection.  Each simple reflection is stored
-    once as the integer form of the division-free matrix
-    B(a,a) I - 2 a (G a)^T, which maps x to B(a,a) x - 2 B(x,a) a, a positive
-    multiple of s_a(x) when B is the spec's invariant form with Gram matrix G.
-    The orbit is a worklist over canonical integer keys of
-    `linalg.KERNELS`; the arrangement collects the hyperplanes fixed by the
-    reflections, whose normals under the standard pairing are the Gram
-    images of the root lines.  More than `cap` root lines raise
-    ClosureOverflow (the group is not finite).
+    s_j(b) = b - <b, a_j^v> a_j changes only the coordinate b_j, to
+    b . r_j with r_j column j of the Cartan matrix negated and its diagonal
+    entry -1.  s_j permutes the positive roots other than a_j, and every
+    positive root is reached from a simple one, so the worklist (s_j
+    skipped on a_j) collects each root line once, exactly, in integer
+    forms.  More than `cap` root lines raise ClosureOverflow (the group is
+    not finite).
     """
-    field = spec.field
-    kernel = KERNELS[field]
-    idot, canonical = kernel.dot, kernel.canonical
-    gram = spec.gram or _E
-    dim = len(gram)
-
-    def integer_matrix(entries):
-        flat = kernel.ints(entries)   # one positive scale for the whole matrix
-        return [flat[i * dim:(i + 1) * dim] for i in range(dim)]
-
-    reflections = []
-    for root in spec.simple_roots:
-        alpha = [lift(x, field) for x in root]
-        g_alpha = [dot(row, alpha) for row in gram]
-        aa = dot(alpha, g_alpha)
-        reflections.append(integer_matrix([
-            (aa if i == j else 0) - 2 * alpha[i] * g_alpha[j]
-            for i in range(dim) for j in range(dim)
-        ]))
-    lines = {canonical(kernel.ints(root)): None for root in spec.simple_roots}
-    work = deque(lines)
+    kernel = KERNELS[spec.field]
+    idot, neg = kernel.dot, kernel.neg
+    dim = len(spec.cartan)
+    simple = [kernel.ints([int(i == j) for i in range(dim)]) for j in range(dim)]
+    r = [
+        tuple(neg(simple[j][j] if i == j else row[j]) for i, row in enumerate(spec.cartan))
+        for j in range(dim)
+    ]
+    roots = dict.fromkeys(simple)
+    work = deque(simple)
     while work:
-        x = work.popleft()
-        for matrix in reflections:
-            key = canonical(tuple(idot(row, x) for row in matrix))
-            if key not in lines:
-                lines[key] = None
-                if len(lines) > cap:
-                    raise ClosureOverflow(
-                        f"more than {cap} root lines; input is not a finite system"
-                    )
-                work.append(key)
-    gram_ints = integer_matrix([x for row in gram for x in row])
+        b = work.popleft()
+        for j, rj in enumerate(r):
+            if b != simple[j]:
+                image = b[:j] + (idot(b, rj),) + b[j + 1:]
+                if image not in roots:
+                    roots[image] = None
+                    if len(roots) > cap:
+                        raise ClosureOverflow(
+                            f"more than {cap} root lines; input is not a finite system"
+                        )
+                    work.append(image)
+    columns = tuple(zip(*spec.mirrors))
     normals = [
-        kernel.point(canonical(tuple(idot(row, r) for row in gram_ints)))
-        for r in lines
+        kernel.point(kernel.canonical(tuple(idot(b, col) for col in columns)))
+        for b in roots
     ]
     normals.sort(key=cmp_to_key(compare_vectors))
-    return Arrangement(normals, field)
+    return Arrangement(normals, spec.field)
 
 
 # -- the two explicit golden-ratio arrangements -------------------------------------

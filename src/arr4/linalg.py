@@ -7,8 +7,9 @@ key with an orientation flag, position key on P^1, field point).  The
 intersection lattice, the restrictions, the reflection closure,
 reducibility, the chamber context and the Fourier-Motzkin wall test all run
 on it.  Two field-scalar helpers remain: `dot` (inner product of field
-vectors, for the Gram forms of the reflection closure) and `compare_vectors`
-(the exact lexicographic order that sorts normals for output).  The
+vectors, for callers holding field scalars; no decision layer uses it) and
+`compare_vectors` (the exact lexicographic order that sorts normals for
+output).  The
 canonical field form of a vector is point(canonical(ints(v))) for both
 fields.  `position` keys a point [x : y] of P^1 from its two integer-form
 scalars without building a vector (for Q(tau), by the ratio y/x); the
@@ -259,7 +260,7 @@ def pair_point(pairs):
 # reducibility and both chamber routes run on integer forms only.  Each
 # vector is scaled by a positive factor into primitive ints (rational) or
 # integer pairs (Q(tau)); minors, dot products, reflections and elimination
-# then stay in Z or Z[tau], and flats and root lines are grouped by a
+# then stay in Z or Z[tau], and flats and mirror normals are grouped by a
 # canonical key that is unique per projective class.  Field scalars come back
 # only when a key becomes a stored normal or a flat's point: `point` divides
 # by the first nonzero coordinate in integers (for Q(tau), by its norm after

@@ -145,21 +145,48 @@ def random_arrangements(field, count, seed):
     return out
 
 
-def reference_closure_normals(spec):
+_E = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+_HALF = Fraction(1, 2)
+_Q = QuadScalar
+
+#: The simple systems of the five reflection types in field scalars, as
+#: (simple roots, Gram matrix of the invariant form); a Gram matrix of None
+#: is the standard dot product.  This is the textbook input the integer
+#: Cartan data of `catalogue.REFLECTION_SPECS` is checked against.
+SIMPLE_SYSTEMS = {
+    "A4": (_E, ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))),
+    "D4": (((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 1, 1)), None),
+    "B4": (((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1)), None),
+    "F4": (
+        ((0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (_HALF, -_HALF, -_HALF, -_HALF)),
+        None,
+    ),
+    "H4": (_E, (
+        (_Q(2), _Q(0, -1), _Q(0), _Q(0)),
+        (_Q(0, -1), _Q(2), _Q(-1), _Q(0)),
+        (_Q(0), _Q(-1), _Q(2), _Q(-1)),
+        (_Q(0), _Q(0), _Q(-1), _Q(2)),
+    )),
+}
+
+
+def invariant_form(gram):
+    """B(x, y) for a Gram matrix, the dot product for None."""
+    if gram is None:
+        return dot
+    return lambda x, y: dot(x, tuple(dot(row, y) for row in gram))
+
+
+def reference_closure_normals(field, simple_roots, gram):
     """Sorted canonical normals of the reflection closure, in field scalars.
 
     The reference route: every reflection found so far is applied to every
     root line, s_a(x) = x - 2 B(x,a)/B(a,a) * a with Fraction or QuadScalar
-    division, round after round until no new line appears.
+    division, round after round until no new line appears.  A hyperplane's
+    normal under the standard pairing is the Gram image of its root.
     """
-    gram = spec.gram
-
-    def form(x, y):
-        if gram is None:
-            return dot(x, y)
-        return dot(x, tuple(dot(row, y) for row in gram))
-
-    lines = {canonicalize_vector(root, spec.field): None for root in spec.simple_roots}
+    form = invariant_form(gram)
+    lines = {canonicalize_vector(root, field): None for root in simple_roots}
     changed = True
     while changed:
         changed = False
@@ -172,7 +199,7 @@ def reference_closure_normals(spec):
                     twice = Fraction(twice)
                 coef = twice / aa
                 image = tuple(xi - coef * ai for xi, ai in zip(x, alpha))
-                key = canonicalize_vector(image, spec.field)
+                key = canonicalize_vector(image, field)
                 if key not in lines:
                     lines[key] = None
                     changed = True
@@ -180,7 +207,7 @@ def reference_closure_normals(spec):
         normals = list(lines)
     else:
         normals = [tuple(dot(row, r) for row in gram) for r in lines]
-    normals = [canonicalize_vector(v, spec.field) for v in normals]
+    normals = [canonicalize_vector(v, field) for v in normals]
     normals.sort(key=cmp_to_key(compare_vectors))
     return tuple(normals)
 

@@ -7,6 +7,7 @@ import pytest
 from arr4 import (
     Arrangement,
     DuplicateHyperplane,
+    Flat,
     MixedField,
     NotEssential,
     QuadScalar,
@@ -172,6 +173,29 @@ def test_restriction_counts_match_built_restrictions(name):
         assert counts == (sub.n, 1 + sum(p.weight - 1 for p in sub.points()))
 
 
+def _corrupt(arr, cached, index, key):
+    """Replace flat `index` of the cached flat tuple by a copy with another
+    key (flats are read-only); returns the copy."""
+    flats = list(arr._cache[cached])
+    old = flats[index]
+    flats[index] = Flat(old.mask, key, old.point)
+    arr._cache[cached] = tuple(flats)
+    return flats[index]
+
+
+def test_flats_are_read_only():
+    flat = builtin("D4").lines()[0]
+    key = flat.key
+    for name in ("key", "mask", "members", "weight", "point"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(flat, name, None)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(flat, name)
+    with pytest.raises(AttributeError):
+        builtin("D4").lines()[0].key = (1, 0, 0, 0, 0, 0)
+    assert builtin("D4").lines()[0].key == key
+
+
 @pytest.mark.parametrize("make, line, key, message", [
     # four lines inside hyperplane 0, two of them restricting to (1, 0, 0)
     (generic5_arrangement, 3, (1, 0, 0, 0, 0, 0), "restrict to one normal"),
@@ -183,7 +207,7 @@ def test_restriction_checks_fire(make, line, key, message):
     for restricted in (lambda arr: arr.restriction_counts(), lambda arr: arr.restriction(0)):
         arr = make()
         assert arr.lines()[line].members[0] == 0
-        arr.lines()[line].key = key
+        _corrupt(arr, "rank2", line, key)
         with pytest.raises(AssertionError, match=f"hyperplane 0.* {message}"):
             restricted(arr)
 
@@ -237,9 +261,8 @@ def test_parabolic_checks_fire(make, key, message):
     """A parabolic whose normals repeat or do not span is an internal error;
     a corrupted vertex key moves the pivot onto a coordinate the vertex lacks."""
     arr = make()
-    vertex = arr.vertices()[0]
-    assert vertex.key == (1, 0, 0, 0)
-    vertex.key = key
+    assert arr.vertices()[0].key == (1, 0, 0, 0)
+    vertex = _corrupt(arr, "vertices", 0, key)
     where = re.escape(f"parabolic at vertex {vertex.members}")
     with pytest.raises(AssertionError, match=f"{where}.* {message}"):
         arr.parabolic(vertex)

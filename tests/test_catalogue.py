@@ -14,11 +14,14 @@ from arr4 import (
     builtin,
     catalogue_rows,
     reflection_closure,
+    sign,
     verify_row,
 )
 from arr4.catalogue import REFLECTION_SPECS, catalogue_entry
 from arr4.invariants import positional
-from helpers import reference_closure_normals
+from arr4.linalg import dot
+from arr4.scalars import lift
+from helpers import SIMPLE_SYSTEMS, invariant_form, reference_closure_normals
 
 # Positional transcriptions of the embedded table (h from weight 2, t from 3).
 TABLE = {
@@ -82,44 +85,74 @@ def test_closure_sizes(name, size):
     assert builtin(name).n == size
 
 
+def _scaled(x, factor):
+    """An integer-form scalar (int or (a, b) pair) times an int."""
+    return (factor * x[0], factor * x[1]) if isinstance(x, tuple) else factor * x
+
+
 def test_closure_invariant_under_root_order_and_scaling():
     rng = random.Random(3)
-    for name in ("A4", "D4"):
+    for name in ("A4", "D4", "B4", "F4", "H4"):
         spec = REFLECTION_SPECS[name]
         reference = reflection_closure(spec).normals
-        roots = list(spec.simple_roots)
-        rng.shuffle(roots)
-        factors = [rng.choice([1, 2, 3]) for _ in roots]
-        roots = [tuple(f * x for x in r) for f, r in zip(factors, roots)]
-        shuffled = reflection_closure(
-            RootSystemSpec(spec.name, spec.field, tuple(roots), spec.gram)
-        )
-        assert shuffled.normals == reference
+        for _ in range(2):
+            order = list(range(len(spec.cartan)))
+            rng.shuffle(order)
+            factor = rng.choice([1, 2, 3])
+            cartan = tuple(tuple(spec.cartan[i][j] for j in order) for i in order)
+            mirrors = tuple(
+                tuple(_scaled(x, factor) for x in spec.mirrors[i]) for i in order
+            )
+            shuffled = reflection_closure(RootSystemSpec(spec.name, spec.field, cartan, mirrors))
+            assert shuffled.normals == reference
 
 
 @pytest.mark.parametrize("name", ["A4", "D4", "B4", "F4"])
 def test_closure_matches_reference(name):
-    """Integer orbit under the simple reflections vs the all-pairs field closure."""
+    """Integer closure on the Cartan data vs the all-pairs field closure of
+    the simple roots."""
     spec = REFLECTION_SPECS[name]
-    reference = reference_closure_normals(spec)
+    roots, gram = SIMPLE_SYSTEMS[name]
+    reference = reference_closure_normals(spec.field, roots, gram)
     assert reflection_closure(spec).normals == reference
     rng = random.Random(name)
     for _ in range(2):
-        roots = list(spec.simple_roots)
-        rng.shuffle(roots)
-        factors = [rng.choice([1, -1, 3, Fraction(-1, 2), Fraction(5, 3)]) for _ in roots]
-        roots = tuple(tuple(f * x for x in r) for f, r in zip(factors, roots))
-        varied = RootSystemSpec(spec.name, spec.field, roots, spec.gram)
-        assert reference_closure_normals(varied) == reference
-        assert reflection_closure(varied).normals == reference
+        varied = list(roots)
+        rng.shuffle(varied)
+        factors = [rng.choice([1, -1, 3, Fraction(-1, 2), Fraction(5, 3)]) for _ in varied]
+        varied = tuple(tuple(f * x for x in r) for f, r in zip(factors, varied))
+        assert reference_closure_normals(spec.field, varied, gram) == reference
+
+
+@pytest.mark.parametrize("name", ["A4", "D4", "B4", "F4", "H4"])
+def test_cartan_data_matches_simple_systems(name):
+    """cartan[i][j] = 2 B(a_i, a_j) / B(a_j, a_j) in field scalars, and the
+    mirrors are one common positive multiple of the Gram images G a_i."""
+    spec = REFLECTION_SPECS[name]
+    roots, gram = SIMPLE_SYSTEMS[name]
+    form = invariant_form(gram)
+
+    def scalar(x):
+        """An integer-form scalar in field scalars."""
+        return QuadScalar(*x) if isinstance(x, tuple) else Fraction(x)
+
+    for a, row in zip(roots, spec.cartan):
+        ratios = [2 * form(a, b) / lift(form(b, b), spec.field) for b in roots]
+        assert ratios == list(map(scalar, row))
+    images = [a if gram is None else tuple(dot(g, a) for g in gram) for a in roots]
+    scale = next(scalar(m[k]) / lift(g[k], spec.field)
+                 for m, g in zip(spec.mirrors, images) for k in range(4) if g[k])
+    assert sign(scale) > 0
+    for mirror, image in zip(spec.mirrors, images):
+        assert list(map(scalar, mirror)) == [scale * x for x in image]
 
 
 def test_closure_overflow_guard():
-    # an invalid "Gram matrix" produces reflections of infinite order
+    # -3 is no Cartan entry of a finite group: s_1 s_2 has infinite order
     bad = RootSystemSpec(
         "bad", Field.RATIONAL,
+        ((2, -3, 0, 0), (-3, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
         ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
-        gram=((2, -3, 0, 0), (-3, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
     )
     with pytest.raises(ClosureOverflow):
         reflection_closure(bad, cap=300)
