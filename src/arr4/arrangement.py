@@ -78,12 +78,11 @@ class Flat:
             low = rest & -rest
             members.append(low.bit_length() - 1)
             rest ^= low
-        setattr_ = object.__setattr__
-        setattr_(self, "members", tuple(members))   # sorted hyperplane indices
-        setattr_(self, "mask", mask)                # same set as a bitmask
-        setattr_(self, "weight", len(members))
-        setattr_(self, "key", key)
-        setattr_(self, "point", point)
+        _set_members(self, tuple(members))   # sorted hyperplane indices
+        _set_mask(self, mask)                 # same set as a bitmask
+        _set_weight(self, len(members))
+        _set_key(self, key)
+        _set_point(self, point)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Flat is read-only; cannot set {name!r}")
@@ -93,6 +92,12 @@ class Flat:
 
     def __repr__(self):
         return f"Flat(members={self.members}, point={self.point})"
+
+
+#: The slot setters, which `Flat.__init__` calls past the read-only `__setattr__`.
+_set_members, _set_mask, _set_weight, _set_key, _set_point = (
+    getattr(Flat, name).__set__ for name in Flat.__slots__
+)
 
 
 #: Coordinate pairs (a, b) of the 2x2 minors u_a v_b - u_b v_a of two normals:
@@ -208,8 +213,13 @@ def _projective_chamber_count(char_poly) -> int:
 
 
 class _CentralArrangement:
-    """Construction and rank-2 flats, shared by both ambient dimensions."""
+    """Construction and rank-2 flats, shared by both ambient dimensions.
 
+    Arrangements are read-only, like their flats, since the shared built-ins
+    are cached: only the contents of the private `_cache` dict change.
+    """
+
+    __slots__ = ("field", "normals", "_kernel", "_cache")
     dim: int
 
     def __init__(self, normals, field: Field | None = None):
@@ -233,10 +243,17 @@ class _CentralArrangement:
 
     def _setup(self, keys, field):
         """Store the field, the field normals and the integer forms of the keys."""
-        self.field = field
-        self._kernel = kernel = KERNELS[field]
-        self.normals = tuple(map(kernel.point, keys))
-        self._cache = {"ints": (keys, [tuple(map(kernel.neg, u)) for u in keys])}
+        kernel = KERNELS[field]
+        _set_field(self, field)
+        _set_kernel(self, kernel)
+        _set_normals(self, tuple(map(kernel.point, keys)))
+        _set_cache(self, {"ints": (keys, [tuple(map(kernel.neg, u)) for u in keys])})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only; cannot delete {name!r}")
 
     @property
     def n(self) -> int:
@@ -273,9 +290,15 @@ class _CentralArrangement:
         return self._cache["rank2"]
 
 
+_set_field, _set_normals, _set_kernel, _set_cache = (
+    getattr(_CentralArrangement, name).__set__ for name in _CentralArrangement.__slots__
+)
+
+
 class Arrangement(_CentralArrangement):
     """An essential central arrangement of n >= 1 hyperplanes in K^4."""
 
+    __slots__ = ()
     dim = 4
 
     # -- intersection lattice -------------------------------------------------
@@ -507,6 +530,7 @@ class Arrangement(_CentralArrangement):
 class Rank3Arrangement(_CentralArrangement):
     """An essential central arrangement in K^3 (restrictions, parabolics)."""
 
+    __slots__ = ()
     dim = 3
 
     def points(self):

@@ -29,8 +29,8 @@ against the embedded table.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
+from typing import NamedTuple
 
 from .arrangement import Arrangement
 from .invariants import (
@@ -59,8 +59,7 @@ class ClosureOverflow(RuntimeError):
     """Reflection closure exceeded the safety cap (input not a finite system)."""
 
 
-@dataclass(frozen=True)
-class CatalogueEntry:
+class CatalogueEntry(NamedTuple):
     """One row of the embedded catalogue."""
 
     label: str
@@ -157,8 +156,7 @@ def catalogue_entry(label: str) -> CatalogueEntry:
 # -- reflection arrangements --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootSystemSpec:
+class RootSystemSpec(NamedTuple):
     """Integer Cartan data of a finite reflection group.
 
     `cartan[i][j]` is <a_i, a_j^v> = 2 B(a_i, a_j) / B(a_j, a_j) for the
@@ -312,8 +310,7 @@ def builtin(label: str) -> Arrangement:
 # -- row verification -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RowReport:
+class RowReport(NamedTuple):
     """Verification record for one catalogue row."""
 
     label: str

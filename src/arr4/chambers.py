@@ -26,7 +26,9 @@ corner set in a set local to that walk: the neighbour across h has the same
 facet, its corners negated when mask canonicalization flips the global
 sign.  The interior witness is the sum of the corner rays' rank forms, each
 a positive rescaling of its ray, so it is a sum of plain integers (pairs
-flattened to ints over Q(tau)) converted to field scalars once per chamber.
+flattened to ints over Q(tau)) converted to field scalars.  No report reads
+it, so the walk leaves it out: a chamber keeps its mask and the context, and
+computes its witness on the first read.
 
 The `walls` operation decides each candidate independently instead, by
 eliminating onto the candidate hyperplane and running an exact strict
@@ -41,9 +43,9 @@ built only for the witness.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
+from typing import NamedTuple
 
 from .linalg import KERNELS, int_rank
 from .scalars import Field, QuadScalar
@@ -255,14 +257,57 @@ def generic_point(arr):
     raise GenericPointNotFound("moment-curve candidates exhausted")
 
 
-@dataclass(frozen=True)
 class Chamber:
-    """A projective chamber: canonical sign vector plus derived geometry."""
+    """A projective chamber: canonical sign vector plus derived geometry.
 
-    signs: tuple
-    walls: tuple
-    witness: tuple
-    mask: int = field(repr=False, default=0)
+    `mask` has bit i set where `signs[i]` is -1.  `witness`, an interior
+    point, is the sum of the rank forms of the chamber's corner rays; it is
+    computed from the chamber context on first access, as no report reads
+    it.  Chambers are read-only; they compare and hash by (signs, walls,
+    witness, mask), and the repr leaves out the mask.
+    """
+
+    __slots__ = ("signs", "walls", "mask", "_ctx", "_witness")
+
+    def __init__(self, signs, walls, mask, ctx):
+        _set_signs(self, signs)
+        _set_walls(self, walls)
+        _set_mask(self, mask)
+        _set_ctx(self, ctx)
+        _set_witness(self, None)
+
+    @property
+    def witness(self):
+        if self._witness is None:
+            ctx = self._ctx
+            _set_witness(self, ctx.witness(ctx.compatible(self.mask)))
+        return self._witness
+
+    def _key(self):
+        return (self.signs, self.walls, self.witness, self.mask)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Chamber(signs={self.signs!r}, walls={self.walls!r}, witness={self.witness!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Chamber is read-only; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Chamber is read-only; cannot delete {name!r}")
+
+
+#: The slot setters, which `Chamber` calls past its read-only `__setattr__`.
+_set_signs, _set_walls, _set_mask, _set_ctx, _set_witness = (
+    getattr(Chamber, name).__set__ for name in Chamber.__slots__
+)
 
 
 def _bfs_chambers(arr, limit=None):
@@ -285,7 +330,7 @@ def _bfs_chambers(arr, limit=None):
         wl = ctx.walls(corners, certified)
         signs = tuple(-1 if m >> i & 1 else 1 for i in range(ctx.n))
         count += 1
-        yield Chamber(signs, wl, ctx.witness(corners), m)
+        yield Chamber(signs, wl, m, ctx)
         for h in wl:
             nm = _canonical_mask(m ^ (1 << h), ctx.full)
             if nm not in visited:
@@ -395,8 +440,7 @@ def _pair_weights(arr):
     return pw
 
 
-@dataclass(frozen=True, eq=True)
-class CoxeterDiagram:
+class CoxeterDiagram(NamedTuple):
     """Graph on the walls of a chamber; edges carry line weights >= 3."""
 
     walls: tuple

@@ -22,10 +22,9 @@ f-vector), so catalogue rows without known normal vectors can be verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .arrangement import Arrangement
 
@@ -103,8 +102,7 @@ def geq_minus_sqrt(lhs: int, a: int, s: int, d: int) -> bool:
 # -- characteristic polynomial ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReducedCubic:
+class ReducedCubic(NamedTuple):
     """The cubic factor t^3 + p t^2 + q t + r of the characteristic polynomial."""
 
     p: int
@@ -119,8 +117,7 @@ class ReducedCubic:
         return (1, self.p, self.q, self.r)
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(NamedTuple):
     """Monic integer quartic, stored by descending coefficients."""
 
     coefficients: tuple[int, int, int, int, int]
@@ -246,8 +243,7 @@ def positional(vector: Mapping[int, int], start: int) -> tuple[int, ...]:
     return tuple(vector.get(i, 0) for i in range(start, top + 1))
 
 
-@dataclass(frozen=True)
-class ArrangementData:
+class ArrangementData(NamedTuple):
     """Bare combinatorial record: size, h-vector, t-vector, f-vector."""
 
     n: int
@@ -290,8 +286,7 @@ class ArrangementData:
         return sum((i - 1) * c for i, c in self.h.items() if i <= self.m - 1)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one named exact comparison."""
 
     name: str
@@ -306,8 +301,7 @@ class CheckResult:
         return f"{self.name}: {status} (lhs={self.lhs}, rhs={self.rhs}{extra})"
 
 
-@dataclass(frozen=True)
-class RealRootReport:
+class RealRootReport(NamedTuple):
     """Verdict of the splitting test plus the three supporting relations."""
 
     real_rooted: bool
@@ -496,8 +490,7 @@ def check_simply_laced_bounds(
     return out
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     """One line of a verification report: a named check with a status."""
 
     name: str

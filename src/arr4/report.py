@@ -42,7 +42,7 @@ def encode_exact(value):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, dict):
         return {str(k): encode_exact(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):  # not the NamedTuple records
         return [encode_exact(v) for v in value]
     raise TypeError(f"cannot encode {value!r} exactly")
 

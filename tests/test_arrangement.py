@@ -196,6 +196,20 @@ def test_flats_are_read_only():
     assert builtin("D4").lines()[0].key == key
 
 
+def test_builtins_are_read_only():
+    arr = builtin("D4")
+    for name in ("normals", "field", "dim", "_cache"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(arr, name, None)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(arr, name)
+    with pytest.raises(AttributeError):
+        builtin("D4").normals = builtin("D4").normals[:3]
+    assert builtin("D4").n == 12
+    with pytest.raises(AttributeError, match="read-only"):
+        arr.restriction(0).normals = ()
+
+
 @pytest.mark.parametrize("make, line, key, message", [
     # four lines inside hyperplane 0, two of them restricting to (1, 0, 0)
     (generic5_arrangement, 3, (1, 0, 0, 0, 0, 0), "restrict to one normal"),

@@ -107,6 +107,28 @@ def test_witness_points_realize_signs(boolean, generic5):
             assert observed == ch.signs
 
 
+@pytest.mark.parametrize("name", ["A4", "A^3_1(28)"])
+def test_chamber_records(name):
+    """Chambers of two fresh copies compare and hash equal pairwise, the
+    witness waits for its first read, and the repr leaves out the mask."""
+    template = builtin(name)
+    first, second = (
+        enumerate_chambers(Arrangement(template.normals, template.field)) for _ in range(2)
+    )
+    assert all(ch._witness is None for ch in first)
+    assert first == second
+    assert [hash(ch) for ch in first] == [hash(ch) for ch in second]
+    assert len({ch.mask for ch in first}) == len(set(first)) == len(first)
+    ch, other = first[0], first[1]
+    assert ch.mask != other.mask and ch != other
+    assert repr(ch) == (
+        f"Chamber(signs={ch.signs!r}, walls={ch.walls!r}, witness={ch.witness!r})"
+    )
+    with pytest.raises(AttributeError, match="read-only"):
+        ch.signs = other.signs
+    assert ch == second[0]
+
+
 def test_bfs_closure_under_wall_flips(boolean):
     for arr in (boolean, builtin("A4"), builtin("D4")):
         masks = {ch.mask for ch in enumerate_chambers(arr)}

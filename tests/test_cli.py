@@ -232,6 +232,14 @@ def test_analyze_json_golden_digest(capsys, tmp_path, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_records_do_not_encode_as_arrays():
+    """The NamedTuple records are tuples, but exact JSON takes no record."""
+    chi = CharPoly((1, -4, 6, -4, 1))
+    assert arr4.report.encode_exact(chi.coefficients) == [1, -4, 6, -4, 1]
+    with pytest.raises(TypeError, match="cannot encode"):
+        arr4.report.encode_exact(chi)
+
+
 def test_internal_check_failure_exit5_analyze(capsys, tmp_path, monkeypatch):
     # a wrong closed form makes the Moebius vs formula cross-check fail
     path = tmp_path / "boolean.arr"
@@ -365,3 +373,20 @@ def test_closed_stdout_ends_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == -signal.SIGPIPE
     assert err == b""
+
+
+def test_cli_import_is_lean():
+    """Importing the command line loads neither `dataclasses` nor the
+    `inspect` it pulls in: every `python -m arr4` child pays its imports."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arr4.__file__)))
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import arr4.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env,
+                          timeout=60, check=True)
+    loaded = set(done.stdout.decode().split())
+    assert "arr4.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
