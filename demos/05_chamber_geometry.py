@@ -17,7 +17,6 @@ from arr4 import (
     is_simplicial,
     is_simply_laced,
 )
-from arr4.linalg import dot
 from arr4.scalars import sign
 
 a4 = builtin("A4")
@@ -28,7 +27,8 @@ ch = chambers[0]
 print("sample chamber walls:", ch.walls)
 print("witness point:", ch.witness)
 print("witness realizes the sign vector:",
-      tuple(sign(dot(v, ch.witness)) for v in a4.normals) == ch.signs)
+      tuple(sign(sum(x * y for x, y in zip(v, ch.witness))) for v in a4.normals)
+      == ch.signs)
 
 shapes = Counter(coxeter_diagram(a4, c).canonical_key() for c in chambers)
 print("diagram shapes:", dict(shapes))

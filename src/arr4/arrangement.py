@@ -12,8 +12,9 @@ The lattice is computed on exact integer forms of the normals (primitive ints
 over Q, integer pairs a + b*tau over Q(tau)), through the per-field table
 `linalg.KERNELS`; nothing else here depends on the field.  Every flat carries
 its canonical integer form as its `key`, which is all the lattice, the
-derived arrangements and the chamber context read; field scalars are made
-only from the input normals and for the public `normals` and `Flat.point`.
+derived arrangements and the chamber context read.  The keys are the only
+stored form: field scalars are made when the public `normals` and
+`Flat.point` views are read.
 Rank-2 flats group the hyperplane pairs by the canonical 2x2 minors of
 their normals: the Pluecker coordinates of the line in K^4, the cross
 product (which is the point itself) in K^3.  A normal off a line meets it in
@@ -64,14 +65,13 @@ class Flat:
     """A flat of the intersection lattice: the hyperplanes containing it.
 
     `key` is its canonical `linalg.KERNELS` form: the Pluecker minors of a
-    line of P^3, the point itself for a vertex or a point of P^2.  `point` is
-    a point flat's key in field scalars, None for a line of P^3.  Flats are
+    line of P^3, the point itself for a vertex or a point of P^2.  Flats are
     read-only, since arrangements (and the shared built-ins) cache them.
     """
 
-    __slots__ = ("members", "mask", "weight", "key", "point")
+    __slots__ = ("members", "mask", "weight", "key")
 
-    def __init__(self, mask, key, point=None):
+    def __init__(self, mask, key):
         members = []
         rest = mask
         while rest:
@@ -82,7 +82,17 @@ class Flat:
         _set_mask(self, mask)                 # same set as a bitmask
         _set_weight(self, len(members))
         _set_key(self, key)
-        _set_point(self, point)
+
+    @property
+    def point(self):
+        """The key of a point flat in field scalars, made on each read; None
+        for the six-minor key of a line of P^3.  The field is read off the
+        key's own form: (a, b) pairs for Q(tau), ints for Q."""
+        key = self.key
+        if len(key) == 6:
+            return None
+        field = Field.QUADRATIC_TAU if isinstance(key[0], tuple) else Field.RATIONAL
+        return KERNELS[field].point(key)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Flat is read-only; cannot set {name!r}")
@@ -95,7 +105,7 @@ class Flat:
 
 
 #: The slot setters, which `Flat.__init__` calls past the read-only `__setattr__`.
-_set_members, _set_mask, _set_weight, _set_key, _set_point = (
+_set_members, _set_mask, _set_weight, _set_key = (
     getattr(Flat, name).__set__ for name in Flat.__slots__
 )
 
@@ -135,15 +145,13 @@ _RESTRICT = tuple(
 
 
 def _canonical_normals(normals, field, ambient):
-    """The canonical integer keys of the normals, checked pairwise distinct.
+    """The canonical integer key of each normal, made as the normal is read.
 
     A key is a positive rescaling of its normal's canonical field form
     (`point` of the key: leading entry 1 or positive), so the keys serve as
     the arrangement's integer normals.
     """
     kernel = KERNELS[field]
-    keys = []
-    seen = {}
     for idx, vec in enumerate(normals):
         vec = tuple(vec)
         if len(vec) != ambient:
@@ -154,13 +162,21 @@ def _canonical_normals(normals, field, ambient):
             raise MixedField(str(exc)) from None
         if not any(lifted):
             raise ZeroNormal(f"normal {idx} is the zero vector")
-        key = kernel.canonical(kernel.ints(lifted))
-        if key in seen:
-            raise DuplicateHyperplane(
-                f"normals {seen[key]} and {idx} define the same hyperplane"
-            )
-        seen[key] = idx
-        keys.append(key)
+        yield kernel.canonical(kernel.ints(lifted))
+
+
+def _essential_keys(keys, ambient):
+    """The canonical keys as a list, checked pairwise distinct as they are
+    read (DuplicateHyperplane) and then spanning K^ambient (NotEssential)."""
+    seen = {}
+    for idx, key in enumerate(keys):
+        first = seen.setdefault(key, idx)
+        if first != idx:
+            raise DuplicateHyperplane(f"normals {first} and {idx} define the same hyperplane")
+    keys = list(seen)
+    r = int_rank(keys)
+    if r != ambient:
+        raise NotEssential(f"normals span a subspace of rank {r}, need {ambient}")
     return keys
 
 
@@ -219,7 +235,7 @@ class _CentralArrangement:
     are cached: only the contents of the private `_cache` dict change.
     """
 
-    __slots__ = ("field", "normals", "_kernel", "_cache")
+    __slots__ = ("field", "_kernel", "_cache")
     dim: int
 
     def __init__(self, normals, field: Field | None = None):
@@ -228,11 +244,7 @@ class _CentralArrangement:
             raise ValueError("an arrangement needs at least one hyperplane")
         if field is None:
             field = infer_field(x for vec in normals for x in vec)
-        keys = _canonical_normals(normals, field, self.dim)
-        r = int_rank(keys)
-        if r != self.dim:
-            raise NotEssential(f"normals span a subspace of rank {r}, need {self.dim}")
-        self._setup(keys, field)
+        self._setup(_essential_keys(_canonical_normals(normals, field, self.dim), self.dim), field)
 
     @classmethod
     def _from_keys(cls, keys, field: Field):
@@ -242,11 +254,10 @@ class _CentralArrangement:
         return arr
 
     def _setup(self, keys, field):
-        """Store the field, the field normals and the integer forms of the keys."""
+        """Store the field and the integer forms of the keys."""
         kernel = KERNELS[field]
         _set_field(self, field)
         _set_kernel(self, kernel)
-        _set_normals(self, tuple(map(kernel.point, keys)))
         _set_cache(self, {"ints": (keys, [tuple(map(kernel.neg, u)) for u in keys])})
 
     def __setattr__(self, name, value):
@@ -256,8 +267,15 @@ class _CentralArrangement:
         raise AttributeError(f"{type(self).__name__} is read-only; cannot delete {name!r}")
 
     @property
+    def normals(self):
+        """The canonical normals in field scalars, made from the keys on first read."""
+        if "normals" not in self._cache:
+            self._cache["normals"] = tuple(map(self._kernel.point, self._integer_normals()[0]))
+        return self._cache["normals"]
+
+    @property
     def n(self) -> int:
-        return len(self.normals)
+        return len(self._integer_normals()[0])
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, field={self.field.value})"
@@ -270,7 +288,7 @@ class _CentralArrangement:
         """Every rank-2 flat (a line of P^3, a point of P^2), sorted by member
         sets; its key is the canonical minors of any two members' normals."""
         if "rank2" not in self._cache:
-            idot, canonical, point = self._kernel.dot, self._kernel.canonical, self._kernel.point
+            idot, canonical = self._kernel.dot, self._kernel.canonical
             ints, negs = self._integer_normals()
             minors = _MINORS[self.dim]
             # u_a v_b - u_b v_a = (u_a, u_b) . (v_b, -v_a)
@@ -282,15 +300,12 @@ class _CentralArrangement:
                 for j in range(i + 1, self.n):
                     key = canonical(tuple(map(idot, li, right[j])))
                     groups[key] = groups.get(key, 0) | bit | 1 << j
-            flats = [
-                Flat(mask, key, point(key) if self.dim == 3 else None)
-                for key, mask in groups.items()
-            ]
+            flats = [Flat(mask, key) for key, mask in groups.items()]
             self._cache["rank2"] = tuple(sorted(flats, key=lambda flat: flat.members))
         return self._cache["rank2"]
 
 
-_set_field, _set_normals, _set_kernel, _set_cache = (
+_set_field, _set_kernel, _set_cache = (
     getattr(_CentralArrangement, name).__set__ for name in _CentralArrangement.__slots__
 )
 
@@ -333,7 +348,7 @@ class Arrangement(_CentralArrangement):
         """
         kernel = self._kernel
         idot, canonical, position = kernel.dot, kernel.canonical, kernel.position
-        sign, point = kernel.sign, kernel.point
+        sign = kernel.sign
         ints, negs = self._integer_normals()
         hodge_w = [
             tuple(tuple((w if s > 0 else nw)[j] for _, j, s in row) for row in _HODGE)
@@ -370,7 +385,7 @@ class Arrangement(_CentralArrangement):
         flats, counts, weights = [], [], []
         while found:  # popping frees each entry as its flat is made
             mask, entry = found.popitem()
-            flats.append(Flat(mask, entry[0], point(entry[0])))
+            flats.append(Flat(mask, entry[0]))
             counts.append(entry[1])
             weights.append(entry[2])
         found.clear()  # and this frees the emptied table
@@ -517,9 +532,6 @@ class Arrangement(_CentralArrangement):
         first = tuple(parts[0])
         rest = tuple(sorted(i for blk in parts[1:] for i in blk))
         return (first, rest)
-
-    def is_reducible(self) -> bool:
-        return self.reducible_partition() is not None
 
     # chamber machinery reads corner flats generically (vertices here,
     # points for rank-3 arrangements)

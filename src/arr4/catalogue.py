@@ -13,8 +13,9 @@ entry -tau is irrational) and one integer-form mirror normal per simple
 root.  The positive roots are closed under the simple reflections in
 simple-root coordinates, where each reflection changes one coordinate to a
 dot product with a Cartan column, and each root's mirror normal is the same
-combination of the simple mirrors.  Field scalars appear only when that
-normal's canonical key becomes a stored normal.
+combination of the simple mirrors.  The arrangement stores the canonical
+keys of those normals, checked as input normals are; field scalars appear
+only as the sort key of the output order.
 
 Realizations of A4 and H4: neither admits coordinates in the stated field
 with the standard dot product as invariant form (their form discriminants are
@@ -32,7 +33,7 @@ from collections import deque
 from functools import cmp_to_key, lru_cache
 from typing import NamedTuple
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, _essential_keys
 from .invariants import (
     ArrangementData,
     CheckOutcome,
@@ -237,12 +238,10 @@ def reflection_closure(spec: RootSystemSpec, cap: int = 10000) -> Arrangement:
                         )
                     work.append(image)
     columns = tuple(zip(*spec.mirrors))
-    normals = [
-        kernel.point(kernel.canonical(tuple(idot(b, col) for col in columns)))
-        for b in roots
-    ]
-    normals.sort(key=cmp_to_key(compare_vectors))
-    return Arrangement(normals, spec.field)
+    keys = [kernel.canonical(tuple(idot(b, col) for col in columns)) for b in roots]
+    order = cmp_to_key(compare_vectors)
+    keys.sort(key=lambda key: order(kernel.point(key)))
+    return Arrangement._from_keys(_essential_keys(keys, Arrangement.dim), spec.field)
 
 
 # -- the two explicit golden-ratio arrangements -------------------------------------

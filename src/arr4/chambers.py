@@ -25,10 +25,10 @@ once per distinct facet of a walk, keyed by h and the unoriented tight
 corner set in a set local to that walk: the neighbour across h has the same
 facet, its corners negated when mask canonicalization flips the global
 sign.  The interior witness is the sum of the corner rays' rank forms, each
-a positive rescaling of its ray, so it is a sum of plain integers (pairs
-flattened to ints over Q(tau)) converted to field scalars.  No report reads
-it, so the walk leaves it out: a chamber keeps its mask and the context, and
-computes its witness on the first read.
+a positive rescaling of its ray, so it is a sum of plain integers (summed
+per component of the pairs over Q(tau)) converted to field scalars.  No
+report reads it, so the walk leaves it out: a chamber keeps its mask and the
+context, and computes its witness on the first read.
 
 The `walls` operation decides each candidate independently instead, by
 eliminating onto the candidate hyperplane and running an exact strict
@@ -120,16 +120,12 @@ class _Context:
     negation.  `pos[i]`, `neg[i]` and `zero[i]` hold the oriented corners on
     the positive side of hyperplane i, on its negative side and on it.
     `forms[j]` is the rank form of corner j, its flat's key (primitive ints,
-    or integer pairs for Q(tau)), a positive rescaling of its point.
-    `rows[b]` is the form of oriented corner b, flattened to ints
-    (a0, b0, a1, b1, ...) for Q(tau), so a chamber's witness, the sum of the
-    rank forms of its corners, is a sum of plain integers.  The context holds no walk state: the facets already
-    certified belong to one walk of `_bfs_chambers`.
+    or integer pairs for Q(tau)), a positive rescaling of its point.  The
+    context holds no walk state: the facets already certified belong to one
+    walk of `_bfs_chambers`.
     """
 
-    __slots__ = (
-        "n", "dim", "full", "size", "low", "everything", "pos", "neg", "zero", "forms", "rows",
-    )
+    __slots__ = ("n", "dim", "full", "size", "low", "everything", "pos", "neg", "zero", "forms")
 
     def __init__(self, arr):
         self.n = arr.n
@@ -139,10 +135,6 @@ class _Context:
         kernel = KERNELS[arr.field]
         normals = arr._integer_normals()[0]
         self.forms = [flat.key for flat in flats]
-        rows = self.forms
-        if arr.field is Field.QUADRATIC_TAU:
-            rows = [tuple(x for pair in form for x in pair) for form in rows]
-        self.rows = rows + [tuple(-x for x in row) for row in rows]
         size = self.size = len(flats)
         self.low = (1 << size) - 1
         self.everything = (1 << 2 * size) - 1
@@ -201,12 +193,20 @@ class _Context:
         return tuple(out)
 
     def witness(self, corners: int):
-        """The sum of the oriented corners' rank forms, as field scalars."""
-        rows = self.rows
-        total = [sum(column) for column in zip(*(rows[b] for b in _bits(corners)))]
-        if len(total) == self.dim:  # rational; Q(tau) rows hold 2 * dim ints
-            return tuple(total)
-        return tuple(QuadScalar(a, b) for a, b in zip(total[::2], total[1::2]))
+        """The sum of the oriented corners' rank forms, as field scalars:
+        oriented corner j adds forms[j], and j + size subtracts it."""
+        plus = [self.forms[j] for j in _bits(corners & self.low)]
+        minus = [self.forms[j] for j in _bits(corners >> self.size)]
+
+        def total(entry):
+            return sum(map(entry, plus)) - sum(map(entry, minus))
+
+        if isinstance(self.forms[0][0], tuple):  # Q(tau): (a, b) integer pairs
+            return tuple(
+                QuadScalar(total(lambda u: u[c][0]), total(lambda u: u[c][1]))
+                for c in range(self.dim)
+            )
+        return tuple(total(lambda u: u[c]) for c in range(self.dim))
 
 
 def _bits(x: int):

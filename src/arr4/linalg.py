@@ -6,11 +6,9 @@ the per-field table `KERNELS` (integer form, dot, negation, sign, canonical
 key with an orientation flag, position key on P^1, field point).  The
 intersection lattice, the restrictions, the reflection closure,
 reducibility, the chamber context and the Fourier-Motzkin wall test all run
-on it.  Two field-scalar helpers remain: `dot` (inner product of field
-vectors, for callers holding field scalars; no decision layer uses it) and
-`compare_vectors` (the exact lexicographic order that sorts normals for
-output).  The
-canonical field form of a vector is point(canonical(ints(v))) for both
+on it.  One field-scalar helper remains: `compare_vectors` (the exact
+lexicographic order that sorts normals for output).  The canonical field
+form of a vector is point(canonical(ints(v))) for both
 fields.  `position` keys a point [x : y] of P^1 from its two integer-form
 scalars without building a vector (for Q(tau), by the ratio y/x); the
 lattice groups the hits on a line by it, and its keys are never stored:
@@ -25,16 +23,6 @@ from operator import mul, neg
 from typing import Callable, NamedTuple
 
 from .scalars import Field, QuadScalar, pair_sign, sign
-
-
-def dot(u, v):
-    """Exact inner product; vectors must have equal length."""
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    total = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        total = total + a * b
-    return total
 
 
 def _cleared(vec):
@@ -262,7 +250,7 @@ def pair_point(pairs):
 # integer pairs (Q(tau)); minors, dot products, reflections and elimination
 # then stay in Z or Z[tau], and flats and mirror normals are grouped by a
 # canonical key that is unique per projective class.  Field scalars come back
-# only when a key becomes a stored normal or a flat's point: `point` divides
+# only when an arrangement's normals or a flat's point are read: `point` divides
 # by the first nonzero coordinate in integers (for Q(tau), by its norm after
 # multiplying by its conjugate), and point(canonical(ints(v))) is the one
 # canonical path from a field vector to its class representative.  With

@@ -24,11 +24,21 @@ from arr4.invariants import (
     floor_add_sqrt,
     floor_add_sqrt_interval,
 )
-from arr4.linalg import KERNELS, compare_vectors, dot
+from arr4.linalg import KERNELS, compare_vectors
 from arr4.scalars import lift
 
 
 # -- field-scalar reference elimination ---------------------------------------------
+
+
+def dot(u, v):
+    """Exact inner product of field vectors; they must have equal length."""
+    if len(u) != len(v):
+        raise ValueError("dimension mismatch")
+    total = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        total = total + a * b
+    return total
 
 
 def rref(rows):
@@ -258,7 +268,7 @@ def reference_vertices(arr):
     own iteration.
     """
     kernel = arr._kernel
-    idot, canonical, point = kernel.dot, kernel.canonical, kernel.point
+    idot, canonical = kernel.dot, kernel.canonical
     ints, negs = arr._integer_normals()
     hodge_w = [
         tuple(tuple((w if s > 0 else nw)[j] for _, j, s in row) for row in _HODGE)
@@ -283,7 +293,7 @@ def reference_vertices(arr):
                 entry[3] += size
     rows = sorted(
         (
-            (Flat(mask, x, point(x)), count, weights)
+            (Flat(mask, x), count, weights)
             for x, (mask, _, count, weights) in found.items()
         ),
         key=lambda row: row[0].members,

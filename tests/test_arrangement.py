@@ -16,12 +16,16 @@ from arr4 import (
     ZeroNormal,
     builtin,
     char_poly_moebius,
+    enumerate_chambers,
+    f_vector,
 )
-from arr4.linalg import dot
+from arr4.linalg import KERNELS
+from arr4.report import build_report
 from arr4.scalars import Field
 from helpers import (
     boolean_arrangement,
     canonicalize_vector,
+    dot,
     generic5_arrangement,
     kernel_basis,
     random_arrangements,
@@ -178,7 +182,7 @@ def _corrupt(arr, cached, index, key):
     key (flats are read-only); returns the copy."""
     flats = list(arr._cache[cached])
     old = flats[index]
-    flats[index] = Flat(old.mask, key, old.point)
+    flats[index] = Flat(old.mask, key)
     arr._cache[cached] = tuple(flats)
     return flats[index]
 
@@ -208,6 +212,42 @@ def test_builtins_are_read_only():
     assert builtin("D4").n == 12
     with pytest.raises(AttributeError, match="read-only"):
         arr.restriction(0).normals = ()
+
+
+def test_lattice_makes_no_field_scalars(monkeypatch):
+    """The lattice, the derived arrangements, the chambers and the report run
+    on the integer keys alone; the field views are made from the keys when
+    read."""
+    template = builtin("A^3_1(28)")
+    arr = Arrangement(template.normals, template.field)
+    made = []
+    init = QuadScalar.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuadScalar, "__init__", counting_init)
+    arr.vertices()
+    f_vector(arr)
+    arr.restriction_counts()
+    for h in range(arr.n):
+        arr.restriction(h).points()
+    for v in arr.vertices():
+        arr.parabolic(v).points()
+    enumerate_chambers(arr)
+    build_report(arr, with_chambers=True)
+    assert made == []
+    monkeypatch.undo()
+
+    kernel = KERNELS[arr.field]
+    sub = arr.restriction(0)
+    for each in (arr, sub):
+        assert each.normals is each.normals
+        assert each.normals == tuple(map(kernel.point, each._integer_normals()[0]))
+    for flat in arr.vertices() + sub.points():
+        assert flat.point == kernel.point(flat.key)
+    assert all(flat.point is None for flat in arr.lines())
 
 
 @pytest.mark.parametrize("make, line, key, message", [

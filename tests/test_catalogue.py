@@ -6,8 +6,10 @@ import pytest
 
 from arr4 import (
     ClosureOverflow,
+    DuplicateHyperplane,
     Field,
     NoVectorsAvailable,
+    NotEssential,
     QuadScalar,
     RootSystemSpec,
     UnknownLabel,
@@ -19,9 +21,9 @@ from arr4 import (
 )
 from arr4.catalogue import REFLECTION_SPECS, catalogue_entry
 from arr4.invariants import positional
-from arr4.linalg import dot
+from arr4.linalg import compare_vectors
 from arr4.scalars import lift
-from helpers import SIMPLE_SYSTEMS, invariant_form, reference_closure_normals
+from helpers import SIMPLE_SYSTEMS, dot, invariant_form, reference_closure_normals
 
 # Positional transcriptions of the embedded table (h from weight 2, t from 3).
 TABLE = {
@@ -145,6 +147,25 @@ def test_cartan_data_matches_simple_systems(name):
     assert sign(scale) > 0
     for mirror, image in zip(spec.mirrors, images):
         assert list(map(scalar, mirror)) == [scale * x for x in image]
+
+
+@pytest.mark.parametrize("name", ["A4", "D4", "B4", "F4", "H4"])
+def test_closure_normals_are_sorted(name):
+    normals = reflection_closure(REFLECTION_SPECS[name]).normals
+    assert all(compare_vectors(u, v) < 0 for u, v in zip(normals, normals[1:]))
+
+
+@pytest.mark.parametrize("mirrors, error", [
+    # one mirror repeated: the roots a_0 and a_3 get one hyperplane
+    (lambda m: (m[0], m[1], m[2], m[0]), DuplicateHyperplane),
+    # mirrors spanning a rank-3 subspace
+    (lambda m: ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 5, 0)), NotEssential),
+], ids=["repeated", "rank-3"])
+def test_closure_rejects_bad_mirrors(mirrors, error):
+    """A bad spec is an input error, as for explicit normals, not an internal one."""
+    spec = REFLECTION_SPECS["A4"]
+    with pytest.raises(error):
+        reflection_closure(RootSystemSpec("bad", spec.field, spec.cartan, mirrors(spec.mirrors)))
 
 
 def test_closure_overflow_guard():

@@ -27,9 +27,9 @@ from arr4.chambers import (
     generic_point,
     simply_laced_h_criterion,
 )
-from arr4.linalg import dot
 from arr4.scalars import Field, sign
 from helpers import (
+    dot,
     random_arrangements,
     reference_canonical_key,
     reference_compatible_corners,

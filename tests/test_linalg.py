@@ -9,7 +9,6 @@ from arr4 import QuadScalar, TAU
 from arr4.chambers import feasible_strict
 from arr4.linalg import (
     KERNELS,
-    dot,
     int_rank,
     pair_dot,
     pair_sign,
@@ -18,7 +17,7 @@ from arr4.linalg import (
     to_int_pairs,
 )
 from arr4.scalars import Field
-from helpers import canonicalize_vector, kernel_basis, rank
+from helpers import canonicalize_vector, dot, kernel_basis, rank
 
 
 E = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
