@@ -19,18 +19,19 @@ Rank-2 flats group the hyperplane pairs by the canonical 2x2 minors of
 their normals: the Pluecker coordinates of the line in K^4, the cross
 product (which is the point itself) in K^3.  A normal off a line meets it in
 the Hodge dual of the line's Pluecker vector applied to that normal; the
-line projects injectively onto two coordinates, so the P^1 position key
-(`position`) of those two Hodge rows is the hit's position on the line, and
-the normals with one position, together with the line's members, are the
-members of one vertex.  Position keys only group hits; every key a flat
-stores comes from `canonical`.  Vertices are keyed
-by their member masks and each line reports each of its vertices once, so
-the same pass tallies, per vertex, the lines through it and the sum of their
-weights (`vertex_line_tallies`), from which the vertices' Moebius values and
-the f-vector are read; a vertex's key is made once, when it is first seen.
-A restriction's normals are read off the Pluecker keys of the lines inside
-the hyperplane, and its chamber count off the positions of the later lines
-on each line, the same way in P^2 (`restriction_counts` builds no rank-3
+line projects injectively onto two coordinates, so the P^1 key of those two
+Hodge rows is the hit's position on the line, and the normals with one
+position, together with the line's members, are the members of one vertex.
+One kernel call per line (`group`) keys all of the line's hits.  Position
+keys only group hits; every key a flat stores comes from `canonical`.
+Vertices are keyed by their member masks and each line reports each of its
+vertices once, so the same pass tallies, per vertex, the lines through it
+and the sum of their weights (`vertex_line_tallies`), from which the
+vertices' Moebius values and the f-vector are read; a vertex's key is made
+once, when it is first seen.  A restriction's normals are read off the
+Pluecker keys of the lines inside the hyperplane, and its chamber count off
+the positions of the later lines on each line, the same way in P^2, again
+one `group` call per line (`restriction_counts` builds no rank-3
 arrangement); a parabolic's are the integer normals through the vertex
 with the pivot of the vertex key dropped.  Essentialness and reducibility
 (fundamental circuits of a greedy basis) are division-free `int_rank` tests
@@ -194,22 +195,25 @@ def _rank3_second(keys, kernel):
 
     Lines i and j meet in the cross product u_i x u_j.  With u_i[c] != 0 no
     nonzero point of line i has both coordinates other than c equal to 0, so
-    the P^1 position key of those two cross-product components is a point's
-    position on line i.  Counting the distinct positions of the later lines
-    j > i on each line i counts a point of weight w on every member but its
-    last, i.e. w - 1 times.
+    the P^1 key of those two cross-product components is a point's position
+    on line i.  Counting the distinct positions of the later lines j > i on
+    each line i counts a point of weight w on every member but its last,
+    i.e. w - 1 times.  The rows of each pivot c are built once, and each
+    line keys all of its later lines in one `group` call.
     """
-    idot, position, sign, neg = kernel.dot, kernel.position, kernel.sign, kernel.neg
+    group, sign, neg = kernel.group, kernel.sign, kernel.neg
     minors = _MINORS[3]
     # component m of u x v: u_a v_b - u_b v_a = (u_a, u_b) . (v_b, -v_a), (a, b) = minors[m]
     right = [tuple((v[b], neg(v[a])) for a, b in minors) for v in keys]
+    # per pivot c, the two components m0 < m1 other than c
+    others = [tuple(m for m in range(3) if m != c) for c in range(3)]
+    # per pivot c: every line's right factors of those two components
+    rows = [[(0, r[m0], r[m1]) for r in right] for m0, m1 in others]
     total = 0
     for i, u in enumerate(keys):
         c = next(f for f, x in enumerate(u) if sign(x))
-        m0, m1 = (m for m in range(3) if m != c)
-        (a0, b0), (a1, b1) = minors[m0], minors[m1]
-        l0, l1 = (u[a0], u[b0]), (u[a1], u[b1])
-        total += len({position(idot(l0, r[m0]), idot(l1, r[m1])) for r in right[i + 1:]})
+        (a0, b0), (a1, b1) = (minors[m] for m in others[c])
+        total += len(group((u[a0], u[b0]), (u[a1], u[b1]), rows[c][i + 1:]))
     return total
 
 
@@ -340,14 +344,16 @@ class Arrangement(_CentralArrangement):
         A normal w_k off the line with key q meets it in Hodge(q) w_k.  With
         q_t the key's first nonzero entry, the two Hodge rows of the
         coordinates `_COMPLEMENT[t]` already fix that point on the line, so
-        their P^1 position key is the hit's position.  The normals with one
-        position and the line's members are the vertex's members (every
-        member of a vertex is on the line or meets it there), so each line
-        reports each of its vertices once, keyed by the member mask; the
-        vertex's point is canonicalized only when it is first reported.
+        their P^1 key is the hit's position; one `group` call per line keys
+        every normal off it (the members are skipped by the line's mask).
+        The normals with one position and the line's members are the
+        vertex's members (every member of a vertex is on the line or meets
+        it there), so each line reports each of its vertices once, keyed by
+        the member mask; the vertex's point is canonicalized only when it is
+        first reported.
         """
         kernel = self._kernel
-        idot, canonical, position = kernel.dot, kernel.canonical, kernel.position
+        idot, canonical, group_hits = kernel.dot, kernel.canonical, kernel.group
         sign = kernel.sign
         ints, negs = self._integer_normals()
         hodge_w = [
@@ -365,15 +371,8 @@ class Arrangement(_CentralArrangement):
             hodge_p = tuple(tuple(key[p] for p, _, _ in row) for row in _HODGE)
             t = next(i for i, x in enumerate(key) if sign(x))
             c, d = _COMPLEMENT[t]
-            pc, pd = hodge_p[c], hodge_p[d]
-            groups = {}
-            for bit, wc, wd in hodge_cd[t]:
-                if line_mask & bit:
-                    continue
-                pos = position(idot(pc, wc), idot(pd, wd))
-                groups[pos] = groups.get(pos, 0) | bit
             size = line_mask.bit_count()
-            for group in groups.values():
+            for group in group_hits(hodge_p[c], hodge_p[d], hodge_cd[t], line_mask).values():
                 mask = line_mask | group
                 entry = found.get(mask)
                 if entry is None:

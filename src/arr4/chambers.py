@@ -511,6 +511,19 @@ def coxeter_diagram(arr, chamber: Chamber) -> CoxeterDiagram:
     return CoxeterDiagram(w, tuple(edges))
 
 
+def chamber_diagrams(arr) -> tuple:
+    """The Coxeter diagram of every chamber, in `enumerate_chambers` order.
+
+    Cached beside the chambers, so a report and the diagram routes build
+    each chamber's diagram once.
+    """
+    cached = arr._cache.get("diagrams")
+    if cached is None:
+        cached = tuple(coxeter_diagram(arr, ch) for ch in enumerate_chambers(arr))
+        arr._cache["diagrams"] = cached
+    return cached
+
+
 def is_simplicial(arr) -> bool:
     """Every chamber bounded by exactly dim walls (4 in P^3, 3 in P^2)."""
     return all(len(ch.walls) == arr.dim for ch in enumerate_chambers(arr))
@@ -530,10 +543,7 @@ def is_simply_laced(arr) -> bool:
     cone, and a simplicial cone cuts that face out by exactly two of its
     walls, whose diagram edge then carries the flat's weight.
     """
-    verdict = all(
-        max(coxeter_diagram(arr, ch).edge_weights(), default=0) < 4
-        for ch in enumerate_chambers(arr)
-    )
+    verdict = all(max(d.edge_weights(), default=0) < 4 for d in chamber_diagrams(arr))
     expected = simply_laced_h_criterion(arr)
     if verdict != expected and is_simplicial(arr):
         raise AssertionError(
@@ -545,4 +555,4 @@ def is_simply_laced(arr) -> bool:
 
 def is_irreducible_diagrams(arr) -> bool:
     """Diagram route: every chamber's Coxeter diagram is connected."""
-    return all(coxeter_diagram(arr, ch).is_connected() for ch in enumerate_chambers(arr))
+    return all(d.is_connected() for d in chamber_diagrams(arr))

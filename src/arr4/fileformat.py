@@ -34,12 +34,22 @@ _RATIONAL = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 _QUADRATIC = re.compile(r"^(-?\d+(?:/\d+)?)(?:([+-])(\d+(?:/\d+)?)\*t)?$")
 
 
+def _too_long(token: str) -> str:
+    return (
+        f"coordinate {token[:12]}... ({len(token)} characters) holds an integer "
+        "past the interpreter's int-string digit limit"
+    )
+
+
 def _parse_rational(token: str, lineno: int) -> Fraction:
     m = _RATIONAL.match(token)
     if not m:
         raise ArrangementParseError(lineno, f"bad rational coordinate {token!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) else 1
+    except ValueError:  # past the interpreter's int-string digit limit
+        raise ArrangementParseError(lineno, _too_long(token)) from None
     if den <= 0:
         raise ArrangementParseError(lineno, f"denominator must be positive in {token!r}")
     return Fraction(num, den)
@@ -54,6 +64,8 @@ def _parse_quadratic(token: str, lineno: int) -> QuadScalar:
         b = Fraction(m.group(3)) if m.group(3) is not None else Fraction(0)
     except ZeroDivisionError:
         raise ArrangementParseError(lineno, f"zero denominator in {token!r}") from None
+    except ValueError:  # past the interpreter's int-string digit limit
+        raise ArrangementParseError(lineno, _too_long(token)) from None
     if m.group(2) == "-":
         b = -b
     return QuadScalar(a, b)

@@ -3,16 +3,17 @@
 Every decision runs on positive rescalings of vectors into primitive ints
 (Q) or integer pairs a + b*tau (Q(tau)): `int_rank` (division-free rank) and
 the per-field table `KERNELS` (integer form, dot, negation, sign, canonical
-key with an orientation flag, position key on P^1, field point).  The
+key with an orientation flag, batched grouping on P^1, field point).  The
 intersection lattice, the restrictions, the reflection closure,
 reducibility, the chamber context and the Fourier-Motzkin wall test all run
 on it.  One field-scalar helper remains: `compare_vectors` (the exact
 lexicographic order that sorts normals for output).  The canonical field
 form of a vector is point(canonical(ints(v))) for both
-fields.  `position` keys a point [x : y] of P^1 from its two integer-form
-scalars without building a vector (for Q(tau), by the ratio y/x); the
-lattice groups the hits on a line by it, and its keys are never stored:
-every stored key comes from `canonical`.
+fields.  `group` keys each point [p.a : q.b] of P^1 of a batch of rows from
+its two integer-form scalars without building a vector (for Q(tau), by the
+ratio y/x), with the dots and the key written out and no call per row; the
+lattice groups the hits on a line and the points on a restricted line by
+it, and its keys are never stored: every stored key comes from `canonical`.
 """
 
 from __future__ import annotations
@@ -52,17 +53,6 @@ def primitive(ints, oriented=False):
     return tuple([x // g for x in ints])
 
 
-def int_position(x, y):
-    """Key of the point [x : y] of P^1 for integers, unique per class:
-    (x, y) over their gcd, the first nonzero entry positive."""
-    g = gcd(x, y)
-    if not g:
-        raise ValueError("zero vector has no position")
-    if x < 0 or not x and y < 0:
-        g = -g
-    return (x // g, y // g)
-
-
 def compare_vectors(u, v) -> int:
     """Lexicographic comparison using the exact field order."""
     for a, b in zip(u, v):
@@ -94,8 +84,8 @@ def to_int_pairs(vec):
 def pair_dot(u, v):
     """Inner product of two integer-pair vectors, as an integer pair.
 
-    The 3- and 2-term products (a hit's position on a line, a point's on a
-    restricted line, the minors of two normals) are written out.
+    The 3- and 2-term products (a vertex's point, the minors of two normals)
+    are written out.
     """
     n = len(u)
     if n == 3:
@@ -203,33 +193,67 @@ def pair_vector_canonical(pairs, oriented=False):
     return tuple([(a // g, b // g) for a, b in scaled])
 
 
-#: the position key of [0 : 1], where the ratio y/x is infinite; every other
-#: key has a positive first entry
+#: the P^1 key of [0 : 1], where the ratio y/x is infinite; every other key
+#: has a positive first entry
 _PAIR_INFINITY = (0, 1, 0)
 
 
-def pair_position(x, y):
-    """Key of the point [x : y] of P^1 for integer pairs, unique per class.
+def pair_group(p, q, rows, skip=0):
+    """Rows (bit, a, b) of 2- or 3-term integer-pair forms, grouped by the
+    point [p.a : q.b] of P^1: {key: OR of the bits at that key}.
 
-    For x != 0 the key is the ratio y/x = y*conj(x) / N(x), N(x) the nonzero
-    rational norm, as the triple (N, p, q) standing for (p + q*tau)/N, with
-    N > 0 and no common factor.  The point x = 0 is `_PAIR_INFINITY`.
+    Rows whose bit is in `skip` are left out.  For x = p.a != 0 the key is
+    the ratio y/x = y*conj(x) / N(x), N(x) the nonzero rational norm, as the
+    triple (N, r, s) standing for (r + s*tau)/N, with N > 0 and no common
+    factor; x = 0 is `_PAIR_INFINITY`.  A row with x = y = 0 raises
+    ValueError.  The dots are written out, as in `pair_dot`.
     """
-    a, b = x
-    c, d = y
-    if not (a or b):
-        if c or d:
-            return _PAIR_INFINITY
-        raise ValueError("zero vector has no position")
-    e = a + b  # conj(x) = e - b*tau
-    bd = b * d
-    n = a * e - b * b
-    p = c * e - bd
-    q = d * e - b * c - bd
-    g = gcd(n, p, q)
-    if n < 0:
-        g = -g
-    return (n // g, p // g, q // g)
+    if len(p) == 3:
+        (pa0, pb0), (pa1, pb1), (pa2, pb2) = p
+        (qa0, qb0), (qa1, qb1), (qa2, qb2) = q
+        hits = [
+            (
+                bit,
+                pa0 * a0 + pa1 * a1 + pa2 * a2 + (bd := pb0 * b0 + pb1 * b1 + pb2 * b2),
+                pa0 * b0 + pb0 * a0 + pa1 * b1 + pb1 * a1 + pa2 * b2 + pb2 * a2 + bd,
+                qa0 * c0 + qa1 * c1 + qa2 * c2 + (bd := qb0 * d0 + qb1 * d1 + qb2 * d2),
+                qa0 * d0 + qb0 * c0 + qa1 * d1 + qb1 * c1 + qa2 * d2 + qb2 * c2 + bd,
+            )
+            for bit, ((a0, b0), (a1, b1), (a2, b2)), ((c0, d0), (c1, d1), (c2, d2)) in rows
+            if not skip & bit
+        ]
+    else:
+        (pa0, pb0), (pa1, pb1) = p
+        (qa0, qb0), (qa1, qb1) = q
+        hits = [
+            (
+                bit,
+                pa0 * a0 + pa1 * a1 + (bd := pb0 * b0 + pb1 * b1),
+                pa0 * b0 + pb0 * a0 + pa1 * b1 + pb1 * a1 + bd,
+                qa0 * c0 + qa1 * c1 + (bd := qb0 * d0 + qb1 * d1),
+                qa0 * d0 + qb0 * c0 + qa1 * d1 + qb1 * c1 + bd,
+            )
+            for bit, ((a0, b0), (a1, b1)), ((c0, d0), (c1, d1)) in rows
+            if not skip & bit
+        ]
+    groups = {}
+    for bit, a, b, c, d in hits:  # [x : y] = [a + b*tau : c + d*tau]
+        if a or b:
+            e = a + b  # conj(x) = e - b*tau
+            bd = b * d
+            n = a * e - b * b
+            r = c * e - bd
+            s = d * e - b * c - bd
+            g = gcd(n, r, s)
+            if n < 0:
+                g = -g
+            key = (n // g, r // g, s // g)
+        elif c or d:
+            key = _PAIR_INFINITY
+        else:
+            raise ValueError("zero vector has no position")
+        groups[key] = groups.get(key, 0) | bit
+    return groups
 
 
 def pair_point(pairs):
@@ -249,8 +273,10 @@ def pair_point(pairs):
 # vector is scaled by a positive factor into primitive ints (rational) or
 # integer pairs (Q(tau)); minors, dot products, reflections and elimination
 # then stay in Z or Z[tau], and flats and mirror normals are grouped by a
-# canonical key that is unique per projective class.  Field scalars come back
-# only when an arrangement's normals or a flat's point are read: `point` divides
+# canonical key that is unique per projective class.  The points of P^1 on
+# one line (a line's hits, a restricted line's points) are grouped in one
+# `group` call, whose keys are never stored.  Field scalars come back only
+# when an arrangement's normals or a flat's point are read: `point` divides
 # by the first nonzero coordinate in integers (for Q(tau), by its norm after
 # multiplying by its conjugate), and point(canonical(ints(v))) is the one
 # canonical path from a field vector to its class representative.  With
@@ -273,9 +299,11 @@ class FieldKernel(NamedTuple):
     #: nonzero integer form -> hashable key, unique per projective class;
     #: with oriented=True, a positive multiple unique per positive rescaling
     canonical: Callable
-    #: two integer-form scalars x, y -> hashable key of the point [x : y] of
-    #: P^1, unique per projective class; a grouping key only, never stored
-    position: Callable
+    #: group(p, q, rows, skip=0): rows (bit, a, b) of 2- or 3-term integer
+    #: forms, bits in `skip` left out -> {key of the point [p.a : q.b] of P^1,
+    #: unique per projective class: OR of the rows' bits}; the keys only
+    #: group, and are never stored
+    group: Callable
     #: key -> the class representative in field scalars: primitive ints with
     #: a positive lead for Q, first nonzero coordinate 1 for Q(tau)
     point: Callable
@@ -296,6 +324,42 @@ def _int_dot(u, v):
     return sum(map(mul, u, v))
 
 
+def _int_group(p, q, rows, skip=0):
+    """Rows (bit, a, b) of 2- or 3-term integer forms, grouped by the point
+    [p.a : q.b] of P^1: {key: OR of the bits at that key}, the key (x, y)
+    over their gcd with the first nonzero entry positive.
+
+    Rows whose bit is in `skip` are left out; a row with x = y = 0 raises
+    ValueError.  The dots are written out, as in `_int_dot`.
+    """
+    if len(p) == 3:
+        p0, p1, p2 = p
+        q0, q1, q2 = q
+        hits = [
+            (bit, p0 * a0 + p1 * a1 + p2 * a2, q0 * b0 + q1 * b1 + q2 * b2)
+            for bit, (a0, a1, a2), (b0, b1, b2) in rows
+            if not skip & bit
+        ]
+    else:
+        p0, p1 = p
+        q0, q1 = q
+        hits = [
+            (bit, p0 * a0 + p1 * a1, q0 * b0 + q1 * b1)
+            for bit, (a0, a1), (b0, b1) in rows
+            if not skip & bit
+        ]
+    groups = {}
+    for bit, x, y in hits:
+        g = gcd(x, y)
+        if not g:
+            raise ValueError("zero vector has no position")
+        if x < 0 or not x and y < 0:
+            g = -g
+        key = (x // g, y // g)
+        groups[key] = groups.get(key, 0) | bit
+    return groups
+
+
 KERNELS = {
     Field.RATIONAL: FieldKernel(
         ints=lambda vec: primitive(_cleared(vec), oriented=True),
@@ -303,7 +367,7 @@ KERNELS = {
         neg=neg,
         sign=sign,
         canonical=primitive,
-        position=int_position,
+        group=_int_group,
         point=tuple,
     ),
     Field.QUADRATIC_TAU: FieldKernel(
@@ -312,7 +376,7 @@ KERNELS = {
         neg=lambda x: (-x[0], -x[1]),
         sign=pair_sign,
         canonical=pair_vector_canonical,
-        position=pair_position,
+        group=pair_group,
         point=pair_point,
     ),
 }

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .arrangement import Arrangement
 from .chambers import (
     ChamberLimitReached,
-    coxeter_diagram,
+    chamber_diagrams,
     enumerate_chambers,
     is_simply_laced,
 )
@@ -113,7 +113,7 @@ def build_report(
                     f"{len(chambers)} chambers enumerated, but the lattice "
                     f"gives f3 = {data.f[3]}"
                 )
-            diagrams = [coxeter_diagram(arrangement, ch) for ch in chambers]
+            diagrams = chamber_diagrams(arrangement)
             tally: dict[str, int] = {}
             for diagram in diagrams:
                 key = diagram.canonical_key()

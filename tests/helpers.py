@@ -3,10 +3,11 @@
 The property runners live here (not in a test module) so both the unit tests
 and the acceptance suite can invoke them with their own case counts.  The
 reference routes (field-scalar `rref`/`rank`/`kernel_basis` and
-`canonicalize_vector`, the all-pairs reflection closure, kernel-basis
-restrictions, the vertex-by-line Moebius scan, the vertex pass with one
-full point per candidate, the chamber corner list scan) are the slow,
-obvious versions that the package's integer kernel is compared against.
+`canonicalize_vector`, the one-point-at-a-time P^1 keys, the all-pairs
+reflection closure, kernel-basis restrictions, the vertex-by-line Moebius
+scan, the vertex pass with one full point per candidate, the chamber corner
+list scan) are the slow, obvious versions that the package's integer kernel
+is compared against.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import permutations
+from math import gcd
 
 from arr4 import Arrangement, Field, Flat, QuadScalar, Rank3Arrangement, sign
 from arr4.arrangement import _HODGE
@@ -24,7 +26,7 @@ from arr4.invariants import (
     floor_add_sqrt,
     floor_add_sqrt_interval,
 )
-from arr4.linalg import KERNELS, compare_vectors
+from arr4.linalg import _PAIR_INFINITY, KERNELS, compare_vectors
 from arr4.scalars import lift
 
 
@@ -119,6 +121,60 @@ def canonicalize_vector(vec, field: Field):
         raise ValueError("zero vector has no canonical form")
     kernel = KERNELS[field]
     return kernel.point(kernel.canonical(kernel.ints(entries)))
+
+
+# -- reference keys of points of P^1 ------------------------------------------------
+
+
+def int_position(x, y):
+    """Key of the point [x : y] of P^1 for integers, unique per class:
+    (x, y) over their gcd, the first nonzero entry positive."""
+    g = gcd(x, y)
+    if not g:
+        raise ValueError("zero vector has no position")
+    if x < 0 or not x and y < 0:
+        g = -g
+    return (x // g, y // g)
+
+
+def pair_position(x, y):
+    """Key of the point [x : y] of P^1 for integer pairs, unique per class.
+
+    For x != 0 the key is the ratio y/x = y*conj(x) / N(x), N(x) the nonzero
+    rational norm, as the triple (N, p, q) standing for (p + q*tau)/N, with
+    N > 0 and no common factor.  The point x = 0 is `_PAIR_INFINITY`.
+    """
+    a, b = x
+    c, d = y
+    if not (a or b):
+        if c or d:
+            return _PAIR_INFINITY
+        raise ValueError("zero vector has no position")
+    e = a + b  # conj(x) = e - b*tau
+    bd = b * d
+    n = a * e - b * b
+    p = c * e - bd
+    q = d * e - b * c - bd
+    g = gcd(n, p, q)
+    if n < 0:
+        g = -g
+    return (n // g, p // g, q // g)
+
+
+#: the reference P^1 key of each field
+POSITION = {Field.RATIONAL: int_position, Field.QUADRATIC_TAU: pair_position}
+
+
+def reference_group(field, p, q, rows, skip=0):
+    """`KERNELS[field].group` one row at a time: two `dot` calls and the
+    reference key per row."""
+    idot, position = KERNELS[field].dot, POSITION[field]
+    groups = {}
+    for bit, a, b in rows:
+        if not skip & bit:
+            key = position(idot(p, a), idot(q, b))
+            groups[key] = groups.get(key, 0) | bit
+    return groups
 
 
 def boolean_arrangement() -> Arrangement:

@@ -27,6 +27,7 @@ from arr4.chambers import (
     generic_point,
     simply_laced_h_criterion,
 )
+from arr4.report import build_report
 from arr4.scalars import Field, sign
 from helpers import (
     dot,
@@ -85,6 +86,24 @@ def test_simply_laced_predicates():
     assert is_simply_laced(builtin("D4"))
     assert not is_simply_laced(builtin("B4"))
     assert not is_simply_laced(builtin("H4"))
+
+
+def test_report_builds_each_diagram_once(monkeypatch):
+    """`build_report` and the diagram routes share one diagram per chamber."""
+    built = []
+
+    class Counting(arr4.chambers.CoxeterDiagram):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(arr4.chambers, "CoxeterDiagram", Counting)
+    arr = Arrangement(builtin("A4").normals)  # fresh, with nothing cached
+    report = build_report(arr, with_chambers=True)
+    assert report["chambers"]["count"] == 60
+    assert len(built) == len(enumerate_chambers(arr)) == 60
+    assert is_simply_laced(arr) and is_irreducible_diagrams(arr)
+    assert len(built) == 60
 
 
 def test_irreducibility_agreement(boolean):

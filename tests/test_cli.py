@@ -94,6 +94,23 @@ def test_analyze_parse_error_exit2(capsys, tmp_path):
     assert code == 2 and "line 2" in err
 
 
+@pytest.mark.parametrize("header, first", [
+    ("field: rational", "1" * 5000),
+    ("field: quadratic-tau", "1+" + "1" * 5000 + "*t"),
+], ids=["rational", "quadratic-tau"])
+def test_analyze_overlong_coordinate_exit2(tmp_path, header, first):
+    """A coordinate past the interpreter's int-string digit limit is a parse
+    error with its line number, not a traceback."""
+    path = tmp_path / "long.arr"
+    path.write_text(f"{header}\n1 0 0 0\n0 1 0 0\n0 0 1 0\n{first} 0 0 1\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arr4.__file__)))
+    done = subprocess.run([sys.executable, "-m", "arr4", "analyze", str(path)],
+                          capture_output=True, env=env, timeout=60)
+    err = done.stderr.decode()
+    assert done.returncode == 2
+    assert "line 5:" in err and "Traceback" not in err
+
+
 def test_analyze_non_utf8_is_parse_error(capsys, tmp_path):
     path = tmp_path / "latin1.arr"
     path.write_bytes(b"field: rational\n# caf\xe9\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")

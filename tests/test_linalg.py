@@ -17,7 +17,7 @@ from arr4.linalg import (
     to_int_pairs,
 )
 from arr4.scalars import Field
-from helpers import canonicalize_vector, dot, kernel_basis, rank
+from helpers import POSITION, canonicalize_vector, dot, kernel_basis, rank, reference_group
 
 
 E = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
@@ -285,10 +285,11 @@ def test_rational_point_matches_divided_canonical(vec):
     assert canonicalize_vector(vec, Field.RATIONAL) == expected
 
 
-# -- P^1 position keys ----------------------------------------------------------
+# -- P^1 keys and grouping -------------------------------------------------------
 
 _FIELDS = (Field.RATIONAL, Field.QUADRATIC_TAU)
 _ZERO = {Field.RATIONAL: 0, Field.QUADRATIC_TAU: (0, 0)}
+_ONE = {Field.RATIONAL: 1, Field.QUADRATIC_TAU: (1, 0)}
 
 
 def _scalars(field):
@@ -327,8 +328,9 @@ def _p1_points(draw, field):
 @given(data=st.data())
 def test_position_keys_are_projective_classes(field, data):
     """Two points get one key exactly when x1*y2 - x2*y1 = 0, and a key does
-    not change when both coordinates are scaled by a nonzero factor."""
-    position = KERNELS[field].position
+    not change when both coordinates are scaled by a nonzero factor; the
+    kernel's `group` gives the reference key."""
+    position = POSITION[field]
     x1, y1 = data.draw(_p1_points(field))
     if data.draw(st.booleans()):  # a multiple of the first point
         factor = data.draw(_nonzero_factors(field))
@@ -339,14 +341,61 @@ def test_position_keys_are_projective_classes(field, data):
     assert (position(x1, y1) == position(x2, y2)) is same
     factor = data.draw(_nonzero_factors(field))
     assert position(_times(field, factor, x1), _times(field, factor, y1)) == position(x1, y1)
+    # [x : y] as [p.a : q.b] with p = q = (1, 0), a = (x, 0), b = (y, 0)
+    one, zero = _ONE[field], _ZERO[field]
+    row = (1, (x1, zero), (y1, zero))
+    assert KERNELS[field].group((one, zero), (one, zero), [row]) == {position(x1, y1): 1}
 
 
 @pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.value)
 def test_zero_vectors_raise_value_error(field):
     kernel, zero = KERNELS[field], _ZERO[field]
     with pytest.raises(ValueError):
-        kernel.position(zero, zero)
+        POSITION[field](zero, zero)
+    with pytest.raises(ValueError):
+        kernel.group((zero, zero), (zero, zero), [(1, (zero, zero), (zero, zero))])
     with pytest.raises(ValueError):
         kernel.canonical((zero,) * 3)
     with pytest.raises(ValueError):
         kernel.canonical((zero,) * 4, oriented=True)
+
+
+def _random_scalar(rng, field, span=4):
+    if field is Field.RATIONAL:
+        return rng.randint(-span, span)
+    return (rng.randint(-span, span), rng.randint(-span, span))
+
+
+@pytest.mark.parametrize("terms", [2, 3])
+@pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.value)
+def test_group_matches_reference_keys(field, terms):
+    """`group` equals grouping the rows one at a time by the reference keys,
+    with and without a skip mask; rows with p.a = 0 take the key of [0 : 1]."""
+    rng = random.Random(1500 + 10 * terms + (field is Field.QUADRATIC_TAU))
+    group, idot = KERNELS[field].group, KERNELS[field].dot
+    zero = _ZERO[field]
+    for _ in range(60):
+        p, q = (tuple(_random_scalar(rng, field) for _ in range(terms)) for _ in range(2))
+        if not any(x != zero for x in p) or not any(x != zero for x in q):
+            continue
+        rows = []
+        for k in range(rng.randint(1, 40)):
+            a, b = (tuple(_random_scalar(rng, field, 2) for _ in range(terms)) for _ in range(2))
+            if idot(p, a) == zero and idot(q, b) == zero:
+                continue
+            rows.append((1 << k, a, b))
+        # a row at infinity: p.a = 0 while q.q != 0, q being real and nonzero
+        rows.append((1 << 40, (zero,) * terms, q))
+        skip = rng.getrandbits(41)
+        for mask in (0, skip):
+            expected = reference_group(field, p, q, rows, mask)
+            assert group(p, q, rows, mask) == expected
+        assert POSITION[field](zero, idot(q, q)) in group(p, q, rows)
+        # bit 0 rows, as the restriction route passes them: the keys alone
+        plain = [(0, a, b) for _, a, b in rows]
+        assert group(p, q, plain).keys() == reference_group(field, p, q, rows).keys()
+        # a zero row raises, unless it is skipped (the members of a line)
+        zero_row = (1 << 41, (zero,) * terms, (zero,) * terms)
+        with pytest.raises(ValueError):
+            group(p, q, rows + [zero_row])
+        assert group(p, q, rows + [zero_row], 1 << 41) == group(p, q, rows)
