@@ -394,8 +394,9 @@ class Arrangement(_CentralArrangement):
             tuple(counts[j] for j in order),
             tuple(weights[j] for j in order),
         )
+        top = self.n - 1
         for v in verts:
-            if not 3 <= v.weight <= self.n - 1:
+            if not 3 <= v.weight <= top:
                 raise AssertionError(
                     f"vertex {v.point} lies on {v.weight} hyperplanes"
                 )

@@ -13,22 +13,27 @@ span a hyperplane of the ambient space.
 The per-arrangement context keeps big-int bitsets over the oriented
 corners, built once: bit j is corner j and bit j + C its negation, C the
 number of corners.  Each hyperplane i has `P_i`, `N_i` and `Z_i`, the
-oriented corners on its positive side, on its negative side and on it.  The
-corner rays of the chamber with sign mask m (bit i set where the sign is -1)
-are then `ALL & ~(OR_{i in m} P_i | OR_{i not in m} N_i)`, n big-int ORs;
-the tight corners on h are that set ANDed with `Z_h`, and a popcount below
-dim - 1 rules h out.  Every other h is a wall, and its facet is certified:
-the division-free `linalg.int_rank` of the tight corners' rank forms (the
-integer form of `linalg.KERNELS`, primitive ints for rational corners and
-(a, b) integer pairs for Q(tau) ones) must be dim - 1.  The certificate runs
-once per distinct facet of a walk, keyed by h and the unoriented tight
-corner set in a set local to that walk: the neighbour across h has the same
-facet, its corners negated when mask canonicalization flips the global
-sign.  The interior witness is the sum of the corner rays' rank forms, each
-a positive rescaling of its ray, so it is a sum of plain integers (summed
-per component of the pairs over Q(tau)) converted to field scalars.  No
-report reads it, so the walk leaves it out: a chamber keeps its mask and the
-context, and computes its witness on the first read.
+oriented corners on its positive side, on its negative side and on it, read
+off one written-out batch of signs (`KERNELS[field].signs`) per hyperplane.
+The corner rays of the chamber with sign mask m (bit i set where the sign is
+-1) are then `ALL & ~(OR_{i in m} P_i | OR_{i not in m} N_i)`, n big-int ORs.
+A chamber has only a few corners, so its candidate walls are read off the
+corners' member masks instead of scanning every hyperplane: three running
+ORs over those masks give the hyperplanes on at least dim - 1 corners.
+Each candidate h is a wall, and its facet, the corners in `Z_h`, is
+certified: the maximal minors (`KERNELS[field].normal`) of the first dim - 1
+tight corners' rank forms (primitive ints for rational corners, (a, b)
+integer pairs for Q(tau) ones) must be nonzero, and every further tight
+corner must be orthogonal to them, which proves rank exactly dim - 1.  The
+certificate runs once per distinct facet of a walk, keyed by h and the
+unoriented tight corner set in a set local to that walk: the neighbour
+across h has the same facet, its corners negated when mask canonicalization
+flips the global sign.  The interior witness is the sum of the corner rays'
+rank forms, each a positive rescaling of its ray, so it is a sum of plain
+integers (summed per component of the pairs over Q(tau)) converted to field
+scalars.  No report reads it, so the walk leaves it out: a chamber keeps its
+mask and the context, and reads its signs off the mask and computes its
+witness on demand.
 
 The `walls` operation decides each candidate independently instead, by
 eliminating onto the candidate hyperplane and running an exact strict
@@ -110,6 +115,28 @@ def feasible_strict(rows) -> bool:
     return True
 
 
+def spans_hyperplane(rows, kernel) -> bool:
+    """Whether dim - 1 or more rank forms of length dim span exactly a hyperplane.
+
+    The maximal minors (`kernel.normal`) of the first dim - 1 rows must be
+    nonzero, so those rows are independent, and every further row must be
+    orthogonal to that normal, so it lies in their span: a pass proves rank
+    exactly dim - 1.  The tight corners of a facet pass, ordered any way:
+    two distinct extreme rays of a pointed 2-cone, or three of a pointed
+    3-cone (distinct vertices of a convex polygon), are independent.
+    """
+    need = len(rows[0]) - 1
+    normal = kernel.normal(rows[:need])
+    isign = kernel.sign
+    if not any(map(isign, normal)):
+        return False
+    idot = kernel.dot
+    for row in rows[need:]:
+        if isign(idot(normal, row)):
+            return False
+    return True
+
+
 # -- per-arrangement chamber context ---------------------------------------------
 
 
@@ -119,42 +146,49 @@ class _Context:
     Bit j stands for corner j of `corner_flats()` and bit j + size for its
     negation.  `pos[i]`, `neg[i]` and `zero[i]` hold the oriented corners on
     the positive side of hyperplane i, on its negative side and on it.
-    `forms[j]` is the rank form of corner j, its flat's key (primitive ints,
-    or integer pairs for Q(tau)), a positive rescaling of its point.  The
-    context holds no walk state: the facets already certified belong to one
-    walk of `_bfs_chambers`.
+    `members[j]`, for j < 2 * size, is the member mask of the flat of
+    oriented corner j (flat j mod size), so oriented corner j is in
+    `zero[h]` exactly when bit h of `members[j]` is set.  `forms[j]` is the
+    rank form of corner j, its flat's key (primitive ints, or integer pairs
+    for Q(tau)), a positive rescaling of its point.  The context holds no
+    walk state: the facets already certified belong to one walk of
+    `_bfs_chambers`.
     """
 
-    __slots__ = ("n", "dim", "full", "size", "low", "everything", "pos", "neg", "zero", "forms")
+    __slots__ = (
+        "n", "dim", "kernel", "full", "size", "low", "everything",
+        "pos", "neg", "zero", "members", "forms",
+    )
 
     def __init__(self, arr):
         self.n = arr.n
         self.dim = arr.dim
         self.full = (1 << arr.n) - 1
         flats = arr.corner_flats()
-        kernel = KERNELS[arr.field]
+        kernel = self.kernel = KERNELS[arr.field]
         normals = arr._integer_normals()[0]
         self.forms = [flat.key for flat in flats]
+        self.members = [flat.mask for flat in flats] * 2
         size = self.size = len(flats)
         self.low = (1 << size) - 1
         self.everything = (1 << 2 * size) - 1
-        idot, isign = kernel.dot, kernel.sign
-        pos, neg, zero = [0] * arr.n, [0] * arr.n, [0] * arr.n
-        for j, (flat, point) in enumerate(zip(flats, self.forms)):
-            bit, anti = 1 << j, 1 << j + size
-            for i, vi in enumerate(normals):
-                if flat.mask >> i & 1:
-                    zero[i] |= bit | anti
-                    continue
-                s = isign(idot(vi, point))
-                if s > 0:
-                    pos[i] |= bit
-                    neg[i] |= anti
+        members = self.members
+        pos, neg, zero = [], [], []
+        for i, vi in enumerate(normals):
+            bit = 1 << i
+            plus = minus = on = 0
+            for j, s in enumerate(kernel.signs(vi, self.forms)):
+                if members[j] & bit:
+                    on |= 1 << j
+                elif s > 0:
+                    plus |= 1 << j
                 elif s < 0:
-                    neg[i] |= bit
-                    pos[i] |= anti
+                    minus |= 1 << j
                 else:
                     raise AssertionError("corner flat membership is incomplete")
+            pos.append(plus | minus << size)
+            neg.append(minus | plus << size)
+            zero.append(on | on << size)
         self.pos, self.neg, self.zero = pos, neg, zero
 
     def compatible(self, mask: int) -> int:
@@ -172,21 +206,30 @@ class _Context:
     def walls(self, corners: int, certified: set):
         """Hyperplanes whose tight corners among `corners` span a facet.
 
-        A popcount screens each hyperplane before the rank test.  `certified`
-        holds the facets the current walk has certified, as (hyperplane,
-        unoriented corner set).  Each distinct facet is certified by
-        `int_rank` once: the neighbour across it sees the same corner set, up
-        to the global sign of mask canonicalization, and finds it certified.
+        The candidates are the hyperplanes on at least dim - 1 of the
+        corners, read off the corners' member masks by three running ORs
+        (`one`, `two`, `three`: the hyperplanes on at least one, two and
+        three corners so far), ascending.  `certified` holds the facets the
+        current walk has certified, as (hyperplane, unoriented corner set).
+        Each distinct facet is certified by `spans_hyperplane` once: the
+        neighbour across it sees the same corner set, up to the global sign
+        of mask canonicalization, and finds it certified.
         """
-        need = self.dim - 1
+        members, zero, forms, kernel = self.members, self.zero, self.forms, self.kernel
+        one = two = three = 0
+        rest = corners
+        while rest:
+            low = rest & -rest
+            m = members[low.bit_length() - 1]
+            three |= two & m
+            two |= one & m
+            one |= m
+            rest ^= low
         out = []
-        for h, on in enumerate(self.zero):
-            tight = corners & on
-            if tight.bit_count() < need:
-                continue
-            facet = (h, self.unoriented(tight))
+        for h in _bits(three if self.dim == 4 else two):
+            facet = (h, self.unoriented(corners & zero[h]))
             if facet not in certified:
-                if int_rank([self.forms[j] for j in _bits(facet[1])]) != need:
+                if not spans_hyperplane([forms[j] for j in _bits(facet[1])], kernel):
                     raise AssertionError("tight corner rays of a facet must span it")
                 certified.add(facet)
             out.append(h)
@@ -258,23 +301,28 @@ def generic_point(arr):
 
 
 class Chamber:
-    """A projective chamber: canonical sign vector plus derived geometry.
+    """A projective chamber: canonical sign mask plus derived geometry.
 
-    `mask` has bit i set where `signs[i]` is -1.  `witness`, an interior
-    point, is the sum of the rank forms of the chamber's corner rays; it is
-    computed from the chamber context on first access, as no report reads
-    it.  Chambers are read-only; they compare and hash by (signs, walls,
-    witness, mask), and the repr leaves out the mask.
+    `mask` has bit i set where `signs[i]` is -1.  `signs` is read off the
+    mask on every read; `witness`, an interior point, is the sum of the rank
+    forms of the chamber's corner rays, computed from the chamber context on
+    first access, as no report reads it.  Chambers are read-only; they
+    compare and hash by (signs, walls, witness, mask), and the repr leaves
+    out the mask.
     """
 
-    __slots__ = ("signs", "walls", "mask", "_ctx", "_witness")
+    __slots__ = ("walls", "mask", "_ctx", "_witness")
 
-    def __init__(self, signs, walls, mask, ctx):
-        _set_signs(self, signs)
+    def __init__(self, walls, mask, ctx):
         _set_walls(self, walls)
         _set_mask(self, mask)
         _set_ctx(self, ctx)
         _set_witness(self, None)
+
+    @property
+    def signs(self):
+        mask = self.mask
+        return tuple(-1 if mask >> i & 1 else 1 for i in range(self._ctx.n))
 
     @property
     def witness(self):
@@ -305,7 +353,7 @@ class Chamber:
 
 
 #: The slot setters, which `Chamber` calls past its read-only `__setattr__`.
-_set_signs, _set_walls, _set_mask, _set_ctx, _set_witness = (
+_set_walls, _set_mask, _set_ctx, _set_witness = (
     getattr(Chamber, name).__set__ for name in Chamber.__slots__
 )
 
@@ -328,9 +376,8 @@ def _bfs_chambers(arr, limit=None):
         if not corners:
             raise AssertionError("enumerated chamber has no extreme rays")
         wl = ctx.walls(corners, certified)
-        signs = tuple(-1 if m >> i & 1 else 1 for i in range(ctx.n))
         count += 1
-        yield Chamber(signs, wl, m, ctx)
+        yield Chamber(wl, m, ctx)
         for h in wl:
             nm = _canonical_mask(m ^ (1 << h), ctx.full)
             if nm not in visited:
@@ -382,11 +429,6 @@ def _oriented_normals(arr, signs):
     """The integer normals, each negated where its sign is -1."""
     ints, negs = arr._integer_normals()
     return [u if s > 0 else nu for s, u, nu in zip(signs, ints, negs)]
-
-
-def chamber_feasible(arr, signs) -> bool:
-    """Whether the open cone cut out by the +-1 sign vector is nonempty."""
-    return feasible_strict(_oriented_normals(arr, signs))
 
 
 def walls(arr, signs):
@@ -456,36 +498,39 @@ class CoxeterDiagram(NamedTuple):
             deg[j] += 1
         return tuple(sorted(deg.values()))
 
+    def _shape(self):
+        """(connected, label) of the diagram, memoised per edge pattern."""
+        index = {w: i for i, w in enumerate(self.walls)}
+        return _shape_of(len(self.walls), tuple((index[i], index[j], w) for i, j, w in self.edges))
+
     def is_connected(self) -> bool:
-        if len(self.walls) <= 1:
-            return True
-        adjacency = {w: [] for w in self.walls}
-        for i, j, _ in self.edges:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        seen = {self.walls[0]}
-        stack = [self.walls[0]]
-        while stack:
-            for nxt in adjacency[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == len(self.walls)
+        return self._shape()[0]
 
     def canonical_key(self) -> str:
         """Isomorphism-invariant label, exact for up to six walls."""
-        k = len(self.walls)
-        if k > 6:
-            return f"walls={k};weights={sorted(self.edge_weights())}"
-        index = {w: i for i, w in enumerate(self.walls)}
-        return _graph_key(k, tuple((index[i], index[j], w) for i, j, w in self.edges))
+        return self._shape()[1]
 
 
 @lru_cache(maxsize=4096)
-def _graph_key(k: int, edges: tuple) -> str:
-    """Smallest upper-triangle weight word over all orderings of k <= 6 walls,
-    edges given between wall positions; memoised, as most chambers share a
-    few diagram shapes."""
+def _shape_of(k: int, edges: tuple):
+    """(connected, canonical label) of a diagram on k walls, its edges given
+    between wall positions; memoised, as most chambers share a few diagram
+    shapes.
+
+    The label is the smallest upper-triangle weight word over all orderings
+    of k <= 6 walls, and the sorted edge weights beyond six.
+    """
+    reached = 1
+    grown = True
+    while grown:  # spread from wall 0 along the edges until nothing changes
+        grown = False
+        for a, b, _ in edges:
+            if (reached >> a ^ reached >> b) & 1:
+                reached |= 1 << a | 1 << b
+                grown = True
+    connected = k <= 1 or reached == (1 << k) - 1
+    if k > 6:
+        return connected, f"walls={k};weights={sorted(w for _, _, w in edges)}"
     weight = [[0] * k for _ in range(k)]
     for a, b, w in edges:
         weight[a][b] = weight[b][a] = w
@@ -496,7 +541,7 @@ def _graph_key(k: int, edges: tuple) -> str:
         )
         if best is None or key < best:
             best = key
-    return f"walls={k};graph={','.join(map(str, best))}"
+    return connected, f"walls={k};graph={','.join(map(str, best))}"
 
 
 def coxeter_diagram(arr, chamber: Chamber) -> CoxeterDiagram:

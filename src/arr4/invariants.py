@@ -55,40 +55,6 @@ def ceil_sub_sqrt(a: int, s: int, d: int) -> int:
     return -((isqrt(s) - a) // d)
 
 
-def floor_add_sqrt_interval(a: int, s: int, d: int) -> int:
-    """Independent oracle for floor_add_sqrt via rational interval refinement."""
-    if s < 0:
-        raise NegativeRadicand(s)
-    r = isqrt(s)
-    if r * r == s:
-        return (a + r) // d
-    lo, hi = Fraction(r), Fraction(r + 1)
-    while (a + lo) // d != (a + hi) // d:
-        mid = (lo + hi) / 2
-        if mid * mid <= s:
-            lo = mid
-        else:
-            hi = mid
-    return (a + lo) // d
-
-
-def ceil_sub_sqrt_interval(a: int, s: int, d: int) -> int:
-    """Independent oracle for ceil_sub_sqrt via rational interval refinement."""
-    if s < 0:
-        raise NegativeRadicand(s)
-    r = isqrt(s)
-    if r * r == s:
-        return -((r - a) // d)
-    lo, hi = Fraction(r), Fraction(r + 1)
-    while -((lo - a) // d) != -((hi - a) // d):
-        mid = (lo + hi) / 2
-        if mid * mid <= s:
-            lo = mid
-        else:
-            hi = mid
-    return -((lo - a) // d)
-
-
 def geq_minus_sqrt(lhs: int, a: int, s: int, d: int) -> bool:
     """Decide lhs >= (a - sqrt(s)) / d exactly (s >= 0, d > 0)."""
     if s < 0:

@@ -3,17 +3,21 @@
 Every decision runs on positive rescalings of vectors into primitive ints
 (Q) or integer pairs a + b*tau (Q(tau)): `int_rank` (division-free rank) and
 the per-field table `KERNELS` (integer form, dot, negation, sign, canonical
-key with an orientation flag, batched grouping on P^1, field point).  The
-intersection lattice, the restrictions, the reflection closure,
-reducibility, the chamber context and the Fourier-Motzkin wall test all run
-on it.  One field-scalar helper remains: `compare_vectors` (the exact
-lexicographic order that sorts normals for output).  The canonical field
-form of a vector is point(canonical(ints(v))) for both
-fields.  `group` keys each point [p.a : q.b] of P^1 of a batch of rows from
-its two integer-form scalars without building a vector (for Q(tau), by the
-ratio y/x), with the dots and the key written out and no call per row; the
-lattice groups the hits on a line and the points on a restricted line by
-it, and its keys are never stored: every stored key comes from `canonical`.
+key with an orientation flag, batched grouping on P^1, maximal minors,
+batched signs of dots, field point).  The intersection lattice, the restrictions, the reflection closure,
+reducibility, the chamber context and its facet certificate, and the
+Fourier-Motzkin wall test all run on it.  One field-scalar helper remains:
+`compare_vectors` (the exact lexicographic order that sorts normals for
+output).  The canonical field form of a vector is point(canonical(ints(v)))
+for both fields.  `group` keys each point [p.a : q.b] of P^1 of a batch of
+rows from its two integer-form scalars without building a vector (for
+Q(tau), by the ratio y/x), with the dots and the key written out and no call
+per row; the lattice groups the hits on a line and the points on a
+restricted line by it, and its keys are never stored: every stored key comes
+from `canonical`.  `normal` writes out the maximal minors of dim - 1 forms,
+with which the chamber walk certifies each facet, and `signs` the dots of one
+form with a batch, from which the chamber context reads each hyperplane's
+sides.
 """
 
 from __future__ import annotations
@@ -256,6 +260,89 @@ def pair_group(p, q, rows, skip=0):
     return groups
 
 
+def pair_normal(rows):
+    """The maximal minors of dim - 1 integer-pair forms of length dim (3 or 4).
+
+    Entry k is (-1)^k times the minor without column k, so the result is
+    orthogonal to every row, and zero exactly when the rows are dependent:
+    the cross product in K^3 and its analogue in K^4.  The 2x2 minors and
+    the pair products are written out, as in `pair_dot`.
+    """
+    if len(rows) == 2:
+        ((a0, b0), (a1, b1), (a2, b2)), ((c0, d0), (c1, d1), (c2, d2)) = rows
+        bd = b1 * d2 - b2 * d1
+        n0 = (a1 * c2 - a2 * c1 + bd, a1 * d2 + b1 * c2 - a2 * d1 - b2 * c1 + bd)
+        bd = b2 * d0 - b0 * d2
+        n1 = (a2 * c0 - a0 * c2 + bd, a2 * d0 + b2 * c0 - a0 * d2 - b0 * c2 + bd)
+        bd = b0 * d1 - b1 * d0
+        n2 = (a0 * c1 - a1 * c0 + bd, a0 * d1 + b0 * c1 - a1 * d0 - b1 * c0 + bd)
+        return (n0, n1, n2)
+    u, v, ((w0, z0), (w1, z1), (w2, z2), (w3, z3)) = rows
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = u
+    (c0, d0), (c1, d1), (c2, d2), (c3, d3) = v
+    # the minors (x_ij, y_ij) = u_i v_j - u_j v_i
+    bd = b0 * d1 - b1 * d0
+    x01, y01 = a0 * c1 - a1 * c0 + bd, a0 * d1 + b0 * c1 - a1 * d0 - b1 * c0 + bd
+    bd = b0 * d2 - b2 * d0
+    x02, y02 = a0 * c2 - a2 * c0 + bd, a0 * d2 + b0 * c2 - a2 * d0 - b2 * c0 + bd
+    bd = b0 * d3 - b3 * d0
+    x03, y03 = a0 * c3 - a3 * c0 + bd, a0 * d3 + b0 * c3 - a3 * d0 - b3 * c0 + bd
+    bd = b1 * d2 - b2 * d1
+    x12, y12 = a1 * c2 - a2 * c1 + bd, a1 * d2 + b1 * c2 - a2 * d1 - b2 * c1 + bd
+    bd = b1 * d3 - b3 * d1
+    x13, y13 = a1 * c3 - a3 * c1 + bd, a1 * d3 + b1 * c3 - a3 * d1 - b3 * c1 + bd
+    bd = b2 * d3 - b3 * d2
+    x23, y23 = a2 * c3 - a3 * c2 + bd, a2 * d3 + b2 * c3 - a3 * d2 - b3 * c2 + bd
+    # entry k expands the minor without column k along w
+    bd = z1 * y23 - z2 * y13 + z3 * y12
+    n0 = (
+        w1 * x23 - w2 * x13 + w3 * x12 + bd,
+        w1 * y23 + z1 * x23 - w2 * y13 - z2 * x13 + w3 * y12 + z3 * x12 + bd,
+    )
+    bd = z2 * y03 - z0 * y23 - z3 * y02
+    n1 = (
+        w2 * x03 - w0 * x23 - w3 * x02 + bd,
+        w2 * y03 + z2 * x03 - w0 * y23 - z0 * x23 - w3 * y02 - z3 * x02 + bd,
+    )
+    bd = z0 * y13 - z1 * y03 + z3 * y01
+    n2 = (
+        w0 * x13 - w1 * x03 + w3 * x01 + bd,
+        w0 * y13 + z0 * x13 - w1 * y03 - z1 * x03 + w3 * y01 + z3 * x01 + bd,
+    )
+    bd = z1 * y02 - z0 * y12 - z2 * y01
+    n3 = (
+        w1 * x02 - w0 * x12 - w2 * x01 + bd,
+        w1 * y02 + z1 * x02 - w0 * y12 - z0 * x12 - w2 * y01 - z2 * x01 + bd,
+    )
+    return (n0, n1, n2, n3)
+
+
+def pair_signs(v, forms):
+    """The sign of v . f for each integer-pair form f, all of v's length (3
+    or 4), as a list; the dots are written out, as in `pair_dot`."""
+    if len(v) == 4:
+        (c0, d0), (c1, d1), (c2, d2), (c3, d3) = v
+        dots = [
+            (
+                a0 * c0 + a1 * c1 + a2 * c2 + a3 * c3
+                + (bd := b0 * d0 + b1 * d1 + b2 * d2 + b3 * d3),
+                a0 * d0 + b0 * c0 + a1 * d1 + b1 * c1 + a2 * d2 + b2 * c2 + a3 * d3 + b3 * c3
+                + bd,
+            )
+            for (a0, b0), (a1, b1), (a2, b2), (a3, b3) in forms
+        ]
+    else:
+        (c0, d0), (c1, d1), (c2, d2) = v
+        dots = [
+            (
+                a0 * c0 + a1 * c1 + a2 * c2 + (bd := b0 * d0 + b1 * d1 + b2 * d2),
+                a0 * d0 + b0 * c0 + a1 * d1 + b1 * c1 + a2 * d2 + b2 * c2 + bd,
+            )
+            for (a0, b0), (a1, b1), (a2, b2) in forms
+        ]
+    return list(map(pair_sign, dots))
+
+
 def pair_point(pairs):
     """Field vector of a nonzero integer-pair vector, its first nonzero entry 1.
 
@@ -275,7 +362,13 @@ def pair_point(pairs):
 # then stay in Z or Z[tau], and flats and mirror normals are grouped by a
 # canonical key that is unique per projective class.  The points of P^1 on
 # one line (a line's hits, a restricted line's points) are grouped in one
-# `group` call, whose keys are never stored.  Field scalars come back only
+# `group` call, whose keys are never stored.  `normal` writes out the maximal
+# minors of dim - 1 forms (the cross product in K^3 and its analogue in K^4),
+# which certify the facets of the chamber walk without an elimination: nonzero
+# exactly when the forms are independent, and orthogonal to each of them.
+# `signs` gives the side of every corner of the chamber context on one
+# hyperplane in one call, its dots written out like `group`'s.
+# Field scalars come back only
 # when an arrangement's normals or a flat's point are read: `point` divides
 # by the first nonzero coordinate in integers (for Q(tau), by its norm after
 # multiplying by its conjugate), and point(canonical(ints(v))) is the one
@@ -304,6 +397,13 @@ class FieldKernel(NamedTuple):
     #: unique per projective class: OR of the rows' bits}; the keys only
     #: group, and are never stored
     group: Callable
+    #: normal(rows): dim - 1 integer forms of length dim (3 or 4) -> their
+    #: maximal minors, signed so that the result is orthogonal to every row;
+    #: zero exactly when the rows are dependent
+    normal: Callable
+    #: signs(v, forms): the sign of v . f for each form f of v's length (3 or
+    #: 4), as a list
+    signs: Callable
     #: key -> the class representative in field scalars: primitive ints with
     #: a positive lead for Q, first nonzero coordinate 1 for Q(tau)
     point: Callable
@@ -322,6 +422,42 @@ def _int_dot(u, v):
         c0, c1 = v
         return a0 * c0 + a1 * c1
     return sum(map(mul, u, v))
+
+
+def _int_normal(rows):
+    """The maximal minors of dim - 1 integer forms of length dim (3 or 4).
+
+    Entry k is (-1)^k times the minor without column k, as in `pair_normal`,
+    with the 2x2 minors written out.
+    """
+    if len(rows) == 2:
+        (a0, a1, a2), (c0, c1, c2) = rows
+        return (a1 * c2 - a2 * c1, a2 * c0 - a0 * c2, a0 * c1 - a1 * c0)
+    (a0, a1, a2, a3), (c0, c1, c2, c3), (w0, w1, w2, w3) = rows
+    m01 = a0 * c1 - a1 * c0
+    m02 = a0 * c2 - a2 * c0
+    m03 = a0 * c3 - a3 * c0
+    m12 = a1 * c2 - a2 * c1
+    m13 = a1 * c3 - a3 * c1
+    m23 = a2 * c3 - a3 * c2
+    return (
+        w1 * m23 - w2 * m13 + w3 * m12,
+        w2 * m03 - w0 * m23 - w3 * m02,
+        w0 * m13 - w1 * m03 + w3 * m01,
+        w1 * m02 - w0 * m12 - w2 * m01,
+    )
+
+
+def _int_signs(v, forms):
+    """The sign of v . f for each integer form f, all of v's length (3 or 4),
+    as a list; the dots are written out, as in `_int_dot`."""
+    if len(v) == 4:
+        v0, v1, v2, v3 = v
+        dots = [v0 * a0 + v1 * a1 + v2 * a2 + v3 * a3 for a0, a1, a2, a3 in forms]
+    else:
+        v0, v1, v2 = v
+        dots = [v0 * a0 + v1 * a1 + v2 * a2 for a0, a1, a2 in forms]
+    return [(x > 0) - (x < 0) for x in dots]
 
 
 def _int_group(p, q, rows, skip=0):
@@ -368,6 +504,8 @@ KERNELS = {
         sign=sign,
         canonical=primitive,
         group=_int_group,
+        normal=_int_normal,
+        signs=_int_signs,
         point=tuple,
     ),
     Field.QUADRATIC_TAU: FieldKernel(
@@ -377,6 +515,8 @@ KERNELS = {
         sign=pair_sign,
         canonical=pair_vector_canonical,
         group=pair_group,
+        normal=pair_normal,
+        signs=pair_signs,
         point=pair_point,
     ),
 }

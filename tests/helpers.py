@@ -6,8 +6,10 @@ reference routes (field-scalar `rref`/`rank`/`kernel_basis` and
 `canonicalize_vector`, the one-point-at-a-time P^1 keys, the all-pairs
 reflection closure, kernel-basis restrictions, the vertex-by-line Moebius
 scan, the vertex pass with one full point per candidate, the chamber corner
-list scan) are the slow, obvious versions that the package's integer kernel
-is compared against.
+list scan, the per-hyperplane wall scan) are the slow, obvious versions that
+the package's integer kernel is compared against.  The oracles
+`chamber_feasible` (strict feasibility of a sign vector) and the
+interval-refinement surd floors check the package from outside it.
 """
 
 from __future__ import annotations
@@ -16,16 +18,12 @@ import random
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import permutations
-from math import gcd
+from math import gcd, isqrt
 
 from arr4 import Arrangement, Field, Flat, QuadScalar, Rank3Arrangement, sign
 from arr4.arrangement import _HODGE
-from arr4.invariants import (
-    ceil_sub_sqrt,
-    ceil_sub_sqrt_interval,
-    floor_add_sqrt,
-    floor_add_sqrt_interval,
-)
+from arr4.chambers import _oriented_normals, feasible_strict
+from arr4.invariants import NegativeRadicand, ceil_sub_sqrt, floor_add_sqrt
 from arr4.linalg import _PAIR_INFINITY, KERNELS, compare_vectors
 from arr4.scalars import lift
 
@@ -358,6 +356,11 @@ def reference_vertices(arr):
     return verts, (tuple(row[1] for row in rows), tuple(row[2] for row in rows))
 
 
+def chamber_feasible(arr, signs) -> bool:
+    """Whether the open cone cut out by the +-1 sign vector is nonempty."""
+    return feasible_strict(_oriented_normals(arr, signs))
+
+
 def reference_corner_signs(arr):
     """(positive mask, negative mask) of every corner flat, in corner order.
 
@@ -397,6 +400,24 @@ def reference_compatible_corners(corner_signs, mask, n):
         if not (nmask & mask or pmask & notm)
     ]
     return out
+
+
+def add_forms(u, v):
+    """The entrywise sum of two integer forms: ints, or (a, b) pairs."""
+    if isinstance(u[0], tuple):
+        return tuple((a + c, b + d) for (a, b), (c, d) in zip(u, v))
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def reference_walls(ctx, corners):
+    """The candidate walls of a chamber, by a scan over every hyperplane.
+
+    The reference route: hyperplane h is a candidate when at least dim - 1 of
+    the chamber's oriented corners `corners` lie on it, by an AND with the
+    context's `zero[h]` and a popcount, for every h in turn.
+    """
+    need = ctx.dim - 1
+    return tuple(h for h, on in enumerate(ctx.zero) if (corners & on).bit_count() >= need)
 
 
 def reference_canonical_key(diagram):
@@ -466,6 +487,40 @@ def run_field_axiom_suite(cases: int, seed: int = 20240611) -> int:
             assert sign(x * z - y * z) == sx
         done += 1
     return done
+
+
+def floor_add_sqrt_interval(a: int, s: int, d: int) -> int:
+    """Independent oracle for floor_add_sqrt via rational interval refinement."""
+    if s < 0:
+        raise NegativeRadicand(s)
+    r = isqrt(s)
+    if r * r == s:
+        return (a + r) // d
+    lo, hi = Fraction(r), Fraction(r + 1)
+    while (a + lo) // d != (a + hi) // d:
+        mid = (lo + hi) / 2
+        if mid * mid <= s:
+            lo = mid
+        else:
+            hi = mid
+    return (a + lo) // d
+
+
+def ceil_sub_sqrt_interval(a: int, s: int, d: int) -> int:
+    """Independent oracle for ceil_sub_sqrt via rational interval refinement."""
+    if s < 0:
+        raise NegativeRadicand(s)
+    r = isqrt(s)
+    if r * r == s:
+        return -((r - a) // d)
+    lo, hi = Fraction(r), Fraction(r + 1)
+    while -((lo - a) // d) != -((hi - a) // d):
+        mid = (lo + hi) / 2
+        if mid * mid <= s:
+            lo = mid
+        else:
+            hi = mid
+    return -((lo - a) // d)
 
 
 def run_surd_floor_suite(cases: int, seed: int = 20240613) -> int:

@@ -22,7 +22,6 @@ from arr4.chambers import (
     _Context,
     _context,
     chamber_face_counts,
-    chamber_feasible,
     feasible_strict,
     generic_point,
     simply_laced_h_criterion,
@@ -30,11 +29,14 @@ from arr4.chambers import (
 from arr4.report import build_report
 from arr4.scalars import Field, sign
 from helpers import (
+    add_forms,
+    chamber_feasible,
     dot,
     random_arrangements,
     reference_canonical_key,
     reference_compatible_corners,
     reference_corner_signs,
+    reference_walls,
 )
 
 
@@ -278,23 +280,62 @@ def test_compatible_corners_match_list_scan_random(field, count, boolean, generi
     assert not all(simplicial)
 
 
+def _walls_agree(arr):
+    """Every chamber's walls equal the per-hyperplane popcount scan."""
+    ctx = _context(arr)
+    for ch in enumerate_chambers(arr):
+        corners = ctx.compatible(ch.mask)
+        assert ch.walls == reference_walls(ctx, corners) == ctx.walls(corners, set())
+    return is_simplicial(arr)
+
+
+@pytest.mark.parametrize("name", ["A4", "D4", "B4", "F4", "H4", "A^3_1(27)", "A^3_1(28)"])
+def test_mask_walls_match_hyperplane_scan_builtins(name):
+    arr = builtin(name)
+    assert _walls_agree(arr)
+    assert _walls_agree(arr.restriction(0))
+
+
+@pytest.mark.parametrize("field,count", [(Field.RATIONAL, 8), (Field.QUADRATIC_TAU, 5)])
+def test_mask_walls_match_hyperplane_scan_random(field, count, boolean, generic5):
+    simplicial = []
+    for arr in [boolean, generic5, *random_arrangements(field, count, seed=20240615)]:
+        simplicial.append(_walls_agree(arr))
+        _walls_agree(arr.restriction(0))
+    assert not all(simplicial)
+
+
 @pytest.fixture
 def rank_calls(monkeypatch):
-    """The row count of every `int_rank` call the chamber code makes."""
-    int_rank = arr4.chambers.int_rank
+    """The row count of every facet certificate (`spans_hyperplane`) the
+    chamber walk makes."""
+    spans_hyperplane = arr4.chambers.spans_hyperplane
     calls = []
 
-    def counting_rank(rows):
+    def counting_certificate(rows, kernel):
         calls.append(len(rows))
-        return int_rank(rows)
+        return spans_hyperplane(rows, kernel)
 
-    monkeypatch.setattr(arr4.chambers, "int_rank", counting_rank)
+    monkeypatch.setattr(arr4.chambers, "spans_hyperplane", counting_certificate)
     return calls
+
+
+def test_walk_makes_no_rank_call(monkeypatch):
+    """The walk certifies its facets without `int_rank`."""
+
+    def no_rank(rows):
+        raise AssertionError("int_rank called")
+
+    monkeypatch.setattr(arr4.chambers, "int_rank", no_rank)
+    for template in (builtin("A4"), builtin("A^3_1(28)")):
+        fresh = Arrangement(template.normals, template.field)
+        for arr in (fresh, fresh.restriction(0)):
+            assert all(len(ch.walls) == arr.dim for ch in enumerate_chambers(arr))
 
 
 @pytest.mark.parametrize("field,count", [(Field.RATIONAL, 4), (Field.QUADRATIC_TAU, 3)])
 def test_every_facet_certified_once(field, count, rank_calls):
-    """`int_rank` runs once per distinct facet, on that facet's corners."""
+    """The certificate runs once per distinct facet, on that facet's corners."""
     arrangements = [builtin("A4"), builtin("A^3_1(27)")]
     arrangements += random_arrangements(field, count, seed=20240620)
     for template in arrangements:
@@ -323,6 +364,39 @@ def test_facet_certificate_fires(name):
         arr._cache["chamber_ctx"] = _corrupted(arr)
         with pytest.raises(AssertionError, match="tight corner rays of a facet"):
             enumerate_chambers(arr)
+
+
+def _wide_facet(arr):
+    """(hyperplane, unoriented tight corners) of the first facet of the walk
+    with four or more corners, or None."""
+    ctx = _context(arr)
+    for ch in enumerate_chambers(arr):
+        corners = ctx.compatible(ch.mask)
+        for h in ch.walls:
+            tight = ctx.unoriented(corners & ctx.zero[h])
+            if tight.bit_count() >= 4:
+                return h, tight
+    return None
+
+
+@pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU], ids=lambda f: f.value)
+def test_facet_certificate_fires_on_wide_facets(field, generic5):
+    """A corner moved off the plane of a facet with four or more corners, past
+    the first three that fix the facet's normal, raises."""
+    candidates = [generic5] if field is Field.RATIONAL else []
+    candidates += random_arrangements(field, 12, seed=20240615)
+    template, (h, tight) = next(
+        (arr, facet) for arr in candidates if (facet := _wide_facet(arr)) is not None
+    )
+    assert not is_simplicial(template)
+    j = tight.bit_length() - 1  # the facet's last corner
+    arr = Arrangement(template.normals, template.field)
+    ctx = _Context(arr)
+    w = arr._integer_normals()[0][h]
+    ctx.forms[j] = add_forms(ctx.forms[j], w)  # off h: w . (form + w) = w . w > 0
+    arr._cache["chamber_ctx"] = ctx
+    with pytest.raises(AssertionError, match="tight corner rays of a facet"):
+        enumerate_chambers(arr)
 
 
 def test_aborted_walk_leaves_no_certificates(rank_calls):

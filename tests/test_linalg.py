@@ -17,7 +17,15 @@ from arr4.linalg import (
     to_int_pairs,
 )
 from arr4.scalars import Field
-from helpers import POSITION, canonicalize_vector, dot, kernel_basis, rank, reference_group
+from helpers import (
+    POSITION,
+    add_forms,
+    canonicalize_vector,
+    dot,
+    kernel_basis,
+    rank,
+    reference_group,
+)
 
 
 E = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
@@ -399,3 +407,52 @@ def test_group_matches_reference_keys(field, terms):
         with pytest.raises(ValueError):
             group(p, q, rows + [zero_row])
         assert group(p, q, rows + [zero_row], 1 << 41) == group(p, q, rows)
+
+
+@pytest.mark.parametrize("length", [3, 4])
+@pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.value)
+def test_normal_matches_rank(field, length):
+    """`normal` of length - 1 rows is orthogonal to every row, and nonzero
+    exactly when `int_rank` finds them independent; dependent rows (a repeated
+    row, a row times 1 + tau or -3, the sum of two rows) give zero."""
+    rng = random.Random(1600 + 10 * length + (field is Field.QUADRATIC_TAU))
+    kernel, zero = KERNELS[field], _ZERO[field]
+    unit = -3 if field is Field.RATIONAL else (1, 1)
+    need = length - 1
+    dependent = 0
+    for _ in range(300):
+        rows = [tuple(_random_scalar(rng, field, 2) for _ in range(length)) for _ in range(need)]
+        kind = rng.randrange(4)
+        if kind == 1:  # a repeated row
+            rows[-1] = rows[0]
+        elif kind == 2:  # a row times a unit
+            rows[-1] = tuple(_times(field, unit, x) for x in rows[0])
+        elif kind == 3 and need == 3:  # the sum of two rows
+            rows[-1] = add_forms(rows[0], rows[1])
+        rng.shuffle(rows)
+        normal = kernel.normal(rows)
+        assert len(normal) == length
+        assert all(kernel.dot(normal, row) == zero for row in rows)
+        independent = int_rank(rows) == need
+        assert any(x != zero for x in normal) is independent
+        if kind and (kind < 3 or need == 3):
+            assert not independent
+            dependent += 1
+    assert dependent > 100
+
+
+@pytest.mark.parametrize("length", [3, 4])
+@pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.value)
+def test_signs_match_dot(field, length):
+    """`signs` is the sign of `dot` with each form, zero dots among them."""
+    rng = random.Random(1700 + 10 * length + (field is Field.QUADRATIC_TAU))
+    kernel, zero = KERNELS[field], _ZERO[field]
+    zeros = 0
+    for _ in range(100):
+        v = tuple(_random_scalar(rng, field, 2) for _ in range(length))
+        forms = [tuple(_random_scalar(rng, field, 2) for _ in range(length)) for _ in range(20)]
+        forms.append((v[1], kernel.neg(v[0])) + (zero,) * (length - 2))  # orthogonal to v
+        expected = [kernel.sign(kernel.dot(v, f)) for f in forms]
+        assert kernel.signs(v, forms) == expected
+        zeros += expected.count(0)
+    assert zeros >= 100
