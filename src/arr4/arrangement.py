@@ -27,8 +27,11 @@ keys only group hits; every key a flat stores comes from `canonical`.
 Vertices are keyed by their member masks and each line reports each of its
 vertices once, so the same pass tallies, per vertex, the lines through it
 and the sum of their weights (`vertex_line_tallies`), from which the
-vertices' Moebius values and the f-vector are read; a vertex's key is made
-once, when it is first seen.  A restriction's normals are read off the
+vertices' Moebius values, the t-vector and the f-vector are read.  The
+pass makes no vertex key: it keeps a witness for each point (the line's
+Hodge rows and one normal off it), and the keys and `Flat`s are made on
+the first read of `vertices()`, which only the chamber walk, `parabolic`
+and explicit callers do.  A restriction's normals are read off the
 Pluecker keys of the lines inside the hyperplane, and its chamber count off
 the positions of the later lines on each line, the same way in P^2, again
 one `group` call per line (`restriction_counts` builds no rank-3
@@ -217,6 +220,13 @@ def _rank3_second(keys, kernel):
     return total
 
 
+def _witness_key(kernel, entry):
+    """The canonical key of a vertex from its vertex-pass entry, whose last
+    two slots are a line's Hodge rows and the Hodge form of a normal off the
+    line: the point Hodge(q) w_k where that normal meets the line."""
+    return kernel.canonical(tuple(map(kernel.dot, entry[2], entry[3])))
+
+
 def _rank3_char_poly(n, second):
     """Coefficients (descending) of the cubic characteristic polynomial of a
     rank-3 arrangement of n lines with sum_p (w_p - 1) = second."""
@@ -327,19 +337,33 @@ class Arrangement(_CentralArrangement):
         return self._rank2()
 
     def vertices(self):
-        """All rank-3 flats, sorted by member index sets."""
+        """All rank-3 flats, sorted by member index sets.
+
+        The keys and flats are made on the first read, from the masks and
+        point witnesses of the vertex pass; the witnesses are then dropped.
+        """
         if "vertices" not in self._cache:
-            self._cache["vertices"] = self._compute_vertices()
+            kernel = self._kernel
+            masks = self._vertex_pass()[0]
+            entries = self._cache["vertex_entries"]
+            self._cache["vertices"] = tuple(
+                Flat(mask, _witness_key(kernel, entry)) for mask, entry in zip(masks, entries)
+            )
+            del self._cache["vertex_entries"]
         return self._cache["vertices"]
+
+    def vertex_weights(self):
+        """Per vertex, in `vertices()` order: the number of hyperplanes through it."""
+        return self._vertex_pass()[1]
 
     def vertex_line_tallies(self):
         """Per vertex, in `vertices()` order: the number of lines through it,
         and the sum of those lines' weights."""
-        self.vertices()
-        return self._cache["vertex_tallies"]
+        return self._vertex_pass()[2:]
 
-    def _compute_vertices(self):
-        """Vertices, plus the tallies of `vertex_line_tallies` in the same pass.
+    def _vertex_pass(self):
+        """(member masks, weights, lines through, their weight sums) of every
+        vertex, in `vertices()` order; no vertex key or flat is made.
 
         A normal w_k off the line with key q meets it in Hodge(q) w_k.  With
         q_t the key's first nonzero entry, the two Hodge rows of the
@@ -349,12 +373,19 @@ class Arrangement(_CentralArrangement):
         The normals with one position and the line's members are the
         vertex's members (every member of a vertex is on the line or meets
         it there), so each line reports each of its vertices once, keyed by
-        the member mask; the vertex's point is canonicalized only when it is
-        first reported.
+        the member mask.  Per vertex the pass keeps the line Hodge rows and
+        the Hodge form of one normal off the line, a witness from which
+        `vertices()` makes the point, and which names it in the weight check.
+
+        The pass meets the vertices in member order: a vertex with lowest
+        members m1 < m2 is first reported by the line through them, which
+        comes first among its lines; lines are walked in member order, and
+        one line's hits are grouped in the order of their lowest member.
         """
+        if "vertex_pass" in self._cache:
+            return self._cache["vertex_pass"]
         kernel = self._kernel
-        idot, canonical, group_hits = kernel.dot, kernel.canonical, kernel.group
-        sign = kernel.sign
+        group_hits, sign = kernel.group, kernel.sign
         ints, negs = self._integer_normals()
         hodge_w = [
             tuple(tuple((w if s > 0 else nw)[j] for _, j, s in row) for row in _HODGE)
@@ -364,7 +395,7 @@ class Arrangement(_CentralArrangement):
         hodge_cd = [
             [(1 << k, hw[c], hw[d]) for k, hw in enumerate(hodge_w)] for c, d in _COMPLEMENT
         ]
-        # member mask -> [point key, lines through the vertex, their weight sum]
+        # member mask -> [lines through the vertex, their weight sum, witness]
         found = {}
         for line in self._rank2():
             key, line_mask = line.key, line.mask
@@ -376,31 +407,27 @@ class Arrangement(_CentralArrangement):
                 mask = line_mask | group
                 entry = found.get(mask)
                 if entry is None:
-                    wk = hodge_w[(group & -group).bit_length() - 1]
-                    found[mask] = [canonical(tuple(map(idot, hodge_p, wk))), 1, size]
+                    found[mask] = [1, size, hodge_p, hodge_w[(group & -group).bit_length() - 1]]
                 else:
-                    entry[1] += 1
-                    entry[2] += size
-        flats, counts, weights = [], [], []
-        while found:  # popping frees each entry as its flat is made
-            mask, entry = found.popitem()
-            flats.append(Flat(mask, entry[0]))
-            counts.append(entry[1])
-            weights.append(entry[2])
-        found.clear()  # and this frees the emptied table
-        order = sorted(range(len(flats)), key=lambda j: flats[j].members)
-        verts = tuple(flats[j] for j in order)
-        self._cache["vertex_tallies"] = (
-            tuple(counts[j] for j in order),
-            tuple(weights[j] for j in order),
-        )
+                    entry[0] += 1
+                    entry[1] += size
+        masks = tuple(found)
+        entries = list(found.values())
+        found.clear()
+        weights = tuple(mask.bit_count() for mask in masks)
         top = self.n - 1
-        for v in verts:
-            if not 3 <= v.weight <= top:
-                raise AssertionError(
-                    f"vertex {v.point} lies on {v.weight} hyperplanes"
-                )
-        return verts
+        for weight, entry in zip(weights, entries):
+            if not 3 <= weight <= top:
+                point = kernel.point(_witness_key(kernel, entry))
+                raise AssertionError(f"vertex {point} lies on {weight} hyperplanes")
+        self._cache["vertex_entries"] = entries
+        self._cache["vertex_pass"] = (
+            masks,
+            weights,
+            tuple(entry[0] for entry in entries),
+            tuple(entry[1] for entry in entries),
+        )
+        return self._cache["vertex_pass"]
 
     def h_vector(self) -> dict[int, int]:
         """Counts of lines by weight, as a weight -> count map."""
@@ -409,12 +436,12 @@ class Arrangement(_CentralArrangement):
 
     def t_vector(self) -> dict[int, int]:
         """Counts of vertices by weight, as a weight -> count map."""
-        counts = Counter(v.weight for v in self.vertices())
+        counts = Counter(self.vertex_weights())
         return dict(sorted(counts.items()))
 
     def multiplicity(self) -> int:
         """Largest vertex weight."""
-        return max(v.weight for v in self.vertices())
+        return max(self.vertex_weights())
 
     # -- derived rank-3 arrangements -------------------------------------------
 

@@ -8,8 +8,9 @@ integer-sqrt bracketing) and from the discriminant of the cubic factor; the
 two verdicts are asserted to agree on every evaluation.
 
 The Moebius values of the vertices and the whole f-vector are read off the
-per-vertex line tallies that the vertex pass takes
-(`Arrangement.vertex_line_tallies`), in O(V); f2 is Zaslavsky's chamber count
+per-vertex weights and line tallies that the vertex pass takes
+(`Arrangement.vertex_weights`, `Arrangement.vertex_line_tallies`), in O(V)
+and with no vertex flat built; f2 is Zaslavsky's chamber count
 of each restriction summed over the hyperplanes, so in `analyze` the Euler
 relation holds by construction.  The independent route to f2 counts the
 points of every restriction from the restricted normals' own pair geometry
@@ -151,15 +152,19 @@ def char_poly_formula(n: int, h: int, f3: int) -> CharPoly:
 
 
 def _mu_data(arrangement: Arrangement):
-    """Moebius value and incident-line count of every vertex.
+    """Moebius value and incident-line count of every vertex, in `vertices()`
+    order.
 
-    Read off the tallies of the vertex pass: mu(v) = -(1 - w_v + sum over the
-    lines L through v of (|L| - 1)).
+    Read off the weights and tallies of the vertex pass, which builds no
+    vertex flat: mu(v) = -(1 - w_v + sum over the lines L through v of
+    (|L| - 1)).
     """
     line_counts, line_weights = arrangement.vertex_line_tallies()
     vertex_mu = tuple(
-        -(1 - v.weight + weights - count)
-        for v, count, weights in zip(arrangement.vertices(), line_counts, line_weights)
+        -(1 - weight + weights - count)
+        for weight, count, weights in zip(
+            arrangement.vertex_weights(), line_counts, line_weights
+        )
     )
     return vertex_mu, line_counts
 
@@ -182,15 +187,15 @@ def f_vector(arrangement: Arrangement) -> tuple[int, int, int, int]:
     points are the vertices in the hyperplane and whose point weights are
     the lines through them: f2 = n + sum_v (sum_{L through v} |L| - w_v);
     f3 comes from the characteristic polynomial at -1.  Every term is read
-    off the vertex pass, so the Euler relation holds by construction; the
+    off the weights and tallies of the vertex pass, which makes no vertex
+    key or flat, so the Euler relation holds by construction; the
     restriction route to f2 (`Arrangement.restriction_counts`) is compared
     with this one in `catalogue.verify_row` and the tests.
     """
     line_counts, line_weights = arrangement.vertex_line_tallies()
-    vertices = arrangement.vertices()
-    f0 = len(vertices)
+    f0 = len(line_counts)
     f1 = sum(line_counts)
-    f2 = arrangement.n + sum(line_weights) - sum(v.weight for v in vertices)
+    f2 = arrangement.n + sum(line_weights) - sum(arrangement.vertex_weights())
     chi = char_poly_moebius(arrangement)
     value = chi(-1)
     if value <= 0 or value % 2:

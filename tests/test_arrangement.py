@@ -322,6 +322,22 @@ def test_parabolic_checks_fire(make, key, message):
         arr.parabolic(vertex)
 
 
+@pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU])
+def test_vertex_weight_check_fires_before_any_flat(field):
+    """A vertex on all n hyperplanes (keys past the essentialness check) is
+    an internal error of the counting pass, named by its point; the counts
+    that read the pass raise it too, with no vertex flat made."""
+    ints = KERNELS[field].ints
+    keys = [ints(v) for v in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0))]
+    point = KERNELS[field].point(ints((0, 0, 0, 1)))
+    message = re.escape(f"vertex {point} lies on 4 hyperplanes")
+    arr = Arrangement._from_keys(keys, field)
+    for read in (Arrangement.t_vector, f_vector, Arrangement.vertices):
+        with pytest.raises(AssertionError, match=message):
+            read(arr)
+        assert "vertices" not in arr._cache
+
+
 def test_reducibility(boolean):
     part = boolean.reducible_partition()
     assert part == ((0,), (1, 2, 3))

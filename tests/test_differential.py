@@ -98,6 +98,38 @@ def test_vertex_pass_matches_full_point_reference(field):
     assert leads == set(range(6))  # every complement pair is used
 
 
+@pytest.mark.parametrize("label", ["H4", "A^3_1(28)", "heavy rational draw"])
+def test_counts_build_no_vertex_flat(label):
+    """The report without chambers and every count read the vertex pass
+    alone; the flats made afterwards equal the reference and a copy that
+    read `vertices()` first, in the pass's own (member) order."""
+    def fresh():  # not the shared builtin(), whose lattice other tests read
+        if label.startswith("heavy"):
+            return _heavy_draws(Field.RATIONAL, count=1)[0]
+        return Arrangement(builtin(label).normals, builtin(label).field)
+
+    arr, first = fresh(), fresh()
+    flats_first = [(v.members, v.key) for v in first.vertices()]
+    build_report(arr, with_chambers=False)
+    f_vector(arr)
+    arr.t_vector()
+    arr.multiplicity()
+    char_poly_moebius(arr)
+    arr.restriction_counts()
+    assert "vertices" not in arr._cache
+    members = [
+        tuple(i for i in range(arr.n) if mask >> i & 1) for mask in arr._vertex_pass()[0]
+    ]
+    assert members == sorted(members)  # the pass order needs no sort
+
+    verts, tallies = reference_vertices(arr)
+    flats = [(v.members, v.key) for v in arr.vertices()]
+    assert "vertex_entries" not in arr._cache  # the witnesses are dropped
+    assert flats == [(v.members, v.key) for v in verts] == flats_first
+    assert arr.vertex_line_tallies() == tallies == first.vertex_line_tallies()
+    assert arr.vertex_weights() == tuple(v.weight for v in verts)
+
+
 def _rank3_draws(field, count=40, seed=20240620):
     """5-9 lines in K^3 from a pool rich in zeros, so leading zeros are common."""
     rng = random.Random(seed)
