@@ -22,20 +22,22 @@ the Hodge dual of the line's Pluecker vector applied to that normal; the
 line projects injectively onto two coordinates, so the P^1 key of those two
 Hodge rows is the hit's position on the line, and the normals with one
 position, together with the line's members, are the members of one vertex.
-One kernel call per line (`group`) keys all of the line's hits.  Position
-keys only group hits; every key a flat stores comes from `canonical`.
-Vertices are keyed by their member masks and each line reports each of its
-vertices once, so the same pass tallies, per vertex, the lines through it
-and the sum of their weights (`vertex_line_tallies`), from which the
-vertices' Moebius values, the t-vector and the f-vector are read.  The
-pass makes no vertex key: it keeps a witness for each point (the line's
-Hodge rows and one normal off it), and the keys and `Flat`s are made on
-the first read of `vertices()`, which only the chamber walk, `parabolic`
+One kernel call per line (`group`) keys the line's hits.  Position keys
+only group hits; every key a flat stores comes from `canonical`.
+Vertices are keyed by their member masks.  Each vertex is grouped once, on
+its first line, and later lines skip its members; its lines are then read
+off the pair -> rank-2 flat map (`_pair_lines`), which tallies, per vertex,
+the lines through it and the sum of their weights (`vertex_line_tallies`),
+from which the vertices' Moebius values, the t-vector and the f-vector are
+read.  The pass makes no vertex key: it keeps a witness for each point (the
+line's Hodge rows and one normal off it), and the keys and `Flat`s are made
+on the first read of `vertices()`, which only the chamber walk, `parabolic`
 and explicit callers do.  A restriction's normals are read off the
 Pluecker keys of the lines inside the hyperplane, and its chamber count off
 the positions of the later lines on each line, the same way in P^2, again
-one `group` call per line (`restriction_counts` builds no rank-3
-arrangement); a parabolic's are the integer normals through the vertex
+one `group` call per line, each point grouped once on its first line
+(`restriction_counts` builds no rank-3 arrangement and reads nothing of
+the vertex pass); a parabolic's are the integer normals through the vertex
 with the pivot of the vertex key dropped.  Essentialness and reducibility
 (fundamental circuits of a greedy basis) are division-free `int_rank` tests
 on the integer normals.
@@ -199,10 +201,12 @@ def _rank3_second(keys, kernel):
     Lines i and j meet in the cross product u_i x u_j.  With u_i[c] != 0 no
     nonzero point of line i has both coordinates other than c equal to 0, so
     the P^1 key of those two cross-product components is a point's position
-    on line i.  Counting the distinct positions of the later lines j > i on
-    each line i counts a point of weight w on every member but its last,
-    i.e. w - 1 times.  The rows of each pivot c are built once, and each
-    line keys all of its later lines in one `group` call.
+    on line i.  Each point is grouped once, on its first line i: one `group`
+    call keys the later lines j > i, less those in `seen[i]`, the lines
+    through the points already found on line i.  A group is then the w_p - 1
+    other lines of a new point, and its mask is added to each of their
+    `seen`, so later lines skip it.  The rows of each pivot c are built
+    once, each with its line's bit.
     """
     group, sign, neg = kernel.group, kernel.sign, kernel.neg
     minors = _MINORS[3]
@@ -210,21 +214,33 @@ def _rank3_second(keys, kernel):
     right = [tuple((v[b], neg(v[a])) for a, b in minors) for v in keys]
     # per pivot c, the two components m0 < m1 other than c
     others = [tuple(m for m in range(3) if m != c) for c in range(3)]
-    # per pivot c: every line's right factors of those two components
-    rows = [[(0, r[m0], r[m1]) for r in right] for m0, m1 in others]
+    # per pivot c: every line's bit and right factors of those two components
+    rows = [[(1 << j, r[m0], r[m1]) for j, r in enumerate(right)] for m0, m1 in others]
+    # per line: the lines through the points found on it so far
+    seen = [0] * len(keys)
     total = 0
     for i, u in enumerate(keys):
         c = next(f for f, x in enumerate(u) if sign(x))
+        skip = seen[i]
+        later = [row for row in rows[c][i + 1:] if not skip & row[0]]
+        if not later:
+            continue
         (a0, b0), (a1, b1) = (minors[m] for m in others[c])
-        total += len(group((u[a0], u[b0]), (u[a1], u[b1]), rows[c][i + 1:]))
+        for found in group((u[a0], u[b0]), (u[a1], u[b1]), later).values():
+            total += found.bit_count()
+            point = found | 1 << i
+            while found:
+                low = found & -found
+                seen[low.bit_length() - 1] |= point
+                found ^= low
     return total
 
 
-def _witness_key(kernel, entry):
-    """The canonical key of a vertex from its vertex-pass entry, whose last
-    two slots are a line's Hodge rows and the Hodge form of a normal off the
-    line: the point Hodge(q) w_k where that normal meets the line."""
-    return kernel.canonical(tuple(map(kernel.dot, entry[2], entry[3])))
+def _witness_key(kernel, witness):
+    """The canonical key of a vertex from its vertex-pass witness: a line's
+    Hodge rows and the Hodge form of a normal off the line, which meet in the
+    point Hodge(q) w_k."""
+    return kernel.canonical(tuple(map(kernel.dot, *witness)))
 
 
 def _rank3_char_poly(n, second):
@@ -318,6 +334,20 @@ class _CentralArrangement:
             self._cache["rank2"] = tuple(sorted(flats, key=lambda flat: flat.members))
         return self._cache["rank2"]
 
+    def _pair_lines(self):
+        """Row i, entry j != i: the index in `_rank2()` of the rank-2 flat on
+        hyperplanes i and j (their line of P^3, their point of P^2)."""
+        if "pair_lines" not in self._cache:
+            table = [[None] * self.n for _ in range(self.n)]
+            for index, flat in enumerate(self._rank2()):
+                members = flat.members
+                for a, i in enumerate(members):
+                    row = table[i]
+                    for j in members[a + 1:]:
+                        row[j] = table[j][i] = index
+            self._cache["pair_lines"] = table
+        return self._cache["pair_lines"]
+
 
 _set_field, _set_kernel, _set_cache = (
     getattr(_CentralArrangement, name).__set__ for name in _CentralArrangement.__slots__
@@ -345,9 +375,10 @@ class Arrangement(_CentralArrangement):
         if "vertices" not in self._cache:
             kernel = self._kernel
             masks = self._vertex_pass()[0]
-            entries = self._cache["vertex_entries"]
+            witnesses = self._cache["vertex_entries"]
             self._cache["vertices"] = tuple(
-                Flat(mask, _witness_key(kernel, entry)) for mask, entry in zip(masks, entries)
+                Flat(mask, _witness_key(kernel, witness))
+                for mask, witness in zip(masks, witnesses)
             )
             del self._cache["vertex_entries"]
         return self._cache["vertices"]
@@ -369,16 +400,22 @@ class Arrangement(_CentralArrangement):
         q_t the key's first nonzero entry, the two Hodge rows of the
         coordinates `_COMPLEMENT[t]` already fix that point on the line, so
         their P^1 key is the hit's position; one `group` call per line keys
-        every normal off it (the members are skipped by the line's mask).
-        The normals with one position and the line's members are the
-        vertex's members (every member of a vertex is on the line or meets
-        it there), so each line reports each of its vertices once, keyed by
-        the member mask.  Per vertex the pass keeps the line Hodge rows and
-        the Hodge form of one normal off the line, a witness from which
+        the normals off it, less those in `seen` (below).  The normals with
+        one position and the line's members are the vertex's members (every
+        member of a vertex is on the line or meets it there).
+
+        Each vertex is grouped once, on its first line.  Its lines are then
+        walked through `_pair_lines()`: each is asserted to lie inside the
+        vertex (the line of two members passes through their vertex), is
+        tallied, and adds the vertex's mask to its `seen`, so later lines
+        skip the vertex's members.  Two vertices on one line share no
+        member off it, so every group left on a line is a new vertex with
+        its full member mask.  Per vertex the pass keeps the line Hodge rows
+        and the Hodge form of one normal off the line, a witness from which
         `vertices()` makes the point, and which names it in the weight check.
 
         The pass meets the vertices in member order: a vertex with lowest
-        members m1 < m2 is first reported by the line through them, which
+        members m1 < m2 is first grouped on the line through them, which
         comes first among its lines; lines are walked in member order, and
         one line's hits are grouped in the order of their lowest member.
         """
@@ -395,38 +432,57 @@ class Arrangement(_CentralArrangement):
         hodge_cd = [
             [(1 << k, hw[c], hw[d]) for k, hw in enumerate(hodge_w)] for c, d in _COMPLEMENT
         ]
-        # member mask -> [lines through the vertex, their weight sum, witness]
-        found = {}
-        for line in self._rank2():
+        lines = self._rank2()
+        pair_lines = self._pair_lines()
+        line_masks = [line.mask for line in lines]
+        # per line: its members and those of the vertices found on it so far
+        seen = line_masks[:]
+        every = (1 << self.n) - 1
+        masks, counts, sums, witnesses = [], [], [], []
+        for index, line in enumerate(lines):
+            skip = seen[index]
+            if skip == every:
+                continue
             key, line_mask = line.key, line.mask
-            hodge_p = tuple(tuple(key[p] for p, _, _ in row) for row in _HODGE)
             t = next(i for i, x in enumerate(key) if sign(x))
+            rows = [row for row in hodge_cd[t] if not skip & row[0]]
+            hodge_p = tuple(tuple(key[p] for p, _, _ in row) for row in _HODGE)
             c, d = _COMPLEMENT[t]
-            size = line_mask.bit_count()
-            for group in group_hits(hodge_p[c], hodge_p[d], hodge_cd[t], line_mask).values():
+            for group in group_hits(hodge_p[c], hodge_p[d], rows).values():
                 mask = line_mask | group
-                entry = found.get(mask)
-                if entry is None:
-                    found[mask] = [1, size, hodge_p, hodge_w[(group & -group).bit_length() - 1]]
-                else:
-                    entry[0] += 1
-                    entry[1] += size
-        masks = tuple(found)
-        entries = list(found.values())
-        found.clear()
+                count = total = 0
+                rest = mask
+                while rest:  # the lines inside the vertex, each at its lowest member
+                    low = rest & -rest
+                    rest ^= low
+                    through = pair_lines[low.bit_length() - 1]
+                    todo = rest
+                    while todo:
+                        other = through[(todo & -todo).bit_length() - 1]
+                        other_mask = line_masks[other]
+                        if other_mask & ~mask:
+                            members = tuple(i for i in range(self.n) if mask >> i & 1)
+                            raise AssertionError(
+                                f"line {lines[other].members} is not inside the vertex "
+                                f"{members} of two of its members"
+                            )
+                        todo &= ~other_mask
+                        if other_mask & -other_mask == low:
+                            seen[other] |= mask
+                            count += 1
+                            total += other_mask.bit_count()
+                masks.append(mask)
+                counts.append(count)
+                sums.append(total)
+                witnesses.append((hodge_p, hodge_w[(group & -group).bit_length() - 1]))
         weights = tuple(mask.bit_count() for mask in masks)
         top = self.n - 1
-        for weight, entry in zip(weights, entries):
+        for weight, witness in zip(weights, witnesses):
             if not 3 <= weight <= top:
-                point = kernel.point(_witness_key(kernel, entry))
+                point = kernel.point(_witness_key(kernel, witness))
                 raise AssertionError(f"vertex {point} lies on {weight} hyperplanes")
-        self._cache["vertex_entries"] = entries
-        self._cache["vertex_pass"] = (
-            masks,
-            weights,
-            tuple(entry[0] for entry in entries),
-            tuple(entry[1] for entry in entries),
-        )
+        self._cache["vertex_entries"] = witnesses
+        self._cache["vertex_pass"] = (tuple(masks), weights, tuple(counts), tuple(sums))
         return self._cache["vertex_pass"]
 
     def h_vector(self) -> dict[int, int]:

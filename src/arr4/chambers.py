@@ -467,21 +467,6 @@ def walls(arr, signs):
 # -- Coxeter diagrams and the derived predicates -----------------------------------
 
 
-def _pair_weights(arr):
-    """(i, j) with i < j -> weight of the rank-2 flat on both hyperplanes
-    (a line of P^3, a point of P^2)."""
-    pw = arr._cache.get("pair_weights")
-    if pw is None:
-        pw = {}
-        for flat in arr._rank2():
-            members = flat.members
-            for a, i in enumerate(members):
-                for j in members[a + 1:]:
-                    pw[(i, j)] = flat.weight
-        arr._cache["pair_weights"] = pw
-    return pw
-
-
 class CoxeterDiagram(NamedTuple):
     """Graph on the walls of a chamber; edges carry line weights >= 3."""
 
@@ -545,12 +530,15 @@ def _shape_of(k: int, edges: tuple):
 
 
 def coxeter_diagram(arr, chamber: Chamber) -> CoxeterDiagram:
-    pw = _pair_weights(arr)
+    """The chamber's walls, joined where two walls meet in a rank-2 flat of
+    weight >= 3, read through the arrangement's pair -> rank-2 flat map."""
+    flats, pair_lines = arr._rank2(), arr._pair_lines()
     edges = []
     w = chamber.walls
     for a in range(len(w)):
+        through = pair_lines[w[a]]
         for b in range(a + 1, len(w)):
-            weight = pw[(w[a], w[b])]
+            weight = flats[through[w[b]]].weight
             if weight >= 3:
                 edges.append((w[a], w[b], weight))
     return CoxeterDiagram(w, tuple(edges))

@@ -170,12 +170,19 @@ def _mu_data(arrangement: Arrangement):
 
 
 def char_poly_moebius(arrangement: Arrangement) -> CharPoly:
-    """Characteristic polynomial by Moebius recursion over all flats."""
-    vertex_mu, _ = _mu_data(arrangement)
-    c2 = sum(flat.weight - 1 for flat in arrangement.lines())
-    c1 = sum(vertex_mu)
-    c0 = -(1 - arrangement.n + c2 + c1)
-    return CharPoly((1, -arrangement.n, c2, c1, c0))
+    """Characteristic polynomial by Moebius recursion over all flats.
+
+    Cached on the arrangement, so a report and its `f_vector` share one
+    recursion.
+    """
+    chi = arrangement._cache.get("moebius")
+    if chi is None:
+        vertex_mu, _ = _mu_data(arrangement)
+        c2 = sum(flat.weight - 1 for flat in arrangement.lines())
+        c1 = sum(vertex_mu)
+        c0 = -(1 - arrangement.n + c2 + c1)
+        chi = arrangement._cache["moebius"] = CharPoly((1, -arrangement.n, c2, c1, c0))
+    return chi
 
 
 def f_vector(arrangement: Arrangement) -> tuple[int, int, int, int]:

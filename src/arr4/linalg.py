@@ -4,17 +4,18 @@ Every decision runs on positive rescalings of vectors into primitive ints
 (Q) or integer pairs a + b*tau (Q(tau)): `int_rank` (division-free rank) and
 the per-field table `KERNELS` (integer form, dot, negation, sign, canonical
 key with an orientation flag, batched grouping on P^1, maximal minors,
-batched signs of dots, field point).  The intersection lattice, the restrictions, the reflection closure,
-reducibility, the chamber context and its facet certificate, and the
-Fourier-Motzkin wall test all run on it.  One field-scalar helper remains:
-`compare_vectors` (the exact lexicographic order that sorts normals for
-output).  The canonical field form of a vector is point(canonical(ints(v)))
-for both fields.  `group` keys each point [p.a : q.b] of P^1 of a batch of
-rows from its two integer-form scalars without building a vector (for
-Q(tau), by the ratio y/x), with the dots and the key written out and no call
-per row; the lattice groups the hits on a line and the points on a
-restricted line by it, and its keys are never stored: every stored key comes
-from `canonical`.  `normal` writes out the maximal minors of dim - 1 forms,
+batched signs of dots, field point).  The intersection lattice, the
+restrictions, the reflection closure, reducibility, the chamber context and
+its facet certificate, and the Fourier-Motzkin wall test all run on it.  One
+field-scalar helper remains: `compare_vectors` (the exact lexicographic order
+that sorts normals for output).  The canonical field form of a vector is
+point(canonical(ints(v))) for both fields.  `group` keys each point
+[p.a : q.b] of P^1 of a batch of rows from its two integer-form scalars
+without building a vector (for Q(tau), by the ratio y/x), with the dots and
+the key written out and no call per row.  The lattice groups by it the hits
+on a line and the points on a restricted line, handing over only the rows
+of flats that no earlier line has grouped; its keys are never stored: every
+stored key comes from `canonical`.  `normal` writes out the maximal minors of dim - 1 forms,
 with which the chamber walk certifies each facet, and `signs` the dots of one
 form with a batch, from which the chamber context reads each hyperplane's
 sides.
@@ -202,15 +203,15 @@ def pair_vector_canonical(pairs, oriented=False):
 _PAIR_INFINITY = (0, 1, 0)
 
 
-def pair_group(p, q, rows, skip=0):
+def pair_group(p, q, rows):
     """Rows (bit, a, b) of 2- or 3-term integer-pair forms, grouped by the
     point [p.a : q.b] of P^1: {key: OR of the bits at that key}.
 
-    Rows whose bit is in `skip` are left out.  For x = p.a != 0 the key is
-    the ratio y/x = y*conj(x) / N(x), N(x) the nonzero rational norm, as the
-    triple (N, r, s) standing for (r + s*tau)/N, with N > 0 and no common
-    factor; x = 0 is `_PAIR_INFINITY`.  A row with x = y = 0 raises
-    ValueError.  The dots are written out, as in `pair_dot`.
+    For x = p.a != 0 the key is the ratio y/x = y*conj(x) / N(x), N(x) the
+    nonzero rational norm, as the triple (N, r, s) standing for
+    (r + s*tau)/N, with N > 0 and no common factor; x = 0 is
+    `_PAIR_INFINITY`.  A row with x = y = 0 raises ValueError.  The dots are
+    written out, as in `pair_dot`.
     """
     if len(p) == 3:
         (pa0, pb0), (pa1, pb1), (pa2, pb2) = p
@@ -224,7 +225,6 @@ def pair_group(p, q, rows, skip=0):
                 qa0 * d0 + qb0 * c0 + qa1 * d1 + qb1 * c1 + qa2 * d2 + qb2 * c2 + bd,
             )
             for bit, ((a0, b0), (a1, b1), (a2, b2)), ((c0, d0), (c1, d1), (c2, d2)) in rows
-            if not skip & bit
         ]
     else:
         (pa0, pb0), (pa1, pb1) = p
@@ -238,7 +238,6 @@ def pair_group(p, q, rows, skip=0):
                 qa0 * d0 + qb0 * c0 + qa1 * d1 + qb1 * c1 + bd,
             )
             for bit, ((a0, b0), (a1, b1)), ((c0, d0), (c1, d1)) in rows
-            if not skip & bit
         ]
     groups = {}
     for bit, a, b, c, d in hits:  # [x : y] = [a + b*tau : c + d*tau]
@@ -392,10 +391,9 @@ class FieldKernel(NamedTuple):
     #: nonzero integer form -> hashable key, unique per projective class;
     #: with oriented=True, a positive multiple unique per positive rescaling
     canonical: Callable
-    #: group(p, q, rows, skip=0): rows (bit, a, b) of 2- or 3-term integer
-    #: forms, bits in `skip` left out -> {key of the point [p.a : q.b] of P^1,
-    #: unique per projective class: OR of the rows' bits}; the keys only
-    #: group, and are never stored
+    #: group(p, q, rows): rows (bit, a, b) of 2- or 3-term integer forms ->
+    #: {key of the point [p.a : q.b] of P^1, unique per projective class: OR
+    #: of the rows' bits}; the keys only group, and are never stored
     group: Callable
     #: normal(rows): dim - 1 integer forms of length dim (3 or 4) -> their
     #: maximal minors, signed so that the result is orthogonal to every row;
@@ -460,13 +458,13 @@ def _int_signs(v, forms):
     return [(x > 0) - (x < 0) for x in dots]
 
 
-def _int_group(p, q, rows, skip=0):
+def _int_group(p, q, rows):
     """Rows (bit, a, b) of 2- or 3-term integer forms, grouped by the point
     [p.a : q.b] of P^1: {key: OR of the bits at that key}, the key (x, y)
     over their gcd with the first nonzero entry positive.
 
-    Rows whose bit is in `skip` are left out; a row with x = y = 0 raises
-    ValueError.  The dots are written out, as in `_int_dot`.
+    A row with x = y = 0 raises ValueError.  The dots are written out, as in
+    `_int_dot`.
     """
     if len(p) == 3:
         p0, p1, p2 = p
@@ -474,7 +472,6 @@ def _int_group(p, q, rows, skip=0):
         hits = [
             (bit, p0 * a0 + p1 * a1 + p2 * a2, q0 * b0 + q1 * b1 + q2 * b2)
             for bit, (a0, a1, a2), (b0, b1, b2) in rows
-            if not skip & bit
         ]
     else:
         p0, p1 = p
@@ -482,7 +479,6 @@ def _int_group(p, q, rows, skip=0):
         hits = [
             (bit, p0 * a0 + p1 * a1, q0 * b0 + q1 * b1)
             for bit, (a0, a1), (b0, b1) in rows
-            if not skip & bit
         ]
     groups = {}
     for bit, x, y in hits:

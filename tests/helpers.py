@@ -163,15 +163,14 @@ def pair_position(x, y):
 POSITION = {Field.RATIONAL: int_position, Field.QUADRATIC_TAU: pair_position}
 
 
-def reference_group(field, p, q, rows, skip=0):
+def reference_group(field, p, q, rows):
     """`KERNELS[field].group` one row at a time: two `dot` calls and the
     reference key per row."""
     idot, position = KERNELS[field].dot, POSITION[field]
     groups = {}
     for bit, a, b in rows:
-        if not skip & bit:
-            key = position(idot(p, a), idot(q, b))
-            groups[key] = groups.get(key, 0) | bit
+        key = position(idot(p, a), idot(q, b))
+        groups[key] = groups.get(key, 0) | bit
     return groups
 
 

@@ -19,6 +19,7 @@ from arr4 import (
     enumerate_chambers,
     f_vector,
 )
+from arr4.arrangement import _MINORS
 from arr4.linalg import KERNELS
 from arr4.report import build_report
 from arr4.scalars import Field
@@ -264,6 +265,22 @@ def test_restriction_checks_fire(make, line, key, message):
         _corrupt(arr, "rank2", line, key)
         with pytest.raises(AssertionError, match=f"hyperplane 0.* {message}"):
             restricted(arr)
+
+
+@pytest.mark.parametrize("name", ["D4", "F4", "H4", "A^3_1(28)"])
+def test_vertex_pass_asserts_lines_inside_vertices(name):
+    """The first line's key replaced by the key of a line of neither
+    arrangement: its hits group into a member mask that the line of two of
+    those members leaves, which the vertex pass asserts against."""
+    template = builtin(name)
+    arr = Arrangement(template.normals, template.field)
+    arr.lines()
+    kernel = KERNELS[arr.field]
+    u, v = kernel.ints((1, 2, 3, 5)), kernel.ints((2, -1, 4, 7))
+    minors = (kernel.dot((u[a], u[b]), (v[b], kernel.neg(v[a]))) for a, b in _MINORS[4])
+    _corrupt(arr, "rank2", 0, kernel.canonical(tuple(minors)))
+    with pytest.raises(AssertionError, match=r"line \(.*\) is not inside the vertex \("):
+        arr._vertex_pass()
 
 
 def test_restriction_boolean(boolean):

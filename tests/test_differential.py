@@ -130,6 +130,60 @@ def test_counts_build_no_vertex_flat(label):
     assert arr.vertex_weights() == tuple(v.weight for v in verts)
 
 
+def _counting_group(monkeypatch, field):
+    """Wrap `KERNELS[field].group` for the arrangements built afterwards;
+    returns the list that collects the number of rows of each call."""
+    kernel = KERNELS[field]
+    handed = []
+
+    def group(p, q, rows):
+        handed.append(len(rows))
+        return kernel.group(p, q, rows)
+
+    monkeypatch.setitem(KERNELS, field, kernel._replace(group=group))
+    return handed
+
+
+@pytest.mark.parametrize("label, vertex_rows, restriction_rows", [
+    ("H4", 3433, 14340),
+    ("A^3_1(28)", 476, 1892),
+])
+def test_group_rows_on_builtins(monkeypatch, label, vertex_rows, restriction_rows):
+    """Each vertex and each restricted point is grouped once: the rows that
+    both passes hand to `group` on the two largest Q(tau) built-ins."""
+    template = builtin(label)
+    handed = _counting_group(monkeypatch, template.field)
+    arr = Arrangement(template.normals, template.field)
+    arr._vertex_pass()
+    assert sum(handed) == vertex_rows
+    handed.clear()
+    arr.restriction_counts()
+    assert sum(handed) == restriction_rows
+
+
+@pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU])
+def test_each_flat_grouped_once(monkeypatch, field):
+    """The vertex pass hands `group` the w_v - |L| normals off the first line
+    L of each vertex v (the line of its two lowest members), and the
+    restriction route the w_p - 1 later lines of each restricted point p,
+    Sum_h (chambers_h - 1) rows in all."""
+    templates = [builtin(label) for label in _BUILTINS[field]] + _draws(field) + _heavy_draws(field)
+    handed = _counting_group(monkeypatch, field)
+    for template in templates:
+        arr = Arrangement(template.normals, field)
+        handed.clear()
+        arr._vertex_pass()
+        first_lines = 0
+        for v in arr.vertices():
+            low, high = v.members[:2]
+            line = next(flat for flat in arr.lines() if flat.mask >> low & flat.mask >> high & 1)
+            first_lines += line.weight
+        assert sum(handed) == sum(arr.vertex_weights()) - first_lines
+        handed.clear()
+        counts = arr.restriction_counts()
+        assert sum(handed) == sum(chambers - 1 for _, chambers in counts)
+
+
 def _rank3_draws(field, count=40, seed=20240620):
     """5-9 lines in K^3 from a pool rich in zeros, so leading zeros are common."""
     rng = random.Random(seed)

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from arr4 import (
+    Arrangement,
     ArrangementData,
     CharPoly,
     builtin,
@@ -14,8 +15,10 @@ from arr4 import (
     f_vector,
     real_roots_test,
 )
+from arr4 import invariants
 from arr4.catalogue import catalogue_rows
 from arr4.invariants import (
+    _mu_data,
     check_cube_growth_conjecture,
     check_chamber_cube_cap,
     check_double_line_dominance,
@@ -28,6 +31,7 @@ from arr4.invariants import (
     positional,
     run_data_checks,
 )
+from arr4.report import build_report
 
 from helpers import run_surd_floor_suite
 
@@ -57,6 +61,23 @@ def test_moebius_equals_formula(boolean, generic5):
     for arr in (boolean, generic5, builtin("A4"), builtin("D4")):
         data = ArrangementData.from_arrangement(arr)
         assert char_poly_moebius(arr) == char_poly_formula(data.n, data.h_total, data.f[3])
+
+
+def test_report_runs_one_moebius_recursion(monkeypatch):
+    """A report and its f-vector share one Moebius recursion."""
+    template = builtin("A^3_1(28)")
+    arr = Arrangement(template.normals, template.field)
+    calls = []
+
+    def counting(arrangement):
+        calls.append(arrangement)
+        return _mu_data(arrangement)
+
+    monkeypatch.setattr(invariants, "_mu_data", counting)
+    build_report(arr, with_chambers=False)
+    assert calls == [arr]
+    assert f_vector(arr)[3] == char_poly_moebius(arr)(-1) // 2
+    assert calls == [arr]
 
 
 def test_char_poly_evaluations(boolean, generic5):
