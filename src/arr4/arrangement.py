@@ -38,16 +38,19 @@ the positions of the later lines on each line, the same way in P^2, again
 one `group` call per line, each point grouped once on its first line
 (`restriction_counts` builds no rank-3 arrangement and reads nothing of
 the vertex pass); a parabolic's are the integer normals through the vertex
-with the pivot of the vertex key dropped.  Essentialness and reducibility
-(fundamental circuits of a greedy basis) are division-free `int_rank` tests
-on the integer normals.
+with the pivot of the vertex key dropped.  Every rank decision reads the
+written-out maximal minors of `KERNELS[field].normal`: essentialness and
+the derived arrangements' checks take the length of the first basis
+`linalg.rank_basis` meets, and reducibility ties a normal e to a basis
+normal b when e is off the normal of the basis less b (a fundamental
+circuit of that basis).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .linalg import KERNELS, int_rank
+from .linalg import KERNELS, rank_basis
 from .scalars import Field, infer_field, lift
 
 
@@ -67,7 +70,21 @@ class ZeroNormal(ValueError):
     """One of the supplied normals is the zero vector."""
 
 
-class Flat:
+class _ReadOnly:
+    """Instances refuse attribute assignment and deletion: arrangements (and
+    the shared built-ins) cache their flats and chambers.  Constructors set
+    their slots through `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only; cannot delete {name!r}")
+
+
+class Flat(_ReadOnly):
     """A flat of the intersection lattice: the hyperplanes containing it.
 
     `key` is its canonical `linalg.KERNELS` form: the Pluecker minors of a
@@ -84,10 +101,10 @@ class Flat:
             low = rest & -rest
             members.append(low.bit_length() - 1)
             rest ^= low
-        _set_members(self, tuple(members))   # sorted hyperplane indices
-        _set_mask(self, mask)                 # same set as a bitmask
-        _set_weight(self, len(members))
-        _set_key(self, key)
+        object.__setattr__(self, "members", tuple(members))  # sorted hyperplane indices
+        object.__setattr__(self, "mask", mask)                # same set as a bitmask
+        object.__setattr__(self, "weight", len(members))
+        object.__setattr__(self, "key", key)
 
     @property
     def point(self):
@@ -100,25 +117,15 @@ class Flat:
         field = Field.QUADRATIC_TAU if isinstance(key[0], tuple) else Field.RATIONAL
         return KERNELS[field].point(key)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Flat is read-only; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Flat is read-only; cannot delete {name!r}")
-
     def __repr__(self):
         return f"Flat(members={self.members}, point={self.point})"
 
 
-#: The slot setters, which `Flat.__init__` calls past the read-only `__setattr__`.
-_set_members, _set_mask, _set_weight, _set_key = (
-    getattr(Flat, name).__set__ for name in Flat.__slots__
-)
-
-
 #: Coordinate pairs (a, b) of the 2x2 minors u_a v_b - u_b v_a of two normals:
 #: the Pluecker coordinates of their line in K^4, and in K^3 the cross
-#: product, i.e. the point of P^2 on both lines.
+#: product, i.e. the point of P^2 on both lines.  `KERNELS[field].normal` of
+#: two normals returns the minors in this order, which the rank-2 keys and
+#: so `_HODGE`, `_COMPLEMENT` and `_RESTRICT` rely on.
 _MINORS = {
     3: ((1, 2), (2, 0), (0, 1)),
     4: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
@@ -171,7 +178,7 @@ def _canonical_normals(normals, field, ambient):
         yield kernel.canonical(kernel.ints(lifted))
 
 
-def _essential_keys(keys, ambient):
+def _essential_keys(keys, kernel, ambient):
     """The canonical keys as a list, checked pairwise distinct as they are
     read (DuplicateHyperplane) and then spanning K^ambient (NotEssential)."""
     seen = {}
@@ -180,17 +187,17 @@ def _essential_keys(keys, ambient):
         if first != idx:
             raise DuplicateHyperplane(f"normals {first} and {idx} define the same hyperplane")
     keys = list(seen)
-    r = int_rank(keys)
+    r = len(rank_basis(keys, kernel))
     if r != ambient:
         raise NotEssential(f"normals span a subspace of rank {r}, need {ambient}")
     return keys
 
 
-def _checked_keys(keys, where):
+def _checked_keys(keys, kernel, where):
     """The keys of a derived rank-3 arrangement, asserted distinct and spanning K^3."""
     if len(set(keys)) != len(keys):
         raise AssertionError(f"{where}: two of its members restrict to one normal")
-    if int_rank(keys) != 3:
+    if len(rank_basis(keys, kernel)) != 3:
         raise AssertionError(f"{where} is not essential")
     return keys
 
@@ -258,7 +265,7 @@ def _projective_chamber_count(char_poly) -> int:
     return count // 2
 
 
-class _CentralArrangement:
+class _CentralArrangement(_ReadOnly):
     """Construction and rank-2 flats, shared by both ambient dimensions.
 
     Arrangements are read-only, like their flats, since the shared built-ins
@@ -274,7 +281,8 @@ class _CentralArrangement:
             raise ValueError("an arrangement needs at least one hyperplane")
         if field is None:
             field = infer_field(x for vec in normals for x in vec)
-        self._setup(_essential_keys(_canonical_normals(normals, field, self.dim), self.dim), field)
+        keys = _canonical_normals(normals, field, self.dim)
+        self._setup(_essential_keys(keys, KERNELS[field], self.dim), field)
 
     @classmethod
     def _from_keys(cls, keys, field: Field):
@@ -286,15 +294,10 @@ class _CentralArrangement:
     def _setup(self, keys, field):
         """Store the field and the integer forms of the keys."""
         kernel = KERNELS[field]
-        _set_field(self, field)
-        _set_kernel(self, kernel)
-        _set_cache(self, {"ints": (keys, [tuple(map(kernel.neg, u)) for u in keys])})
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is read-only; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is read-only; cannot delete {name!r}")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "_kernel", kernel)
+        negs = [tuple(map(kernel.neg, u)) for u in keys]
+        object.__setattr__(self, "_cache", {"ints": (keys, negs)})
 
     @property
     def normals(self):
@@ -316,19 +319,16 @@ class _CentralArrangement:
 
     def _rank2(self):
         """Every rank-2 flat (a line of P^3, a point of P^2), sorted by member
-        sets; its key is the canonical minors of any two members' normals."""
+        sets; its key is the canonical minors (`normal`, in `_MINORS` order)
+        of any two members' normals."""
         if "rank2" not in self._cache:
-            idot, canonical = self._kernel.dot, self._kernel.canonical
-            ints, negs = self._integer_normals()
-            minors = _MINORS[self.dim]
-            # u_a v_b - u_b v_a = (u_a, u_b) . (v_b, -v_a)
-            left = [tuple((u[a], u[b]) for a, b in minors) for u in ints]
-            right = [tuple((v[b], nv[a]) for a, b in minors) for v, nv in zip(ints, negs)]
+            normal, canonical = self._kernel.normal, self._kernel.canonical
+            ints = self._integer_normals()[0]
             groups = {}
-            for i, li in enumerate(left):
+            for i, u in enumerate(ints):
                 bit = 1 << i
                 for j in range(i + 1, self.n):
-                    key = canonical(tuple(map(idot, li, right[j])))
+                    key = canonical(normal((u, ints[j])))
                     groups[key] = groups.get(key, 0) | bit | 1 << j
             flats = [Flat(mask, key) for key, mask in groups.items()]
             self._cache["rank2"] = tuple(sorted(flats, key=lambda flat: flat.members))
@@ -347,11 +347,6 @@ class _CentralArrangement:
                         row[j] = table[j][i] = index
             self._cache["pair_lines"] = table
         return self._cache["pair_lines"]
-
-
-_set_field, _set_kernel, _set_cache = (
-    getattr(_CentralArrangement, name).__set__ for name in _CentralArrangement.__slots__
-)
 
 
 class Arrangement(_CentralArrangement):
@@ -525,7 +520,7 @@ class Arrangement(_CentralArrangement):
             canonical(tuple(neg(key[i]) if flip else key[i] for i, flip in coords))
             for key in line_keys
         ]
-        return _checked_keys(keys, f"the restriction to hyperplane {h}")
+        return _checked_keys(keys, self._kernel, f"the restriction to hyperplane {h}")
 
     def restriction_counts(self) -> tuple[tuple[int, int], ...]:
         """(size, projective chamber count) of the restriction to each hyperplane.
@@ -565,7 +560,7 @@ class Arrangement(_CentralArrangement):
             for i in vertex.members
         ]
         where = f"the parabolic at vertex {vertex.members}"
-        return Rank3Arrangement._from_keys(_checked_keys(keys, where), self.field)
+        return Rank3Arrangement._from_keys(_checked_keys(keys, self._kernel, where), self.field)
 
     # -- reducibility -----------------------------------------------------------
 
@@ -573,11 +568,12 @@ class Arrangement(_CentralArrangement):
         """Two-block partition witnessing a product structure, or None.
 
         Computes the finest decomposition of K^4 into summands each containing
-        a subset of the normals, from the fundamental circuits of a greedy
-        basis B: a normal e off B is tied to every b in B with B - b + e
-        again a basis, i.e. to the basis normals appearing in its expansion.
-        The blocks are the classes of that relation; the arrangement is
-        reducible exactly when there are at least two.
+        a subset of the normals, from the fundamental circuits of the first
+        basis B (`rank_basis`): a normal e off B is tied to every b in B with
+        B - b + e again a basis, i.e. with a nonzero dot of e and the normal
+        (`KERNELS[field].normal`) of B - b.  The blocks are the classes of
+        that relation; the arrangement is reducible exactly when there are
+        at least two.
         """
         parent = list(range(self.n))
 
@@ -592,19 +588,18 @@ class Arrangement(_CentralArrangement):
             if rx != ry:
                 parent[max(rx, ry)] = min(rx, ry)
 
+        kernel = self._kernel
+        idot, sign = kernel.dot, kernel.sign
         ints = self._integer_normals()[0]
-        basis = []
-        for i, u in enumerate(ints):
-            if int_rank([ints[b] for b in basis] + [u]) > len(basis):
-                basis.append(i)
-                if len(basis) == self.dim:
-                    break
+        basis = rank_basis(ints, kernel)
         rows = [ints[b] for b in basis]
+        # per basis normal b: the normal of the basis less b
+        others = [kernel.normal(rows[:k] + rows[k + 1:]) for k in range(len(rows))]
         for e, u in enumerate(ints):
             if e in basis:
                 continue
-            for k, b in enumerate(basis):
-                if int_rank(rows[:k] + [u] + rows[k + 1:]) == self.dim:
+            for b, normal in zip(basis, others):
+                if sign(idot(normal, u)):
                     union(e, b)
         blocks = {}
         for i in range(self.n):

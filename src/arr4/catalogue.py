@@ -241,7 +241,7 @@ def reflection_closure(spec: RootSystemSpec, cap: int = 10000) -> Arrangement:
     keys = [kernel.canonical(tuple(idot(b, col) for col in columns)) for b in roots]
     order = cmp_to_key(compare_vectors)
     keys.sort(key=lambda key: order(kernel.point(key)))
-    return Arrangement._from_keys(_essential_keys(keys, Arrangement.dim), spec.field)
+    return Arrangement._from_keys(_essential_keys(keys, kernel, Arrangement.dim), spec.field)
 
 
 # -- the two explicit golden-ratio arrangements -------------------------------------

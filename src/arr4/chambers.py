@@ -52,7 +52,8 @@ from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
-from .linalg import KERNELS, int_rank
+from .arrangement import _ReadOnly
+from .linalg import KERNELS, rank_basis
 from .scalars import Field, QuadScalar
 
 
@@ -78,7 +79,7 @@ class ChamberLimitReached(RuntimeError):
 def feasible_strict(rows) -> bool:
     """Exact feasibility of {x : r . x > 0 for every row r}.
 
-    Rows are integer forms, as `linalg.int_rank` takes them: all ints (Q) or
+    Rows are integer forms, as `linalg.KERNELS` takes them: all ints (Q) or
     all (a, b) pairs standing for a + b*tau (Q(tau)).  Eliminates variables
     left to right: a row p with a positive and a row q with a negative
     leading entry combine into p0*q - q0*p, a positive combination without
@@ -300,7 +301,7 @@ def generic_point(arr):
     raise GenericPointNotFound("moment-curve candidates exhausted")
 
 
-class Chamber:
+class Chamber(_ReadOnly):
     """A projective chamber: canonical sign mask plus derived geometry.
 
     `mask` has bit i set where `signs[i]` is -1.  `signs` is read off the
@@ -314,10 +315,10 @@ class Chamber:
     __slots__ = ("walls", "mask", "_ctx", "_witness")
 
     def __init__(self, walls, mask, ctx):
-        _set_walls(self, walls)
-        _set_mask(self, mask)
-        _set_ctx(self, ctx)
-        _set_witness(self, None)
+        object.__setattr__(self, "walls", walls)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_ctx", ctx)
+        object.__setattr__(self, "_witness", None)
 
     @property
     def signs(self):
@@ -328,7 +329,7 @@ class Chamber:
     def witness(self):
         if self._witness is None:
             ctx = self._ctx
-            _set_witness(self, ctx.witness(ctx.compatible(self.mask)))
+            object.__setattr__(self, "_witness", ctx.witness(ctx.compatible(self.mask)))
         return self._witness
 
     def _key(self):
@@ -344,18 +345,6 @@ class Chamber:
 
     def __repr__(self):
         return f"Chamber(signs={self.signs!r}, walls={self.walls!r}, witness={self.witness!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Chamber is read-only; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Chamber is read-only; cannot delete {name!r}")
-
-
-#: The slot setters, which `Chamber` calls past its read-only `__setattr__`.
-_set_walls, _set_mask, _set_ctx, _set_witness = (
-    getattr(Chamber, name).__set__ for name in Chamber.__slots__
-)
 
 
 def _bfs_chambers(arr, limit=None):
@@ -403,7 +392,8 @@ def chamber_face_counts(arr, chamber):
     """(corner count, 2-face count) of the closed cone of one chamber.
 
     In rank 4 the 2-faces are the edges: lines whose tight corners span
-    them.  In rank 3 they are the walls.
+    them, checked as rank exactly 2 (`rank_basis`).  In rank 3 they are the
+    walls.
     """
     ctx = _context(arr)
     corners = ctx.compatible(chamber.mask)
@@ -416,7 +406,8 @@ def chamber_face_counts(arr, chamber):
         for i in flat.members:
             tight &= zero[i]
         if tight.bit_count() >= 2:
-            if int_rank([ctx.forms[j] for j in _bits(ctx.unoriented(tight))]) != 2:
+            rows = [ctx.forms[j] for j in _bits(ctx.unoriented(tight))]
+            if len(rank_basis(rows, ctx.kernel)) != 2:
                 raise AssertionError("tight corner rays of an edge must span it")
             edges += 1
     return corners.bit_count(), edges

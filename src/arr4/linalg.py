@@ -1,12 +1,12 @@
 """Exact linear algebra over the coordinate fields, on one integer kernel.
 
 Every decision runs on positive rescalings of vectors into primitive ints
-(Q) or integer pairs a + b*tau (Q(tau)): `int_rank` (division-free rank) and
-the per-field table `KERNELS` (integer form, dot, negation, sign, canonical
-key with an orientation flag, batched grouping on P^1, maximal minors,
-batched signs of dots, field point).  The intersection lattice, the
-restrictions, the reflection closure, reducibility, the chamber context and
-its facet certificate, and the Fourier-Motzkin wall test all run on it.  One
+(Q) or integer pairs a + b*tau (Q(tau)): the per-field table `KERNELS`
+(integer form, dot, negation, sign, canonical key with an orientation flag,
+batched grouping on P^1, maximal minors, batched signs of dots, field point)
+and `rank_basis`.  The intersection lattice, the restrictions, the
+reflection closure, reducibility, the chamber context and its facet
+certificate, and the Fourier-Motzkin wall test all run on it.  One
 field-scalar helper remains: `compare_vectors` (the exact lexicographic order
 that sorts normals for output).  The canonical field form of a vector is
 point(canonical(ints(v))) for both fields.  `group` keys each point
@@ -15,10 +15,15 @@ without building a vector (for Q(tau), by the ratio y/x), with the dots and
 the key written out and no call per row.  The lattice groups by it the hits
 on a line and the points on a restricted line, handing over only the rows
 of flats that no earlier line has grouped; its keys are never stored: every
-stored key comes from `canonical`.  `normal` writes out the maximal minors of dim - 1 forms,
-with which the chamber walk certifies each facet, and `signs` the dots of one
-form with a batch, from which the chamber context reads each hyperplane's
-sides.
+stored key comes from `canonical`.  `normal` writes out the maximal minors
+of k = 1 ... dim - 1 forms, and it is the one rank primitive: the rank-2
+flats are keyed by the minors of two normals; `rank_basis` picks the first
+basis of a list of forms by nonzero minors (essentialness, the derived
+arrangements' checks, the greedy basis of reducibility, the chamber edges);
+the normals of that basis less one row give reducibility's fundamental
+circuits; and the chamber walk certifies each facet by them.  `signs`
+writes out the dots of one form with a batch, from which the chamber
+context reads each hyperplane's sides.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ def compare_vectors(u, v) -> int:
 # A quadratic vector scaled by the positive lcm of its component denominators
 # becomes a tuple of plain integer pairs (a, b) standing for a + b*tau.  Signs,
 # zero tests and ranks are unchanged by the positive scaling, so sign-of-dot
-# work, rank tests and elimination run on machine integers instead of
+# work, minors and rank tests run on machine integers instead of
 # Fraction-backed scalars.
 
 
@@ -113,52 +118,6 @@ def pair_dot(u, v):
         sa += a * c + bd
         sb += a * d + b * c + bd
     return (sa, sb)
-
-
-def int_rank(rows) -> int:
-    """Exact rank of integer rows or of integer-pair rows, without division.
-
-    Entries are either all ints or all (a, b) pairs standing for a + b*tau.
-    Z[tau] is an integral domain, so clearing a column by cross-multiplication
-    (row <- p*row - f*pivot_row, p the pivot) never leaves the ring and a zero
-    entry is exactly 0 or (0, 0).  Rows are only a few columns wide, so the
-    entry growth of the division-free update stays small.
-    """
-    work = list(rows)
-    if not work or not work[0]:
-        return 0
-    pairs = isinstance(work[0][0], tuple)
-    found = 0
-    while work and work[0]:
-        for k, row in enumerate(work):
-            head = row[0]
-            if (head[0] or head[1]) if pairs else head:
-                break
-        else:
-            work = [row[1:] for row in work]
-            continue
-        pivot = work.pop(k)
-        p, ptail = pivot[0], pivot[1:]
-        reduced = []
-        for row in work:
-            f, tail = row[0], row[1:]
-            if pairs:
-                if f[0] or f[1]:
-                    pa, pb = p
-                    fa, fb = f
-                    tail = tuple(
-                        (
-                            pa * xa + pb * xb - fa * ya - fb * yb,
-                            pa * xb + pb * (xa + xb) - fa * yb - fb * (ya + yb),
-                        )
-                        for (xa, xb), (ya, yb) in zip(tail, ptail)
-                    )
-            elif f:
-                tail = tuple(p * x - f * y for x, y in zip(tail, ptail))
-            reduced.append(tail)
-        work = reduced
-        found += 1
-    return found
 
 
 def _times_conj_of_first(pairs):
@@ -259,15 +218,40 @@ def pair_group(p, q, rows):
     return groups
 
 
-def pair_normal(rows):
-    """The maximal minors of dim - 1 integer-pair forms of length dim (3 or 4).
+def _pair_minors(u, v):
+    """The six 2x2 minors u_a v_b - u_b v_a of two integer-pair forms of
+    length 4, (a, b) in the order 01, 02, 03, 12, 13, 23; the pair products
+    are written out, as in `pair_dot`."""
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = u
+    (c0, d0), (c1, d1), (c2, d2), (c3, d3) = v
+    bd = b0 * d1 - b1 * d0
+    m01 = (a0 * c1 - a1 * c0 + bd, a0 * d1 + b0 * c1 - a1 * d0 - b1 * c0 + bd)
+    bd = b0 * d2 - b2 * d0
+    m02 = (a0 * c2 - a2 * c0 + bd, a0 * d2 + b0 * c2 - a2 * d0 - b2 * c0 + bd)
+    bd = b0 * d3 - b3 * d0
+    m03 = (a0 * c3 - a3 * c0 + bd, a0 * d3 + b0 * c3 - a3 * d0 - b3 * c0 + bd)
+    bd = b1 * d2 - b2 * d1
+    m12 = (a1 * c2 - a2 * c1 + bd, a1 * d2 + b1 * c2 - a2 * d1 - b2 * c1 + bd)
+    bd = b1 * d3 - b3 * d1
+    m13 = (a1 * c3 - a3 * c1 + bd, a1 * d3 + b1 * c3 - a3 * d1 - b3 * c1 + bd)
+    bd = b2 * d3 - b3 * d2
+    m23 = (a2 * c3 - a3 * c2 + bd, a2 * d3 + b2 * c3 - a3 * d2 - b3 * c2 + bd)
+    return (m01, m02, m03, m12, m13, m23)
 
-    Entry k is (-1)^k times the minor without column k, so the result is
-    orthogonal to every row, and zero exactly when the rows are dependent:
-    the cross product in K^3 and its analogue in K^4.  The 2x2 minors and
-    the pair products are written out, as in `pair_dot`.
+
+def pair_normal(rows):
+    """The maximal minors of k = 1 ... dim - 1 integer-pair forms of length
+    dim (3 or 4); zero exactly when the rows are dependent.
+
+    One row is its own minors, and two rows of length 4 give their six 2x2
+    minors (`_pair_minors`).  For dim - 1 rows, entry k is (-1)^k times the
+    minor without column k, so the result is orthogonal to every row: the
+    cross product in K^3 and its analogue in K^4.  The 2x2 minors and the
+    pair products are written out, as in `pair_dot`.
     """
-    if len(rows) == 2:
+    if len(rows) == 1:
+        return rows[0]
+    if len(rows[0]) == 3:
         ((a0, b0), (a1, b1), (a2, b2)), ((c0, d0), (c1, d1), (c2, d2)) = rows
         bd = b1 * d2 - b2 * d1
         n0 = (a1 * c2 - a2 * c1 + bd, a1 * d2 + b1 * c2 - a2 * d1 - b2 * c1 + bd)
@@ -276,22 +260,11 @@ def pair_normal(rows):
         bd = b0 * d1 - b1 * d0
         n2 = (a0 * c1 - a1 * c0 + bd, a0 * d1 + b0 * c1 - a1 * d0 - b1 * c0 + bd)
         return (n0, n1, n2)
-    u, v, ((w0, z0), (w1, z1), (w2, z2), (w3, z3)) = rows
-    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = u
-    (c0, d0), (c1, d1), (c2, d2), (c3, d3) = v
-    # the minors (x_ij, y_ij) = u_i v_j - u_j v_i
-    bd = b0 * d1 - b1 * d0
-    x01, y01 = a0 * c1 - a1 * c0 + bd, a0 * d1 + b0 * c1 - a1 * d0 - b1 * c0 + bd
-    bd = b0 * d2 - b2 * d0
-    x02, y02 = a0 * c2 - a2 * c0 + bd, a0 * d2 + b0 * c2 - a2 * d0 - b2 * c0 + bd
-    bd = b0 * d3 - b3 * d0
-    x03, y03 = a0 * c3 - a3 * c0 + bd, a0 * d3 + b0 * c3 - a3 * d0 - b3 * c0 + bd
-    bd = b1 * d2 - b2 * d1
-    x12, y12 = a1 * c2 - a2 * c1 + bd, a1 * d2 + b1 * c2 - a2 * d1 - b2 * c1 + bd
-    bd = b1 * d3 - b3 * d1
-    x13, y13 = a1 * c3 - a3 * c1 + bd, a1 * d3 + b1 * c3 - a3 * d1 - b3 * c1 + bd
-    bd = b2 * d3 - b3 * d2
-    x23, y23 = a2 * c3 - a3 * c2 + bd, a2 * d3 + b2 * c3 - a3 * d2 - b3 * c2 + bd
+    minors = _pair_minors(rows[0], rows[1])
+    if len(rows) == 2:
+        return minors
+    (x01, y01), (x02, y02), (x03, y03), (x12, y12), (x13, y13), (x23, y23) = minors
+    (w0, z0), (w1, z1), (w2, z2), (w3, z3) = rows[2]
     # entry k expands the minor without column k along w
     bd = z1 * y23 - z2 * y13 + z3 * y12
     n0 = (
@@ -357,24 +330,25 @@ def pair_point(pairs):
 # The intersection lattice, the restrictions, the reflection closure,
 # reducibility and both chamber routes run on integer forms only.  Each
 # vector is scaled by a positive factor into primitive ints (rational) or
-# integer pairs (Q(tau)); minors, dot products, reflections and elimination
-# then stay in Z or Z[tau], and flats and mirror normals are grouped by a
-# canonical key that is unique per projective class.  The points of P^1 on
-# one line (a line's hits, a restricted line's points) are grouped in one
-# `group` call, whose keys are never stored.  `normal` writes out the maximal
-# minors of dim - 1 forms (the cross product in K^3 and its analogue in K^4),
-# which certify the facets of the chamber walk without an elimination: nonzero
-# exactly when the forms are independent, and orthogonal to each of them.
-# `signs` gives the side of every corner of the chamber context on one
-# hyperplane in one call, its dots written out like `group`'s.
-# Field scalars come back only
-# when an arrangement's normals or a flat's point are read: `point` divides
-# by the first nonzero coordinate in integers (for Q(tau), by its norm after
-# multiplying by its conjugate), and point(canonical(ints(v))) is the one
-# canonical path from a field vector to its class representative.  With
-# `oriented=True` the same `canonical` keeps the sign (a positive multiple of
-# its input), which is how Fourier-Motzkin deduplicates half-space
-# constraints.  The table below holds every field decision these layers make.
+# integer pairs (Q(tau)); minors, dot products, reflections and
+# Fourier-Motzkin elimination then stay in Z or Z[tau], and flats and mirror
+# normals are grouped by a canonical key that is unique per projective class.
+# The points of P^1 on one line (a line's hits, a restricted line's points)
+# are grouped in one `group` call, whose keys are never stored.  `normal`
+# writes out the maximal minors of k = 1 ... dim - 1 forms (for dim - 1 forms
+# the cross product in K^3 and its analogue in K^4, orthogonal to each of
+# them): nonzero exactly when the forms are independent, so every rank
+# decision reads them, through `rank_basis` or directly, without an
+# elimination.  `signs` gives the side of every corner of the chamber context
+# on one hyperplane in one call, its dots written out like `group`'s.  Field
+# scalars come back only when an arrangement's normals or a flat's point are
+# read: `point` divides by the first nonzero coordinate in integers (for
+# Q(tau), by its norm after multiplying by its conjugate), and
+# point(canonical(ints(v))) is the one canonical path from a field vector to
+# its class representative.  With `oriented=True` the same `canonical` keeps
+# the sign (a positive multiple of its input), which is how Fourier-Motzkin
+# deduplicates half-space constraints.  The table below holds every field
+# decision these layers make.
 
 
 class FieldKernel(NamedTuple):
@@ -395,9 +369,11 @@ class FieldKernel(NamedTuple):
     #: {key of the point [p.a : q.b] of P^1, unique per projective class: OR
     #: of the rows' bits}; the keys only group, and are never stored
     group: Callable
-    #: normal(rows): dim - 1 integer forms of length dim (3 or 4) -> their
-    #: maximal minors, signed so that the result is orthogonal to every row;
-    #: zero exactly when the rows are dependent
+    #: normal(rows): k = 1 ... dim - 1 integer forms of length dim (3 or 4)
+    #: -> their maximal minors, zero exactly when the rows are dependent: the
+    #: row itself for k = 1, the six 2x2 minors in `_MINORS[4]` order for
+    #: k = 2 in K^4, and for k = dim - 1 signed so that the result is
+    #: orthogonal to every row
     normal: Callable
     #: signs(v, forms): the sign of v . f for each form f of v's length (3 or
     #: 4), as a list
@@ -423,21 +399,26 @@ def _int_dot(u, v):
 
 
 def _int_normal(rows):
-    """The maximal minors of dim - 1 integer forms of length dim (3 or 4).
-
-    Entry k is (-1)^k times the minor without column k, as in `pair_normal`,
+    """The maximal minors of k = 1 ... dim - 1 integer forms of length dim
+    (3 or 4), as in `pair_normal`: the row itself, the six 2x2 minors m01
+    ... m23 of two rows of length 4, or the signed normal of dim - 1 rows,
     with the 2x2 minors written out.
     """
-    if len(rows) == 2:
+    if len(rows) == 1:
+        return rows[0]
+    if len(rows[0]) == 3:
         (a0, a1, a2), (c0, c1, c2) = rows
         return (a1 * c2 - a2 * c1, a2 * c0 - a0 * c2, a0 * c1 - a1 * c0)
-    (a0, a1, a2, a3), (c0, c1, c2, c3), (w0, w1, w2, w3) = rows
+    (a0, a1, a2, a3), (c0, c1, c2, c3) = rows[0], rows[1]
     m01 = a0 * c1 - a1 * c0
     m02 = a0 * c2 - a2 * c0
     m03 = a0 * c3 - a3 * c0
     m12 = a1 * c2 - a2 * c1
     m13 = a1 * c3 - a3 * c1
     m23 = a2 * c3 - a3 * c2
+    if len(rows) == 2:
+        return (m01, m02, m03, m12, m13, m23)
+    w0, w1, w2, w3 = rows[2]
     return (
         w1 * m23 - w2 * m13 + w3 * m12,
         w2 * m03 - w0 * m23 - w3 * m02,
@@ -516,3 +497,28 @@ KERNELS = {
         point=pair_point,
     ),
 }
+
+
+def rank_basis(rows, kernel):
+    """Indices of the first basis of the rows' span met in row order, so its
+    length is their rank; [] for no rows.
+
+    Rows are integer forms of one length dim, 3 or 4.  While fewer than
+    dim - 1 rows are chosen, a row joins when the maximal minors
+    (`kernel.normal`) of the chosen rows and it are nonzero; after that,
+    when its dot with the chosen rows' normal is nonzero, which completes
+    the basis.
+    """
+    normal, sign, dot = kernel.normal, kernel.sign, kernel.dot
+    basis, chosen, minors = [], [], None
+    for i, row in enumerate(rows):
+        if len(chosen) + 1 < len(row):
+            joined = normal(chosen + [row])
+            if any(map(sign, joined)):
+                basis.append(i)
+                chosen.append(row)
+                minors = joined
+        elif sign(dot(minors, row)):
+            basis.append(i)
+            break
+    return basis

@@ -3,11 +3,12 @@
 The property runners live here (not in a test module) so both the unit tests
 and the acceptance suite can invoke them with their own case counts.  The
 reference routes (field-scalar `rref`/`rank`/`kernel_basis` and
-`canonicalize_vector`, the one-point-at-a-time P^1 keys, the all-pairs
-reflection closure, kernel-basis restrictions, the vertex-by-line Moebius
-scan, the vertex pass with one full point per candidate, the chamber corner
-list scan, the per-hyperplane wall scan) are the slow, obvious versions that
-the package's integer kernel is compared against.  The oracles
+`canonicalize_vector`, the division-free integer elimination `int_rank`, the
+one-point-at-a-time P^1 keys, the all-pairs reflection closure, kernel-basis
+restrictions, the vertex-by-line Moebius scan, the vertex pass with one full
+point per candidate, the chamber corner list scan, the per-hyperplane wall
+scan) are the slow, obvious versions that the package's integer kernel is
+compared against.  The oracles
 `chamber_feasible` (strict feasibility of a sign vector) and the
 interval-refinement surd floors check the package from outside it.
 """
@@ -79,6 +80,52 @@ def rank(rows) -> int:
     """Exact rank of an iterable of rows, by field-scalar elimination."""
     _, pivots = rref(rows)
     return len(pivots)
+
+
+def int_rank(rows) -> int:
+    """Exact rank of integer rows or of integer-pair rows, without division.
+
+    Entries are either all ints or all (a, b) pairs standing for a + b*tau.
+    Z[tau] is an integral domain, so clearing a column by cross-multiplication
+    (row <- p*row - f*pivot_row, p the pivot) never leaves the ring and a zero
+    entry is exactly 0 or (0, 0).  Rows are only a few columns wide, so the
+    entry growth of the division-free update stays small.
+    """
+    work = list(rows)
+    if not work or not work[0]:
+        return 0
+    pairs = isinstance(work[0][0], tuple)
+    found = 0
+    while work and work[0]:
+        for k, row in enumerate(work):
+            head = row[0]
+            if (head[0] or head[1]) if pairs else head:
+                break
+        else:
+            work = [row[1:] for row in work]
+            continue
+        pivot = work.pop(k)
+        p, ptail = pivot[0], pivot[1:]
+        reduced = []
+        for row in work:
+            f, tail = row[0], row[1:]
+            if pairs:
+                if f[0] or f[1]:
+                    pa, pb = p
+                    fa, fb = f
+                    tail = tuple(
+                        (
+                            pa * xa + pb * xb - fa * ya - fb * yb,
+                            pa * xb + pb * (xa + xb) - fa * yb - fb * (ya + yb),
+                        )
+                        for (xa, xb), (ya, yb) in zip(tail, ptail)
+                    )
+            elif f:
+                tail = tuple(p * x - f * y for x, y in zip(tail, ptail))
+            reduced.append(tail)
+        work = reduced
+        found += 1
+    return found
 
 
 def kernel_basis(rows, cols=None):

@@ -61,6 +61,23 @@ def test_construction_errors():
         Arrangement([])
 
 
+@pytest.mark.parametrize("cls,normals,r", [
+    (Arrangement, [(1, 0, 0, 0)], 1),
+    (Arrangement, [(0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 2, -3)], 2),
+    (Arrangement, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 1, 1)], 3),
+    # over Q(tau) the last normal is tau times one normal plus others, which
+    # takes tau^2 = tau + 1 to see
+    (Arrangement, [(1, TAU, 0, 0), (0, 0, 1, 0), (TAU, TAU + 1, 1, 0)], 2),
+    (Arrangement, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, TAU), (1, 1, TAU, TAU + 1)], 3),
+    (Rank3Arrangement, [(1, 0, 0), (0, 1, 0), (1, 1, 0)], 2),
+    (Rank3Arrangement, [(0, 1, TAU), (1, 0, 0), (1, TAU, TAU + 1)], 2),
+], ids=["K4-rank1", "K4-rank2", "K4-rank3", "K4-tau-rank2", "K4-tau-rank3", "K3-rank2",
+        "K3-tau-rank2"])
+def test_not_essential_names_the_rank(cls, normals, r):
+    with pytest.raises(NotEssential, match=rf"of rank {r}, need {cls.dim}$"):
+        cls(normals)
+
+
 def test_canonical_normal_form():
     arr = Arrangement([(2, 0, 0, 0), (0, -3, 0, 0), (0, 0, 1, 0), (0, 0, 0, 5)])
     assert arr.normals == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))

@@ -251,6 +251,19 @@ def test_rank3_face_counts():
         assert chamber_face_counts(parabolic, ch) == (3, 3)
 
 
+@pytest.mark.parametrize("name", ["A4", "A^3_1(28)"])
+def test_edge_certificate_fires(name):
+    """Tight corners of an edge that stop spanning it raise: with every
+    corner's rank form made one form, an edge's two corners span a line."""
+    template = builtin(name)
+    arr = Arrangement(template.normals, template.field)
+    chamber = enumerate_chambers(arr)[0]
+    forms = _context(arr).forms
+    forms[:] = [forms[0]] * len(forms)
+    with pytest.raises(AssertionError, match="tight corner rays of an edge"):
+        chamber_face_counts(arr, chamber)
+
+
 def _compatible_sets_agree(arr):
     ctx = _context(arr)
     signs = reference_corner_signs(arr)
@@ -321,12 +334,12 @@ def rank_calls(monkeypatch):
 
 
 def test_walk_makes_no_rank_call(monkeypatch):
-    """The walk certifies its facets without `int_rank`."""
+    """The walk certifies its facets without `rank_basis`."""
 
-    def no_rank(rows):
-        raise AssertionError("int_rank called")
+    def no_rank(rows, kernel):
+        raise AssertionError("rank_basis called")
 
-    monkeypatch.setattr(arr4.chambers, "int_rank", no_rank)
+    monkeypatch.setattr(arr4.chambers, "rank_basis", no_rank)
     for template in (builtin("A4"), builtin("A^3_1(28)")):
         fresh = Arrangement(template.normals, template.field)
         for arr in (fresh, fresh.restriction(0)):

@@ -1,19 +1,20 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arr4 import QuadScalar, TAU
+from arr4.arrangement import _MINORS
 from arr4.chambers import feasible_strict
 from arr4.linalg import (
     KERNELS,
-    int_rank,
     pair_dot,
     pair_sign,
     pair_vector_canonical,
     primitive,
+    rank_basis,
     to_int_pairs,
 )
 from arr4.scalars import Field
@@ -22,6 +23,7 @@ from helpers import (
     add_forms,
     canonicalize_vector,
     dot,
+    int_rank,
     kernel_basis,
     rank,
     reference_group,
@@ -234,6 +236,39 @@ def test_int_rank_edge_cases():
     assert int_rank([(0, 1, 0), (0, 2, 0), (0, 0, 5)]) == 2
 
 
+def _assert_first_basis(rows, field, field_rows):
+    """`rank_basis` is as long as the reference rank, its rows are
+    independent, and each index is the first that raises the reference rank
+    of the rows up to it."""
+    basis = rank_basis(rows, KERNELS[field])
+    assert len(basis) == rank(field_rows)
+    assert rank([field_rows[i] for i in basis]) == len(basis)
+    raising = [i for i in range(len(rows)) if rank(field_rows[:i + 1]) > rank(field_rows[:i])]
+    assert basis == raising
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_rank_rows(pairs=False))
+def test_rank_basis_is_first_basis_on_int_rows(rows):
+    _assert_first_basis(rows, Field.RATIONAL, rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_rank_rows(pairs=True))
+def test_rank_basis_is_first_basis_on_pair_rows(rows):
+    _assert_first_basis(rows, Field.QUADRATIC_TAU, [pairs_to_quads(row) for row in rows])
+
+
+def test_rank_basis_edge_cases():
+    for kernel in KERNELS.values():
+        assert rank_basis([], kernel) == []
+    rational = KERNELS[Field.RATIONAL]
+    assert rank_basis([(0, 0, 0, 0), (0, 2, 0, 0), (0, 1, 0, 0), (1, 1, 1, 1)], rational) == [1, 3]
+    # 1 and tau are independent over Q but not over Q(tau)
+    pairs = [((1, 0), (0, 1), (0, 0)), ((0, 1), (1, 1), (0, 0)), ((0, 0), (0, 0), (2, 0))]
+    assert rank_basis(pairs, KERNELS[Field.QUADRATIC_TAU]) == [0, 2]
+
+
 # -- the integer point against the field-division canonical forms ----------------
 
 _FRACTIONS = st.builds(
@@ -309,6 +344,10 @@ def _scalars(field):
 
 def _times(field, x, y):
     return x * y if field is Field.RATIONAL else pair_mul(x, y)
+
+
+def _minus(field, x, y):
+    return x - y if field is Field.RATIONAL else (x[0] - y[0], x[1] - y[1])
 
 
 def _nonzero_factors(field):
@@ -412,33 +451,58 @@ def test_group_matches_reference_keys(field, terms):
 @pytest.mark.parametrize("length", [3, 4])
 @pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.value)
 def test_normal_matches_rank(field, length):
-    """`normal` of length - 1 rows is orthogonal to every row, and nonzero
-    exactly when `int_rank` finds them independent; dependent rows (a repeated
-    row, a row times 1 + tau or -3, the sum of two rows) give zero."""
+    """`normal` of k = 1 ... length - 1 rows has one entry per k x k minor
+    and is nonzero exactly when `int_rank` finds the rows independent; for
+    length - 1 rows it is orthogonal to every row.  Dependent rows (a zero
+    row for k = 1; a repeated row, a row times 1 + tau or -3, the sum of two
+    rows) give zero."""
     rng = random.Random(1600 + 10 * length + (field is Field.QUADRATIC_TAU))
     kernel, zero = KERNELS[field], _ZERO[field]
     unit = -3 if field is Field.RATIONAL else (1, 1)
-    need = length - 1
-    dependent = 0
-    for _ in range(300):
-        rows = [tuple(_random_scalar(rng, field, 2) for _ in range(length)) for _ in range(need)]
-        kind = rng.randrange(4)
-        if kind == 1:  # a repeated row
-            rows[-1] = rows[0]
-        elif kind == 2:  # a row times a unit
-            rows[-1] = tuple(_times(field, unit, x) for x in rows[0])
-        elif kind == 3 and need == 3:  # the sum of two rows
-            rows[-1] = add_forms(rows[0], rows[1])
-        rng.shuffle(rows)
-        normal = kernel.normal(rows)
-        assert len(normal) == length
-        assert all(kernel.dot(normal, row) == zero for row in rows)
-        independent = int_rank(rows) == need
-        assert any(x != zero for x in normal) is independent
-        if kind and (kind < 3 or need == 3):
-            assert not independent
-            dependent += 1
-    assert dependent > 100
+    for need in range(1, length):
+        dependent = 0
+        for _ in range(300):
+            rows = [
+                tuple(_random_scalar(rng, field, 2) for _ in range(length)) for _ in range(need)
+            ]
+            kind = rng.randrange(4)
+            if kind and need == 1:  # a zero row
+                rows[0] = (zero,) * length
+            elif kind == 1:  # a repeated row
+                rows[-1] = rows[0]
+            elif kind == 2:  # a row times a unit
+                rows[-1] = tuple(_times(field, unit, x) for x in rows[0])
+            elif kind == 3 and need == 3:  # the sum of two rows
+                rows[-1] = add_forms(rows[0], rows[1])
+            rng.shuffle(rows)
+            normal = kernel.normal(rows)
+            assert len(normal) == comb(length, need)
+            if need == length - 1:
+                assert all(kernel.dot(normal, row) == zero for row in rows)
+            independent = int_rank(rows) == need
+            assert any(x != zero for x in normal) is independent
+            if kind and (need == 1 or kind < 3 or need == 3):
+                assert not independent
+                dependent += 1
+        assert dependent > 100
+
+
+@pytest.mark.parametrize("length", [3, 4])
+@pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.value)
+def test_normal_of_two_rows_in_minors_order(field, length):
+    """`normal((u, v))` is the minors u_a v_b - u_b v_a over `_MINORS[length]`,
+    the order in which `_COMPLEMENT`, `_RESTRICT` and `_HODGE` index line
+    keys; one row is its own normal."""
+    rng = random.Random(1650 + 10 * length + (field is Field.QUADRATIC_TAU))
+    kernel = KERNELS[field]
+    for _ in range(100):
+        u, v = (tuple(_random_scalar(rng, field) for _ in range(length)) for _ in range(2))
+        minors = tuple(
+            _minus(field, _times(field, u[a], v[b]), _times(field, u[b], v[a]))
+            for a, b in _MINORS[length]
+        )
+        assert kernel.normal((u, v)) == minors
+        assert kernel.normal((u,)) == u
 
 
 @pytest.mark.parametrize("length", [3, 4])
