@@ -19,22 +19,24 @@ Rank-2 flats group the hyperplane pairs by the canonical 2x2 minors of
 their normals: the Pluecker coordinates of the line in K^4, the cross
 product (which is the point itself) in K^3.  A normal off a line meets it in
 the Hodge dual of the line's Pluecker vector applied to that normal; the
-line projects injectively onto two coordinates, so the P^1 key of those two
-Hodge rows is the hit's position on the line, and the normals with one
-position, together with the line's members, are the members of one vertex.
-One kernel call per line (`group`) keys the line's hits.  Position keys
-only group hits; every key a flat stores comes from `canonical`.
+line projects injectively onto two coordinates, so the normal's dots with
+those two Hodge rows (as length-4 forms) key its position in P^1, and the
+normals at one position, with the line's members, are one vertex's members.
+One kernel call per line (`group`) keys the plain integer normals off it.
+Position keys only group hits; every key a flat stores comes from
+`canonical`.
 Vertices are keyed by their member masks.  Each vertex is grouped once, on
 its first line, and later lines skip its members; its lines are then read
 off the pair -> rank-2 flat map (`_pair_lines`), which tallies, per vertex,
 the lines through it and the sum of their weights (`vertex_line_tallies`),
 from which the vertices' Moebius values, the t-vector and the f-vector are
 read.  The pass makes no vertex key: it keeps a witness for each point (the
-line's Hodge rows and one normal off it), and the keys and `Flat`s are made
+line's Hodge forms and one normal off it), and the keys and `Flat`s are made
 on the first read of `vertices()`, which only the chamber walk, `parabolic`
 and explicit callers do.  A restriction's normals are read off the
 Pluecker keys of the lines inside the hyperplane, and its chamber count off
-the positions of the later lines on each line, the same way in P^2, again
+the positions of the later lines on each line, the same way in P^2 (two
+rows of the line's cross-product matrix in place of the Hodge rows), again
 one `group` call per line, each point grouped once on its first line
 (`restriction_counts` builds no rank-3 arrangement and reads nothing of
 the vertex pass); a parabolic's are the integer normals through the vertex
@@ -205,35 +207,30 @@ def _checked_keys(keys, kernel, where):
 def _rank3_second(keys, kernel):
     """sum over the points p of P^2 of (w_p - 1), for distinct rank-3 keys.
 
-    Lines i and j meet in the cross product u_i x u_j.  With u_i[c] != 0 no
-    nonzero point of line i has both coordinates other than c equal to 0, so
-    the P^1 key of those two cross-product components is a point's position
-    on line i.  Each point is grouped once, on its first line i: one `group`
-    call keys the later lines j > i, less those in `seen[i]`, the lines
-    through the points already found on line i.  A group is then the w_p - 1
-    other lines of a new point, and its mask is added to each of their
-    `seen`, so later lines skip it.  The rows of each pivot c are built
-    once, each with its line's bit.
+    Lines i and j meet in the cross product u_i x u_j, whose component m is
+    the dot of u_j with row m of the cross-product matrix of u_i
+    (`_cross_forms`).  With u_i[c] != 0 no nonzero point of line i has both
+    coordinates other than c equal to 0, so the P^1 key of the dots with
+    the two rows other than c is a point's position on line i.  Each point
+    is grouped once, on its first line i: one `group` call keys the later
+    lines j > i, less those in `seen[i]`, the lines through the points
+    already found on line i.  A group is then the w_p - 1 other lines of a
+    new point, and its mask is added to each of their `seen`, so later
+    lines skip it.
     """
-    group, sign, neg = kernel.group, kernel.sign, kernel.neg
-    minors = _MINORS[3]
-    # component m of u x v: u_a v_b - u_b v_a = (u_a, u_b) . (v_b, -v_a), (a, b) = minors[m]
-    right = [tuple((v[b], neg(v[a])) for a, b in minors) for v in keys]
-    # per pivot c, the two components m0 < m1 other than c
-    others = [tuple(m for m in range(3) if m != c) for c in range(3)]
-    # per pivot c: every line's bit and right factors of those two components
-    rows = [[(1 << j, r[m0], r[m1]) for j, r in enumerate(right)] for m0, m1 in others]
+    group, sign = kernel.group, kernel.sign
+    rows = [(1 << j, v) for j, v in enumerate(keys)]
     # per line: the lines through the points found on it so far
     seen = [0] * len(keys)
     total = 0
     for i, u in enumerate(keys):
-        c = next(f for f, x in enumerate(u) if sign(x))
         skip = seen[i]
-        later = [row for row in rows[c][i + 1:] if not skip & row[0]]
+        later = [row for row in rows[i + 1:] if not skip & row[0]]
         if not later:
             continue
-        (a0, b0), (a1, b1) = (minors[m] for m in others[c])
-        for found in group((u[a0], u[b0]), (u[a1], u[b1]), later).values():
+        c = next(f for f, x in enumerate(u) if sign(x))
+        p, q = (form for m, form in enumerate(_cross_forms(u, kernel)) if m != c)
+        for found in group(p, q, later).values():
             total += found.bit_count()
             point = found | 1 << i
             while found:
@@ -243,11 +240,31 @@ def _rank3_second(keys, kernel):
     return total
 
 
+def _cross_forms(u, kernel):
+    """The rows of the cross-product matrix of u in K^3: row m dotted with v
+    is component m of u x v, u_a v_b - u_b v_a for (a, b) = `_MINORS[3][m]`,
+    so it holds u_a at b and -u_b at a."""
+    neg, zero = kernel.neg, kernel.zero
+    u0, u1, u2 = u
+    return ((zero, neg(u2), u1), (u2, zero, neg(u0)), (neg(u1), u0, zero))
+
+
+def _hodge_forms(key, kernel):
+    """The four rows of the Hodge dual of the Pluecker key of a line, as
+    length-4 forms: row i dotted with a normal w is coordinate i of the
+    point where the line meets the hyperplane of w (`_HODGE`)."""
+    forms = [[kernel.zero] * 4 for _ in _HODGE]
+    for form, row in zip(forms, _HODGE):
+        for p, j, s in row:
+            form[j] = key[p] if s > 0 else kernel.neg(key[p])
+    return forms
+
+
 def _witness_key(kernel, witness):
-    """The canonical key of a vertex from its vertex-pass witness: a line's
-    Hodge rows and the Hodge form of a normal off the line, which meet in the
-    point Hodge(q) w_k."""
-    return kernel.canonical(tuple(map(kernel.dot, *witness)))
+    """The canonical key of a vertex from its vertex-pass witness: a normal
+    w off a line and the line's Hodge forms, which meet in the point whose
+    coordinates are the dots of w with those forms."""
+    return kernel.canonical(kernel.dots(*witness))
 
 
 def _rank3_char_poly(n, second):
@@ -296,25 +313,24 @@ class _CentralArrangement(_ReadOnly):
         kernel = KERNELS[field]
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_kernel", kernel)
-        negs = [tuple(map(kernel.neg, u)) for u in keys]
-        object.__setattr__(self, "_cache", {"ints": (keys, negs)})
+        object.__setattr__(self, "_cache", {"ints": keys})
 
     @property
     def normals(self):
         """The canonical normals in field scalars, made from the keys on first read."""
         if "normals" not in self._cache:
-            self._cache["normals"] = tuple(map(self._kernel.point, self._integer_normals()[0]))
+            self._cache["normals"] = tuple(map(self._kernel.point, self._integer_normals()))
         return self._cache["normals"]
 
     @property
     def n(self) -> int:
-        return len(self._integer_normals()[0])
+        return len(self._integer_normals())
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, field={self.field.value})"
 
     def _integer_normals(self):
-        """Integer forms of every normal (its canonical key) and of its negation."""
+        """The integer form of every normal: its canonical key."""
         return self._cache["ints"]
 
     def _rank2(self):
@@ -323,7 +339,7 @@ class _CentralArrangement(_ReadOnly):
         of any two members' normals."""
         if "rank2" not in self._cache:
             normal, canonical = self._kernel.normal, self._kernel.canonical
-            ints = self._integer_normals()[0]
+            ints = self._integer_normals()
             groups = {}
             for i, u in enumerate(ints):
                 bit = 1 << i
@@ -391,11 +407,13 @@ class Arrangement(_CentralArrangement):
         """(member masks, weights, lines through, their weight sums) of every
         vertex, in `vertices()` order; no vertex key or flat is made.
 
-        A normal w_k off the line with key q meets it in Hodge(q) w_k.  With
-        q_t the key's first nonzero entry, the two Hodge rows of the
-        coordinates `_COMPLEMENT[t]` already fix that point on the line, so
-        their P^1 key is the hit's position; one `group` call per line keys
-        the normals off it, less those in `seen` (below).  The normals with
+        A normal w_k off the line with key q meets it in Hodge(q) w_k, the
+        dots of w_k with the rows of Hodge(q) as length-4 forms
+        (`_hodge_forms`).  With q_t the key's first nonzero entry, the two
+        rows of the coordinates `_COMPLEMENT[t]` already fix that point on
+        the line, so the P^1 key of those two dots is the hit's position; one
+        `group` call per line keys the integer normals off it, less those in
+        `seen` (below).  The normals with
         one position and the line's members are the vertex's members (every
         member of a vertex is on the line or meets it there).
 
@@ -405,9 +423,9 @@ class Arrangement(_CentralArrangement):
         tallied, and adds the vertex's mask to its `seen`, so later lines
         skip the vertex's members.  Two vertices on one line share no
         member off it, so every group left on a line is a new vertex with
-        its full member mask.  Per vertex the pass keeps the line Hodge rows
-        and the Hodge form of one normal off the line, a witness from which
-        `vertices()` makes the point, and which names it in the weight check.
+        its full member mask.  Per vertex the pass keeps one normal off the
+        line and the line's Hodge forms, a witness from which `vertices()`
+        makes the point, and which names it in the weight check.
 
         The pass meets the vertices in member order: a vertex with lowest
         members m1 < m2 is first grouped on the line through them, which
@@ -418,15 +436,9 @@ class Arrangement(_CentralArrangement):
             return self._cache["vertex_pass"]
         kernel = self._kernel
         group_hits, sign = kernel.group, kernel.sign
-        ints, negs = self._integer_normals()
-        hodge_w = [
-            tuple(tuple((w if s > 0 else nw)[j] for _, j, s in row) for row in _HODGE)
-            for w, nw in zip(ints, negs)
-        ]
-        # per complement (c, d): every normal's bit and its two Hodge rows
-        hodge_cd = [
-            [(1 << k, hw[c], hw[d]) for k, hw in enumerate(hodge_w)] for c, d in _COMPLEMENT
-        ]
+        ints = self._integer_normals()
+        # every normal's bit and integer form, the rows `group` takes
+        normals = [(1 << k, w) for k, w in enumerate(ints)]
         lines = self._rank2()
         pair_lines = self._pair_lines()
         line_masks = [line.mask for line in lines]
@@ -440,10 +452,10 @@ class Arrangement(_CentralArrangement):
                 continue
             key, line_mask = line.key, line.mask
             t = next(i for i, x in enumerate(key) if sign(x))
-            rows = [row for row in hodge_cd[t] if not skip & row[0]]
-            hodge_p = tuple(tuple(key[p] for p, _, _ in row) for row in _HODGE)
+            rows = [row for row in normals if not skip & row[0]]
+            forms = _hodge_forms(key, kernel)
             c, d = _COMPLEMENT[t]
-            for group in group_hits(hodge_p[c], hodge_p[d], rows).values():
+            for group in group_hits(forms[c], forms[d], rows).values():
                 mask = line_mask | group
                 count = total = 0
                 rest = mask
@@ -469,7 +481,7 @@ class Arrangement(_CentralArrangement):
                 masks.append(mask)
                 counts.append(count)
                 sums.append(total)
-                witnesses.append((hodge_p, hodge_w[(group & -group).bit_length() - 1]))
+                witnesses.append((ints[(group & -group).bit_length() - 1], forms))
         weights = tuple(mask.bit_count() for mask in masks)
         top = self.n - 1
         for weight, witness in zip(weights, witnesses):
@@ -514,7 +526,7 @@ class Arrangement(_CentralArrangement):
         give distinct normals that span K^3; both are asserted.
         """
         neg, canonical, sign = self._kernel.neg, self._kernel.canonical, self._kernel.sign
-        p = next(i for i, x in enumerate(self._integer_normals()[0][h]) if sign(x))
+        p = next(i for i, x in enumerate(self._integer_normals()[h]) if sign(x))
         coords = _RESTRICT[p]
         keys = [
             canonical(tuple(neg(key[i]) if flip else key[i] for i, flip in coords))
@@ -554,7 +566,7 @@ class Arrangement(_CentralArrangement):
             raise ValueError(f"{vertex!r} is not a vertex of this arrangement")
         canonical, sign = self._kernel.canonical, self._kernel.sign
         p = next(i for i, x in enumerate(vertex.key) if sign(x))
-        ints = self._integer_normals()[0]
+        ints = self._integer_normals()
         keys = [
             canonical(tuple(x for f, x in enumerate(ints[i]) if f != p))
             for i in vertex.members
@@ -571,9 +583,10 @@ class Arrangement(_CentralArrangement):
         a subset of the normals, from the fundamental circuits of the first
         basis B (`rank_basis`): a normal e off B is tied to every b in B with
         B - b + e again a basis, i.e. with a nonzero dot of e and the normal
-        (`KERNELS[field].normal`) of B - b.  The blocks are the classes of
-        that relation; the arrangement is reducible exactly when there are
-        at least two.
+        (`KERNELS[field].normal`) of B - b, read off one `dots` batch per b
+        (of the basis, only b itself is off that normal).  The blocks are
+        the classes of that relation; the arrangement is reducible exactly
+        when there are at least two.
         """
         parent = list(range(self.n))
 
@@ -589,17 +602,14 @@ class Arrangement(_CentralArrangement):
                 parent[max(rx, ry)] = min(rx, ry)
 
         kernel = self._kernel
-        idot, sign = kernel.dot, kernel.sign
-        ints = self._integer_normals()[0]
+        sign = kernel.sign
+        ints = self._integer_normals()
         basis = rank_basis(ints, kernel)
         rows = [ints[b] for b in basis]
-        # per basis normal b: the normal of the basis less b
-        others = [kernel.normal(rows[:k] + rows[k + 1:]) for k in range(len(rows))]
-        for e, u in enumerate(ints):
-            if e in basis:
-                continue
-            for b, normal in zip(basis, others):
-                if sign(idot(normal, u)):
+        for k, b in enumerate(basis):
+            normal = kernel.normal(rows[:k] + rows[k + 1:])
+            for e, x in enumerate(kernel.dots(normal, ints)):
+                if sign(x):
                     union(e, b)
         blocks = {}
         for i in range(self.n):
@@ -633,7 +643,7 @@ class Rank3Arrangement(_CentralArrangement):
 
     def char_poly(self) -> tuple[int, int, int, int]:
         """Coefficients (descending) of the cubic characteristic polynomial."""
-        second = _rank3_second(self._integer_normals()[0], self._kernel)
+        second = _rank3_second(self._integer_normals(), self._kernel)
         return _rank3_char_poly(self.n, second)
 
     def projective_chamber_count(self) -> int:

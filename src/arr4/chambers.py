@@ -14,7 +14,7 @@ The per-arrangement context keeps big-int bitsets over the oriented
 corners, built once: bit j is corner j and bit j + C its negation, C the
 number of corners.  Each hyperplane i has `P_i`, `N_i` and `Z_i`, the
 oriented corners on its positive side, on its negative side and on it, read
-off one written-out batch of signs (`KERNELS[field].signs`) per hyperplane.
+off one written-out batch of dots (`KERNELS[field].dots`) per hyperplane.
 The corner rays of the chamber with sign mask m (bit i set where the sign is
 -1) are then `ALL & ~(OR_{i in m} P_i | OR_{i not in m} N_i)`, n big-int ORs.
 A chamber has only a few corners, so its candidate walls are read off the
@@ -129,13 +129,8 @@ def spans_hyperplane(rows, kernel) -> bool:
     need = len(rows[0]) - 1
     normal = kernel.normal(rows[:need])
     isign = kernel.sign
-    if not any(map(isign, normal)):
-        return False
-    idot = kernel.dot
-    for row in rows[need:]:
-        if isign(idot(normal, row)):
-            return False
-    return True
+    extra = rows[need:]
+    return any(map(isign, normal)) and not (extra and any(map(isign, kernel.dots(normal, extra))))
 
 
 # -- per-arrangement chamber context ---------------------------------------------
@@ -167,18 +162,18 @@ class _Context:
         self.full = (1 << arr.n) - 1
         flats = arr.corner_flats()
         kernel = self.kernel = KERNELS[arr.field]
-        normals = arr._integer_normals()[0]
+        normals = arr._integer_normals()
         self.forms = [flat.key for flat in flats]
         self.members = [flat.mask for flat in flats] * 2
         size = self.size = len(flats)
         self.low = (1 << size) - 1
         self.everything = (1 << 2 * size) - 1
-        members = self.members
+        members, isign = self.members, kernel.sign
         pos, neg, zero = [], [], []
         for i, vi in enumerate(normals):
             bit = 1 << i
             plus = minus = on = 0
-            for j, s in enumerate(kernel.signs(vi, self.forms)):
+            for j, s in enumerate(map(isign, kernel.dots(vi, self.forms))):
                 if members[j] & bit:
                     on |= 1 << j
                 elif s > 0:
@@ -291,11 +286,10 @@ def generic_point(arr):
     integer normals.
     """
     kernel = KERNELS[arr.field]
-    normals = arr._integer_normals()[0]
+    normals = arr._integer_normals()
     for p in _primes(3 * arr.n + 8):
         cand = tuple(p**k for k in range(arr.dim))
-        icand = kernel.ints(cand)
-        signs = [kernel.sign(kernel.dot(v, icand)) for v in normals]
+        signs = list(map(kernel.sign, kernel.dots(kernel.ints(cand), normals)))
         if all(signs):
             return cand, signs
     raise GenericPointNotFound("moment-curve candidates exhausted")
@@ -418,8 +412,8 @@ def chamber_face_counts(arr, chamber):
 
 def _oriented_normals(arr, signs):
     """The integer normals, each negated where its sign is -1."""
-    ints, negs = arr._integer_normals()
-    return [u if s > 0 else nu for s, u, nu in zip(signs, ints, negs)]
+    neg = arr._kernel.neg
+    return [u if s > 0 else tuple(map(neg, u)) for s, u in zip(signs, arr._integer_normals())]
 
 
 def walls(arr, signs):
@@ -442,7 +436,7 @@ def walls(arr, signs):
     kernel = KERNELS[arr.field]
     idot, neg, isign = kernel.dot, kernel.neg, kernel.sign
     out = []
-    for h, w in enumerate(arr._integer_normals()[0]):
+    for h, w in enumerate(arr._integer_normals()):
         p = next(i for i, x in enumerate(w) if isign(x))
         cols = [(f, (w[p], neg(w[f]))) for f in range(arr.dim) if f != p]
         reduced = [

@@ -2,28 +2,28 @@
 
 Every decision runs on positive rescalings of vectors into primitive ints
 (Q) or integer pairs a + b*tau (Q(tau)): the per-field table `KERNELS`
-(integer form, dot, negation, sign, canonical key with an orientation flag,
-batched grouping on P^1, maximal minors, batched signs of dots, field point)
+(integer form, zero, dot, negation, sign, canonical key with an orientation
+flag, batched grouping on P^1, maximal minors, batched dots, field point)
 and `rank_basis`.  The intersection lattice, the restrictions, the
 reflection closure, reducibility, the chamber context and its facet
 certificate, and the Fourier-Motzkin wall test all run on it.  One
 field-scalar helper remains: `compare_vectors` (the exact lexicographic order
 that sorts normals for output).  The canonical field form of a vector is
-point(canonical(ints(v))) for both fields.  `group` keys each point
-[p.a : q.b] of P^1 of a batch of rows from its two integer-form scalars
-without building a vector (for Q(tau), by the ratio y/x), with the dots and
-the key written out and no call per row.  The lattice groups by it the hits
-on a line and the points on a restricted line, handing over only the rows
-of flats that no earlier line has grouped; its keys are never stored: every
-stored key comes from `canonical`.  `normal` writes out the maximal minors
-of k = 1 ... dim - 1 forms, and it is the one rank primitive: the rank-2
-flats are keyed by the minors of two normals; `rank_basis` picks the first
-basis of a list of forms by nonzero minors (essentialness, the derived
-arrangements' checks, the greedy basis of reducibility, the chamber edges);
-the normals of that basis less one row give reducibility's fundamental
-circuits; and the chamber walk certifies each facet by them.  `signs`
-writes out the dots of one form with a batch, from which the chamber
-context reads each hyperplane's sides.
+point(canonical(ints(v))) for both fields.  The batches take plain
+normals, written out for lengths 3 and 4: `group(p, q, rows)` keys the
+point [p.w : q.w] of P^1 of each row (bit, w) from its two integer-form
+scalars (for Q(tau), by the ratio y/x), and `dots(v, forms)` is v's dot
+with each form.  The lattice groups the hits on a line (p, q two rows of
+its Hodge dual) and the points on a restricted line (two rows of its
+cross-product matrix), handing over only the normals of flats that no
+earlier line has grouped; `group` keys are never stored.  `normal` writes
+out the maximal minors of k = 1 ... dim - 1 forms, and it is the one rank
+primitive: the rank-2 flats are keyed by the minors of two normals;
+`rank_basis` picks the first basis of a list of forms by nonzero minors
+(essentialness, the derived arrangements' checks, the greedy basis of
+reducibility, the chamber edges); the normals of that basis less one row
+give reducibility's fundamental circuits; and the chamber walk certifies
+each facet by them.
 """
 
 from __future__ import annotations
@@ -92,25 +92,7 @@ def to_int_pairs(vec):
 
 
 def pair_dot(u, v):
-    """Inner product of two integer-pair vectors, as an integer pair.
-
-    The 3- and 2-term products (a vertex's point, the minors of two normals)
-    are written out.
-    """
-    n = len(u)
-    if n == 3:
-        (a0, b0), (a1, b1), (a2, b2) = u
-        (c0, d0), (c1, d1), (c2, d2) = v
-        bd = b0 * d0 + b1 * d1 + b2 * d2
-        return (
-            a0 * c0 + a1 * c1 + a2 * c2 + bd,
-            a0 * d0 + b0 * c0 + a1 * d1 + b1 * c1 + a2 * d2 + b2 * c2 + bd,
-        )
-    if n == 2:
-        (a0, b0), (a1, b1) = u
-        (c0, d0), (c1, d1) = v
-        bd = b0 * d0 + b1 * d1
-        return (a0 * c0 + a1 * c1 + bd, a0 * d0 + b0 * c0 + a1 * d1 + b1 * c1 + bd)
+    """Inner product of two integer-pair vectors, as an integer pair."""
     sa = 0
     sb = 0
     for (a, b), (c, d) in zip(u, v):
@@ -163,40 +145,44 @@ _PAIR_INFINITY = (0, 1, 0)
 
 
 def pair_group(p, q, rows):
-    """Rows (bit, a, b) of 2- or 3-term integer-pair forms, grouped by the
-    point [p.a : q.b] of P^1: {key: OR of the bits at that key}.
+    """Rows (bit, w) of integer-pair normals of p's length (3 or 4), grouped
+    by the point [p.w : q.w] of P^1: {key: OR of the bits at that key}.
 
-    For x = p.a != 0 the key is the ratio y/x = y*conj(x) / N(x), N(x) the
+    For x = p.w != 0 the key is the ratio y/x = y*conj(x) / N(x), N(x) the
     nonzero rational norm, as the triple (N, r, s) standing for
     (r + s*tau)/N, with N > 0 and no common factor; x = 0 is
-    `_PAIR_INFINITY`.  A row with x = y = 0 raises ValueError.  The dots are
-    written out, as in `pair_dot`.
+    `_PAIR_INFINITY`.  A row with x = y = 0 raises ValueError.  Both dots of
+    a row are written out in one comprehension, as in `pair_dots`.
     """
-    if len(p) == 3:
+    if len(p) == 4:
+        (pa0, pb0), (pa1, pb1), (pa2, pb2), (pa3, pb3) = p
+        (qa0, qb0), (qa1, qb1), (qa2, qb2), (qa3, qb3) = q
+        hits = [
+            (
+                bit,
+                pa0 * c0 + pa1 * c1 + pa2 * c2 + pa3 * c3
+                + (bd := pb0 * d0 + pb1 * d1 + pb2 * d2 + pb3 * d3),
+                pa0 * d0 + pb0 * c0 + pa1 * d1 + pb1 * c1 + pa2 * d2 + pb2 * c2 + pa3 * d3
+                + pb3 * c3 + bd,
+                qa0 * c0 + qa1 * c1 + qa2 * c2 + qa3 * c3
+                + (bd := qb0 * d0 + qb1 * d1 + qb2 * d2 + qb3 * d3),
+                qa0 * d0 + qb0 * c0 + qa1 * d1 + qb1 * c1 + qa2 * d2 + qb2 * c2 + qa3 * d3
+                + qb3 * c3 + bd,
+            )
+            for bit, ((c0, d0), (c1, d1), (c2, d2), (c3, d3)) in rows
+        ]
+    else:
         (pa0, pb0), (pa1, pb1), (pa2, pb2) = p
         (qa0, qb0), (qa1, qb1), (qa2, qb2) = q
         hits = [
             (
                 bit,
-                pa0 * a0 + pa1 * a1 + pa2 * a2 + (bd := pb0 * b0 + pb1 * b1 + pb2 * b2),
-                pa0 * b0 + pb0 * a0 + pa1 * b1 + pb1 * a1 + pa2 * b2 + pb2 * a2 + bd,
+                pa0 * c0 + pa1 * c1 + pa2 * c2 + (bd := pb0 * d0 + pb1 * d1 + pb2 * d2),
+                pa0 * d0 + pb0 * c0 + pa1 * d1 + pb1 * c1 + pa2 * d2 + pb2 * c2 + bd,
                 qa0 * c0 + qa1 * c1 + qa2 * c2 + (bd := qb0 * d0 + qb1 * d1 + qb2 * d2),
                 qa0 * d0 + qb0 * c0 + qa1 * d1 + qb1 * c1 + qa2 * d2 + qb2 * c2 + bd,
             )
-            for bit, ((a0, b0), (a1, b1), (a2, b2)), ((c0, d0), (c1, d1), (c2, d2)) in rows
-        ]
-    else:
-        (pa0, pb0), (pa1, pb1) = p
-        (qa0, qb0), (qa1, qb1) = q
-        hits = [
-            (
-                bit,
-                pa0 * a0 + pa1 * a1 + (bd := pb0 * b0 + pb1 * b1),
-                pa0 * b0 + pb0 * a0 + pa1 * b1 + pb1 * a1 + bd,
-                qa0 * c0 + qa1 * c1 + (bd := qb0 * d0 + qb1 * d1),
-                qa0 * d0 + qb0 * c0 + qa1 * d1 + qb1 * c1 + bd,
-            )
-            for bit, ((a0, b0), (a1, b1)), ((c0, d0), (c1, d1)) in rows
+            for bit, ((c0, d0), (c1, d1), (c2, d2)) in rows
         ]
     groups = {}
     for bit, a, b, c, d in hits:  # [x : y] = [a + b*tau : c + d*tau]
@@ -221,7 +207,7 @@ def pair_group(p, q, rows):
 def _pair_minors(u, v):
     """The six 2x2 minors u_a v_b - u_b v_a of two integer-pair forms of
     length 4, (a, b) in the order 01, 02, 03, 12, 13, 23; the pair products
-    are written out, as in `pair_dot`."""
+    are written out."""
     (a0, b0), (a1, b1), (a2, b2), (a3, b3) = u
     (c0, d0), (c1, d1), (c2, d2), (c3, d3) = v
     bd = b0 * d1 - b1 * d0
@@ -247,7 +233,7 @@ def pair_normal(rows):
     minors (`_pair_minors`).  For dim - 1 rows, entry k is (-1)^k times the
     minor without column k, so the result is orthogonal to every row: the
     cross product in K^3 and its analogue in K^4.  The 2x2 minors and the
-    pair products are written out, as in `pair_dot`.
+    pair products are written out.
     """
     if len(rows) == 1:
         return rows[0]
@@ -289,12 +275,12 @@ def pair_normal(rows):
     return (n0, n1, n2, n3)
 
 
-def pair_signs(v, forms):
-    """The sign of v . f for each integer-pair form f, all of v's length (3
-    or 4), as a list; the dots are written out, as in `pair_dot`."""
+def pair_dots(v, forms):
+    """The dot v . f for each integer-pair form f, all of v's length (3 or
+    4), as a list of integer pairs; the pair products are written out."""
     if len(v) == 4:
         (c0, d0), (c1, d1), (c2, d2), (c3, d3) = v
-        dots = [
+        return [
             (
                 a0 * c0 + a1 * c1 + a2 * c2 + a3 * c3
                 + (bd := b0 * d0 + b1 * d1 + b2 * d2 + b3 * d3),
@@ -303,16 +289,14 @@ def pair_signs(v, forms):
             )
             for (a0, b0), (a1, b1), (a2, b2), (a3, b3) in forms
         ]
-    else:
-        (c0, d0), (c1, d1), (c2, d2) = v
-        dots = [
-            (
-                a0 * c0 + a1 * c1 + a2 * c2 + (bd := b0 * d0 + b1 * d1 + b2 * d2),
-                a0 * d0 + b0 * c0 + a1 * d1 + b1 * c1 + a2 * d2 + b2 * c2 + bd,
-            )
-            for (a0, b0), (a1, b1), (a2, b2) in forms
-        ]
-    return list(map(pair_sign, dots))
+    (c0, d0), (c1, d1), (c2, d2) = v
+    return [
+        (
+            a0 * c0 + a1 * c1 + a2 * c2 + (bd := b0 * d0 + b1 * d1 + b2 * d2),
+            a0 * d0 + b0 * c0 + a1 * d1 + b1 * c1 + a2 * d2 + b2 * c2 + bd,
+        )
+        for (a0, b0), (a1, b1), (a2, b2) in forms
+    ]
 
 
 def pair_point(pairs):
@@ -333,22 +317,26 @@ def pair_point(pairs):
 # integer pairs (Q(tau)); minors, dot products, reflections and
 # Fourier-Motzkin elimination then stay in Z or Z[tau], and flats and mirror
 # normals are grouped by a canonical key that is unique per projective class.
-# The points of P^1 on one line (a line's hits, a restricted line's points)
-# are grouped in one `group` call, whose keys are never stored.  `normal`
-# writes out the maximal minors of k = 1 ... dim - 1 forms (for dim - 1 forms
-# the cross product in K^3 and its analogue in K^4, orthogonal to each of
-# them): nonzero exactly when the forms are independent, so every rank
-# decision reads them, through `rank_basis` or directly, without an
-# elimination.  `signs` gives the side of every corner of the chamber context
-# on one hyperplane in one call, its dots written out like `group`'s.  Field
-# scalars come back only when an arrangement's normals or a flat's point are
-# read: `point` divides by the first nonzero coordinate in integers (for
-# Q(tau), by its norm after multiplying by its conjugate), and
-# point(canonical(ints(v))) is the one canonical path from a field vector to
-# its class representative.  With `oriented=True` the same `canonical` keeps
-# the sign (a positive multiple of its input), which is how Fourier-Motzkin
-# deduplicates half-space constraints.  The table below holds every field
-# decision these layers make.
+# The two batches take plain integer normals.  The points of P^1 on one line
+# (a line's hits, a restricted line's points) are grouped in one `group`
+# call on rows (bit, w), keyed by [p.w : q.w] for two forms p and q of the
+# line, and the keys are never stored.  `dots` gives the dot of one vector
+# with a batch of forms, from which the chamber context reads the side of
+# every corner on one hyperplane, and the vertex pass's witness its point.
+# Both are written out for lengths 3 and 4; `dot` is the general loop, for
+# any length.  `normal` writes out the maximal minors of k = 1 ... dim - 1
+# forms (for dim - 1 forms the cross product in K^3 and its analogue in K^4,
+# orthogonal to each of them): nonzero exactly when the forms are
+# independent, so every rank decision reads them, through `rank_basis` or
+# directly, without an elimination.  Field scalars come back only when an
+# arrangement's normals or a flat's point are read: `point` divides by the
+# first nonzero coordinate in integers (for Q(tau), by its norm after
+# multiplying by its conjugate), and point(canonical(ints(v))) is the one
+# canonical path from a field vector to its class representative.  With
+# `oriented=True` the same `canonical` keeps the sign (a positive multiple
+# of its input), which is how Fourier-Motzkin deduplicates half-space
+# constraints.  The table below holds every field decision these layers
+# make.
 
 
 class FieldKernel(NamedTuple):
@@ -356,7 +344,9 @@ class FieldKernel(NamedTuple):
 
     #: field vector -> integer form, a positive rescaling of it
     ints: Callable
-    #: inner product of two integer forms, an integer-form scalar
+    #: the integer-form zero
+    zero: object
+    #: inner product of two integer forms of one length, an integer-form scalar
     dot: Callable
     #: negation of an integer-form scalar
     neg: Callable
@@ -365,9 +355,10 @@ class FieldKernel(NamedTuple):
     #: nonzero integer form -> hashable key, unique per projective class;
     #: with oriented=True, a positive multiple unique per positive rescaling
     canonical: Callable
-    #: group(p, q, rows): rows (bit, a, b) of 2- or 3-term integer forms ->
-    #: {key of the point [p.a : q.b] of P^1, unique per projective class: OR
-    #: of the rows' bits}; the keys only group, and are never stored
+    #: group(p, q, rows): two forms of length 3 or 4 and rows (bit, w) of
+    #: integer normals w of that length -> {key of the point [p.w : q.w] of
+    #: P^1, unique per projective class: OR of the rows' bits}; the keys
+    #: only group, and are never stored
     group: Callable
     #: normal(rows): k = 1 ... dim - 1 integer forms of length dim (3 or 4)
     #: -> their maximal minors, zero exactly when the rows are dependent: the
@@ -375,26 +366,16 @@ class FieldKernel(NamedTuple):
     #: k = 2 in K^4, and for k = dim - 1 signed so that the result is
     #: orthogonal to every row
     normal: Callable
-    #: signs(v, forms): the sign of v . f for each form f of v's length (3 or
-    #: 4), as a list
-    signs: Callable
+    #: dots(v, forms): v . f for each form f of v's length (3 or 4), as a
+    #: list of integer-form scalars
+    dots: Callable
     #: key -> the class representative in field scalars: primitive ints with
     #: a positive lead for Q, first nonzero coordinate 1 for Q(tau)
     point: Callable
 
 
 def _int_dot(u, v):
-    """Inner product of two integer vectors; the 3- and 2-term products are
-    written out, as in `pair_dot`."""
-    n = len(u)
-    if n == 3:
-        a0, a1, a2 = u
-        c0, c1, c2 = v
-        return a0 * c0 + a1 * c1 + a2 * c2
-    if n == 2:
-        a0, a1 = u
-        c0, c1 = v
-        return a0 * c0 + a1 * c1
+    """Inner product of two integer vectors."""
     return sum(map(mul, u, v))
 
 
@@ -427,39 +408,37 @@ def _int_normal(rows):
     )
 
 
-def _int_signs(v, forms):
-    """The sign of v . f for each integer form f, all of v's length (3 or 4),
-    as a list; the dots are written out, as in `_int_dot`."""
+def _int_dots(v, forms):
+    """The dot v . f for each integer form f, all of v's length (3 or 4), as
+    a list; the products are written out."""
     if len(v) == 4:
         v0, v1, v2, v3 = v
-        dots = [v0 * a0 + v1 * a1 + v2 * a2 + v3 * a3 for a0, a1, a2, a3 in forms]
-    else:
-        v0, v1, v2 = v
-        dots = [v0 * a0 + v1 * a1 + v2 * a2 for a0, a1, a2 in forms]
-    return [(x > 0) - (x < 0) for x in dots]
+        return [v0 * a0 + v1 * a1 + v2 * a2 + v3 * a3 for a0, a1, a2, a3 in forms]
+    v0, v1, v2 = v
+    return [v0 * a0 + v1 * a1 + v2 * a2 for a0, a1, a2 in forms]
 
 
 def _int_group(p, q, rows):
-    """Rows (bit, a, b) of 2- or 3-term integer forms, grouped by the point
-    [p.a : q.b] of P^1: {key: OR of the bits at that key}, the key (x, y)
-    over their gcd with the first nonzero entry positive.
+    """Rows (bit, w) of integer normals of p's length (3 or 4), grouped by
+    the point [p.w : q.w] of P^1: {key: OR of the bits at that key}, the key
+    (x, y) over their gcd with the first nonzero entry positive.
 
-    A row with x = y = 0 raises ValueError.  The dots are written out, as in
-    `_int_dot`.
+    A row with x = y = 0 raises ValueError.  Both dots of a row are written
+    out in one comprehension, as in `_int_dots`.
     """
-    if len(p) == 3:
+    if len(p) == 4:
+        p0, p1, p2, p3 = p
+        q0, q1, q2, q3 = q
+        hits = [
+            (bit, p0 * w0 + p1 * w1 + p2 * w2 + p3 * w3, q0 * w0 + q1 * w1 + q2 * w2 + q3 * w3)
+            for bit, (w0, w1, w2, w3) in rows
+        ]
+    else:
         p0, p1, p2 = p
         q0, q1, q2 = q
         hits = [
-            (bit, p0 * a0 + p1 * a1 + p2 * a2, q0 * b0 + q1 * b1 + q2 * b2)
-            for bit, (a0, a1, a2), (b0, b1, b2) in rows
-        ]
-    else:
-        p0, p1 = p
-        q0, q1 = q
-        hits = [
-            (bit, p0 * a0 + p1 * a1, q0 * b0 + q1 * b1)
-            for bit, (a0, a1), (b0, b1) in rows
+            (bit, p0 * w0 + p1 * w1 + p2 * w2, q0 * w0 + q1 * w1 + q2 * w2)
+            for bit, (w0, w1, w2) in rows
         ]
     groups = {}
     for bit, x, y in hits:
@@ -476,24 +455,26 @@ def _int_group(p, q, rows):
 KERNELS = {
     Field.RATIONAL: FieldKernel(
         ints=lambda vec: primitive(_cleared(vec), oriented=True),
+        zero=0,
         dot=_int_dot,
         neg=neg,
-        sign=sign,
+        sign=lambda x: (x > 0) - (x < 0),
         canonical=primitive,
         group=_int_group,
         normal=_int_normal,
-        signs=_int_signs,
+        dots=_int_dots,
         point=tuple,
     ),
     Field.QUADRATIC_TAU: FieldKernel(
         ints=to_int_pairs,
+        zero=(0, 0),
         dot=pair_dot,
         neg=lambda x: (-x[0], -x[1]),
         sign=pair_sign,
         canonical=pair_vector_canonical,
         group=pair_group,
         normal=pair_normal,
-        signs=pair_signs,
+        dots=pair_dots,
         point=pair_point,
     ),
 }

@@ -16,6 +16,8 @@ from .chambers import (
     ChamberLimitReached,
     chamber_diagrams,
     enumerate_chambers,
+    is_irreducible_diagrams,
+    is_simplicial,
     is_simply_laced,
 )
 from .invariants import (
@@ -118,11 +120,11 @@ def build_report(
             for diagram in diagrams:
                 key = diagram.canonical_key()
                 tally[key] = tally.get(key, 0) + 1
-            simplicial = all(len(ch.walls) == arrangement.dim for ch in chambers)
+            simplicial = is_simplicial(arrangement)
             simply_laced = is_simply_laced(arrangement)
             # A disconnected chamber diagram implies a product structure only
             # for simplicial arrangements, so the routes are compared there.
-            if simplicial and all(d.is_connected() for d in diagrams) != irreducible:
+            if simplicial and is_irreducible_diagrams(arrangement) != irreducible:
                 raise AssertionError(
                     "diagram and span routes disagree about irreducibility"
                 )

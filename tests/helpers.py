@@ -211,12 +211,12 @@ POSITION = {Field.RATIONAL: int_position, Field.QUADRATIC_TAU: pair_position}
 
 
 def reference_group(field, p, q, rows):
-    """`KERNELS[field].group` one row at a time: two `dot` calls and the
-    reference key per row."""
+    """`KERNELS[field].group` one row (bit, w) at a time: two `dot` calls
+    and the reference key per row."""
     idot, position = KERNELS[field].dot, POSITION[field]
     groups = {}
-    for bit, a, b in rows:
-        key = position(idot(p, a), idot(q, b))
+    for bit, w in rows:
+        key = position(idot(p, w), idot(q, w))
         groups[key] = groups.get(key, 0) | bit
     return groups
 
@@ -368,11 +368,10 @@ def reference_vertices(arr):
     own iteration.
     """
     kernel = arr._kernel
-    idot, canonical = kernel.dot, kernel.canonical
-    ints, negs = arr._integer_normals()
+    idot, neg, canonical = kernel.dot, kernel.neg, kernel.canonical
     hodge_w = [
-        tuple(tuple((w if s > 0 else nw)[j] for _, j, s in row) for row in _HODGE)
-        for w, nw in zip(ints, negs)
+        tuple(tuple(w[j] if s > 0 else neg(w[j]) for _, j, s in row) for row in _HODGE)
+        for w in arr._integer_normals()
     ]
     # point -> [member mask, last line index, lines through it, their weight sum]
     found = {}

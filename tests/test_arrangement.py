@@ -262,7 +262,7 @@ def test_lattice_makes_no_field_scalars(monkeypatch):
     sub = arr.restriction(0)
     for each in (arr, sub):
         assert each.normals is each.normals
-        assert each.normals == tuple(map(kernel.point, each._integer_normals()[0]))
+        assert each.normals == tuple(map(kernel.point, each._integer_normals()))
     for flat in arr.vertices() + sub.points():
         assert flat.point == kernel.point(flat.key)
     assert all(flat.point is None for flat in arr.lines())

@@ -405,7 +405,7 @@ def test_facet_certificate_fires_on_wide_facets(field, generic5):
     j = tight.bit_length() - 1  # the facet's last corner
     arr = Arrangement(template.normals, template.field)
     ctx = _Context(arr)
-    w = arr._integer_normals()[0][h]
+    w = arr._integer_normals()[h]
     ctx.forms[j] = add_forms(ctx.forms[j], w)  # off h: w . (form + w) = w . w > 0
     arr._cache["chamber_ctx"] = ctx
     with pytest.raises(AssertionError, match="tight corner rays of a facet"):

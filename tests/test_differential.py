@@ -24,7 +24,7 @@ from arr4 import (
     f_vector,
     parse_arrangement,
 )
-from arr4.arrangement import _MINORS, _rank3_second
+from arr4.arrangement import _MINORS, _cross_forms, _hodge_forms, _rank3_second
 from arr4.invariants import _mu_data
 from arr4.linalg import KERNELS
 from arr4.report import build_report, to_json
@@ -204,7 +204,7 @@ def test_rank3_second_matches_point_grouping(field):
     dropped = set()
     heavy = 0
     for sub in _rank3_draws(field):
-        keys = sub._integer_normals()[0]
+        keys = sub._integer_normals()
         groups = [flat.mask for flat in sub._rank2()]
         assert _rank3_second(keys, sub._kernel) == sum(m.bit_count() - 1 for m in groups)
         nonzero = sub._kernel.sign
@@ -212,6 +212,44 @@ def test_rank3_second_matches_point_grouping(field):
         heavy += max(m.bit_count() for m in groups) >= 3
     assert dropped == {0, 1, 2}
     assert heavy  # some points carry three or more lines
+
+
+@pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU])
+def test_lattice_forms_match_normal(field):
+    """The forms whose dots the two lattice walks key, against `normal`.
+
+    On every line of P^3 the Hodge forms of its key dotted with a normal w
+    off the line are proportional to normal((u, v, w)), u and v two members
+    of the line; in K^3 the cross-product forms of u dotted with v are
+    normal((u, v)), entry for entry.  Over the built-ins and the seeded
+    draws, and in K^3 over restriction 0 of each and the rank-3 draws; every
+    line pivot t in 0-5 and every pivot c in 0-2 is met.
+    """
+    kernel = KERNELS[field]
+    canonical, sign = kernel.canonical, kernel.sign
+    arrangements = [builtin(label) for label in _BUILTINS[field]]
+    arrangements += _draws(field) + _heavy_draws(field)
+    pivots = set()
+    for arr in arrangements:
+        ints = arr._integer_normals()
+        for line in arr.lines():
+            pivots.add(next(t for t, x in enumerate(line.key) if sign(x)))
+            forms = _hodge_forms(line.key, kernel)
+            u, v = (ints[i] for i in line.members[:2])
+            for k, w in enumerate(ints):
+                if not line.mask >> k & 1:
+                    point = kernel.dots(w, forms)
+                    assert canonical(point) == canonical(kernel.normal((u, v, w)))
+    assert pivots == set(range(6))
+    pivots = set()
+    for sub in [arr.restriction(0) for arr in arrangements] + _rank3_draws(field):
+        ints = sub._integer_normals()
+        for u in ints:
+            pivots.add(next(c for c, x in enumerate(u) if sign(x)))
+            forms = _cross_forms(u, kernel)
+            for v in ints:
+                assert kernel.dots(v, forms) == list(kernel.normal((u, v)))
+    assert pivots == {0, 1, 2}
 
 
 @pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU])
@@ -234,7 +272,7 @@ def test_flat_keys_are_canonical_integer_forms(field):
         rank2, points = (arr.lines(), arr.vertices()) if arr.dim == 4 else (arr.points(),) * 2
         for flat in points:
             assert kernel.ints(flat.point) == flat.key
-        ints = arr._integer_normals()[0]
+        ints = arr._integer_normals()
         for flat in rank2:
             u, v = (ints[i] for i in flat.members[:2])
             minors = tuple(idot((u[a], u[b]), (v[b], neg(v[a]))) for a, b in _MINORS[arr.dim])

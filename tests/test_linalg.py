@@ -388,19 +388,20 @@ def test_position_keys_are_projective_classes(field, data):
     assert (position(x1, y1) == position(x2, y2)) is same
     factor = data.draw(_nonzero_factors(field))
     assert position(_times(field, factor, x1), _times(field, factor, y1)) == position(x1, y1)
-    # [x : y] as [p.a : q.b] with p = q = (1, 0), a = (x, 0), b = (y, 0)
+    # [x : y] as [p.w : q.w] with p = (1, 0, 0), q = (0, 1, 0), w = (x, y, 0)
     one, zero = _ONE[field], _ZERO[field]
-    row = (1, (x1, zero), (y1, zero))
-    assert KERNELS[field].group((one, zero), (one, zero), [row]) == {position(x1, y1): 1}
+    row = (1, (x1, y1, zero))
+    p, q = (one, zero, zero), (zero, one, zero)
+    assert KERNELS[field].group(p, q, [row]) == {position(x1, y1): 1}
 
 
 @pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.value)
 def test_zero_vectors_raise_value_error(field):
-    kernel, zero = KERNELS[field], _ZERO[field]
+    kernel, zero, one = KERNELS[field], _ZERO[field], _ONE[field]
     with pytest.raises(ValueError):
         POSITION[field](zero, zero)
-    with pytest.raises(ValueError):
-        kernel.group((zero, zero), (zero, zero), [(1, (zero, zero), (zero, zero))])
+    with pytest.raises(ValueError, match="no position"):
+        kernel.group((one, zero, zero), (zero, one, zero), [(1, (zero, zero, zero))])
     with pytest.raises(ValueError):
         kernel.canonical((zero,) * 3)
     with pytest.raises(ValueError):
@@ -413,38 +414,43 @@ def _random_scalar(rng, field, span=4):
     return (rng.randint(-span, span), rng.randint(-span, span))
 
 
-@pytest.mark.parametrize("terms", [2, 3])
+@pytest.mark.parametrize("terms", [3, 4])
 @pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.value)
 def test_group_matches_reference_keys(field, terms):
-    """`group` equals grouping the rows one at a time by the reference keys,
-    on all the rows and on a random subset; rows with p.a = 0 take the key of
-    [0 : 1]."""
+    """`group` equals grouping the rows (bit, w) one at a time by the
+    reference keys, on all the rows and on a random subset; rows with
+    p.w = 0 take the key of [0 : 1]."""
     rng = random.Random(1500 + 10 * terms + (field is Field.QUADRATIC_TAU))
     group, idot = KERNELS[field].group, KERNELS[field].dot
     zero = _ZERO[field]
     for _ in range(60):
         p, q = (tuple(_random_scalar(rng, field) for _ in range(terms)) for _ in range(2))
-        if not any(x != zero for x in p) or not any(x != zero for x in q):
+        # a row at infinity: p.w = 0 while q.w != 0, w being (p.p) q less
+        # (p.q) p, unless p and q are proportional (or one of them zero)
+        pp, pq = idot(p, p), idot(p, q)
+        infinity = tuple(
+            _minus(field, _times(field, pp, qi), _times(field, pq, pi)) for pi, qi in zip(p, q)
+        )
+        if idot(q, infinity) == zero:
             continue
         rows = []
         for k in range(rng.randint(1, 40)):
-            a, b = (tuple(_random_scalar(rng, field, 2) for _ in range(terms)) for _ in range(2))
-            if idot(p, a) == zero and idot(q, b) == zero:
+            w = tuple(_random_scalar(rng, field, 2) for _ in range(terms))
+            if idot(p, w) == zero and idot(q, w) == zero:
                 continue
-            rows.append((1 << k, a, b))
-        # a row at infinity: p.a = 0 while q.q != 0, q being real and nonzero
-        rows.append((1 << 40, (zero,) * terms, q))
+            rows.append((1 << k, w))
+        rows.append((1 << 40, infinity))
         skip = rng.getrandbits(41)
         for mask in (0, skip):
             kept = [row for row in rows if not mask & row[0]]
             assert group(p, q, kept) == reference_group(field, p, q, kept)
-        assert POSITION[field](zero, idot(q, q)) in group(p, q, rows)
+        assert POSITION[field](zero, idot(q, infinity)) in group(p, q, rows)
         # rows of bit 0: the keys alone
-        plain = [(0, a, b) for _, a, b in rows]
+        plain = [(0, w) for _, w in rows]
         assert group(p, q, plain).keys() == reference_group(field, p, q, rows).keys()
         # a zero row raises (the lattice passes leave a line's members out)
-        zero_row = (1 << 41, (zero,) * terms, (zero,) * terms)
-        with pytest.raises(ValueError):
+        zero_row = (1 << 41, (zero,) * terms)
+        with pytest.raises(ValueError, match="no position"):
             group(p, q, rows + [zero_row])
 
 
@@ -508,7 +514,8 @@ def test_normal_of_two_rows_in_minors_order(field, length):
 @pytest.mark.parametrize("length", [3, 4])
 @pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.value)
 def test_signs_match_dot(field, length):
-    """`signs` is the sign of `dot` with each form, zero dots among them."""
+    """`dots` is `dot` with each form, so its signs are the signs of `dot`,
+    zero dots among them."""
     rng = random.Random(1700 + 10 * length + (field is Field.QUADRATIC_TAU))
     kernel, zero = KERNELS[field], _ZERO[field]
     zeros = 0
@@ -516,7 +523,9 @@ def test_signs_match_dot(field, length):
         v = tuple(_random_scalar(rng, field, 2) for _ in range(length))
         forms = [tuple(_random_scalar(rng, field, 2) for _ in range(length)) for _ in range(20)]
         forms.append((v[1], kernel.neg(v[0])) + (zero,) * (length - 2))  # orthogonal to v
-        expected = [kernel.sign(kernel.dot(v, f)) for f in forms]
-        assert kernel.signs(v, forms) == expected
+        dots = [kernel.dot(v, f) for f in forms]
+        assert kernel.dots(v, forms) == dots
+        expected = [kernel.sign(x) for x in dots]
+        assert list(map(kernel.sign, kernel.dots(v, forms))) == expected
         zeros += expected.count(0)
     assert zeros >= 100
