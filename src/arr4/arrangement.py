@@ -17,42 +17,40 @@ stored form: field scalars are made when the public `normals` and
 `Flat.point` views are read.
 Rank-2 flats group the hyperplane pairs by the canonical 2x2 minors of
 their normals: the Pluecker coordinates of the line in K^4, the cross
-product (which is the point itself) in K^3.  A normal off a line meets it in
-the Hodge dual of the line's Pluecker vector applied to that normal; the
-line projects injectively onto two coordinates, so the normal's dots with
-those two Hodge rows (as length-4 forms) key its position in P^1, and the
-normals at one position, with the line's members, are one vertex's members.
-One kernel call per line (`group`) keys the plain integer normals off it.
-Position keys only group hits; every key a flat stores comes from
-`canonical`.
+product (which is the point itself) in K^3.  The line geometry lives in
+`linalg`: the dots of a normal off a line with its two `line_forms` key,
+in P^1, where it meets the line, and one kernel call per line (`group`)
+keys the plain integer normals off it; the normals at one position, with
+the line's members, are one vertex's members.  Position keys only group
+hits; every key a flat stores comes from `canonical`.
 Vertices are keyed by their member masks.  Each vertex is grouped once, on
 its first line, and later lines skip its members; its lines are then read
 off the pair -> rank-2 flat map (`_pair_lines`), which tallies, per vertex,
 the lines through it and the sum of their weights (`vertex_line_tallies`),
 from which the vertices' Moebius values, the t-vector and the f-vector are
-read.  The pass makes no vertex key: it keeps a witness for each point (the
-line's Hodge forms and one normal off it), and the keys and `Flat`s are made
-on the first read of `vertices()`, which only the chamber walk, `parabolic`
-and explicit callers do.  A restriction's normals are read off the
-Pluecker keys of the lines inside the hyperplane, and its chamber count off
-the positions of the later lines on each line, the same way in P^2 (two
-rows of the line's cross-product matrix in place of the Hodge rows), again
-one `group` call per line, each point grouped once on its first line
-(`restriction_counts` builds no rank-3 arrangement and reads nothing of
-the vertex pass); a parabolic's are the integer normals through the vertex
-with the pivot of the vertex key dropped.  Every rank decision reads the
-written-out maximal minors of `KERNELS[field].normal`: essentialness and
-the derived arrangements' checks take the length of the first basis
+read.  The pass makes no vertex key: as a line's, it is the canonical
+`normal` of a basis of its members (its two lowest members and its lowest
+member off their line), made on the first read of `vertices()`, which only
+the chamber walk, `parabolic` and explicit callers do.  A restriction's
+normals are the `restricted_minors` of the Pluecker keys of the lines inside
+the hyperplane, and its chamber count comes from the positions of the later
+lines on each line, the same way in P^2 (`line_forms` of a K^3 normal),
+again one `group` call per line, each point grouped once on its first line
+(`restriction_counts` builds no rank-3 arrangement and reads nothing of the
+vertex pass); a parabolic's are the integer normals through the vertex with
+the pivot of the vertex key dropped.  Every rank decision reads the
+written-out maximal minors of `KERNELS[field].normal`: essentialness and the
+derived arrangements' checks take the length of the first basis
 `linalg.rank_basis` meets, and reducibility ties a normal e to a basis
-normal b when e is off the normal of the basis less b (a fundamental
-circuit of that basis).
+normal b when e is off the normal of the basis less b (a fundamental circuit
+of that basis).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .linalg import KERNELS, rank_basis
+from .linalg import KERNELS, line_forms, rank_basis, restricted_minors
 from .scalars import Field, infer_field, lift
 
 
@@ -123,42 +121,6 @@ class Flat(_ReadOnly):
         return f"Flat(members={self.members}, point={self.point})"
 
 
-#: Coordinate pairs (a, b) of the 2x2 minors u_a v_b - u_b v_a of two normals:
-#: the Pluecker coordinates of their line in K^4, and in K^3 the cross
-#: product, i.e. the point of P^2 on both lines.  `KERNELS[field].normal` of
-#: two normals returns the minors in this order, which the rank-2 keys and
-#: so `_HODGE`, `_COMPLEMENT` and `_RESTRICT` rely on.
-_MINORS = {
-    3: ((1, 2), (2, 0), (0, 1)),
-    4: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
-}
-
-#: Rows of the Hodge dual *P of a Pluecker vector P: x_i = sum_j eps_ijkl p_kl w_j,
-#: {k < l} the remaining two coordinates, is the point where the line meets
-#: the hyperplane with normal w.  Entries are (index of p_kl in _MINORS[4], j,
-#: eps_ijkl).
-_HODGE = (
-    ((5, 1, 1), (4, 2, -1), (3, 3, 1)),
-    ((5, 0, -1), (2, 2, 1), (1, 3, -1)),
-    ((4, 0, 1), (2, 1, -1), (0, 3, 1)),
-    ((3, 0, -1), (1, 1, 1), (0, 2, -1)),
-)
-
-
-#: For each Pluecker index t, the two coordinates off the minor's pair: when
-#: p_t != 0 no nonzero point of the line has both of them 0, so the line
-#: projects injectively onto them and their two Hodge rows fix a point's
-#: position on the line.
-_COMPLEMENT = tuple(tuple(f for f in range(4) if f not in pair) for pair in _MINORS[4])
-
-#: For each pivot p, the (index in _MINORS[4], sign flip) of the minor (p, f)
-#: for every f != p in increasing order: minor (p, f) = -minor (f, p).
-_RESTRICT = tuple(
-    tuple((_MINORS[4].index((min(p, f), max(p, f))), f < p) for f in range(4) if f != p)
-    for p in range(4)
-)
-
-
 def _canonical_normals(normals, field, ambient):
     """The canonical integer key of each normal, made as the normal is read.
 
@@ -207,18 +169,14 @@ def _checked_keys(keys, kernel, where):
 def _rank3_second(keys, kernel):
     """sum over the points p of P^2 of (w_p - 1), for distinct rank-3 keys.
 
-    Lines i and j meet in the cross product u_i x u_j, whose component m is
-    the dot of u_j with row m of the cross-product matrix of u_i
-    (`_cross_forms`).  With u_i[c] != 0 no nonzero point of line i has both
-    coordinates other than c equal to 0, so the P^1 key of the dots with
-    the two rows other than c is a point's position on line i.  Each point
+    Lines i and j meet in the cross product u_i x u_j, and the two
+    `line_forms` of u_i key that point's position on line i.  Each point
     is grouped once, on its first line i: one `group` call keys the later
     lines j > i, less those in `seen[i]`, the lines through the points
     already found on line i.  A group is then the w_p - 1 other lines of a
     new point, and its mask is added to each of their `seen`, so later
     lines skip it.
     """
-    group, sign = kernel.group, kernel.sign
     rows = [(1 << j, v) for j, v in enumerate(keys)]
     # per line: the lines through the points found on it so far
     seen = [0] * len(keys)
@@ -228,9 +186,7 @@ def _rank3_second(keys, kernel):
         later = [row for row in rows[i + 1:] if not skip & row[0]]
         if not later:
             continue
-        c = next(f for f, x in enumerate(u) if sign(x))
-        p, q = (form for m, form in enumerate(_cross_forms(u, kernel)) if m != c)
-        for found in group(p, q, later).values():
+        for found in kernel.group(*line_forms(u, kernel), later).values():
             total += found.bit_count()
             point = found | 1 << i
             while found:
@@ -238,33 +194,6 @@ def _rank3_second(keys, kernel):
                 seen[low.bit_length() - 1] |= point
                 found ^= low
     return total
-
-
-def _cross_forms(u, kernel):
-    """The rows of the cross-product matrix of u in K^3: row m dotted with v
-    is component m of u x v, u_a v_b - u_b v_a for (a, b) = `_MINORS[3][m]`,
-    so it holds u_a at b and -u_b at a."""
-    neg, zero = kernel.neg, kernel.zero
-    u0, u1, u2 = u
-    return ((zero, neg(u2), u1), (u2, zero, neg(u0)), (neg(u1), u0, zero))
-
-
-def _hodge_forms(key, kernel):
-    """The four rows of the Hodge dual of the Pluecker key of a line, as
-    length-4 forms: row i dotted with a normal w is coordinate i of the
-    point where the line meets the hyperplane of w (`_HODGE`)."""
-    forms = [[kernel.zero] * 4 for _ in _HODGE]
-    for form, row in zip(forms, _HODGE):
-        for p, j, s in row:
-            form[j] = key[p] if s > 0 else kernel.neg(key[p])
-    return forms
-
-
-def _witness_key(kernel, witness):
-    """The canonical key of a vertex from its vertex-pass witness: a normal
-    w off a line and the line's Hodge forms, which meet in the point whose
-    coordinates are the dots of w with those forms."""
-    return kernel.canonical(kernel.dots(*witness))
 
 
 def _rank3_char_poly(n, second):
@@ -335,8 +264,8 @@ class _CentralArrangement(_ReadOnly):
 
     def _rank2(self):
         """Every rank-2 flat (a line of P^3, a point of P^2), sorted by member
-        sets; its key is the canonical minors (`normal`, in `_MINORS` order)
-        of any two members' normals."""
+        sets; its key is the canonical minors (`normal`) of any two members'
+        normals."""
         if "rank2" not in self._cache:
             normal, canonical = self._kernel.normal, self._kernel.canonical
             ints = self._integer_normals()
@@ -380,19 +309,26 @@ class Arrangement(_CentralArrangement):
     def vertices(self):
         """All rank-3 flats, sorted by member index sets.
 
-        The keys and flats are made on the first read, from the masks and
-        point witnesses of the vertex pass; the witnesses are then dropped.
+        The flats are made on the first read, from the member masks of the
+        vertex pass, keyed by `_vertex_keys`.
         """
         if "vertices" not in self._cache:
-            kernel = self._kernel
             masks = self._vertex_pass()[0]
-            witnesses = self._cache["vertex_entries"]
-            self._cache["vertices"] = tuple(
-                Flat(mask, _witness_key(kernel, witness))
-                for mask, witness in zip(masks, witnesses)
-            )
-            del self._cache["vertex_entries"]
+            self._cache["vertices"] = tuple(map(Flat, masks, self._vertex_keys(masks)))
         return self._cache["vertices"]
+
+    def _vertex_keys(self, masks):
+        """The canonical `normal` of a basis of each vertex's members, as for
+        a line: its two lowest members and its lowest member off their line."""
+        canonical, normal = self._kernel.canonical, self._kernel.normal
+        ints, pair_lines = self._integer_normals(), self._pair_lines()
+        line_masks = [line.mask for line in self._rank2()]
+        for mask in masks:
+            rest = mask & (mask - 1)
+            i, j = (mask & -mask).bit_length() - 1, (rest & -rest).bit_length() - 1
+            off = mask & ~line_masks[pair_lines[i][j]]
+            k = (off & -off).bit_length() - 1
+            yield canonical(normal((ints[i], ints[j], ints[k])))
 
     def vertex_weights(self):
         """Per vertex, in `vertices()` order: the number of hyperplanes through it."""
@@ -407,15 +343,12 @@ class Arrangement(_CentralArrangement):
         """(member masks, weights, lines through, their weight sums) of every
         vertex, in `vertices()` order; no vertex key or flat is made.
 
-        A normal w_k off the line with key q meets it in Hodge(q) w_k, the
-        dots of w_k with the rows of Hodge(q) as length-4 forms
-        (`_hodge_forms`).  With q_t the key's first nonzero entry, the two
-        rows of the coordinates `_COMPLEMENT[t]` already fix that point on
-        the line, so the P^1 key of those two dots is the hit's position; one
-        `group` call per line keys the integer normals off it, less those in
-        `seen` (below).  The normals with
-        one position and the line's members are the vertex's members (every
-        member of a vertex is on the line or meets it there).
+        A normal w_k off a line meets it in one point, whose position on the
+        line the two `line_forms` of the line's key fix; one `group` call per
+        line keys the integer normals off it, less those in `seen` (below).
+        The normals with one position and the line's members are the
+        vertex's members (every member of a vertex is on the line or meets
+        it there).
 
         Each vertex is grouped once, on its first line.  Its lines are then
         walked through `_pair_lines()`: each is asserted to lie inside the
@@ -423,9 +356,8 @@ class Arrangement(_CentralArrangement):
         tallied, and adds the vertex's mask to its `seen`, so later lines
         skip the vertex's members.  Two vertices on one line share no
         member off it, so every group left on a line is a new vertex with
-        its full member mask.  Per vertex the pass keeps one normal off the
-        line and the line's Hodge forms, a witness from which `vertices()`
-        makes the point, and which names it in the weight check.
+        its full member mask.  The weight check names a vertex by the point
+        of its key (`_vertex_keys`).
 
         The pass meets the vertices in member order: a vertex with lowest
         members m1 < m2 is first grouped on the line through them, which
@@ -435,27 +367,22 @@ class Arrangement(_CentralArrangement):
         if "vertex_pass" in self._cache:
             return self._cache["vertex_pass"]
         kernel = self._kernel
-        group_hits, sign = kernel.group, kernel.sign
-        ints = self._integer_normals()
         # every normal's bit and integer form, the rows `group` takes
-        normals = [(1 << k, w) for k, w in enumerate(ints)]
+        normals = [(1 << k, w) for k, w in enumerate(self._integer_normals())]
         lines = self._rank2()
         pair_lines = self._pair_lines()
         line_masks = [line.mask for line in lines]
         # per line: its members and those of the vertices found on it so far
         seen = line_masks[:]
         every = (1 << self.n) - 1
-        masks, counts, sums, witnesses = [], [], [], []
+        masks, counts, sums = [], [], []
         for index, line in enumerate(lines):
             skip = seen[index]
             if skip == every:
                 continue
-            key, line_mask = line.key, line.mask
-            t = next(i for i, x in enumerate(key) if sign(x))
+            line_mask = line.mask
             rows = [row for row in normals if not skip & row[0]]
-            forms = _hodge_forms(key, kernel)
-            c, d = _COMPLEMENT[t]
-            for group in group_hits(forms[c], forms[d], rows).values():
+            for group in kernel.group(*line_forms(line.key, kernel), rows).values():
                 mask = line_mask | group
                 count = total = 0
                 rest = mask
@@ -481,14 +408,12 @@ class Arrangement(_CentralArrangement):
                 masks.append(mask)
                 counts.append(count)
                 sums.append(total)
-                witnesses.append((ints[(group & -group).bit_length() - 1], forms))
         weights = tuple(mask.bit_count() for mask in masks)
         top = self.n - 1
-        for weight, witness in zip(weights, witnesses):
+        for mask, weight in zip(masks, weights):
             if not 3 <= weight <= top:
-                point = kernel.point(_witness_key(kernel, witness))
+                point = kernel.point(next(self._vertex_keys([mask])))
                 raise AssertionError(f"vertex {point} lies on {weight} hyperplanes")
-        self._cache["vertex_entries"] = witnesses
         self._cache["vertex_pass"] = (tuple(masks), weights, tuple(counts), tuple(sums))
         return self._cache["vertex_pass"]
 
@@ -520,18 +445,13 @@ class Arrangement(_CentralArrangement):
 
         Coordinates on H_h are the coordinates other than the pivot p (the
         first nonzero one) of integer normal h.  A line through h and k
-        induces the normal v_k restricted to H_h, which is proportional to
-        (h_p v_f - h_f v_p) for f != p: the line's (p, f) Pluecker minors,
-        read off its key with the sign flipped where f < p.  Distinct lines
-        give distinct normals that span K^3; both are asserted.
+        induces the normal v_k restricted to H_h, the line's
+        `restricted_minors` at p.  Distinct lines give distinct normals that
+        span K^3; both are asserted.
         """
-        neg, canonical, sign = self._kernel.neg, self._kernel.canonical, self._kernel.sign
-        p = next(i for i, x in enumerate(self._integer_normals()[h]) if sign(x))
-        coords = _RESTRICT[p]
-        keys = [
-            canonical(tuple(neg(key[i]) if flip else key[i] for i, flip in coords))
-            for key in line_keys
-        ]
+        kernel = self._kernel
+        p = next(i for i, x in enumerate(self._integer_normals()[h]) if kernel.sign(x))
+        keys = [kernel.canonical(restricted_minors(key, p, kernel)) for key in line_keys]
         return _checked_keys(keys, self._kernel, f"the restriction to hyperplane {h}")
 
     def restriction_counts(self) -> tuple[tuple[int, int], ...]:

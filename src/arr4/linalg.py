@@ -13,12 +13,16 @@ point(canonical(ints(v))) for both fields.  The batches take plain
 normals, written out for lengths 3 and 4: `group(p, q, rows)` keys the
 point [p.w : q.w] of P^1 of each row (bit, w) from its two integer-form
 scalars (for Q(tau), by the ratio y/x), and `dots(v, forms)` is v's dot
-with each form.  The lattice groups the hits on a line (p, q two rows of
-its Hodge dual) and the points on a restricted line (two rows of its
-cross-product matrix), handing over only the normals of flats that no
-earlier line has grouped; `group` keys are never stored.  `normal` writes
-out the maximal minors of k = 1 ... dim - 1 forms, and it is the one rank
-primitive: the rank-2 flats are keyed by the minors of two normals;
+with each form.  All line geometry is here too: the layout of Pluecker
+keys, the Hodge and cross-product forms, and `line_forms`, the two forms p,
+q of a line (two rows of the Hodge dual of a line of P^3, of the
+cross-product matrix of a line of P^2) with which the lattice groups the
+hits on a line and the points on a restricted line, handing over only the
+normals of flats that no earlier line has grouped; `group` keys are never
+stored.  `restricted_minors` reads a restriction's normals off line keys.
+`normal` writes out the maximal minors of k = 1 ... dim - 1 forms, and it
+is the one rank primitive: the rank-2 flats are keyed by the minors of two
+normals, and a vertex by the normal of three of its members that span it;
 `rank_basis` picks the first basis of a list of forms by nonzero minors
 (essentialness, the derived arrangements' checks, the greedy basis of
 reducibility, the chamber edges); the normals of that basis less one row
@@ -152,7 +156,7 @@ def pair_group(p, q, rows):
     nonzero rational norm, as the triple (N, r, s) standing for
     (r + s*tau)/N, with N > 0 and no common factor; x = 0 is
     `_PAIR_INFINITY`.  A row with x = y = 0 raises ValueError.  Both dots of
-    a row are written out in one comprehension, as in `pair_dots`.
+    a row are written out in one comprehension, as at `_int_group`.
     """
     if len(p) == 4:
         (pa0, pb0), (pa1, pb1), (pa2, pb2), (pa3, pb3) = p
@@ -232,20 +236,14 @@ def pair_normal(rows):
     One row is its own minors, and two rows of length 4 give their six 2x2
     minors (`_pair_minors`).  For dim - 1 rows, entry k is (-1)^k times the
     minor without column k, so the result is orthogonal to every row: the
-    cross product in K^3 and its analogue in K^4.  The 2x2 minors and the
-    pair products are written out.
+    cross product in K^3 (off `cross_forms`) and its analogue in K^4, whose
+    minors and pair products are written out, as at `_int_normal`.
     """
     if len(rows) == 1:
         return rows[0]
     if len(rows[0]) == 3:
-        ((a0, b0), (a1, b1), (a2, b2)), ((c0, d0), (c1, d1), (c2, d2)) = rows
-        bd = b1 * d2 - b2 * d1
-        n0 = (a1 * c2 - a2 * c1 + bd, a1 * d2 + b1 * c2 - a2 * d1 - b2 * c1 + bd)
-        bd = b2 * d0 - b0 * d2
-        n1 = (a2 * c0 - a0 * c2 + bd, a2 * d0 + b2 * c0 - a0 * d2 - b0 * c2 + bd)
-        bd = b0 * d1 - b1 * d0
-        n2 = (a0 * c1 - a1 * c0 + bd, a0 * d1 + b0 * c1 - a1 * d0 - b1 * c0 + bd)
-        return (n0, n1, n2)
+        u, v = rows
+        return tuple(pair_dots(v, cross_forms(u, KERNELS[Field.QUADRATIC_TAU])))
     minors = _pair_minors(rows[0], rows[1])
     if len(rows) == 2:
         return minors
@@ -319,24 +317,24 @@ def pair_point(pairs):
 # normals are grouped by a canonical key that is unique per projective class.
 # The two batches take plain integer normals.  The points of P^1 on one line
 # (a line's hits, a restricted line's points) are grouped in one `group`
-# call on rows (bit, w), keyed by [p.w : q.w] for two forms p and q of the
-# line, and the keys are never stored.  `dots` gives the dot of one vector
-# with a batch of forms, from which the chamber context reads the side of
-# every corner on one hyperplane, and the vertex pass's witness its point.
-# Both are written out for lengths 3 and 4; `dot` is the general loop, for
-# any length.  `normal` writes out the maximal minors of k = 1 ... dim - 1
-# forms (for dim - 1 forms the cross product in K^3 and its analogue in K^4,
-# orthogonal to each of them): nonzero exactly when the forms are
-# independent, so every rank decision reads them, through `rank_basis` or
-# directly, without an elimination.  Field scalars come back only when an
-# arrangement's normals or a flat's point are read: `point` divides by the
-# first nonzero coordinate in integers (for Q(tau), by its norm after
-# multiplying by its conjugate), and point(canonical(ints(v))) is the one
-# canonical path from a field vector to its class representative.  With
-# `oriented=True` the same `canonical` keeps the sign (a positive multiple
-# of its input), which is how Fourier-Motzkin deduplicates half-space
-# constraints.  The table below holds every field decision these layers
-# make.
+# call on rows (bit, w), keyed by [p.w : q.w] for the two `line_forms` p
+# and q of the line, and the keys are never stored.  `dots` gives the dot
+# of one vector with a batch of forms, from which the chamber context reads
+# the side of every corner on one hyperplane.  Both are written out for
+# lengths 3 and 4; `dot` is the general loop, for any length.  `normal`
+# writes out the maximal minors of k = 1 ... dim - 1 forms (for dim - 1
+# forms the cross product in K^3 and its analogue in K^4, orthogonal to each
+# of them): nonzero exactly when the forms are independent, so every rank
+# decision reads them, through `rank_basis` or directly, without an
+# elimination, and canonical they key a flat from a basis of its members.
+# Field scalars come back only when an arrangement's normals or a flat's
+# point are read: `point` divides by the first nonzero coordinate in
+# integers (for Q(tau), by its norm after multiplying by its conjugate), and
+# point(canonical(ints(v))) is the one canonical path from a field vector to
+# its class representative.  With `oriented=True` the same `canonical` keeps
+# the sign (a positive multiple of its input), which is how Fourier-Motzkin
+# deduplicates half-space constraints.  The table below holds every field
+# decision these layers make.
 
 
 class FieldKernel(NamedTuple):
@@ -355,16 +353,18 @@ class FieldKernel(NamedTuple):
     #: nonzero integer form -> hashable key, unique per projective class;
     #: with oriented=True, a positive multiple unique per positive rescaling
     canonical: Callable
-    #: group(p, q, rows): two forms of length 3 or 4 and rows (bit, w) of
-    #: integer normals w of that length -> {key of the point [p.w : q.w] of
-    #: P^1, unique per projective class: OR of the rows' bits}; the keys
-    #: only group, and are never stored
+    #: group(p, q, rows): two forms of length 3 or 4, a line's `line_forms`,
+    #: and rows (bit, w) of integer normals w of that length -> {key of the
+    #: point [p.w : q.w] of P^1, unique per projective class: OR of the
+    #: rows' bits}; the keys only group, and are never stored
     group: Callable
     #: normal(rows): k = 1 ... dim - 1 integer forms of length dim (3 or 4)
     #: -> their maximal minors, zero exactly when the rows are dependent: the
     #: row itself for k = 1, the six 2x2 minors in `_MINORS[4]` order for
     #: k = 2 in K^4, and for k = dim - 1 signed so that the result is
-    #: orthogonal to every row
+    #: orthogonal to every row.  Canonical, it keys the flat the rows cut
+    #: out: a line from two members, a vertex from its member basis (its two
+    #: lowest members and its lowest member off their line)
     normal: Callable
     #: dots(v, forms): v . f for each form f of v's length (3 or 4), as a
     #: list of integer-form scalars
@@ -382,14 +382,19 @@ def _int_dot(u, v):
 def _int_normal(rows):
     """The maximal minors of k = 1 ... dim - 1 integer forms of length dim
     (3 or 4), as in `pair_normal`: the row itself, the six 2x2 minors m01
-    ... m23 of two rows of length 4, or the signed normal of dim - 1 rows,
-    with the 2x2 minors written out.
+    ... m23 of two rows of length 4, or the signed normal of dim - 1 rows:
+    `cross_forms` of the first row dotted with the second in K^3.
+
+    In K^4 the minors stay written out per field: the chamber walk makes one
+    three-row call per facet, and the shared form (`hodge_forms` of the
+    first two rows' minors dotted with the third) cost 1.1-2.9 us more per
+    call (Python 3.11, 2-core x86-64 VM).
     """
     if len(rows) == 1:
         return rows[0]
     if len(rows[0]) == 3:
-        (a0, a1, a2), (c0, c1, c2) = rows
-        return (a1 * c2 - a2 * c1, a2 * c0 - a0 * c2, a0 * c1 - a1 * c0)
+        u, v = rows
+        return tuple(_int_dots(v, cross_forms(u, KERNELS[Field.RATIONAL])))
     (a0, a1, a2, a3), (c0, c1, c2, c3) = rows[0], rows[1]
     m01 = a0 * c1 - a1 * c0
     m02 = a0 * c2 - a2 * c0
@@ -424,7 +429,9 @@ def _int_group(p, q, rows):
     (x, y) over their gcd with the first nonzero entry positive.
 
     A row with x = y = 0 raises ValueError.  Both dots of a row are written
-    out in one comprehension, as in `_int_dots`.
+    out in one comprehension, as in `_int_dots`, not two `dots` passes,
+    which made H4's `restriction_counts` 3-25 % slower (Python 3.11, 2-core
+    x86-64 VM).
     """
     if len(p) == 4:
         p0, p1, p2, p3 = p
@@ -503,3 +510,71 @@ def rank_basis(rows, kernel):
             basis.append(i)
             break
     return basis
+
+
+# -- line geometry -----------------------------------------------------------------
+
+#: Coordinate pairs (a, b) of the 2x2 minors u_a v_b - u_b v_a of two normals,
+#: in the order `normal` returns them: the Pluecker coordinates of their line
+#: in K^4, and in K^3 the cross product, the point of P^2 on both lines.
+_MINORS = {
+    3: ((1, 2), (2, 0), (0, 1)),
+    4: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
+}
+
+#: For each Pluecker index t, the two coordinates off the minor's pair: when
+#: p_t != 0 no nonzero point of the line has both of them 0, so the line
+#: projects injectively onto them.
+_COMPLEMENT = tuple(tuple(f for f in range(4) if f not in pair) for pair in _MINORS[4])
+
+#: For each pivot p, the (index in _MINORS[4], sign flip) of the minor (p, f)
+#: for every f != p in increasing order: minor (p, f) = -minor (f, p).
+_RESTRICT = tuple(
+    tuple((_MINORS[4].index((min(p, f), max(p, f))), f < p) for f in range(4) if f != p)
+    for p in range(4)
+)
+
+
+def hodge_forms(key, kernel):
+    """The four rows of the Hodge dual of a line's Pluecker key, as length-4
+    forms: row i dotted with a normal w off the line is coordinate i of the
+    point where the line meets the hyperplane of w."""
+    neg, zero = kernel.neg, kernel.zero
+    p01, p02, p03, p12, p13, p23 = key
+    return (
+        (zero, p23, neg(p13), p12),
+        (neg(p23), zero, p03, neg(p02)),
+        (p13, neg(p03), zero, p01),
+        (neg(p12), p02, neg(p01), zero),
+    )
+
+
+def cross_forms(u, kernel):
+    """The rows of the cross-product matrix of u in K^3: row m dotted with v
+    is component m of u x v, u_a v_b - u_b v_a for (a, b) = `_MINORS[3][m]`."""
+    neg, zero = kernel.neg, kernel.zero
+    u0, u1, u2 = u
+    return ((zero, neg(u2), u1), (u2, zero, neg(u0)), (neg(u1), u0, zero))
+
+
+def line_forms(key, kernel):
+    """Two forms (p, q) of a line, given by its Pluecker key (length 6) in
+    P^3 or its normal (length 3) in P^2, such that a normal w off the line
+    meets it at the point [p.w : q.w] of P^1: the rows, of `hodge_forms` or
+    of `cross_forms`, at the two coordinates off the key's pivot t (its
+    first nonzero entry), `_COMPLEMENT[t]` or the two other than t, onto
+    which the line projects injectively."""
+    t = next(i for i, x in enumerate(key) if kernel.sign(x))
+    if len(key) == 6:
+        forms = hodge_forms(key, kernel)
+        c, d = _COMPLEMENT[t]
+        return forms[c], forms[d]
+    return tuple(form for m, form in enumerate(cross_forms(key, kernel)) if m != t)
+
+
+def restricted_minors(key, p, kernel):
+    """The minors (p, f), f != p, of a Pluecker key: for the line of normals
+    h and v, p the pivot of h, the normal that v induces on the hyperplane
+    of h, in the coordinates other than p."""
+    neg = kernel.neg
+    return tuple(neg(key[i]) if flip else key[i] for i, flip in _RESTRICT[p])

@@ -22,11 +22,23 @@ from itertools import permutations
 from math import gcd, isqrt
 
 from arr4 import Arrangement, Field, Flat, QuadScalar, Rank3Arrangement, sign
-from arr4.arrangement import _HODGE
 from arr4.chambers import _oriented_normals, feasible_strict
 from arr4.invariants import NegativeRadicand, ceil_sub_sqrt, floor_add_sqrt
 from arr4.linalg import _PAIR_INFINITY, KERNELS, compare_vectors
 from arr4.scalars import lift
+
+
+#: Rows of the Hodge dual *P of a Pluecker vector P: x_i = sum_j eps_ijkl p_kl w_j,
+#: {k < l} the remaining two coordinates, is the point where the line meets
+#: the hyperplane with normal w.  Entries are (index of p_kl in the minors
+#: order of `KERNELS[field].normal`, j, eps_ijkl).  The reference table of
+#: `reference_vertices` and of the `linalg.line_forms` tests.
+_HODGE = (
+    ((5, 1, 1), (4, 2, -1), (3, 3, 1)),
+    ((5, 0, -1), (2, 2, 1), (1, 3, -1)),
+    ((4, 0, 1), (2, 1, -1), (0, 3, 1)),
+    ((3, 0, -1), (1, 1, 1), (0, 2, -1)),
+)
 
 
 # -- field-scalar reference elimination ---------------------------------------------

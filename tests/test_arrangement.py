@@ -19,8 +19,7 @@ from arr4 import (
     enumerate_chambers,
     f_vector,
 )
-from arr4.arrangement import _MINORS
-from arr4.linalg import KERNELS
+from arr4.linalg import _MINORS, KERNELS
 from arr4.report import build_report
 from arr4.scalars import Field
 from helpers import (
@@ -362,14 +361,19 @@ def test_vertex_weight_check_fires_before_any_flat(field):
     an internal error of the counting pass, named by its point; the counts
     that read the pass raise it too, with no vertex flat made."""
     ints = KERNELS[field].ints
-    keys = [ints(v) for v in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0))]
     point = KERNELS[field].point(ints((0, 0, 0, 1)))
     message = re.escape(f"vertex {point} lies on 4 hyperplanes")
-    arr = Arrangement._from_keys(keys, field)
-    for read in (Arrangement.t_vector, f_vector, Arrangement.vertices):
-        with pytest.raises(AssertionError, match=message):
-            read(arr)
-        assert "vertices" not in arr._cache
+    for normals in (
+        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0)),
+        # the third-lowest member lies on the line of the two lowest, so the
+        # point's key skips it for e3
+        ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0)),
+    ):
+        arr = Arrangement._from_keys([ints(v) for v in normals], field)
+        for read in (Arrangement.t_vector, f_vector, Arrangement.vertices):
+            with pytest.raises(AssertionError, match=message):
+                read(arr)
+            assert "vertices" not in arr._cache
 
 
 def test_reducibility(boolean):

@@ -24,9 +24,9 @@ from arr4 import (
     f_vector,
     parse_arrangement,
 )
-from arr4.arrangement import _MINORS, _cross_forms, _hodge_forms, _rank3_second
+from arr4.arrangement import _rank3_second
 from arr4.invariants import _mu_data
-from arr4.linalg import KERNELS
+from arr4.linalg import _MINORS, KERNELS, cross_forms, hodge_forms
 from arr4.report import build_report, to_json
 from arr4.scalars import Field
 from helpers import (
@@ -234,7 +234,7 @@ def test_lattice_forms_match_normal(field):
         ints = arr._integer_normals()
         for line in arr.lines():
             pivots.add(next(t for t, x in enumerate(line.key) if sign(x)))
-            forms = _hodge_forms(line.key, kernel)
+            forms = hodge_forms(line.key, kernel)
             u, v = (ints[i] for i in line.members[:2])
             for k, w in enumerate(ints):
                 if not line.mask >> k & 1:
@@ -246,7 +246,7 @@ def test_lattice_forms_match_normal(field):
         ints = sub._integer_normals()
         for u in ints:
             pivots.add(next(c for c, x in enumerate(u) if sign(x)))
-            forms = _cross_forms(u, kernel)
+            forms = cross_forms(u, kernel)
             for v in ints:
                 assert kernel.dots(v, forms) == list(kernel.normal((u, v)))
     assert pivots == {0, 1, 2}

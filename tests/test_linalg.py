@@ -6,19 +6,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arr4 import QuadScalar, TAU
-from arr4.arrangement import _MINORS
 from arr4.chambers import feasible_strict
 from arr4.linalg import (
+    _MINORS,
     KERNELS,
+    cross_forms,
+    hodge_forms,
+    line_forms,
     pair_dot,
     pair_sign,
     pair_vector_canonical,
     primitive,
     rank_basis,
+    restricted_minors,
     to_int_pairs,
 )
 from arr4.scalars import Field
 from helpers import (
+    _HODGE,
     POSITION,
     add_forms,
     canonicalize_vector,
@@ -509,6 +514,57 @@ def test_normal_of_two_rows_in_minors_order(field, length):
         )
         assert kernel.normal((u, v)) == minors
         assert kernel.normal((u,)) == u
+
+
+def _with_pivot(rng, field, length, t):
+    """A random integer form of the field whose first nonzero entry is t."""
+    zero = _ZERO[field]
+    form = [zero] * t + [_random_scalar(rng, field) for _ in range(length - t)]
+    while form[t] == zero:
+        form[t] = _random_scalar(rng, field)
+    return tuple(form)
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.value)
+def test_line_forms_match_reference_tables(field):
+    """`line_forms` picks the two rows at the coordinates off the key's
+    pivot: for a Pluecker key with pivot t in 0-5, the rows of the Hodge
+    dual built from the reference `_HODGE` off the pair `_MINORS[4][t]`; for
+    a K^3 normal with pivot c in 0-2, the rows other than c of the
+    cross-product matrix defined by `_MINORS[3]`.  `hodge_forms` and
+    `cross_forms` are those full tables, and `restricted_minors` at pivot p
+    the minors (p, f) read through `_MINORS[4]`, flipped where f < p."""
+    rng = random.Random(1800 + (field is Field.QUADRATIC_TAU))
+    kernel = KERNELS[field]
+    neg, zero = kernel.neg, kernel.zero
+    for t in range(6):
+        for _ in range(20):
+            key = _with_pivot(rng, field, 6, t)
+            hodge = [[zero] * 4 for _ in _HODGE]
+            for form, row in zip(hodge, _HODGE):
+                for p, j, s in row:
+                    form[j] = key[p] if s > 0 else neg(key[p])
+            hodge = tuple(map(tuple, hodge))
+            assert hodge_forms(key, kernel) == hodge
+            c, d = (f for f in range(4) if f not in _MINORS[4][t])
+            assert line_forms(key, kernel) == (hodge[c], hodge[d])
+            for p in range(4):
+                expected = []
+                for f in range(4):
+                    if f != p:
+                        x = key[_MINORS[4].index((min(p, f), max(p, f)))]
+                        expected.append(neg(x) if f < p else x)
+                assert restricted_minors(key, p, kernel) == tuple(expected)
+    for c in range(3):
+        for _ in range(20):
+            u = _with_pivot(rng, field, 3, c)
+            cross = []
+            for a, b in _MINORS[3]:  # row m . v = u_a v_b - u_b v_a
+                row = [zero] * 3
+                row[b], row[a] = u[a], neg(u[b])
+                cross.append(tuple(row))
+            assert cross_forms(u, kernel) == tuple(cross)
+            assert line_forms(u, kernel) == tuple(row for m, row in enumerate(cross) if m != c)
 
 
 @pytest.mark.parametrize("length", [3, 4])
