@@ -33,12 +33,13 @@ read.  The pass makes no vertex key: as a line's, it is the canonical
 member off their line), made on the first read of `vertices()`, which only
 the chamber walk, `parabolic` and explicit callers do.  A restriction's
 normals are the `restricted_minors` of the Pluecker keys of the lines inside
-the hyperplane, and its chamber count comes from the positions of the later
-lines on each line, the same way in P^2 (`line_forms` of a K^3 normal),
-again one `group` call per line, each point grouped once on its first line
-(`restriction_counts` builds no rank-3 arrangement and reads nothing of the
-vertex pass); a parabolic's are the integer normals through the vertex with
-the pivot of the vertex key dropped.  Every rank decision reads the
+the hyperplane (`_lines_inside`, listed once for every hyperplane), and its
+chamber count comes from the positions of the later lines on each line, the
+same way in P^2 (`line_forms` of a K^3 normal), again one `group` call per
+line, each point grouped once on its first line; `restriction_counts` reads
+that count off `restriction(h)` for every h, and nothing of the vertex
+pass.  A parabolic's normals are the integer normals through the vertex with
+the `pivot` of the vertex key dropped.  Every rank decision reads the
 written-out maximal minors of `KERNELS[field].normal`: essentialness and the
 derived arrangements' checks take the length of the first basis
 `linalg.rank_basis` meets, and reducibility ties a normal e to a basis
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .linalg import KERNELS, line_forms, rank_basis, restricted_minors
+from .linalg import KERNELS, line_forms, pivot, rank_basis, restricted_minors
 from .scalars import Field, infer_field, lift
 
 
@@ -194,21 +195,6 @@ def _rank3_second(keys, kernel):
                 seen[low.bit_length() - 1] |= point
                 found ^= low
     return total
-
-
-def _rank3_char_poly(n, second):
-    """Coefficients (descending) of the cubic characteristic polynomial of a
-    rank-3 arrangement of n lines with sum_p (w_p - 1) = second."""
-    return (1, -n, second, -(1 - n + second))
-
-
-def _projective_chamber_count(char_poly) -> int:
-    """Chambers of the induced decomposition of P^2: -chi(-1) / 2."""
-    c3, c2, c1, c0 = char_poly
-    count = -(-c3 + c2 - c1 + c0)  # minus the polynomial at -1
-    if count <= 0 or count % 2:
-        raise AssertionError("chamber count must be a positive even integer")
-    return count // 2
 
 
 class _CentralArrangement(_ReadOnly):
@@ -434,58 +420,55 @@ class Arrangement(_CentralArrangement):
     # -- derived rank-3 arrangements -------------------------------------------
 
     def restriction(self, h: int) -> "Rank3Arrangement":
-        """The lines inside hyperplane h, as an arrangement in K^3."""
+        """The lines inside hyperplane h, as an arrangement in K^3.
+
+        Coordinates on H_h are those other than the `pivot` p of integer
+        normal h.  A line through h and k induces the normal v_k restricted
+        to H_h, the line's `restricted_minors` at p.  Distinct lines give
+        distinct normals that span K^3; both are asserted.
+        """
         if not 0 <= h < self.n:
             raise IndexError(f"hyperplane index {h} out of range")
-        line_keys = [flat.key for flat in self.lines() if flat.mask >> h & 1]
-        return Rank3Arrangement._from_keys(self._restricted_keys(h, line_keys), self.field)
-
-    def _restricted_keys(self, h, line_keys):
-        """Canonical keys of the normals that the lines inside h induce on H_h.
-
-        Coordinates on H_h are the coordinates other than the pivot p (the
-        first nonzero one) of integer normal h.  A line through h and k
-        induces the normal v_k restricted to H_h, the line's
-        `restricted_minors` at p.  Distinct lines give distinct normals that
-        span K^3; both are asserted.
-        """
         kernel = self._kernel
-        p = next(i for i, x in enumerate(self._integer_normals()[h]) if kernel.sign(x))
-        keys = [kernel.canonical(restricted_minors(key, p, kernel)) for key in line_keys]
-        return _checked_keys(keys, self._kernel, f"the restriction to hyperplane {h}")
+        p = pivot(self._integer_normals()[h], kernel)
+        inside = self._lines_inside()[h]
+        keys = [kernel.canonical(restricted_minors(key, p, kernel)) for key in inside]
+        where = f"the restriction to hyperplane {h}"
+        return Rank3Arrangement._from_keys(_checked_keys(keys, kernel, where), self.field)
 
-    def restriction_counts(self) -> tuple[tuple[int, int], ...]:
-        """(size, projective chamber count) of the restriction to each hyperplane.
-
-        Cached.  Each count comes from the restricted keys directly
-        (`_rank3_second`); no rank-3 arrangement is built.
-        """
-        if "restriction_counts" not in self._cache:
+    def _lines_inside(self):
+        """Row h: the keys of the lines inside hyperplane h, in `lines()` order."""
+        if "lines_inside" not in self._cache:
             inside = [[] for _ in range(self.n)]
             for flat in self.lines():
                 for h in flat.members:
                     inside[h].append(flat.key)
-            counts = []
-            for h, line_keys in enumerate(inside):
-                keys = self._restricted_keys(h, line_keys)
-                second = _rank3_second(keys, self._kernel)
-                chambers = _projective_chamber_count(_rank3_char_poly(len(keys), second))
-                counts.append((len(keys), chambers))
-            self._cache["restriction_counts"] = tuple(counts)
+            self._cache["lines_inside"] = inside
+        return self._cache["lines_inside"]
+
+    def restriction_counts(self) -> tuple[tuple[int, int], ...]:
+        """(size, projective chamber count) of the restriction to each
+        hyperplane h: `restriction(h).n` and its `projective_chamber_count`,
+        which `_rank3_second` reads off the restricted keys.  Cached."""
+        if "restriction_counts" not in self._cache:
+            self._cache["restriction_counts"] = tuple(
+                (sub.n, sub.projective_chamber_count())
+                for sub in map(self.restriction, range(self.n))
+            )
         return self._cache["restriction_counts"]
 
     def parabolic(self, vertex: Flat) -> "Rank3Arrangement":
         """The hyperplanes through a vertex, modulo the spanned line.
 
         `vertex` must be one of `vertices()`.  Coordinates on the quotient
-        are those other than the pivot p (the first nonzero one) of the
-        vertex key, so the members' integer normals with coordinate p dropped
-        are the normals; they are asserted distinct and spanning.
+        are those other than the `pivot` p of the vertex key, so the
+        members' integer normals with coordinate p dropped are the normals;
+        they are asserted distinct and spanning.
         """
         if not any(v is vertex for v in self.vertices()):
             raise ValueError(f"{vertex!r} is not a vertex of this arrangement")
-        canonical, sign = self._kernel.canonical, self._kernel.sign
-        p = next(i for i, x in enumerate(vertex.key) if sign(x))
+        canonical = self._kernel.canonical
+        p = pivot(vertex.key, self._kernel)
         ints = self._integer_normals()
         keys = [
             canonical(tuple(x for f, x in enumerate(ints[i]) if f != p))
@@ -562,13 +545,18 @@ class Rank3Arrangement(_CentralArrangement):
         return dict(sorted(counts.items()))
 
     def char_poly(self) -> tuple[int, int, int, int]:
-        """Coefficients (descending) of the cubic characteristic polynomial."""
+        """Coefficients (descending) of the cubic characteristic polynomial:
+        x^3 - n x^2 + s x - (s - n + 1), s = sum_p (w_p - 1) (`_rank3_second`)."""
         second = _rank3_second(self._integer_normals(), self._kernel)
-        return _rank3_char_poly(self.n, second)
+        return (1, -self.n, second, -(1 - self.n + second))
 
     def projective_chamber_count(self) -> int:
-        """Number of chambers of the induced decomposition of P^2."""
-        return _projective_chamber_count(self.char_poly())
+        """Chambers of the induced decomposition of P^2: -chi(-1) / 2."""
+        c3, c2, c1, c0 = self.char_poly()
+        count = -(-c3 + c2 - c1 + c0)  # minus the polynomial at -1
+        if count <= 0 or count % 2:
+            raise AssertionError("chamber count must be a positive even integer")
+        return count // 2
 
     def corner_flats(self):
         return self.points()

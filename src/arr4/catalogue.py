@@ -30,7 +30,7 @@ against the embedded table.
 from __future__ import annotations
 
 from collections import deque
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .arrangement import Arrangement, _essential_keys
@@ -41,7 +41,7 @@ from .invariants import (
     f_vector,
     run_data_checks,
 )
-from .linalg import KERNELS, compare_vectors
+from .linalg import KERNELS
 from .scalars import Field, QuadScalar, TAU
 
 
@@ -239,8 +239,7 @@ def reflection_closure(spec: RootSystemSpec, cap: int = 10000) -> Arrangement:
                     work.append(image)
     columns = tuple(zip(*spec.mirrors))
     keys = [kernel.canonical(tuple(idot(b, col) for col in columns)) for b in roots]
-    order = cmp_to_key(compare_vectors)
-    keys.sort(key=lambda key: order(kernel.point(key)))
+    keys.sort(key=kernel.point)
     return Arrangement._from_keys(_essential_keys(keys, kernel, Arrangement.dim), spec.field)
 
 

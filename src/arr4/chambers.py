@@ -53,7 +53,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .arrangement import _ReadOnly
-from .linalg import KERNELS, rank_basis
+from .linalg import KERNELS, pivot, rank_basis
 from .scalars import Field, QuadScalar
 
 
@@ -85,7 +85,8 @@ def feasible_strict(rows) -> bool:
     leading entry combine into p0*q - q0*p, a positive combination without
     that variable.  Rows are deduplicated up to positive scaling (the
     oriented canonical form) every round.  An all-zero row certifies 0 > 0
-    and therefore infeasibility.
+    and therefore infeasibility.  Public as the feasibility test of `walls`
+    and of the tests' chamber oracle.
     """
     work = list(rows)
     pairs = bool(work) and any(isinstance(x, tuple) for x in work[0])
@@ -387,7 +388,8 @@ def chamber_face_counts(arr, chamber):
 
     In rank 4 the 2-faces are the edges: lines whose tight corners span
     them, checked as rank exactly 2 (`rank_basis`).  In rank 3 they are the
-    walls.
+    walls.  Only tests call it; it stays public as the edge routine of a
+    face census that recounts the f-vector from the chambers.
     """
     ctx = _context(arr)
     corners = ctx.compatible(chamber.mask)
@@ -411,7 +413,8 @@ def chamber_face_counts(arr, chamber):
 
 
 def _oriented_normals(arr, signs):
-    """The integer normals, each negated where its sign is -1."""
+    """The integer normals, each negated where its sign is -1: the rows of
+    `walls` and of the tests' chamber oracle."""
     neg = arr._kernel.neg
     return [u if s > 0 else tuple(map(neg, u)) for s, u in zip(signs, arr._integer_normals())]
 
@@ -425,7 +428,9 @@ def walls(arr, signs):
     Fourier-Motzkin elimination.  With p the pivot (first nonzero entry) of
     the integer normal w of H, the coordinates off p parametrize H, and an
     oriented normal v restricts to the minors v_f*w_p - v_p*w_f, f != p: a
-    positive rescaling of v restricted to H.
+    positive rescaling of v restricted to H.  No command runs it; it stays
+    public as the wall route that demo 01, the tests and the benchmark's
+    traced pass check the enumerator against.
     """
     signs = tuple(signs)
     if len(signs) != arr.n or any(s not in (-1, 1) for s in signs):
@@ -434,10 +439,10 @@ def walls(arr, signs):
     if not feasible_strict(rows):
         raise EmptyChamber("sign vector cuts out an empty cone")
     kernel = KERNELS[arr.field]
-    idot, neg, isign = kernel.dot, kernel.neg, kernel.sign
+    idot, neg = kernel.dot, kernel.neg
     out = []
     for h, w in enumerate(arr._integer_normals()):
-        p = next(i for i, x in enumerate(w) if isign(x))
+        p = pivot(w, kernel)
         cols = [(f, (w[p], neg(w[f]))) for f in range(arr.dim) if f != p]
         reduced = [
             tuple(idot((v[f], v[p]), right) for f, right in cols)
@@ -462,6 +467,7 @@ class CoxeterDiagram(NamedTuple):
         return tuple(w for _, _, w in self.edges)
 
     def degrees(self):
+        """Sorted wall degrees; public, as the acceptance tests read them."""
         deg = {w: 0 for w in self.walls}
         for i, j, _ in self.edges:
             deg[i] += 1

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .arrangement import Arrangement
-from .linalg import compare_vectors
 from .scalars import Field, QuadScalar
 
 
@@ -108,7 +106,7 @@ def parse_arrangement(text: str) -> Arrangement:
     return Arrangement(normals, field)
 
 
-def _format_rational(x: Fraction) -> str:
+def _format_rational(x: int | Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -121,16 +119,12 @@ def _format_quadratic(x: QuadScalar) -> str:
     return f"{_format_rational(x.a)}{sep}{_format_rational(abs(x.b))}*t"
 
 
-def format_scalar(x, field: Field) -> str:
-    if field is Field.QUADRATIC_TAU:
-        return _format_quadratic(x if isinstance(x, QuadScalar) else QuadScalar(x))
-    return _format_rational(Fraction(x))
-
-
 def emit_arrangement(arrangement: Arrangement) -> str:
-    """Canonical file contents for an arrangement."""
-    rows = sorted(arrangement.normals, key=cmp_to_key(compare_vectors))
-    lines = [f"field: {arrangement.field.value}"]
-    for vec in rows:
-        lines.append(" ".join(format_scalar(x, arrangement.field) for x in vec))
+    """Canonical file contents for an arrangement: tuple order of the field
+    scalars (ints, or `QuadScalar`s with exact `==` and `<`) sorts the normals."""
+    field = arrangement.field
+    fmt = _format_quadratic if field is Field.QUADRATIC_TAU else _format_rational
+    lines = [f"field: {field.value}"]
+    for vec in sorted(arrangement.normals):
+        lines.append(" ".join(map(fmt, vec)))
     return "\n".join(lines) + "\n"

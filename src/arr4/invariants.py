@@ -12,9 +12,10 @@ per-vertex weights and line tallies that the vertex pass takes
 (`Arrangement.vertex_weights`, `Arrangement.vertex_line_tallies`), in O(V)
 and with no vertex flat built; f2 is Zaslavsky's chamber count
 of each restriction summed over the hyperplanes, so in `analyze` the Euler
-relation holds by construction.  The independent route to f2 counts the
-points of every restriction from the restricted normals' own pair geometry
-(`Arrangement.restriction_counts`); it runs in `catalogue verify` and in the
+relation holds by construction.  The independent route to f2 builds every
+restriction and counts its points from the restricted normals' own pair
+geometry (`Rank3Arrangement.projective_chamber_count`, summed by
+`Arrangement.restriction_counts`); it runs in `catalogue verify` and in the
 tests.
 
 Every checker accepts plain combinatorial data (n, h-vector, t-vector,

@@ -6,14 +6,16 @@ Every decision runs on positive rescalings of vectors into primitive ints
 flag, batched grouping on P^1, maximal minors, batched dots, field point)
 and `rank_basis`.  The intersection lattice, the restrictions, the
 reflection closure, reducibility, the chamber context and its facet
-certificate, and the Fourier-Motzkin wall test all run on it.  One
-field-scalar helper remains: `compare_vectors` (the exact lexicographic order
-that sorts normals for output).  The canonical field form of a vector is
-point(canonical(ints(v))) for both fields.  The batches take plain
-normals, written out for lengths 3 and 4: `group(p, q, rows)` keys the
-point [p.w : q.w] of P^1 of each row (bit, w) from its two integer-form
-scalars (for Q(tau), by the ratio y/x), and `dots(v, forms)` is v's dot
-with each form.  All line geometry is here too: the layout of Pluecker
+certificate, and the Fourier-Motzkin wall test all run on it: field
+scalars come in through `ints` and go out through `point`, and nothing here
+compares them.  The canonical field form of a vector is
+point(canonical(ints(v))) for both fields.  `pivot` is a form's first
+nonzero coordinate, the one that a restriction, a parabolic quotient, a
+line's projection and the Fourier-Motzkin restriction drop.  The batches
+take plain normals, written out for lengths 3 and 4: `group(p, q, rows)`
+keys the point [p.w : q.w] of P^1 of each row (bit, w) from its two
+integer-form scalars (for Q(tau), by the ratio y/x), and `dots(v, forms)`
+is v's dot with each form.  All line geometry is here too: the layout of Pluecker
 keys, the Hodge and cross-product forms, and `line_forms`, the two forms p,
 q of a line (two rows of the Hodge dual of a line of P^3, of the
 cross-product matrix of a line of P^2) with which the lattice groups the
@@ -37,7 +39,7 @@ from math import gcd, lcm
 from operator import mul, neg
 from typing import Callable, NamedTuple
 
-from .scalars import Field, QuadScalar, pair_sign, sign
+from .scalars import Field, QuadScalar, pair_sign
 
 
 def _cleared(vec):
@@ -65,15 +67,6 @@ def primitive(ints, oriented=False):
                     g = -g
                 break
     return tuple([x // g for x in ints])
-
-
-def compare_vectors(u, v) -> int:
-    """Lexicographic comparison using the exact field order."""
-    for a, b in zip(u, v):
-        s = sign(a - b)
-        if s:
-            return s
-    return 0
 
 
 # -- integer pairs for Q(tau) ------------------------------------------------------
@@ -243,7 +236,7 @@ def pair_normal(rows):
         return rows[0]
     if len(rows[0]) == 3:
         u, v = rows
-        return tuple(pair_dots(v, cross_forms(u, KERNELS[Field.QUADRATIC_TAU])))
+        return tuple(pair_dots(v, cross_forms(u, _PAIR_KERNEL)))
     minors = _pair_minors(rows[0], rows[1])
     if len(rows) == 2:
         return minors
@@ -394,7 +387,7 @@ def _int_normal(rows):
         return rows[0]
     if len(rows[0]) == 3:
         u, v = rows
-        return tuple(_int_dots(v, cross_forms(u, KERNELS[Field.RATIONAL])))
+        return tuple(_int_dots(v, cross_forms(u, _INT_KERNEL)))
     (a0, a1, a2, a3), (c0, c1, c2, c3) = rows[0], rows[1]
     m01 = a0 * c1 - a1 * c0
     m02 = a0 * c2 - a2 * c0
@@ -486,6 +479,16 @@ KERNELS = {
     ),
 }
 
+#: the two kernels under module names, which the K^3 branches of the
+#: `normal`s read without hashing a `Field` member per call
+_INT_KERNEL = KERNELS[Field.RATIONAL]
+_PAIR_KERNEL = KERNELS[Field.QUADRATIC_TAU]
+
+
+def pivot(form, kernel):
+    """The index of the first nonzero entry of a nonzero integer form."""
+    return next(i for i, x in enumerate(form) if kernel.sign(x))
+
 
 def rank_basis(rows, kernel):
     """Indices of the first basis of the rows' span met in row order, so its
@@ -564,7 +567,7 @@ def line_forms(key, kernel):
     of `cross_forms`, at the two coordinates off the key's pivot t (its
     first nonzero entry), `_COMPLEMENT[t]` or the two other than t, onto
     which the line projects injectively."""
-    t = next(i for i, x in enumerate(key) if kernel.sign(x))
+    t = pivot(key, kernel)
     if len(key) == 6:
         forms = hodge_forms(key, kernel)
         c, d = _COMPLEMENT[t]

@@ -33,7 +33,10 @@ def _frac(x):
 
 @total_ordering
 class QuadScalar:
-    """An element a + b*tau of Q(sqrt(5)), with exact rational components."""
+    """An element a + b*tau of Q(sqrt(5)), with exact rational components.
+
+    The package computes on integer pairs (`linalg.KERNELS`); the full field
+    arithmetic stays public, as the input scalar of files, demos and tests."""
 
     __slots__ = ("_a", "_b")
 

@@ -24,7 +24,7 @@ from math import gcd, isqrt
 from arr4 import Arrangement, Field, Flat, QuadScalar, Rank3Arrangement, sign
 from arr4.chambers import _oriented_normals, feasible_strict
 from arr4.invariants import NegativeRadicand, ceil_sub_sqrt, floor_add_sqrt
-from arr4.linalg import _PAIR_INFINITY, KERNELS, compare_vectors
+from arr4.linalg import _PAIR_INFINITY, KERNELS
 from arr4.scalars import lift
 
 
@@ -42,6 +42,17 @@ _HODGE = (
 
 
 # -- field-scalar reference elimination ---------------------------------------------
+
+
+def compare_vectors(u, v) -> int:
+    """Lexicographic comparison using the exact field order: the sign of the
+    first nonzero difference.  The reference for the order in which
+    `emit_arrangement` and the reflection closure list normals."""
+    for a, b in zip(u, v):
+        s = sign(a - b)
+        if s:
+            return s
+    return 0
 
 
 def dot(u, v):

@@ -21,9 +21,14 @@ from arr4 import (
 )
 from arr4.catalogue import REFLECTION_SPECS, catalogue_entry
 from arr4.invariants import positional
-from arr4.linalg import compare_vectors
 from arr4.scalars import lift
-from helpers import SIMPLE_SYSTEMS, dot, invariant_form, reference_closure_normals
+from helpers import (
+    SIMPLE_SYSTEMS,
+    compare_vectors,
+    dot,
+    invariant_form,
+    reference_closure_normals,
+)
 
 # Positional transcriptions of the embedded table (h from weight 2, t from 3).
 TABLE = {

@@ -123,8 +123,12 @@ def test_counts_build_no_vertex_flat(label):
     assert members == sorted(members)  # the pass order needs no sort
 
     verts, tallies = reference_vertices(arr)
+    before = set(arr._cache)
     flats = [(v.members, v.key) for v in arr.vertices()]
-    assert "vertex_entries" not in arr._cache  # the witnesses are dropped
+    assert set(arr._cache) - before == {"vertices"}  # the read caches the flats alone
+    # the pass keeps masks, weights and line tallies, no witnesses
+    parts = arr._cache["vertex_pass"]
+    assert [(type(part), len(part)) for part in parts] == [(tuple, len(verts))] * 4
     assert flats == [(v.members, v.key) for v in verts] == flats_first
     assert arr.vertex_line_tallies() == tallies == first.vertex_line_tallies()
     assert arr.vertex_weights() == tuple(v.weight for v in verts)

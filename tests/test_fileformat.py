@@ -1,3 +1,5 @@
+from functools import cmp_to_key
+
 import pytest
 
 from arr4 import (
@@ -9,7 +11,9 @@ from arr4 import (
     builtin,
     emit_arrangement,
     parse_arrangement,
+    sign,
 )
+from helpers import compare_vectors, random_arrangements
 
 BOOLEAN_FILE = """\
 field: rational
@@ -66,6 +70,23 @@ def test_emission_is_sorted(boolean):
     lines = emit_arrangement(boolean).splitlines()
     assert lines[0] == "field: rational"
     assert lines[1:] == sorted(lines[1:], key=lambda s: [int(x) for x in s.split()])
+
+
+@pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU])
+def test_emission_order_matches_reference(field):
+    """Random draws in both fields list their normals in the order of the
+    `compare_vectors` reference; the Q(tau) draws hold negative irrational
+    entries."""
+    draws = random_arrangements(field, 12, seed=22)
+    entries = [x for arr in draws for vec in arr.normals for x in vec]
+    assert any(sign(x) < 0 for x in entries)
+    if field is Field.QUADRATIC_TAU:
+        assert any(x.b and sign(x) < 0 for x in entries)
+    for arr in draws:
+        rows = sorted(arr.normals, key=cmp_to_key(compare_vectors))
+        text = emit_arrangement(arr)
+        assert text.splitlines()[1:] == [" ".join(map(str, vec)) for vec in rows]
+        assert parse_arrangement(text).normals == tuple(rows)
 
 
 def test_parse_errors_carry_line_numbers():
