@@ -12,11 +12,14 @@ with --no-chambers, or a LABEL with --all, is a usage error.
 
 Exit codes: 0 success, 1 verification failures, 2 parse/usage errors,
 3 validation errors (duplicate, zero or non-essential normals), 4 unknown labels,
-5 internal check failures (two independent routes disagreed, e.g. Moebius vs
-closed-form characteristic polynomial, enumerated chambers vs f3, vertex
-tallies vs restriction chamber counts for f2, corner vs Fourier-Motzkin
-walls, diagram vs h-vector simply-lacedness, or a chi(-1) parity check; this
-is a bug, reported as "internal check failed").
+5 internal check failures, reported as "internal check failed" (a bug).  The
+checks compare independent routes: the Moebius vs the closed-form
+characteristic polynomial and the three integer relations vs the cubic
+discriminant (every report); with chambers enumerated, the chamber count vs
+f3, the walls vs 2 f2, and diagram vs counting verdicts on simply-lacedness
+and irreducibility; in `catalogue verify`, the vertex tallies vs the
+restriction chamber counts for f2.  The chamber walk also certifies that
+each facet's tight corner rays span it.
 A closed standard output ends the process by SIGPIPE, without a message.
 The environment variable ARR4_THREADS is validated (a positive integer, else
 exit 2) but otherwise inert: no command starts worker threads or processes,
@@ -35,13 +38,12 @@ from .catalogue import (
     NoVectorsAvailable,
     UnknownLabel,
     builtin,
-    catalogue_entry,
     catalogue_rows,
     verify_row,
 )
 from .fileformat import ArrangementParseError, emit_arrangement, parse_arrangement
 from .invariants import positional
-from .report import build_report, render_text, row_report_doc, to_json
+from .report import build_report, render_text, row_report_doc, to_json, weight_map
 
 #: analyze enumerates chambers by default only up to this many hyperplanes.
 DEFAULT_CHAMBER_LIMIT_N = 32
@@ -52,20 +54,7 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _worker_cap() -> int | None:
-    raw = os.environ.get("ARR4_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"ARR4_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
-def _chamber_cap(text: str) -> int:
+def _positive(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -73,6 +62,19 @@ def _chamber_cap(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
+
+
+def _write(text: str, path: str | None) -> int:
+    """Write text to the file at path, or to standard output without one."""
+    if not path:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        return _fail(str(exc), 2)
+    return 0
 
 
 def cmd_analyze(args) -> int:
@@ -100,11 +102,7 @@ def cmd_analyze(args) -> int:
         with_chambers=with_chambers,
         max_chambers=args.max_chambers,
     )
-    if args.json:
-        sys.stdout.write(to_json(report))
-    else:
-        sys.stdout.write(render_text(report))
-    return 0
+    return _write(to_json(report) if args.json else render_text(report), None)
 
 
 def cmd_generate(args) -> int:
@@ -112,19 +110,10 @@ def cmd_generate(args) -> int:
         arrangement = builtin(args.label)
     except (UnknownLabel, NoVectorsAvailable) as exc:
         return _fail(str(exc), 4)
-    text = emit_arrangement(arrangement)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            return _fail(str(exc), 2)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write(emit_arrangement(arrangement), args.output)
 
 
-def _catalogue_list() -> int:
+def _catalogue_list(args) -> int:
     for row in catalogue_rows():
         h = positional(row.h, 2)
         t = positional(row.t, 3)
@@ -154,14 +143,11 @@ def _catalogue_verify(args) -> int:
     else:
         for rep in reports:
             verdict = "ok" if rep.passed else "FAIL"
-            skips = sum(
-                1 for o in rep.geometry + rep.checks if o.status == "skip"
-            )
-            checked = sum(
-                1 for o in rep.geometry + rep.checks if o.status != "skip"
-            )
-            print(f"{rep.label:<12} {verdict}  ({checked} checks, {skips} skipped)")
-            for outcome in rep.geometry + rep.checks:
+            outcomes = rep.geometry + rep.checks
+            skips = sum(1 for o in outcomes if o.status == "skip")
+            print(f"{rep.label:<12} {verdict}  ({len(outcomes) - skips} checks, "
+                  f"{skips} skipped)")
+            for outcome in outcomes:
                 if outcome.status == "fail":
                     print(f"    FAIL {outcome.name}: {outcome.result}")
         print(f"{len(reports)} rows, {failures} failures")
@@ -173,34 +159,15 @@ def _catalogue_export(args) -> int:
         {
             "label": row.label,
             "n": row.n,
-            "h_vector": {str(k): v for k, v in sorted(row.h.items())},
-            "t_vector": {str(k): v for k, v in sorted(row.t.items())},
+            "h_vector": weight_map(row.h),
+            "t_vector": weight_map(row.t),
             "f_vector": list(row.f),
             "comments": row.comments,
             "has_vectors": row.has_vectors,
         }
         for row in catalogue_rows()
     ]
-    text = to_json(doc)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            return _fail(str(exc), 2)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def cmd_catalogue(args) -> int:
-    if args.action == "list":
-        return _catalogue_list()
-    if args.action == "verify":
-        return _catalogue_verify(args)
-    if args.action == "export":
-        return _catalogue_export(args)
-    return _fail(f"unknown catalogue action {args.action!r}", 2)
+    return _write(to_json(doc), args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="analyze an arrangement file")
+    analyze.set_defaults(run=cmd_analyze)
     analyze.add_argument("path")
     analyze.add_argument("--json", action="store_true")
     chambers = analyze.add_mutually_exclusive_group()
@@ -218,23 +186,26 @@ def build_parser() -> argparse.ArgumentParser:
                           help="force chamber enumeration")
     chambers.add_argument("--no-chambers", action="store_true",
                           help="skip chamber enumeration")
-    analyze.add_argument("--max-chambers", type=_chamber_cap, default=None, metavar="N",
+    analyze.add_argument("--max-chambers", type=_positive, default=None, metavar="N",
                          help="abort enumeration past N chambers")
 
     generate = sub.add_parser("generate", help="write a built-in arrangement file")
+    generate.set_defaults(run=cmd_generate)
     generate.add_argument("label")
     generate.add_argument("-o", "--output", default=None)
 
     catalogue = sub.add_parser("catalogue", help="catalogue operations")
     cat_sub = catalogue.add_subparsers(dest="action", required=True)
-    cat_sub.add_parser("list", help="print all catalogue rows")
+    cat_sub.add_parser("list", help="print all catalogue rows").set_defaults(run=_catalogue_list)
     verify = cat_sub.add_parser("verify", help="verify catalogue rows",
                                 usage="%(prog)s (LABEL | --all) [--json]")
+    verify.set_defaults(run=_catalogue_verify)
     rows = verify.add_mutually_exclusive_group(required=True)
     rows.add_argument("label", nargs="?", default=None)
     rows.add_argument("--all", action="store_true")
     verify.add_argument("--json", action="store_true")
     export = cat_sub.add_parser("export", help="write the catalogue as JSON")
+    export.set_defaults(run=_catalogue_export)
     export.add_argument("-o", "--output", default=None)
     return parser
 
@@ -242,15 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    threads = os.environ.get("ARR4_THREADS")
+    if threads is not None:
+        try:
+            _positive(threads)
+        except argparse.ArgumentTypeError as exc:
+            return _fail(f"ARR4_THREADS {exc}", 2)
     try:
-        _worker_cap()
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    commands = {"analyze": cmd_analyze, "generate": cmd_generate, "catalogue": cmd_catalogue}
-    if args.command not in commands:
-        return _fail(f"unknown command {args.command!r}", 2)
-    try:
-        return commands[args.command](args)
+        return args.run(args)
     except AssertionError as exc:
         return _fail(f"internal check failed: {exc}", 5)
 

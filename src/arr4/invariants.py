@@ -57,14 +57,18 @@ def ceil_sub_sqrt(a: int, s: int, d: int) -> int:
     return -((isqrt(s) - a) // d)
 
 
-def geq_minus_sqrt(lhs: int, a: int, s: int, d: int) -> bool:
-    """Decide lhs >= (a - sqrt(s)) / d exactly (s >= 0, d > 0)."""
-    if s < 0:
-        raise NegativeRadicand(s)
-    m = a - d * lhs
-    if m <= 0:
-        return True
-    return m * m <= s
+def _chamber_window(n: int, three_h: int) -> tuple[int, int] | None:
+    """(a, s) of the real-rootedness window on f3 at h = three_h / 3.
+
+    The characteristic polynomial splits exactly when h is at most
+    (n^2 + n - 2)/3 and (a - sqrt(s))/27 <= f3 <= (a + sqrt(s))/27.  None
+    when the radicand n^2 + n - 2 - 3h is negative: no f3 qualifies.
+    """
+    radicand = n * n + n - 2 - three_h
+    if radicand < 0:
+        return None
+    a = (3 * n + 6) * three_h + 20 + 12 * n - 2 * n**3 - 3 * n * n
+    return a, 4 * radicand**3
 
 
 # -- characteristic polynomial ---------------------------------------------------
@@ -306,19 +310,17 @@ def real_roots_test(n: int, h: int, f3: int) -> RealRootReport:
 
     cap1 = (n * n + n - 2) // 3
     r1 = CheckResult("line_weight_cap", h <= cap1, h, cap1, tight=h == cap1)
-    radicand = n * n + n - 2 - 3 * h
-    if radicand < 0:
+    window = _chamber_window(n, 3 * h)
+    if window is None:
         r2 = CheckResult("chamber_count_cap", False, f3, None)
         r3 = CheckResult("chamber_count_floor", False, f3, None)
-        verdict = False
     else:
-        a = (9 * n + 18) * h + 20 + 12 * n - 2 * n**3 - 3 * n * n
-        s = 4 * radicand**3
+        a, s = window
         cap2 = floor_add_sqrt(a, s, 27)
         floor3 = ceil_sub_sqrt(a, s, 27)
         r2 = CheckResult("chamber_count_cap", f3 <= cap2, f3, cap2, tight=f3 == cap2)
         r3 = CheckResult("chamber_count_floor", f3 >= floor3, f3, floor3, tight=f3 == floor3)
-        verdict = r1.holds and r2.holds and r3.holds
+    verdict = r1.holds and r2.holds and r3.holds
     if verdict != (disc >= 0):
         raise AssertionError(
             f"relation verdict {verdict} disagrees with discriminant {disc} "
@@ -379,19 +381,19 @@ def check_vertex_sum_identity(data: ArrangementData) -> CheckResult:
 def check_vertex_sum_bounds(data: ArrangementData) -> list[CheckResult]:
     """Simplicial rephrasing of the chamber bounds via the weighted vertex sum.
 
-    Uses the truncated h (line weights below m); when some h_i with i >= m is
-    positive the truncation differs from the full h and both are recorded.
+    The vertex sum is f3 + n, so its window is the chamber window shifted by
+    n.  Uses the truncated h (line weights below m); when some h_i with
+    i >= m is positive the truncation differs from the full h and both are
+    recorded.
     """
     n = data.n
-    h = data.truncated_h()
     sit = data.weighted_vertex_sum
     out = []
-    radicand = n * n + n - 2 - 3 * h
-    if radicand >= 0:
-        a = (9 * n + 18) * h + 20 + 39 * n - 2 * n**3 - 3 * n * n
-        s = 4 * radicand**3
-        cap = floor_add_sqrt(a, s, 27)
-        floor_ = ceil_sub_sqrt(a, s, 27)
+    window = _chamber_window(n, 3 * data.truncated_h())
+    if window is not None:
+        a, s = window
+        cap = floor_add_sqrt(a, s, 27) + n
+        floor_ = ceil_sub_sqrt(a, s, 27) + n
         out.append(CheckResult("vertex_sum_cap", sit <= cap, sit, cap, tight=sit == cap))
         out.append(
             CheckResult("vertex_sum_floor", sit >= floor_, sit, floor_, tight=sit == floor_)
@@ -453,11 +455,11 @@ def check_simply_laced_bounds(
     ]
     cube = Fraction((n + 2) ** 3, 27)
     out.append(CheckResult("sl_chamber_cap", f3 <= cube, f3, cube, tight=f3 == cube))
-    base = 2 * n - 2 - h2
-    if base >= 0:
-        a = n**3 + 6 * n + 20 + 3 * h2 * (n + 2)
-        s = 4 * base**3
-        holds = geq_minus_sqrt(27 * f3, a, s, 1)
+    # the chamber floor at 3h = n^2 - n + h2, radicand 2n - 2 - h2
+    window = _chamber_window(n, n * n - n + h2)
+    if window is not None:
+        a, s = window
+        holds = f3 >= ceil_sub_sqrt(a, s, 27)
         tight = (a - 27 * f3) ** 2 == s and a - 27 * f3 >= 0
         out.append(CheckResult("sl_chamber_floor", holds, f3, f"({a} - sqrt({s}))/27", tight=tight))
     else:

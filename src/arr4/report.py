@@ -67,7 +67,7 @@ def encode_outcome(outcome: CheckOutcome) -> dict:
     return doc
 
 
-def _weight_map(vector: dict) -> dict:
+def weight_map(vector: dict) -> dict:
     return {str(k): v for k, v in sorted(vector.items())}
 
 
@@ -89,7 +89,8 @@ def build_report(
     against each other, not the lattice.  When enumeration completes, the
     closed form is evaluated again with the chamber count in place of f3,
     which compares Zaslavsky's count from the lattice with the chambers
-    found.
+    found, and the chambers' walls are counted against 2 f2: every 2-cell
+    is a facet of exactly two chambers.
     """
     data = ArrangementData.from_arrangement(arrangement)
     chi = char_poly_moebius(arrangement)
@@ -114,6 +115,14 @@ def build_report(
                 raise AssertionError(
                     f"{len(chambers)} chambers enumerated, but the lattice "
                     f"gives f3 = {data.f[3]}"
+                )
+            # each 2-cell bounds exactly two chambers, and each wall of a
+            # chamber is one of its facets
+            walls = sum(len(chamber.walls) for chamber in chambers)
+            if walls != 2 * data.f[2]:
+                raise AssertionError(
+                    f"the chambers have {walls} walls, but the vertex tallies "
+                    f"give f2 = {data.f[2]}"
                 )
             diagrams = chamber_diagrams(arrangement)
             tally: dict[str, int] = {}
@@ -144,8 +153,8 @@ def build_report(
     report = {
         "n": data.n,
         "field": arrangement.field.value,
-        "h_vector": _weight_map(data.h),
-        "t_vector": _weight_map(data.t),
+        "h_vector": weight_map(data.h),
+        "t_vector": weight_map(data.t),
         "f_vector": list(data.f),
         "char_poly": [encode_exact(c) for c in chi.coefficients],
         "char_poly_integer_roots": list(chi.integer_roots()),
@@ -207,33 +216,18 @@ def to_json(document) -> str:
     return json.dumps(document, indent=2, ensure_ascii=True) + "\n"
 
 
-def render_text(document, indent: int = 0) -> str:
-    """Plain-text rendering of a report document, one key per line."""
+def render_text(document: dict) -> str:
+    """Plain-text rendering of a report, one key per line, nested dicts
+    indented under their key."""
     lines = []
-    pad = "  " * indent
 
-    def emit(key, value, depth):
-        prefix = "  " * depth
-        if isinstance(value, dict):
-            lines.append(f"{prefix}{key}:")
-            for k, v in value.items():
-                emit(k, v, depth + 1)
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            lines.append(f"{prefix}{key}:")
-            for item in value:
-                name = item.get("name", "?")
-                status = item.get("status", "")
-                rest = {
-                    k: v for k, v in item.items() if k not in ("name", "status")
-                }
-                detail = ", ".join(f"{k}={v}" for k, v in rest.items())
-                lines.append(f"{prefix}  {name}: {status}" + (f" ({detail})" if detail else ""))
-        else:
-            lines.append(f"{prefix}{key}: {value}")
+    def emit(mapping, depth):
+        for key, value in mapping.items():
+            if isinstance(value, dict):
+                lines.append(f"{'  ' * depth}{key}:")
+                emit(value, depth + 1)
+            else:
+                lines.append(f"{'  ' * depth}{key}: {value}")
 
-    if isinstance(document, dict):
-        for key, value in document.items():
-            emit(key, value, indent)
-    else:
-        lines.append(f"{pad}{document}")
+    emit(document, 0)
     return "\n".join(lines) + "\n"

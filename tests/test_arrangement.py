@@ -60,6 +60,11 @@ def test_construction_errors():
         Arrangement([])
 
 
+def test_normals_need_four_coordinates():
+    with pytest.raises(ValueError, match="^normal 1 has 3 coordinates, expected 4$"):
+        Arrangement([(1, 0, 0, 0), (0, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+
+
 @pytest.mark.parametrize("cls,normals,r", [
     (Arrangement, [(1, 0, 0, 0)], 1),
     (Arrangement, [(0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 2, -3)], 2),
@@ -304,6 +309,11 @@ def test_restriction_boolean(boolean):
     assert isinstance(sub, Rank3Arrangement)
     assert sub.n == 3
     assert sub.normals == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def test_restriction_index_out_of_range(boolean):
+    with pytest.raises(IndexError, match="hyperplane index 4 out of range"):
+        boolean.restriction(boolean.n)
 
 
 def test_restriction_sizes_match_lines_in_hyperplane():

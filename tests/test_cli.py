@@ -9,6 +9,7 @@ import pytest
 
 import arr4
 import arr4.chambers
+import arr4.cli
 import arr4.report
 from arr4 import Arrangement
 from arr4.cli import main
@@ -126,6 +127,21 @@ def test_max_chambers_must_be_positive(capsys, tmp_path, cap):
         main(["analyze", str(path), "--max-chambers", cap])
     assert exc.value.code == 2
     assert "--max-chambers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("field: rational\n1/0 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
+     "line 2: denominator must be positive in '1/0'"),
+    ("field: quadratic-tau\n1/0+1*t 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
+     "line 2: zero denominator in '1/0+1*t'"),
+    ("# only\n\n# comments\n", "line 1: missing field header"),
+], ids=["rational-zero-denominator", "quadratic-zero-denominator", "comments-only"])
+def test_analyze_parse_error_messages(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.arr"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err == f"arr4: {path}: {message}\n"
 
 
 def test_analyze_validation_error_exit3(capsys, tmp_path):
@@ -291,6 +307,22 @@ def test_internal_check_failure_exit5_chamber_count(capsys, tmp_path, monkeypatc
     assert "7 chambers enumerated, but the lattice gives f3 = 8" in err
 
 
+def test_internal_check_failure_exit5_wall_count(capsys, tmp_path, monkeypatch):
+    # one wall dropped from one chamber leaves the walls short of 2 f2
+    path = tmp_path / "boolean.arr"
+    path.write_text("field: rational\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    enumerate_chambers = arr4.report.enumerate_chambers
+
+    def one_wall_short(arr, limit):
+        first, *rest = enumerate_chambers(arr, limit)
+        return [arr4.chambers.Chamber(first.walls[1:], first.mask, first._ctx), *rest]
+
+    monkeypatch.setattr("arr4.report.enumerate_chambers", one_wall_short)
+    code, out, err = run_cli(capsys, "analyze", str(path), "--json", "--chambers")
+    assert code == 5 and out == ""
+    assert "the chambers have 31 walls, but the vertex tallies give f2 = 16" in err
+
+
 def test_internal_check_failure_exit5_f2_routes(capsys, monkeypatch):
     # one restriction chamber too many makes the two routes to f2 disagree
     restriction_counts = Arrangement.restriction_counts
@@ -365,6 +397,35 @@ def test_catalogue_export(capsys, tmp_path):
     assert len(doc) == 20
     assert doc[0]["label"] == "A^3_1(10)"
     assert doc[-1]["f_vector"] == [1320, 8520, 14400, 7200]
+
+
+@pytest.mark.parametrize("argv", [("generate", "A4"), ("catalogue", "export")],
+                         ids=["generate", "export"])
+def test_output_into_missing_directory_exit2(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "-o", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("arr4: [Errno 2] No such file or directory")
+    assert str(target) in err and not target.parent.exists()
+
+
+def test_catalogue_verify_text_fail_line(capsys, monkeypatch):
+    # one data check of A^3_1(12) turned into a failure
+    verify_row = arr4.cli.verify_row
+
+    def one_failure(label):
+        report = verify_row(label)
+        first = report.checks[0]
+        failed = first._replace(status="fail", result=first.result._replace(holds=False))
+        return report._replace(checks=(failed, *report.checks[1:]))
+
+    monkeypatch.setattr(arr4.cli, "verify_row", one_failure)
+    code, out, err = run_cli(capsys, "catalogue", "verify", "A^3_1(12)")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith("A^3_1(12)    FAIL  (")
+    assert lines[1] == "    FAIL pair_count: pair_count: FAILS (lhs=66, rhs=66, tight)"
+    assert lines[-1] == "1 rows, 1 failures"
 
 
 def test_invalid_thread_env(capsys, monkeypatch):

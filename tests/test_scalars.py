@@ -45,6 +45,13 @@ def test_division_and_powers():
         QuadScalar(0).inverse()
 
 
+def test_subtraction_from_a_rational():
+    # int - QuadScalar goes through QuadScalar.__rsub__
+    assert 1 - TAU == QuadScalar(1, -1)
+    assert Fraction(1, 2) - TAU == QuadScalar(Fraction(1, 2), -1)
+    assert (1 - TAU) * TAU == -1
+
+
 def test_comparisons_against_rationals():
     assert TAU > 1
     assert TAU < 2
