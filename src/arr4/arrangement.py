@@ -34,17 +34,18 @@ member off their line), made on the first read of `vertices()`, which only
 the chamber walk, `parabolic` and explicit callers do.  A restriction's
 normals are the `restricted_minors` of the Pluecker keys of the lines inside
 the hyperplane (`_lines_inside`, listed once for every hyperplane), and its
-chamber count comes from the positions of the later lines on each line, the
-same way in P^2 (`line_forms` of a K^3 normal), again one `group` call per
-line, each point grouped once on its first line; `restriction_counts` reads
-that count off `restriction(h)` for every h, and nothing of the vertex
-pass.  A parabolic's normals are the integer normals through the vertex with
-the `pivot` of the vertex key dropped.  Every rank decision reads the
-written-out maximal minors of `KERNELS[field].normal`: essentialness and the
-derived arrangements' checks take the length of the first basis
-`linalg.rank_basis` meets, and reducibility ties a normal e to a basis
-normal b when e is off the normal of the basis less b (a fundamental circuit
-of that basis).
+chamber count comes from the positions of the later lines on each line of
+P^2: one `meets` call per line keys them by their pivot minors with it,
+restricting at the pivot of the line's normal as the restriction itself
+restricts at the pivot of h, and each point is grouped once on its first
+line; `restriction_counts` reads that count off `restriction(h)` for every
+h, and nothing of the vertex pass.  A parabolic's normals are the integer
+normals through the vertex with the `pivot` of the vertex key dropped.
+Every rank decision reads the written-out maximal minors of
+`KERNELS[field].normal`: essentialness and the derived arrangements' checks
+take the length of the first basis `linalg.rank_basis` meets, and
+reducibility ties a normal e to a basis normal b when e is off the normal
+of the basis less b (a fundamental circuit of that basis).
 """
 
 from __future__ import annotations
@@ -170,9 +171,10 @@ def _checked_keys(keys, kernel, where):
 def _rank3_second(keys, kernel):
     """sum over the points p of P^2 of (w_p - 1), for distinct rank-3 keys.
 
-    Lines i and j meet in the cross product u_i x u_j, and the two
-    `line_forms` of u_i key that point's position on line i.  Each point
-    is grouped once, on its first line i: one `group` call keys the later
+    Lines i and j meet in the point u_i x u_j, whose position on line i the
+    two pivot minors of u_i and u_j key (`meets`), as a restriction reads
+    its normals off the minors at a pivot one level up.  Each point is
+    grouped once, on its first line i: one `meets` call keys the later
     lines j > i, less those in `seen[i]`, the lines through the points
     already found on line i.  A group is then the w_p - 1 other lines of a
     new point, and its mask is added to each of their `seen`, so later
@@ -187,7 +189,7 @@ def _rank3_second(keys, kernel):
         later = [row for row in rows[i + 1:] if not skip & row[0]]
         if not later:
             continue
-        for found in kernel.group(*line_forms(u, kernel), later).values():
+        for found in kernel.meets(u, later).values():
             total += found.bit_count()
             point = found | 1 << i
             while found:
@@ -551,12 +553,13 @@ class Rank3Arrangement(_CentralArrangement):
         return (1, -self.n, second, -(1 - self.n + second))
 
     def projective_chamber_count(self) -> int:
-        """Chambers of the induced decomposition of P^2: -chi(-1) / 2."""
-        c3, c2, c1, c0 = self.char_poly()
-        count = -(-c3 + c2 - c1 + c0)  # minus the polynomial at -1
-        if count <= 0 or count % 2:
-            raise AssertionError("chamber count must be a positive even integer")
-        return count // 2
+        """Chambers of the induced decomposition of P^2: 1 + sum_p (w_p - 1).
+
+        That is -chi(-1) / 2, read off directly: at -1 the `char_poly` is
+        -1 - n - s - (s - n + 1) = -2 (1 + s), so -chi(-1) is positive and
+        even by construction, and a check of either could never fail.
+        """
+        return 1 + _rank3_second(self._integer_normals(), self._kernel)
 
     def corner_flats(self):
         return self.points()

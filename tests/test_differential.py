@@ -135,7 +135,8 @@ def test_counts_build_no_vertex_flat(label):
 
 
 def _counting_group(monkeypatch, field):
-    """Wrap `KERNELS[field].group` for the arrangements built afterwards;
+    """Wrap both grouping batches of `KERNELS[field]`, `group` on lines of
+    P^3 and `meets` on lines of P^2, for the arrangements built afterwards;
     returns the list that collects the number of rows of each call."""
     kernel = KERNELS[field]
     handed = []
@@ -144,7 +145,11 @@ def _counting_group(monkeypatch, field):
         handed.append(len(rows))
         return kernel.group(p, q, rows)
 
-    monkeypatch.setitem(KERNELS, field, kernel._replace(group=group))
+    def meets(u, rows):
+        handed.append(len(rows))
+        return kernel.meets(u, rows)
+
+    monkeypatch.setitem(KERNELS, field, kernel._replace(group=group, meets=meets))
     return handed
 
 
@@ -154,7 +159,8 @@ def _counting_group(monkeypatch, field):
 ])
 def test_group_rows_on_builtins(monkeypatch, label, vertex_rows, restriction_rows):
     """Each vertex and each restricted point is grouped once: the rows that
-    both passes hand to `group` on the two largest Q(tau) built-ins."""
+    the vertex pass hands to `group` and the restriction route to `meets`
+    on the two largest Q(tau) built-ins."""
     template = builtin(label)
     handed = _counting_group(monkeypatch, template.field)
     arr = Arrangement(template.normals, template.field)
@@ -169,8 +175,8 @@ def test_group_rows_on_builtins(monkeypatch, label, vertex_rows, restriction_row
 def test_each_flat_grouped_once(monkeypatch, field):
     """The vertex pass hands `group` the w_v - |L| normals off the first line
     L of each vertex v (the line of its two lowest members), and the
-    restriction route the w_p - 1 later lines of each restricted point p,
-    Sum_h (chambers_h - 1) rows in all."""
+    restriction route hands `meets` the w_p - 1 later lines of each
+    restricted point p, Sum_h (chambers_h - 1) rows in all."""
     templates = [builtin(label) for label in _BUILTINS[field]] + _draws(field) + _heavy_draws(field)
     handed = _counting_group(monkeypatch, field)
     for template in templates:

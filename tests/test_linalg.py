@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +14,10 @@ from arr4.linalg import (
     hodge_forms,
     line_forms,
     pair_dot,
+    pair_point,
     pair_sign,
     pair_vector_canonical,
+    pivot,
     primitive,
     rank_basis,
     restricted_minors,
@@ -29,9 +31,12 @@ from helpers import (
     canonicalize_vector,
     dot,
     int_rank,
+    inverse_canonical,
     kernel_basis,
     rank,
+    rational_canonical,
     reference_group,
+    reference_meets,
 )
 
 
@@ -297,29 +302,12 @@ def _field_vectors(draw, quadratic):
     return tuple(vec)
 
 
-def _inverse_canonical(vec):
-    """Reference Q(tau) form: every entry times the inverse of the first nonzero one."""
-    quads = [QuadScalar._coerce(x) for x in vec]
-    inv = next(x for x in quads if x).inverse()
-    return tuple(x * inv for x in quads)
-
-
-def _rational_canonical(vec):
-    """Reference Q form: divide by the first nonzero entry, clear denominators."""
-    first = next(x for x in vec if x)
-    scaled = [Fraction(x) / first for x in vec]
-    common = 1
-    for x in scaled:
-        common = common * x.denominator // gcd(common, x.denominator)
-    return tuple(int(x * common) for x in scaled)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.booleans().flatmap(_field_vectors))
 def test_integer_point_matches_inverse_canonical(vec):
     """point(canonical(ints(v))) is the Q(tau) form the scalar inverse gives."""
     kernel = KERNELS[Field.QUADRATIC_TAU]
-    expected = _inverse_canonical(vec)
+    expected = inverse_canonical(vec)
     assert kernel.point(kernel.canonical(kernel.ints(vec))) == expected
     assert canonicalize_vector(vec, Field.QUADRATIC_TAU) == expected
 
@@ -328,7 +316,7 @@ def test_integer_point_matches_inverse_canonical(vec):
 @given(_field_vectors(quadratic=False))
 def test_rational_point_matches_divided_canonical(vec):
     kernel = KERNELS[Field.RATIONAL]
-    expected = _rational_canonical(vec)
+    expected = rational_canonical(vec)
     assert kernel.point(kernel.canonical(kernel.ints(vec))) == expected
     assert canonicalize_vector(vec, Field.RATIONAL) == expected
 
@@ -393,11 +381,15 @@ def test_position_keys_are_projective_classes(field, data):
     assert (position(x1, y1) == position(x2, y2)) is same
     factor = data.draw(_nonzero_factors(field))
     assert position(_times(field, factor, x1), _times(field, factor, y1)) == position(x1, y1)
-    # [x : y] as [p.w : q.w] with p = (1, 0, 0), q = (0, 1, 0), w = (x, y, 0)
+    # [x : y] as [p.w : q.w] with p = (1, 0, 0, 0), q = (0, 1, 0, 0),
+    # w = (x, y, 0, 0), and as the point where the line of P^2 of normal
+    # (x, y, 0) meets the line of (0, 0, 1), whose pivot minors are x and y
     one, zero = _ONE[field], _ZERO[field]
-    row = (1, (x1, y1, zero))
-    p, q = (one, zero, zero), (zero, one, zero)
+    row = (1, (x1, y1, zero, zero))
+    p, q = (one, zero, zero, zero), (zero, one, zero, zero)
     assert KERNELS[field].group(p, q, [row]) == {position(x1, y1): 1}
+    row = (1, (x1, y1, zero))
+    assert KERNELS[field].meets((zero, zero, one), [row]) == {position(x1, y1): 1}
 
 
 @pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.value)
@@ -406,7 +398,12 @@ def test_zero_vectors_raise_value_error(field):
     with pytest.raises(ValueError):
         POSITION[field](zero, zero)
     with pytest.raises(ValueError, match="no position"):
-        kernel.group((one, zero, zero), (zero, one, zero), [(1, (zero, zero, zero))])
+        kernel.group((one, zero, zero, zero), (zero, one, zero, zero), [(1, (zero,) * 4)])
+    for u in ((one, zero, zero), (zero, one, one), (zero, zero, one)):
+        # a zero row, and the line itself, meet it in no point
+        for v in ((zero,) * 3, u):
+            with pytest.raises(ValueError, match="no position"):
+                kernel.meets(u, [(1, v)])
     with pytest.raises(ValueError):
         kernel.canonical((zero,) * 3)
     with pytest.raises(ValueError):
@@ -422,41 +419,76 @@ def _random_scalar(rng, field, span=4):
 @pytest.mark.parametrize("terms", [3, 4])
 @pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.value)
 def test_group_matches_reference_keys(field, terms):
-    """`group` equals grouping the rows (bit, w) one at a time by the
-    reference keys, on all the rows and on a random subset; rows with
-    p.w = 0 take the key of [0 : 1]."""
+    """Both grouping batches equal grouping the rows one at a time by the
+    reference keys, on all the rows and on a random subset: `group` on rows
+    (bit, w) of K^4 (terms 4), where rows with p.w = 0 take the key of
+    [0 : 1], and `meets` on rows (bit, v) of K^3 (terms 3), where the rows
+    whose first pivot minor is 0 take it, for a line u of every pivot."""
     rng = random.Random(1500 + 10 * terms + (field is Field.QUADRATIC_TAU))
-    group, idot = KERNELS[field].group, KERNELS[field].dot
-    zero = _ZERO[field]
+    kernel = KERNELS[field]
+    idot = kernel.dot
+    zero, one = _ZERO[field], _ONE[field]
+    pivots = set()
     for _ in range(60):
-        p, q = (tuple(_random_scalar(rng, field) for _ in range(terms)) for _ in range(2))
-        # a row at infinity: p.w = 0 while q.w != 0, w being (p.p) q less
-        # (p.q) p, unless p and q are proportional (or one of them zero)
-        pp, pq = idot(p, p), idot(p, q)
-        infinity = tuple(
-            _minus(field, _times(field, pp, qi), _times(field, pq, pi)) for pi, qi in zip(p, q)
-        )
-        if idot(q, infinity) == zero:
-            continue
+        if terms == 4:
+            p, q = (tuple(_random_scalar(rng, field) for _ in range(terms)) for _ in range(2))
+            # a row at infinity: p.w = 0 while q.w != 0, w being (p.p) q less
+            # (p.q) p, unless p and q are proportional (or one of them zero)
+            pp, pq = idot(p, p), idot(p, q)
+            infinity = tuple(
+                _minus(field, _times(field, pp, qi), _times(field, pq, pi))
+                for pi, qi in zip(p, q)
+            )
+            second = idot(q, infinity)
+            if second == zero:
+                continue
+
+            def batch(rows):
+                return kernel.group(p, q, rows)
+
+            def reference(rows):
+                return reference_group(field, p, q, rows)
+
+            def on_line(w):
+                return idot(p, w) == zero and idot(q, w) == zero
+        else:
+            t = rng.randrange(3)
+            pivots.add(t)
+            u = _with_pivot(rng, field, 3, t)
+            # a row at infinity: u plus the unit vector of the last
+            # coordinate other than t, whose minors are 0 and u_t
+            infinity = add_forms(u, tuple(one if c == (1 if t == 2 else 2) else zero
+                                          for c in range(3)))
+            second = u[t]
+
+            def batch(rows):
+                return kernel.meets(u, rows)
+
+            def reference(rows):
+                return reference_meets(field, u, rows)
+
+            def on_line(v):
+                return all(x == zero for x in kernel.normal((u, v)))
         rows = []
         for k in range(rng.randint(1, 40)):
             w = tuple(_random_scalar(rng, field, 2) for _ in range(terms))
-            if idot(p, w) == zero and idot(q, w) == zero:
+            if on_line(w):
                 continue
             rows.append((1 << k, w))
         rows.append((1 << 40, infinity))
         skip = rng.getrandbits(41)
         for mask in (0, skip):
             kept = [row for row in rows if not mask & row[0]]
-            assert group(p, q, kept) == reference_group(field, p, q, kept)
-        assert POSITION[field](zero, idot(q, infinity)) in group(p, q, rows)
+            assert batch(kept) == reference(kept)
+        assert POSITION[field](zero, second) in batch(rows)
         # rows of bit 0: the keys alone
         plain = [(0, w) for _, w in rows]
-        assert group(p, q, plain).keys() == reference_group(field, p, q, rows).keys()
+        assert batch(plain).keys() == reference(rows).keys()
         # a zero row raises (the lattice passes leave a line's members out)
         zero_row = (1 << 41, (zero,) * terms)
         with pytest.raises(ValueError, match="no position"):
-            group(p, q, rows + [zero_row])
+            batch(rows + [zero_row])
+    assert terms == 4 or pivots == {0, 1, 2}
 
 
 @pytest.mark.parametrize("length", [3, 4])
@@ -529,11 +561,13 @@ def _with_pivot(rng, field, length, t):
 def test_line_forms_match_reference_tables(field):
     """`line_forms` picks the two rows at the coordinates off the key's
     pivot: for a Pluecker key with pivot t in 0-5, the rows of the Hodge
-    dual built from the reference `_HODGE` off the pair `_MINORS[4][t]`; for
-    a K^3 normal with pivot c in 0-2, the rows other than c of the
-    cross-product matrix defined by `_MINORS[3]`.  `hodge_forms` and
-    `cross_forms` are those full tables, and `restricted_minors` at pivot p
-    the minors (p, f) read through `_MINORS[4]`, flipped where f < p."""
+    dual built from the reference `_HODGE` off the pair `_MINORS[4][t]`.
+    For a K^3 normal u with pivot c in 0-2, `meets` groups its rows as the
+    rows other than c of the cross-product matrix defined by `_MINORS[3]`
+    place them on P^1: one group per point, in the order of first rows.
+    `hodge_forms` and `cross_forms` are those full tables, and
+    `restricted_minors` at pivot p the minors (p, f) read through
+    `_MINORS[4]`, flipped where f < p."""
     rng = random.Random(1800 + (field is Field.QUADRATIC_TAU))
     kernel = KERNELS[field]
     neg, zero = kernel.neg, kernel.zero
@@ -564,7 +598,17 @@ def test_line_forms_match_reference_tables(field):
                 row[b], row[a] = u[a], neg(u[b])
                 cross.append(tuple(row))
             assert cross_forms(u, kernel) == tuple(cross)
-            assert line_forms(u, kernel) == tuple(row for m, row in enumerate(cross) if m != c)
+            # rows off the line u, with repeats of their points: v plus a multiple of u
+            rows = []
+            for k in range(12):
+                v = tuple(_random_scalar(rng, field, 2) for _ in range(3))
+                if k % 3 == 2 and rows:
+                    v = add_forms(rows[-1][1], u)
+                if any(x != zero for x in kernel.normal((u, v))):
+                    rows.append((1 << k, v))
+            off_pivot = [row for m, row in enumerate(cross) if m != c]
+            expected = reference_group(field, *off_pivot, rows)
+            assert list(kernel.meets(u, rows).values()) == list(expected.values())
 
 
 @pytest.mark.parametrize("length", [3, 4])
@@ -585,3 +629,101 @@ def test_signs_match_dot(field, length):
         assert list(map(kernel.sign, kernel.dots(v, forms))) == expected
         zeros += expected.count(0)
     assert zeros >= 100
+
+
+# -- the written-out kernels as properties ------------------------------------------
+#
+# These take their example budget from the loaded hypothesis profile
+# (tests/conftest.py): derandomized in tier-1, larger and randomized under
+# `pytest --hypothesis-profile=search -k kernel_property`.
+
+
+@st.composite
+def _line_and_rows(draw, field, t):
+    """A line u of P^2 of pivot t and rows (bit, v) off it, which often
+    repeat an earlier row's point: a nonzero multiple of that row plus a
+    multiple of u."""
+    kernel, zero = KERNELS[field], _ZERO[field]
+    entry = st.just(zero) | _scalars(field)
+    u = (zero,) * t + (draw(_nonzero_factors(field)),) + draw(st.tuples(*[entry] * (2 - t)))
+    rows = []
+    draws = st.tuples(
+        st.integers(-12, 11), _nonzero_factors(field), entry, st.tuples(entry, entry, entry)
+    )
+    for k, (earlier, factor, shift, v) in enumerate(draw(st.lists(draws, min_size=1, max_size=12))):
+        if rows and earlier >= 0:
+            w = rows[earlier % len(rows)][1]
+            v = add_forms(
+                tuple(_times(field, factor, x) for x in w),
+                tuple(_times(field, shift, x) for x in u),
+            )
+        if any(x != zero for x in kernel.normal((u, v))):
+            rows.append((1 << k, v))
+    return u, rows
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.value)
+@given(data=st.data())
+def test_kernel_property_meets_groups_as_rank2(field, data):
+    """`meets` groups the rows (bit, v) off a line u of P^2 as `_rank2()`
+    keys the points of P^2, by the canonical cross product normal((u, v)):
+    one group per point, in the order of the groups' first rows.  Each
+    example takes a line of each pivot 0, 1 and 2 (`_line_and_rows`)."""
+    kernel = KERNELS[field]
+    for t in range(3):
+        u, rows = data.draw(_line_and_rows(field, t))
+        assert pivot(u, kernel) == t
+        expected = {}
+        for bit, v in rows:
+            key = kernel.canonical(kernel.normal((u, v)))
+            expected[key] = expected.get(key, 0) | bit
+        assert list(kernel.meets(u, rows).values()) == list(expected.values())
+
+
+@pytest.mark.parametrize("length", [3, 4, 6])
+@given(data=st.data())
+def test_kernel_property_canonical_matches_loop(length, data):
+    """`pair_vector_canonical` at the written-out lengths 3 and 6 (and the
+    loop at 4) against the generic loop, which the oriented form runs at
+    every length: the unoriented key is the oriented one with its rational
+    lead made positive.  Its point is `canonicalize_vector`'s, a nonzero
+    factor leaves it alone, and the oriented form keeps the lead's sign.
+    Vectors have leading zeros and leads of negative norm (tau, 1 - tau)."""
+    zeros = data.draw(st.integers(0, length - 1))
+    lead = data.draw(_nonzero_factors(Field.QUADRATIC_TAU))
+    rest = tuple(data.draw(_scalars(Field.QUADRATIC_TAU)) for _ in range(length - zeros - 1))
+    vec = ((0, 0),) * zeros + (lead,) + rest
+    key = pair_vector_canonical(vec)
+    oriented = pair_vector_canonical(vec, oriented=True)
+    a, b = oriented[zeros]
+    assert a and not b
+    assert key == (oriented if a > 0 else tuple((-x, -y) for x, y in oriented))
+    assert key[:zeros] == vec[:zeros] and key[zeros][0] > 0
+    assert pair_sign(oriented[zeros]) == pair_sign(lead)
+    assert pair_point(key) == canonicalize_vector(pairs_to_quads(vec), Field.QUADRATIC_TAU)
+    factor = data.draw(_nonzero_factors(Field.QUADRATIC_TAU))
+    scaled = tuple(pair_mul(factor, x) for x in vec)
+    assert pair_vector_canonical(scaled) == key
+    flipped = oriented if pair_sign(factor) > 0 else tuple((-x, -y) for x, y in oriented)
+    assert pair_vector_canonical(scaled, oriented=True) == flipped
+
+
+@given(data=st.data())
+def test_kernel_property_order_matches_points(data):
+    """`order` over Q(tau) sorts vectors as their field points sort: for
+    every pair, order(v) < order(w) exactly when point(v) < point(w), and
+    sorting by either gives one list, on random keys and on raw vectors
+    (leads of any norm) of length 3 or 4 with leading zeros."""
+    kernel = KERNELS[Field.QUADRATIC_TAU]
+    length = data.draw(st.sampled_from((3, 4)))
+    entry = st.just((0, 0)) | _scalars(Field.QUADRATIC_TAU)
+    vectors = data.draw(st.lists(
+        st.tuples(*[entry] * length).filter(lambda v: any(x != (0, 0) for x in v)),
+        min_size=1, max_size=12,
+    ))
+    keys = [kernel.canonical(v) for v in vectors]
+    for group in (vectors, keys):
+        assert sorted(group, key=kernel.order) == sorted(group, key=kernel.point)
+        for v in group:
+            for w in group:
+                assert (kernel.order(v) < kernel.order(w)) is (kernel.point(v) < kernel.point(w))
