@@ -6,98 +6,81 @@ ratio tau = (1 + sqrt(5))/2.  Every quantity in this package (intersection
 lattice, h/t/f-vectors, characteristic polynomial, chamber geometry, all
 inequality checks) is computed in exact arithmetic; floating point is never
 consulted for a decision.
+
+Names load on first use: `import arr4` imports no submodule, and reading a
+public name (`arr4.f_vector`, `from arr4 import f_vector`) or a submodule
+(`arr4.chambers`) imports its home module then (PEP 562), so a command
+compiles only the modules it runs.
 """
 
-from .scalars import Field, QuadScalar, Rational, TAU, sign
-from .arrangement import (
-    Arrangement,
-    DuplicateHyperplane,
-    Flat,
-    MixedField,
-    NotEssential,
-    Rank3Arrangement,
-    ZeroNormal,
-)
-from .invariants import (
-    ArrangementData,
-    CharPoly,
-    CheckResult,
-    NegativeRadicand,
-    ReducedCubic,
-    char_poly_formula,
-    char_poly_moebius,
-    f_vector,
-    real_roots_test,
-)
-from .chambers import (
-    Chamber,
-    ChamberLimitReached,
-    CoxeterDiagram,
-    EmptyChamber,
-    GenericPointNotFound,
-    coxeter_diagram,
-    enumerate_chambers,
-    is_irreducible_diagrams,
-    is_simplicial,
-    is_simply_laced,
-    walls,
-)
-from .catalogue import (
-    CatalogueEntry,
-    ClosureOverflow,
-    NoVectorsAvailable,
-    RootSystemSpec,
-    UnknownLabel,
-    builtin,
-    catalogue_rows,
-    reflection_closure,
-    verify_row,
-)
-from .fileformat import ArrangementParseError, emit_arrangement, parse_arrangement
+from importlib import import_module
 
-__all__ = [
-    "Arrangement",
-    "ArrangementData",
-    "ArrangementParseError",
-    "CatalogueEntry",
-    "Chamber",
-    "ChamberLimitReached",
-    "CharPoly",
-    "CheckResult",
-    "ClosureOverflow",
-    "CoxeterDiagram",
-    "DuplicateHyperplane",
-    "EmptyChamber",
-    "Field",
-    "Flat",
-    "GenericPointNotFound",
-    "MixedField",
-    "NegativeRadicand",
-    "NoVectorsAvailable",
-    "NotEssential",
-    "QuadScalar",
-    "Rank3Arrangement",
-    "Rational",
-    "ReducedCubic",
-    "RootSystemSpec",
-    "TAU",
-    "UnknownLabel",
-    "ZeroNormal",
-    "builtin",
-    "catalogue_rows",
-    "char_poly_formula",
-    "char_poly_moebius",
-    "coxeter_diagram",
-    "emit_arrangement",
-    "enumerate_chambers",
-    "f_vector",
-    "is_irreducible_diagrams",
-    "is_simplicial",
-    "is_simply_laced",
-    "parse_arrangement",
-    "real_roots_test",
-    "reflection_closure",
-    "sign",
-    "verify_row",
-    "walls",
-]
+#: each home module and the public names it defines
+_PUBLIC = {
+    "scalars": ("Field", "QuadScalar", "Rational", "TAU", "sign"),
+    "arrangement": (
+        "Arrangement",
+        "DuplicateHyperplane",
+        "Flat",
+        "MixedField",
+        "NotEssential",
+        "Rank3Arrangement",
+        "ZeroNormal",
+    ),
+    "invariants": (
+        "ArrangementData",
+        "CharPoly",
+        "CheckResult",
+        "NegativeRadicand",
+        "ReducedCubic",
+        "char_poly_formula",
+        "char_poly_moebius",
+        "f_vector",
+        "real_roots_test",
+    ),
+    "chambers": (
+        "Chamber",
+        "ChamberLimitReached",
+        "CoxeterDiagram",
+        "EmptyChamber",
+        "GenericPointNotFound",
+        "coxeter_diagram",
+        "enumerate_chambers",
+        "is_irreducible_diagrams",
+        "is_simplicial",
+        "is_simply_laced",
+        "walls",
+    ),
+    "catalogue": (
+        "CatalogueEntry",
+        "ClosureOverflow",
+        "NoVectorsAvailable",
+        "RootSystemSpec",
+        "UnknownLabel",
+        "builtin",
+        "catalogue_rows",
+        "reflection_closure",
+        "verify_row",
+    ),
+    "fileformat": ("ArrangementParseError", "emit_arrangement", "parse_arrangement"),
+}
+
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+_SUBMODULES = frozenset(_PUBLIC) | {"linalg", "report", "cli"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

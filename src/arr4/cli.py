@@ -33,17 +33,7 @@ import os
 import signal
 import sys
 
-from .arrangement import DuplicateHyperplane, MixedField, NotEssential, ZeroNormal
-from .catalogue import (
-    NoVectorsAvailable,
-    UnknownLabel,
-    builtin,
-    catalogue_rows,
-    verify_row,
-)
-from .fileformat import ArrangementParseError, emit_arrangement, parse_arrangement
-from .invariants import positional
-from .report import build_report, render_text, row_report_doc, to_json, weight_map
+# Each handler imports the modules it runs, so a command compiles no others.
 
 #: analyze enumerates chambers by default only up to this many hyperplanes.
 DEFAULT_CHAMBER_LIMIT_N = 32
@@ -78,6 +68,10 @@ def _write(text: str, path: str | None) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .arrangement import DuplicateHyperplane, MixedField, NotEssential, ZeroNormal
+    from .fileformat import ArrangementParseError, parse_arrangement
+    from .report import build_report, render_text, to_json
+
     try:
         with open(args.path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -106,6 +100,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .catalogue import NoVectorsAvailable, UnknownLabel, builtin
+    from .fileformat import emit_arrangement
+
     try:
         arrangement = builtin(args.label)
     except (UnknownLabel, NoVectorsAvailable) as exc:
@@ -114,6 +111,9 @@ def cmd_generate(args) -> int:
 
 
 def _catalogue_list(args) -> int:
+    from .catalogue import catalogue_rows
+    from .invariants import positional
+
     for row in catalogue_rows():
         h = positional(row.h, 2)
         t = positional(row.t, 3)
@@ -126,6 +126,8 @@ def _catalogue_list(args) -> int:
 
 
 def _catalogue_verify(args) -> int:
+    from .catalogue import UnknownLabel, catalogue_rows, verify_row
+
     labels = [row.label for row in catalogue_rows()] if args.all else [args.label]
     reports = []
     for label in labels:
@@ -135,6 +137,8 @@ def _catalogue_verify(args) -> int:
             return _fail(str(exc), 4)
     failures = sum(0 if rep.passed else 1 for rep in reports)
     if args.json:
+        from .report import row_report_doc, to_json
+
         doc = {
             "rows": [row_report_doc(rep) for rep in reports],
             "failures": failures,
@@ -155,6 +159,9 @@ def _catalogue_verify(args) -> int:
 
 
 def _catalogue_export(args) -> int:
+    from .catalogue import catalogue_rows
+    from .report import to_json, weight_map
+
     doc = [
         {
             "label": row.label,

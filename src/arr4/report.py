@@ -12,14 +12,6 @@ import json
 from fractions import Fraction
 
 from .arrangement import Arrangement
-from .chambers import (
-    ChamberLimitReached,
-    chamber_diagrams,
-    enumerate_chambers,
-    is_irreducible_diagrams,
-    is_simplicial,
-    is_simply_laced,
-)
 from .invariants import (
     ArrangementData,
     CheckOutcome,
@@ -81,7 +73,8 @@ def build_report(
 
     Chamber-derived verdicts (simpliciality, simply-lacedness, diagram
     irreducibility) come from the chamber engine when enumeration runs, and
-    from the counting criteria otherwise.
+    from the counting criteria otherwise.  The chamber engine
+    (`arr4.chambers`) is imported only when enumeration runs.
 
     The Moebius polynomial is always compared with the closed form in n, h
     and f3, but with f3 = chi(-1)/2 = n - c1 and h = c2 both taken from the
@@ -106,6 +99,15 @@ def build_report(
     partition = arrangement.reducible_partition()
     irreducible = partition is None
     if with_chambers:
+        from .chambers import (
+            ChamberLimitReached,
+            chamber_diagrams,
+            enumerate_chambers,
+            is_irreducible_diagrams,
+            is_simplicial,
+            is_simply_laced,
+        )
+
         try:
             chambers = enumerate_chambers(arrangement, limit=max_chambers)
         except ChamberLimitReached as stop:

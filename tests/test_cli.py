@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import signal
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import arr4
+import arr4.catalogue
 import arr4.chambers
 import arr4.cli
 import arr4.report
@@ -298,9 +300,9 @@ def test_internal_check_failure_exit5_chamber_count(capsys, tmp_path, monkeypatc
     # one chamber lost makes the lattice's f3 disagree with the enumeration
     path = tmp_path / "boolean.arr"
     path.write_text("field: rational\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
-    enumerate_chambers = arr4.report.enumerate_chambers
+    enumerate_chambers = arr4.chambers.enumerate_chambers
     monkeypatch.setattr(
-        "arr4.report.enumerate_chambers", lambda arr, limit: enumerate_chambers(arr)[1:]
+        "arr4.chambers.enumerate_chambers", lambda arr, limit: enumerate_chambers(arr)[1:]
     )
     code, out, err = run_cli(capsys, "analyze", str(path), "--json", "--chambers")
     assert code == 5 and out == ""
@@ -311,13 +313,13 @@ def test_internal_check_failure_exit5_wall_count(capsys, tmp_path, monkeypatch):
     # one wall dropped from one chamber leaves the walls short of 2 f2
     path = tmp_path / "boolean.arr"
     path.write_text("field: rational\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
-    enumerate_chambers = arr4.report.enumerate_chambers
+    enumerate_chambers = arr4.chambers.enumerate_chambers
 
     def one_wall_short(arr, limit):
         first, *rest = enumerate_chambers(arr, limit)
         return [arr4.chambers.Chamber(first.walls[1:], first.mask, first._ctx), *rest]
 
-    monkeypatch.setattr("arr4.report.enumerate_chambers", one_wall_short)
+    monkeypatch.setattr("arr4.chambers.enumerate_chambers", one_wall_short)
     code, out, err = run_cli(capsys, "analyze", str(path), "--json", "--chambers")
     assert code == 5 and out == ""
     assert "the chambers have 31 walls, but the vertex tallies give f2 = 16" in err
@@ -411,7 +413,7 @@ def test_output_into_missing_directory_exit2(capsys, tmp_path, argv):
 
 def test_catalogue_verify_text_fail_line(capsys, monkeypatch):
     # one data check of A^3_1(12) turned into a failure
-    verify_row = arr4.cli.verify_row
+    verify_row = arr4.catalogue.verify_row
 
     def one_failure(label):
         report = verify_row(label)
@@ -419,7 +421,7 @@ def test_catalogue_verify_text_fail_line(capsys, monkeypatch):
         failed = first._replace(status="fail", result=first.result._replace(holds=False))
         return report._replace(checks=(failed, *report.checks[1:]))
 
-    monkeypatch.setattr(arr4.cli, "verify_row", one_failure)
+    monkeypatch.setattr(arr4.catalogue, "verify_row", one_failure)
     code, out, err = run_cli(capsys, "catalogue", "verify", "A^3_1(12)")
     assert code == 1 and err == ""
     lines = out.splitlines()
@@ -453,18 +455,87 @@ def test_closed_stdout_ends_quietly():
     assert err == b""
 
 
+def _fresh_python(code, *args, cwd=None):
+    """Run code in a fresh interpreter that imports arr4 from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arr4.__file__)))
+    env.pop("ARR4_THREADS", None)
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          env=env, cwd=cwd, timeout=60)
+
+
 def test_cli_import_is_lean():
     """Importing the command line loads neither `dataclasses` nor the
     `inspect` it pulls in: every `python -m arr4` child pays its imports."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arr4.__file__)))
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import arr4.cli\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env,
-                          timeout=60, check=True)
+    done = _fresh_python(probe)
+    assert done.returncode == 0, done.stderr.decode()
     loaded = set(done.stdout.decode().split())
     assert "arr4.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_import_arr4_loads_no_submodule():
+    """`import arr4` is lazy; a submodule loads when it is first read."""
+    probe = (
+        "import sys, types\n"
+        "import arr4\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('arr4.'))))\n"
+        "assert isinstance(arr4.chambers, types.ModuleType)\n"
+        "assert 'arr4.chambers' in sys.modules\n"
+    )
+    done = _fresh_python(probe)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode().split() == []
+
+
+#: loaded by every command: the command line and the lattice modules
+_BASE = {"cli", "scalars", "linalg", "arrangement", "invariants"}
+
+#: the arr4 submodules each command loads, run in order in one directory
+_COMMAND_MODULES = {
+    "catalogue list": _BASE | {"catalogue"},
+    "catalogue verify A4": _BASE | {"catalogue"},
+    "catalogue verify A4 --json": _BASE | {"catalogue", "report"},
+    "catalogue export": _BASE | {"catalogue", "report"},
+    "generate A4 -o a4.arr": _BASE | {"catalogue", "fileformat"},
+    "analyze a4.arr --json --no-chambers": _BASE | {"fileformat", "report"},
+    "analyze a4.arr --json --chambers": _BASE | {"chambers", "fileformat", "report"},
+}
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    """`python -m arr4 ...` imports only the modules its command runs."""
+    probe = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(' '.join(sorted(\n"
+        "    m for m in sys.modules if m.startswith('arr4.'))), file=sys.stderr))\n"
+        "sys.argv[0] = 'arr4'\n"
+        "runpy.run_module('arr4', run_name='__main__', alter_sys=True)\n"
+    )
+    for command, expected in _COMMAND_MODULES.items():
+        done = _fresh_python(probe, *command.split(), cwd=tmp_path)
+        assert done.returncode == 0, (command, done.stderr.decode())
+        loaded = done.stderr.decode().split()
+        assert loaded == sorted(f"arr4.{name}" for name in expected), command
+
+
+def test_public_names_resolve_to_their_home_modules():
+    """Each name of `__all__` is its home module's object; `import *` binds
+    exactly `__all__`; `dir` lists it; an unknown name is an AttributeError."""
+    assert arr4.__all__ == sorted(name for names in arr4._PUBLIC.values() for name in names)
+    for home, names in arr4._PUBLIC.items():
+        module = importlib.import_module(f"arr4.{home}")
+        for name in names:
+            assert getattr(arr4, name) is getattr(module, name), name
+    namespace = {}
+    exec("from arr4 import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(arr4.__all__)
+    assert set(arr4.__all__) <= set(dir(arr4))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        arr4.no_such_name
+    assert not hasattr(arr4, "no_such_name")

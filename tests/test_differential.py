@@ -210,13 +210,24 @@ def _rank3_draws(field, count=40, seed=20240620):
 
 @pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU])
 def test_rank3_second_matches_point_grouping(field):
-    """Positions of the later lines on each line count sum_p (w_p - 1)."""
+    """Positions of the later lines on each line count sum_p (w_p - 1).
+
+    Key for key: on each line i, the groups that `meets` forms of the other
+    lines, each with line i added, are exactly the points of `_rank2()` on
+    line i, so a wrong minor that leaves the total unchanged still fails.
+    """
     dropped = set()
     heavy = 0
     for sub in _rank3_draws(field):
         keys = sub._integer_normals()
         groups = [flat.mask for flat in sub._rank2()]
         assert _rank3_second(keys, sub._kernel) == sum(m.bit_count() - 1 for m in groups)
+        rows = [(1 << j, v) for j, v in enumerate(keys)]
+        for i, u in enumerate(keys):
+            met = sub._kernel.meets(u, rows[:i] + rows[i + 1:]).values()
+            assert sorted(found | 1 << i for found in met) == [
+                mask for mask in sorted(groups) if mask >> i & 1
+            ]
         nonzero = sub._kernel.sign
         dropped.update(next(c for c, x in enumerate(u) if nonzero(x)) for u in keys[:-1])
         heavy += max(m.bit_count() for m in groups) >= 3
