@@ -6,7 +6,7 @@ the embedded catalogue rows.
 """
 
 from arr4 import builtin, f_vector, verify_row
-from arr4.catalogue import REFLECTION_SPECS, reflection_closure
+from arr4.constructions import REFLECTION_SPECS, reflection_closure
 
 for name in ("A4", "D4", "B4", "F4", "H4"):
     arr = builtin(name)

@@ -53,15 +53,13 @@ _PUBLIC = {
     ),
     "catalogue": (
         "CatalogueEntry",
-        "ClosureOverflow",
         "NoVectorsAvailable",
-        "RootSystemSpec",
         "UnknownLabel",
         "builtin",
         "catalogue_rows",
-        "reflection_closure",
         "verify_row",
     ),
+    "constructions": ("ClosureOverflow", "RootSystemSpec", "reflection_closure"),
     "fileformat": ("ArrangementParseError", "emit_arrangement", "parse_arrangement"),
 }
 

@@ -1,40 +1,18 @@
-"""Built-in arrangements and the catalogue of known irreducible simplicial ones.
+"""The catalogue of known irreducible simplicial arrangements, and its built-ins.
 
 Twenty catalogue rows are embedded as combinatorial data (size, h-vector,
 t-vector, f-vector).  Seven of them come with exact normal vectors: the five
-reflection arrangements of types A4, D4, B4, F4, H4, generated by closing a
-simple system under its reflections, and two golden-ratio arrangements of 27
-and 28 hyperplanes given by explicit vectors.  The remaining rows are data
-only; verification degrades gracefully for them.
-
-A reflection arrangement is given by integer data only: the Cartan matrix
-of its simple system (ints, or integer pairs a + b*tau for H4, whose Cartan
-entry -tau is irrational) and one integer-form mirror normal per simple
-root.  The positive roots are closed under the simple reflections in
-simple-root coordinates, where each reflection changes one coordinate to a
-dot product with a Cartan column, and each root's mirror normal is the same
-combination of the simple mirrors.  The arrangement stores the canonical
-keys of those normals, checked as input normals are, in the order of their
-field points, which the kernel's `order` compares in integers: no field
-scalar is made.
-
-Realizations of A4 and H4: neither admits coordinates in the stated field
-with the standard dot product as invariant form (their form discriminants are
-not squares), so they are realized in simple-root coordinates, where the
-mirror of a_i has normal G a_i for the Gram matrix G of the invariant form:
-with every B(a_i, a_i) = 2, the mirrors are the rows of the symmetric Cartan
-matrix.  That realization is linearly isomorphic to the usual one, so all
-combinatorial output is identical, which the verification suite certifies
-against the embedded table.
+reflection arrangements of types A4, D4, B4, F4, H4 and two golden-ratio
+arrangements of 27 and 28 hyperplanes.  The remaining rows are data only;
+verification degrades gracefully for them.  How each row is built lives in
+`arr4.constructions`, which only `builtin` imports, so reading the rows
+loads no lattice module.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .arrangement import Arrangement, _essential_keys
 from .invariants import (
     ArrangementData,
     CheckOutcome,
@@ -42,8 +20,9 @@ from .invariants import (
     f_vector,
     run_data_checks,
 )
-from .linalg import KERNELS
-from .scalars import Field, QuadScalar, TAU
+
+if TYPE_CHECKING:
+    from .arrangement import Arrangement
 
 
 class UnknownLabel(KeyError):
@@ -55,10 +34,6 @@ class UnknownLabel(KeyError):
 
 class NoVectorsAvailable(LookupError):
     """The row exists but no normal vectors are known for it."""
-
-
-class ClosureOverflow(RuntimeError):
-    """Reflection closure exceeded the safety cap (input not a finite system)."""
 
 
 class CatalogueEntry(NamedTuple):
@@ -155,146 +130,6 @@ def catalogue_entry(label: str) -> CatalogueEntry:
         raise UnknownLabel(f"unknown catalogue label {label!r}") from None
 
 
-# -- reflection arrangements --------------------------------------------------------
-
-
-class RootSystemSpec(NamedTuple):
-    """Integer Cartan data of a finite reflection group.
-
-    `cartan[i][j]` is <a_i, a_j^v> = 2 B(a_i, a_j) / B(a_j, a_j) for the
-    simple roots a_i and the invariant form B, in the integer form of
-    `linalg.KERNELS[field]`: ints, or (a, b) pairs standing for a + b*tau.
-    `mirrors[i]` is an integer-form normal of the mirror of a_i, all at one
-    positive scale, so the root sum_i b_i a_i has mirror normal
-    sum_i b_i mirrors[i].
-    """
-
-    name: str
-    field: Field
-    cartan: tuple
-    mirrors: tuple
-
-
-_A4 = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
-_H4 = (
-    ((2, 0), (0, -1), (0, 0), (0, 0)),
-    ((0, -1), (2, 0), (-1, 0), (0, 0)),
-    ((0, 0), (-1, 0), (2, 0), (-1, 0)),
-    ((0, 0), (0, 0), (-1, 0), (2, 0)),
-)
-
-REFLECTION_SPECS = {
-    "A4": RootSystemSpec("A4", Field.RATIONAL, _A4, _A4),
-    "D4": RootSystemSpec(
-        "D4", Field.RATIONAL,
-        ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)),
-        ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 1, 1)),
-    ),
-    "B4": RootSystemSpec(
-        "B4", Field.RATIONAL,
-        ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -2), (0, 0, -1, 2)),
-        ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1)),
-    ),
-    "F4": RootSystemSpec(
-        "F4", Field.RATIONAL,
-        ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
-        ((0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)),
-    ),
-    "H4": RootSystemSpec("H4", Field.QUADRATIC_TAU, _H4, _H4),
-}
-
-
-def reflection_closure(spec: RootSystemSpec, cap: int = 10000) -> Arrangement:
-    """The positive roots in simple-root coordinates, closed under the simple
-    reflections on the Cartan matrix; their mirrors are the arrangement.
-
-    s_j(b) = b - <b, a_j^v> a_j changes only the coordinate b_j, to
-    b . r_j with r_j column j of the Cartan matrix negated and its diagonal
-    entry -1.  s_j permutes the positive roots other than a_j, and every
-    positive root is reached from a simple one, so the worklist (s_j
-    skipped on a_j) collects each root line once, exactly, in integer
-    forms.  More than `cap` root lines raise ClosureOverflow (the group is
-    not finite).  The mirrors' canonical keys are listed in the order of
-    their field points, compared in integers by `KERNELS[field].order`.
-    """
-    kernel = KERNELS[spec.field]
-    idot, neg = kernel.dot, kernel.neg
-    dim = len(spec.cartan)
-    simple = [kernel.ints([int(i == j) for i in range(dim)]) for j in range(dim)]
-    r = [
-        tuple(neg(simple[j][j] if i == j else row[j]) for i, row in enumerate(spec.cartan))
-        for j in range(dim)
-    ]
-    roots = dict.fromkeys(simple)
-    work = deque(simple)
-    while work:
-        b = work.popleft()
-        for j, rj in enumerate(r):
-            if b != simple[j]:
-                image = b[:j] + (idot(b, rj),) + b[j + 1:]
-                if image not in roots:
-                    roots[image] = None
-                    if len(roots) > cap:
-                        raise ClosureOverflow(
-                            f"more than {cap} root lines; input is not a finite system"
-                        )
-                    work.append(image)
-    columns = tuple(zip(*spec.mirrors))
-    keys = [kernel.canonical(tuple(idot(b, col) for col in columns)) for b in roots]
-    keys.sort(key=kernel.order)
-    return Arrangement._from_keys(_essential_keys(keys, kernel, Arrangement.dim), spec.field)
-
-
-# -- the two explicit golden-ratio arrangements -------------------------------------
-
-_T = TAU
-_T1 = QuadScalar(1, 1)   # 1 + tau
-
-_APPENDIX_28 = (
-    (1, 0, 0, 0),
-    (0, 1, 0, 0),
-    (0, 1, 1, 0),
-    (0, 0, 1, 0),
-    (0, 1, 1, 1),
-    (0, 0, 1, 1),
-    (0, 0, 0, 1),
-    (1, 1, 0, 0),
-    (1, 1, 1, 1),
-    (1, _T, 0, 0),
-    (_T, 1, 0, 0),
-    (1, _T, _T, _T),
-    (_T, 1, 1, 0),
-    (_T, _T1, 1, 0),
-    (_T, 1, 1, 1),
-    (_T, _T1, _T, _T),
-    (_T1, _T1, 1, 0),
-    (_T, _T1, 1, 1),
-    (_T1, _T1, _T, _T),
-    (_T, _T1, _T1, _T),
-    (_T1, _T1, 1, 1),
-    (_T1, QuadScalar(0, 2), _T, _T),
-    (_T1, QuadScalar(0, 2), _T, 1),
-    (_T, _T, _T, 1),
-    (_T, _T1, _T, 1),
-    (_T1, _T1, _T, 1),
-    (_T, 2, QuadScalar(3, -1), 1),
-    (QuadScalar(2, 3), QuadScalar(2, 4), QuadScalar(1, 3), _T1),
-)
-
-_REFLECTION_LABELS = {label: name for name, label in _ALIASES.items()}
-
-
-@lru_cache(maxsize=None)
-def _build(label: str) -> Arrangement:
-    if label in _REFLECTION_LABELS:
-        return reflection_closure(REFLECTION_SPECS[_REFLECTION_LABELS[label]])
-    if label == "A^3_1(28)":
-        return Arrangement(_APPENDIX_28, Field.QUADRATIC_TAU)
-    if label == "A^3_1(27)":
-        return Arrangement(_APPENDIX_28[:-1], Field.QUADRATIC_TAU)
-    raise AssertionError(label)
-
-
 def builtin(label: str) -> Arrangement:
     """Arrangement for one of the seven rows with known normal vectors.
 
@@ -304,7 +139,20 @@ def builtin(label: str) -> Arrangement:
     entry = catalogue_entry(label)
     if not entry.has_vectors:
         raise NoVectorsAvailable(f"no normal vectors are known for {entry.label}")
+    from .constructions import _build
+
     return _build(entry.label)
+
+
+def __getattr__(name):
+    # REFLECTION_SPECS lives in arr4.constructions; it is forwarded for the
+    # one script that still reads it here, benchmarks/traced.py, until that
+    # script imports it from its home
+    if name == "REFLECTION_SPECS":
+        from .constructions import REFLECTION_SPECS
+
+        return REFLECTION_SPECS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- row verification -----------------------------------------------------------------

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, isqrt
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .arrangement import Arrangement
+if TYPE_CHECKING:
+    from .arrangement import Arrangement
 
 
 class NegativeRadicand(ValueError):

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .arrangement import Arrangement
 from .invariants import (
     ArrangementData,
     CheckOutcome,
@@ -20,6 +20,9 @@ from .invariants import (
     char_poly_moebius,
     run_data_checks,
 )
+
+if TYPE_CHECKING:
+    from .arrangement import Arrangement
 
 _SAFE = 2**53 - 1
 

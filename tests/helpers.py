@@ -314,10 +314,35 @@ _E = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 _HALF = Fraction(1, 2)
 _Q = QuadScalar
 
-#: The simple systems of the five reflection types in field scalars, as
-#: (simple roots, Gram matrix of the invariant form); a Gram matrix of None
-#: is the standard dot product.  This is the textbook input the integer
-#: Cartan data of `catalogue.REFLECTION_SPECS` is checked against.
+
+
+def _unit(n, i):
+    return tuple(int(k == i) for k in range(n))
+
+
+def _d_roots(n):
+    """Bourbaki's simple roots of D_n in R^n: e_i - e_(i+1), e_(n-1) + e_n."""
+    e = [_unit(n, i) for i in range(n)]
+    return tuple(
+        tuple(x - y for x, y in zip(e[i], e[i + 1])) for i in range(n - 1)
+    ) + (tuple(x + y for x, y in zip(e[n - 2], e[n - 1])),)
+
+
+#: Bourbaki's simple roots of E8 in R^8; those of E7 and E6 are the first
+#: seven and six
+_E8_ROOTS = (
+    (_HALF, -_HALF, -_HALF, -_HALF, -_HALF, -_HALF, -_HALF, _HALF),
+    (1, 1, 0, 0, 0, 0, 0, 0),
+) + tuple(
+    tuple(x - y for x, y in zip(_unit(8, i + 1), _unit(8, i))) for i in range(6)
+)
+
+#: The simple systems of the five reflection types and of the Weyl types
+#: D5-D7, E6-E8 in field scalars, as (simple roots, Gram matrix of the
+#: invariant form); a Gram matrix of None is the standard dot product.  This
+#: is the textbook input the integer Cartan data of
+#: `constructions.REFLECTION_SPECS` and `constructions._WEYL_CARTANS` is
+#: checked against.
 SIMPLE_SYSTEMS = {
     "A4": (_E, ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))),
     "D4": (((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 1, 1)), None),
@@ -332,6 +357,12 @@ SIMPLE_SYSTEMS = {
         (_Q(0), _Q(-1), _Q(2), _Q(-1)),
         (_Q(0), _Q(0), _Q(-1), _Q(2)),
     )),
+    "D5": (_d_roots(5), None),
+    "D6": (_d_roots(6), None),
+    "D7": (_d_roots(7), None),
+    "E6": (_E8_ROOTS[:6], None),
+    "E7": (_E8_ROOTS[:7], None),
+    "E8": (_E8_ROOTS, None),
 }
 
 

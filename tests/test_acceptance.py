@@ -23,8 +23,9 @@ from arr4 import (
     real_roots_test,
     verify_row,
 )
-from arr4.catalogue import _build, catalogue_rows
+from arr4.catalogue import catalogue_rows
 from arr4.chambers import _canonical_mask, simply_laced_h_criterion
+from arr4.constructions import _build
 from arr4.invariants import ArrangementData, run_data_checks
 
 from helpers import boolean_arrangement, run_field_axiom_suite, run_surd_floor_suite

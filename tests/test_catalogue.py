@@ -1,10 +1,16 @@
 import random
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from itertools import combinations
+from math import comb, lcm
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+import arr4.catalogue
+import arr4.constructions
 from arr4 import (
+    Arrangement,
     ClosureOverflow,
     DuplicateHyperplane,
     Field,
@@ -15,19 +21,31 @@ from arr4 import (
     UnknownLabel,
     builtin,
     catalogue_rows,
+    f_vector,
+    is_irreducible_diagrams,
+    is_simplicial,
     reflection_closure,
     sign,
     verify_row,
 )
-from arr4.catalogue import REFLECTION_SPECS, catalogue_entry
+from arr4.catalogue import catalogue_entry
+from arr4.constructions import (
+    _WEYL_CARTANS,
+    REFLECTION_SPECS,
+    _build,
+    _parabolic_restriction,
+    _positive_roots,
+)
 from arr4.invariants import positional
 from arr4.linalg import KERNELS
 from arr4.scalars import lift
 from helpers import (
     SIMPLE_SYSTEMS,
+    canonicalize_vector,
     compare_vectors,
     dot,
     invariant_form,
+    kernel_basis,
     reference_closure_normals,
 )
 
@@ -149,11 +167,16 @@ def test_closure_matches_reference(name):
         assert reference_closure_normals(spec.field, varied, gram) == reference
 
 
-@pytest.mark.parametrize("name", ["A4", "D4", "B4", "F4", "H4"])
+@pytest.mark.parametrize(
+    "name", ["A4", "D4", "B4", "F4", "H4", "D5", "D6", "D7", "E6", "E7", "E8"]
+)
 def test_cartan_data_matches_simple_systems(name):
     """cartan[i][j] = 2 B(a_i, a_j) / B(a_j, a_j) in field scalars, and the
-    mirrors are one common positive multiple of the Gram images G a_i."""
-    spec = REFLECTION_SPECS[name]
+    mirrors are one common positive multiple of the Gram images G a_i.  The
+    Weyl types of the parabolic restrictions carry no mirrors."""
+    spec = REFLECTION_SPECS.get(name)
+    cartan = _WEYL_CARTANS[name] if spec is None else spec.cartan
+    field = Field.RATIONAL if spec is None else spec.field
     roots, gram = SIMPLE_SYSTEMS[name]
     form = invariant_form(gram)
 
@@ -161,9 +184,12 @@ def test_cartan_data_matches_simple_systems(name):
         """An integer-form scalar in field scalars."""
         return QuadScalar(*x) if isinstance(x, tuple) else Fraction(x)
 
-    for a, row in zip(roots, spec.cartan):
-        ratios = [2 * form(a, b) / lift(form(b, b), spec.field) for b in roots]
+    assert len(cartan) == len(roots)
+    for a, row in zip(roots, cartan):
+        ratios = [2 * form(a, b) / lift(form(b, b), field) for b in roots]
         assert ratios == list(map(scalar, row))
+    if spec is None:
+        return
     images = [a if gram is None else tuple(dot(g, a) for g in gram) for a in roots]
     scale = next(scalar(m[k]) / lift(g[k], spec.field)
                  for m, g in zip(spec.mirrors, images) for k in range(4) if g[k])
@@ -249,8 +275,141 @@ def test_every_row_passes_all_checks():
         assert verify_row(row.label).passed, row.label
 
 
+def test_catalogue_forwards_only_reflection_specs():
+    """`benchmarks/traced.py` reads REFLECTION_SPECS from `arr4.catalogue`:
+    that one name forwards to its home, `arr4.constructions`."""
+    assert arr4.catalogue.REFLECTION_SPECS is arr4.constructions.REFLECTION_SPECS
+    with pytest.raises(AttributeError):
+        arr4.catalogue.reflection_closure
+
+
 def test_unknown_row():
     with pytest.raises(UnknownLabel):
         catalogue_entry("A^3_1(99)")
     with pytest.raises(UnknownLabel):
         verify_row("garbage")
+
+
+# -- the data-only rows as parabolic restrictions of Weyl arrangements -------------
+
+#: each data-only row, and the Weyl type and simple roots S (Bourbaki
+#: numbering) of the first parabolic flat giving it that a sweep over the
+#: types in this order, and over each type's S in increasing order, meets
+#: (ROADMAP item 1's table)
+FIRST_FLATS = {
+    "A^3_1(13)": ("D5", (1,)),
+    "A^3_1(14)": ("D6", (1, 3)),
+    "A^3_1(15)": ("D7", (1, 3, 5)),
+    "A^3_2(15)": ("E6", (1, 3)),
+    "A^3_1(17)": ("E6", (1, 2)),
+    "A^3_1(18)": ("E7", (1, 3, 4)),
+    "A^3_1(21)": ("E7", (1, 2, 3)),
+    "A^3_1(22)": ("E7", (1, 2, 5)),
+    "A^3_1(25)": ("E8", (1, 2, 3, 4)),
+    "A^3_2(28)": ("E8", (1, 2, 4, 5)),
+    "A^3_1(30)": ("E8", (1, 3, 5, 6)),
+    "A^3_1(32)": ("E8", (1, 2, 3, 5)),
+    "A^3_2(32)": ("E8", (1, 2, 5, 7)),
+}
+
+
+def _counts(arr):
+    """(n, h-vector, t-vector, f-vector) of an arrangement."""
+    return arr.n, arr.h_vector(), arr.t_vector(), f_vector(arr)
+
+
+def _row_of(counts):
+    """The label of the catalogue row with these counts, or None."""
+    return next(
+        (row.label for row in catalogue_rows()
+         if (row.n, dict(row.h), dict(row.t), row.f) == counts),
+        None,
+    )
+
+
+@pytest.mark.parametrize("label", list(FIRST_FLATS))
+def test_restricted_row_reproduces_its_row(label):
+    """Each data-only row, built as its parabolic restriction, reproduces its
+    n/h/t/f and the restriction-sum identity (h = the restriction sizes
+    summed, less the lines), is simplicial (f2 = 2 f3 and four walls to every
+    chamber) and irreducible both as a direct sum and by its chamber
+    diagrams.  The row stays data-only in the catalogue."""
+    entry = catalogue_entry(label)
+    assert not entry.has_vectors
+    arr = _build(label)
+    assert _counts(arr) == (entry.n, dict(entry.h), dict(entry.t), entry.f)
+    data = entry.data()
+    sizes = arr.restriction_counts()
+    assert sum(size for size, _ in sizes) - data.g1 == data.h_total
+    assert sum(chambers for _, chambers in sizes) == entry.f[2] == 2 * entry.f[3]
+    assert is_simplicial(arr)
+    assert arr.reducible_partition() is None
+    assert is_irreducible_diagrams(arr)
+
+
+def test_parabolic_sweep_gives_only_catalogue_rows():
+    """The restriction to the flat of every S of rank - 4 simple roots of
+    D5-D7 and E6-E8, 175 in all, is a catalogue row by n/h/t/f.  By
+    Steinberg's theorem every rank-4 flat is conjugate to one of these, so
+    the sweep sees every rank-4 restriction up to isomorphism.  The first S
+    met for each data-only row is FIRST_FLATS's, and B4 and F4 come out
+    again with their closures' n/h/t/f."""
+    counts = {}
+    first = {}
+    for weyl in ("D5", "D6", "D7", "E6", "E7", "E8"):
+        cartan = _WEYL_CARTANS[weyl]
+        for flat in combinations(range(1, len(cartan) + 1), len(cartan) - 4):
+            counts[weyl, flat] = _counts(_parabolic_restriction(cartan, flat))
+            label = _row_of(counts[weyl, flat])
+            assert label is not None, (weyl, flat)
+            first.setdefault(label, (weyl, flat))
+    assert len(counts) == 175
+    assert {label: first[label] for label in FIRST_FLATS} == FIRST_FLATS
+    for name, flats in (("B4", (("D6", (5, 6)), ("D7", (1, 6, 7)))),
+                        ("F4", (("E7", (2, 5, 7)), ("E8", (2, 3, 4, 5))))):
+        closure = _counts(builtin(name))
+        for flat in flats:
+            assert counts[flat] == closure, flat
+
+
+@lru_cache(maxsize=None)
+def _root_forms(weyl):
+    """The form y -> B(beta, sum_j y_j a_j) of each positive root beta on
+    simple-root coordinates y: beta's row of the Gram matrix of the explicit
+    simple roots, integral as every B(a, a) = 2."""
+    simple, gram = SIMPLE_SYSTEMS[weyl]
+    form = invariant_form(gram)
+    gram = [[int(form(a, b)) for b in simple] for a in simple]
+    return [
+        tuple(dot(b, column) for column in zip(*gram))
+        for b in _positive_roots(_WEYL_CARTANS[weyl], KERNELS[Field.RATIONAL], 10000)
+    ]
+
+
+@given(data=st.data())
+def test_construction_property_random_flat_is_a_row(data):
+    """The independent route to a restriction, on a flat that need not be
+    parabolic: the common zero set of r - 4 random independent roots of
+    D5-D7 or E6-E8, in simple-root coordinates (`_root_forms`).  The flat is
+    the field-scalar kernel basis of the chosen roots' forms, and each root
+    restricts to its form on that basis.  The distinct nonzero forms make a
+    catalogue row (Steinberg: the flat is conjugate to a standard parabolic
+    one).  Takes its example budget from the loaded hypothesis profile, as
+    the kernel properties do."""
+    weyl = data.draw(st.sampled_from(sorted(_WEYL_CARTANS)))
+    rows = _root_forms(weyl)
+    rank = len(rows[0])
+    chosen = data.draw(st.lists(
+        st.sampled_from(rows), min_size=rank - 4, max_size=rank - 4, unique=True,
+    ))
+    basis = kernel_basis(chosen)
+    assume(len(basis) == 4)
+    # each basis vector at a positive integer scale spans the same flat
+    scales = [lcm(*(x.denominator for x in k)) for k in basis]
+    basis = [tuple(int(x * m) for x in k) for k, m in zip(basis, scales)]
+    restricted = {
+        canonicalize_vector(v, Field.RATIONAL): None
+        for v in (tuple(dot(row, k) for k in basis) for row in rows) if any(v)
+    }
+    arr = Arrangement(list(restricted), Field.RATIONAL)
+    assert _row_of(_counts(arr)) is not None

@@ -493,16 +493,18 @@ def test_import_arr4_loads_no_submodule():
     assert done.stdout.decode().split() == []
 
 
-#: loaded by every command: the command line and the lattice modules
+#: loaded by every command that builds or reads an arrangement: the command
+#: line and the lattice modules
 _BASE = {"cli", "scalars", "linalg", "arrangement", "invariants"}
 
-#: the arr4 submodules each command loads, run in order in one directory
+#: the arr4 submodules each command loads, run in order in one directory;
+#: the catalogue's rows alone load no lattice module
 _COMMAND_MODULES = {
-    "catalogue list": _BASE | {"catalogue"},
-    "catalogue verify A4": _BASE | {"catalogue"},
-    "catalogue verify A4 --json": _BASE | {"catalogue", "report"},
-    "catalogue export": _BASE | {"catalogue", "report"},
-    "generate A4 -o a4.arr": _BASE | {"catalogue", "fileformat"},
+    "catalogue list": {"cli", "catalogue", "invariants"},
+    "catalogue verify A4": _BASE | {"catalogue", "constructions"},
+    "catalogue verify A4 --json": _BASE | {"catalogue", "constructions", "report"},
+    "catalogue export": {"cli", "catalogue", "invariants", "report"},
+    "generate A4 -o a4.arr": _BASE | {"catalogue", "constructions", "fileformat"},
     "analyze a4.arr --json --no-chambers": _BASE | {"fileformat", "report"},
     "analyze a4.arr --json --chambers": _BASE | {"chambers", "fileformat", "report"},
 }
