@@ -13,13 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .invariants import (
-    ArrangementData,
-    CheckOutcome,
-    CheckResult,
-    f_vector,
-    run_data_checks,
-)
+from .invariants import ArrangementData, CheckResult, f_vector, run_data_checks
 
 if TYPE_CHECKING:
     from .arrangement import Arrangement
@@ -163,24 +157,16 @@ class RowReport(NamedTuple):
 
     label: str
     has_vectors: bool
-    geometry: tuple                 # CheckOutcomes from recomputed geometry
-    checks: tuple                   # CheckOutcomes from the data-only suite
+    geometry: tuple                 # CheckResults from recomputed geometry
+    checks: tuple                   # CheckResults from the data-only suite
 
     @property
     def failed(self) -> tuple:
-        return tuple(
-            o for o in self.geometry + self.checks if o.status == "fail"
-        )
+        return tuple(r for r in self.geometry + self.checks if r.status == "fail")
 
     @property
     def passed(self) -> bool:
         return not self.failed
-
-
-def _match(name, computed, expected) -> CheckOutcome:
-    ok = computed == expected
-    res = CheckResult(name, ok, computed, expected, tight=ok)
-    return CheckOutcome(name, "pass" if ok else "fail", res)
 
 
 def verify_row(label: str) -> RowReport:
@@ -194,19 +180,19 @@ def verify_row(label: str) -> RowReport:
     of the vertex tallies.
     """
     entry = catalogue_entry(label)
-    geometry: list[CheckOutcome] = []
+    geometry: list[CheckResult] = []
     if entry.has_vectors:
         arr = builtin(entry.label)
-        geometry.append(_match("n", arr.n, entry.n))
-        geometry.append(_match("h_vector", arr.h_vector(), dict(entry.h)))
-        geometry.append(_match("t_vector", arr.t_vector(), dict(entry.t)))
+        geometry.append(CheckResult.equal("n", arr.n, entry.n))
+        geometry.append(CheckResult.equal("h_vector", arr.h_vector(), dict(entry.h)))
+        geometry.append(CheckResult.equal("t_vector", arr.t_vector(), dict(entry.t)))
         f = f_vector(arr)
-        geometry.append(_match("f_vector", f, entry.f))
+        geometry.append(CheckResult.equal("f_vector", f, entry.f))
         # h = sum of restriction sizes minus the number of lines
         data = entry.data()
         counts = arr.restriction_counts()
         lhs = sum(size for size, _ in counts) - data.g1
-        geometry.append(_match("restriction_sum_identity", lhs, data.h_total))
+        geometry.append(CheckResult.equal("restriction_sum_identity", lhs, data.h_total))
         f2 = sum(chambers for _, chambers in counts)
         if f2 != f[2]:
             raise AssertionError(
@@ -216,6 +202,6 @@ def verify_row(label: str) -> RowReport:
     else:
         for name in ("n", "h_vector", "t_vector", "f_vector",
                      "restriction_sum_identity"):
-            geometry.append(CheckOutcome(name, "skip", note="no vectors known"))
+            geometry.append(CheckResult(name, None, note="no vectors known"))
     checks = run_data_checks(entry.data(), simplicial=True, irreducible=True)
     return RowReport(entry.label, entry.has_vectors, tuple(geometry), tuple(checks))

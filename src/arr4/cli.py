@@ -16,10 +16,11 @@ Exit codes: 0 success, 1 verification failures, 2 parse/usage errors,
 checks compare independent routes: the Moebius vs the closed-form
 characteristic polynomial and the three integer relations vs the cubic
 discriminant (every report); with chambers enumerated, the chamber count vs
-f3, the walls vs 2 f2, and diagram vs counting verdicts on simply-lacedness
-and irreducibility; in `catalogue verify`, the vertex tallies vs the
-restriction chamber counts for f2.  The chamber walk also certifies that
-each facet's tight corner rays span it.
+f3, the walls vs 2 f2, four walls per chamber vs f2 = 2 f3 on simpliciality,
+and diagram vs counting verdicts on simply-lacedness and irreducibility; in
+`catalogue verify`, the vertex tallies vs the restriction chamber counts for
+f2.  The chamber walk also certifies that each facet's tight corner rays
+span it.
 A closed standard output ends the process by SIGPIPE, without a message.
 The environment variable ARR4_THREADS is validated (a positive integer, else
 exit 2) but otherwise inert: no command starts worker threads or processes,
@@ -147,27 +148,26 @@ def _catalogue_verify(args) -> int:
     else:
         for rep in reports:
             verdict = "ok" if rep.passed else "FAIL"
-            outcomes = rep.geometry + rep.checks
-            skips = sum(1 for o in outcomes if o.status == "skip")
-            print(f"{rep.label:<12} {verdict}  ({len(outcomes) - skips} checks, "
+            results = rep.geometry + rep.checks
+            skips = sum(1 for r in results if r.status == "skip")
+            print(f"{rep.label:<12} {verdict}  ({len(results) - skips} checks, "
                   f"{skips} skipped)")
-            for outcome in outcomes:
-                if outcome.status == "fail":
-                    print(f"    {outcome.result}")
+            for result in rep.failed:
+                print(f"    {result}")
         print(f"{len(reports)} rows, {failures} failures")
     return 1 if failures else 0
 
 
 def _catalogue_export(args) -> int:
     from .catalogue import catalogue_rows
-    from .report import to_json, weight_map
+    from .report import encode_exact, to_json
 
     doc = [
         {
             "label": row.label,
             "n": row.n,
-            "h_vector": weight_map(row.h),
-            "t_vector": weight_map(row.t),
+            "h_vector": encode_exact(row.h),
+            "t_vector": encode_exact(row.t),
             "f_vector": list(row.f),
             "comments": row.comments,
             "has_vectors": row.has_vectors,

@@ -20,6 +20,12 @@ tests.
 
 Every checker accepts plain combinatorial data (n, h-vector, t-vector,
 f-vector), so catalogue rows without known normal vectors can be verified.
+Each check yields one `CheckResult` (name, holds, lhs, rhs, tight, note),
+the same record from checker to JSON; its `status` ("pass", "fail" or
+"skip") is derived from `holds`, which is None for a skipped check.
+`run_data_checks` runs every checker and marks a group skipped, with the
+reason in `note`, when its hypothesis fails (real-rootedness, or
+simpliciality, which takes precedence).
 """
 
 from __future__ import annotations
@@ -271,18 +277,65 @@ class ArrangementData(NamedTuple):
 
 
 class CheckResult(NamedTuple):
-    """Outcome of one named exact comparison."""
+    """One named exact comparison; `holds` is None when it was skipped.
+
+    The constructors `at_most`, `at_least` and `equal` state the relation
+    and set tight = (lhs == rhs); only the Euler relation, the strict
+    double-line dominance and the surd floor of the simply laced suite keep
+    a tightness rule of their own.
+    """
 
     name: str
-    holds: bool
-    lhs: object
-    rhs: object
+    holds: bool | None
+    lhs: object = None
+    rhs: object = None
     tight: bool = False
+    note: str = ""
+
+    @classmethod
+    def at_most(cls, name: str, lhs, rhs) -> "CheckResult":
+        return cls(name, lhs <= rhs, lhs, rhs, lhs == rhs)
+
+    @classmethod
+    def at_least(cls, name: str, lhs, rhs) -> "CheckResult":
+        return cls(name, lhs >= rhs, lhs, rhs, lhs == rhs)
+
+    @classmethod
+    def equal(cls, name: str, lhs, rhs) -> "CheckResult":
+        return cls(name, lhs == rhs, lhs, rhs, lhs == rhs)
+
+    @property
+    def status(self) -> str:
+        if self.holds is None:
+            return "skip"
+        return "pass" if self.holds else "fail"
 
     def __str__(self):
+        if self.holds is None:
+            return f"{self.name}: skipped ({self.note})"
         status = "holds" if self.holds else "FAILS"
         extra = ", tight" if self.tight else ""
         return f"{self.name}: {status} (lhs={self.lhs}, rhs={self.rhs}{extra})"
+
+
+def _window_checks(
+    cap: str, floor: str, value: int, n: int, three_h: int, shift: int = 0
+) -> list[CheckResult]:
+    """Cap and floor of the chamber window at h = three_h / 3, shifted by
+    `shift`, on `value`; both fail, with no rhs, when the window is empty."""
+    window = _chamber_window(n, three_h)
+    if window is None:
+        return [CheckResult(cap, False, value), CheckResult(floor, False, value)]
+    a, s = window
+    return [
+        CheckResult.at_most(cap, value, floor_add_sqrt(a, s, 27) + shift),
+        CheckResult.at_least(floor, value, ceil_sub_sqrt(a, s, 27) + shift),
+    ]
+
+
+def _cube_bound(n: int) -> Fraction:
+    """(n + 2)^3 / 27, the proven chamber cap in rank 4."""
+    return Fraction((n + 2) ** 3, 27)
 
 
 class RealRootReport(NamedTuple):
@@ -309,18 +362,8 @@ def real_roots_test(n: int, h: int, f3: int) -> RealRootReport:
     cubic = char_poly_formula(n, h, f3).reduced_cubic()
     disc = cubic.discriminant()
 
-    cap1 = (n * n + n - 2) // 3
-    r1 = CheckResult("line_weight_cap", h <= cap1, h, cap1, tight=h == cap1)
-    window = _chamber_window(n, 3 * h)
-    if window is None:
-        r2 = CheckResult("chamber_count_cap", False, f3, None)
-        r3 = CheckResult("chamber_count_floor", False, f3, None)
-    else:
-        a, s = window
-        cap2 = floor_add_sqrt(a, s, 27)
-        floor3 = ceil_sub_sqrt(a, s, 27)
-        r2 = CheckResult("chamber_count_cap", f3 <= cap2, f3, cap2, tight=f3 == cap2)
-        r3 = CheckResult("chamber_count_floor", f3 >= floor3, f3, floor3, tight=f3 == floor3)
+    r1 = CheckResult.at_most("line_weight_cap", h, (n * n + n - 2) // 3)
+    r2, r3 = _window_checks("chamber_count_cap", "chamber_count_floor", f3, n, 3 * h)
     verdict = r1.holds and r2.holds and r3.holds
     if verdict != (disc >= 0):
         raise AssertionError(
@@ -336,8 +379,7 @@ def real_roots_test(n: int, h: int, f3: int) -> RealRootReport:
 def check_pair_count(data: ArrangementData) -> CheckResult:
     """Every unordered hyperplane pair meets in exactly one line."""
     lhs = sum(comb(i, 2) * c for i, c in data.h.items())
-    rhs = comb(data.n, 2)
-    return CheckResult("pair_count", lhs == rhs, lhs, rhs, tight=lhs == rhs)
+    return CheckResult.equal("pair_count", lhs, comb(data.n, 2))
 
 
 def check_euler(data: ArrangementData) -> CheckResult:
@@ -348,35 +390,33 @@ def check_euler(data: ArrangementData) -> CheckResult:
 
 def check_facet_pairing(data: ArrangementData) -> CheckResult:
     """f2 = 2 f3: every chamber simplicial by facet counting."""
-    lhs, rhs = data.f[2], 2 * data.f[3]
-    return CheckResult("facet_pairing", lhs == rhs, lhs, rhs, tight=lhs == rhs)
+    return CheckResult.equal("facet_pairing", data.f[2], 2 * data.f[3])
 
 
 def check_chamber_cube_cap(n: int, f3: int) -> CheckResult:
-    rhs = Fraction((n + 2) ** 3, 27)
-    return CheckResult("chamber_cube_cap", f3 <= rhs, f3, rhs, tight=f3 == rhs)
+    return CheckResult.at_most("chamber_cube_cap", f3, _cube_bound(n))
 
 
 def check_heavy_line_quota(data: ArrangementData) -> CheckResult:
     """Lower bound on the weighted count of lines of weight at least three."""
     lhs = sum((i - 1) * (i - 2) * c for i, c in data.h.items() if i >= 3)
     rhs = Fraction((data.n - 4) * (data.n - 1), 3)
-    return CheckResult("heavy_line_quota", lhs >= rhs, lhs, rhs, tight=lhs == rhs)
+    return CheckResult.at_least("heavy_line_quota", lhs, rhs)
 
 
 def check_cube_growth_conjecture(n: int, f3: int) -> CheckResult:
     """Conjectured chamber bound (1 + (n-1)/3)^3; for rank 4 this coincides
     with the proven cube bound, and that coincidence is asserted."""
     rhs = (1 + Fraction(n - 1, 3)) ** 3
-    assert rhs == Fraction((n + 2) ** 3, 27)
-    return CheckResult("cube_growth_conjecture", f3 <= rhs, f3, rhs, tight=f3 == rhs)
+    assert rhs == _cube_bound(n)
+    return CheckResult.at_most("cube_growth_conjecture", f3, rhs)
 
 
 def check_vertex_sum_identity(data: ArrangementData) -> CheckResult:
     """For simplicial arrangements, f3 + n equals the weighted vertex sum."""
-    lhs = data.f[3] + data.n
-    rhs = data.weighted_vertex_sum
-    return CheckResult("vertex_sum_identity", lhs == rhs, lhs, rhs, tight=lhs == rhs)
+    return CheckResult.equal(
+        "vertex_sum_identity", data.f[3] + data.n, data.weighted_vertex_sum
+    )
 
 
 def check_vertex_sum_bounds(data: ArrangementData) -> list[CheckResult]:
@@ -389,21 +429,10 @@ def check_vertex_sum_bounds(data: ArrangementData) -> list[CheckResult]:
     """
     n = data.n
     sit = data.weighted_vertex_sum
-    out = []
-    window = _chamber_window(n, 3 * data.truncated_h())
-    if window is not None:
-        a, s = window
-        cap = floor_add_sqrt(a, s, 27) + n
-        floor_ = ceil_sub_sqrt(a, s, 27) + n
-        out.append(CheckResult("vertex_sum_cap", sit <= cap, sit, cap, tight=sit == cap))
-        out.append(
-            CheckResult("vertex_sum_floor", sit >= floor_, sit, floor_, tight=sit == floor_)
-        )
-    else:
-        out.append(CheckResult("vertex_sum_cap", False, sit, None))
-        out.append(CheckResult("vertex_sum_floor", False, sit, None))
-    cube = Fraction((n + 2) ** 3, 27) + n
-    out.append(CheckResult("vertex_sum_cube_cap", sit <= cube, sit, cube, tight=sit == cube))
+    out = _window_checks(
+        "vertex_sum_cap", "vertex_sum_floor", sit, n, 3 * data.truncated_h(), shift=n
+    )
+    out.append(CheckResult.at_most("vertex_sum_cube_cap", sit, _cube_bound(n) + n))
     return out
 
 
@@ -414,8 +443,7 @@ def check_edge_supply(data: ArrangementData) -> CheckResult:
     rhs = n + sum(
         Fraction(i * (n - i), 3 * (m - i)) * data.h.get(i, 0) for i in range(2, m)
     )
-    lhs = data.weighted_vertex_sum
-    return CheckResult("edge_supply", lhs >= rhs, lhs, rhs, tight=lhs == rhs)
+    return CheckResult.at_least("edge_supply", data.weighted_vertex_sum, rhs)
 
 
 def check_double_line_dominance(h: Mapping[int, int]) -> CheckResult:
@@ -430,9 +458,9 @@ def check_multiplicity_window(
 ) -> list[CheckResult]:
     out = []
     if simplicial and simply_laced:
-        out.append(CheckResult("multiplicity_cap", m <= 7, m, 7, tight=m == 7))
+        out.append(CheckResult.at_most("multiplicity_cap", m, 7))
     if simplicial and irreducible:
-        out.append(CheckResult("multiplicity_floor", m >= 6, m, 6, tight=m == 6))
+        out.append(CheckResult.at_least("multiplicity_floor", m, 6))
     return out
 
 
@@ -442,47 +470,34 @@ def check_simply_laced_bounds(
     """Bound suite for simply laced arrangements with real-rooted polynomial."""
     n = data.n
     h2 = data.h.get(2, 0)
-    h3 = data.h.get(3, 0)
     f3 = data.f[3]
     out = [
-        CheckResult("sl_double_line_cap", h2 <= 2 * n - 2, h2, 2 * n - 2, tight=h2 == 2 * n - 2),
-        CheckResult(
-            "sl_triple_line_floor",
-            h3 >= Fraction((n - 4) * (n - 1), 6),
-            h3,
-            Fraction((n - 4) * (n - 1), 6),
-            tight=h3 == Fraction((n - 4) * (n - 1), 6),
+        CheckResult.at_most("sl_double_line_cap", h2, 2 * n - 2),
+        CheckResult.at_least(
+            "sl_triple_line_floor", data.h.get(3, 0), Fraction((n - 4) * (n - 1), 6)
         ),
+        CheckResult.at_most("sl_chamber_cap", f3, _cube_bound(n)),
     ]
-    cube = Fraction((n + 2) ** 3, 27)
-    out.append(CheckResult("sl_chamber_cap", f3 <= cube, f3, cube, tight=f3 == cube))
     # the chamber floor at 3h = n^2 - n + h2, radicand 2n - 2 - h2
     window = _chamber_window(n, n * n - n + h2)
     if window is not None:
         a, s = window
         holds = f3 >= ceil_sub_sqrt(a, s, 27)
         tight = (a - 27 * f3) ** 2 == s and a - 27 * f3 >= 0
-        out.append(CheckResult("sl_chamber_floor", holds, f3, f"({a} - sqrt({s}))/27", tight=tight))
+        rhs = f"({a} - sqrt({s}))/27"
     else:
-        out.append(CheckResult("sl_chamber_floor", False, f3, None))
+        holds, rhs, tight = False, None, False
+    out.append(CheckResult("sl_chamber_floor", holds, f3, rhs, tight))
     if simplicial:
-        out.append(CheckResult("sl_size_cap", n <= 119, n, 119, tight=n == 119))
+        out.append(CheckResult.at_most("sl_size_cap", n, 119))
     if grunbaum_shephard:
-        out.append(CheckResult("sl_size_cap_gs", n <= 15, n, 15, tight=n == 15))
+        out.append(CheckResult.at_most("sl_size_cap_gs", n, 15))
     return out
 
 
-class CheckOutcome(NamedTuple):
-    """One line of a verification report: a named check with a status."""
-
-    name: str
-    status: str  # "pass" | "fail" | "skip"
-    result: CheckResult | None = None
-    note: str = ""
-
-
-def _outcome(result: CheckResult, note: str = "") -> CheckOutcome:
-    return CheckOutcome(result.name, "pass" if result.holds else "fail", result, note)
+def _skipped(reason: str, results: list[CheckResult]) -> list[CheckResult]:
+    """The same checks, marked skipped for `reason`."""
+    return [CheckResult(result.name, None, note=reason) for result in results]
 
 
 def run_data_checks(
@@ -490,60 +505,51 @@ def run_data_checks(
     *,
     simplicial: bool = True,
     irreducible: bool = True,
-) -> list[CheckOutcome]:
-    """Run every data-only checker against one combinatorial record."""
-    out = [
-        _outcome(check_pair_count(data)),
-        _outcome(check_euler(data)),
-        _outcome(check_facet_pairing(data)),
-    ]
+) -> list[CheckResult]:
+    """Run every data-only checker against one combinatorial record.
+
+    Every checker runs.  A group whose hypothesis fails is reported skipped,
+    with the reason: the cube and quota bounds and the vertex-sum window
+    need a real-rooted polynomial, and the five simplicial identities need
+    a simplicial arrangement, which is the reason given when both fail.  The
+    multiplicity window and the simply laced suite leave out the checks
+    whose hypotheses fail.
+    """
     report = real_roots_test(data.n, data.h_total, data.f[3])
-    for res in report.checks:
-        out.append(_outcome(res))
-    disc = CheckResult(
-        "cubic_discriminant", report.discriminant >= 0, report.discriminant, 0,
-        tight=report.discriminant == 0,
-    )
-    out.append(_outcome(disc))
-    if report.real_rooted:
-        out.append(_outcome(check_chamber_cube_cap(data.n, data.f[3])))
-        out.append(_outcome(check_heavy_line_quota(data)))
-        out.append(_outcome(check_cube_growth_conjecture(data.n, data.f[3])))
-    else:
-        for name in ("chamber_cube_cap", "heavy_line_quota", "cube_growth_conjecture"):
-            out.append(CheckOutcome(name, "skip", note="polynomial is not real-rooted"))
-    out.append(_outcome(check_double_line_dominance(data.h)))
-    if simplicial:
-        out.append(_outcome(check_vertex_sum_identity(data)))
-        trunc_note = ""
-        if data.truncated_h() != data.h_total:
-            trunc_note = (
-                f"truncated h {data.truncated_h()} differs from full h {data.h_total}"
-            )
-        if report.real_rooted:
-            for res in check_vertex_sum_bounds(data):
-                out.append(_outcome(res, trunc_note))
-        else:
-            for name in ("vertex_sum_cap", "vertex_sum_floor", "vertex_sum_cube_cap"):
-                out.append(
-                    CheckOutcome(name, "skip", note="polynomial is not real-rooted")
-                )
-        out.append(_outcome(check_edge_supply(data)))
-    else:
-        for name in ("vertex_sum_identity", "vertex_sum_cap", "vertex_sum_floor",
-                     "vertex_sum_cube_cap", "edge_supply"):
-            out.append(CheckOutcome(name, "skip", note="not simplicial"))
-    for res in check_multiplicity_window(
-        data.m,
-        simplicial=simplicial,
-        simply_laced=data.simply_laced,
-        irreducible=irreducible,
-    ):
-        out.append(_outcome(res))
+    bounds = [
+        check_chamber_cube_cap(data.n, data.f[3]),
+        check_heavy_line_quota(data),
+        check_cube_growth_conjecture(data.n, data.f[3]),
+    ]
+    window = check_vertex_sum_bounds(data)
+    if data.truncated_h() != data.h_total:
+        note = f"truncated h {data.truncated_h()} differs from full h {data.h_total}"
+        window = [result._replace(note=note) for result in window]
+    if not report.real_rooted:
+        reason = "polynomial is not real-rooted"
+        bounds, window = _skipped(reason, bounds), _skipped(reason, window)
+    identities = [check_vertex_sum_identity(data), *window, check_edge_supply(data)]
+    if not simplicial:
+        identities = _skipped("not simplicial", identities)
+    dominance = check_double_line_dominance(data.h)
+    out = [
+        check_pair_count(data),
+        check_euler(data),
+        check_facet_pairing(data),
+        *report.checks,
+        CheckResult.at_least("cubic_discriminant", report.discriminant, 0),
+        *bounds,
+        dominance,
+        *identities,
+        *check_multiplicity_window(
+            data.m,
+            simplicial=simplicial,
+            simply_laced=data.simply_laced,
+            irreducible=irreducible,
+        ),
+    ]
     if data.simply_laced and report.real_rooted:
-        gs = check_double_line_dominance(data.h).holds
-        for res in check_simply_laced_bounds(
-            data, simplicial=simplicial, grunbaum_shephard=gs
-        ):
-            out.append(_outcome(res))
+        out += check_simply_laced_bounds(
+            data, simplicial=simplicial, grunbaum_shephard=dominance.holds
+        )
     return out

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 
 from .invariants import (
     ArrangementData,
-    CheckOutcome,
     CheckResult,
     char_poly_formula,
     char_poly_moebius,
@@ -44,26 +43,17 @@ def encode_exact(value):
     raise TypeError(f"cannot encode {value!r} exactly")
 
 
-def encode_check(result: CheckResult) -> dict:
-    return {
-        "holds": result.holds,
-        "lhs": encode_exact(result.lhs),
-        "rhs": encode_exact(result.rhs),
-        "tight": result.tight,
-    }
-
-
-def encode_outcome(outcome: CheckOutcome) -> dict:
-    doc = {"name": outcome.name, "status": outcome.status}
-    if outcome.result is not None:
-        doc.update(encode_check(outcome.result))
-    if outcome.note:
-        doc["note"] = outcome.note
+def encode_outcome(result: CheckResult) -> dict:
+    """JSON document of one check: a skipped check carries no comparison."""
+    doc = {"name": result.name, "status": result.status}
+    if result.holds is not None:
+        doc["holds"] = result.holds
+        doc["lhs"] = encode_exact(result.lhs)
+        doc["rhs"] = encode_exact(result.rhs)
+        doc["tight"] = result.tight
+    if result.note:
+        doc["note"] = result.note
     return doc
-
-
-def weight_map(vector: dict) -> dict:
-    return {str(k): v for k, v in sorted(vector.items())}
 
 
 def build_report(
@@ -74,9 +64,9 @@ def build_report(
 ) -> dict:
     """Full invariant report for one arrangement.
 
-    Chamber-derived verdicts (simpliciality, simply-lacedness, diagram
-    irreducibility) come from the chamber engine when enumeration runs, and
-    from the counting criteria otherwise.  The chamber engine
+    Simpliciality is the counting verdict f2 = 2 f3.  Simply-lacedness and
+    diagram irreducibility come from the chamber engine when enumeration
+    runs, and from the counting criteria otherwise.  The chamber engine
     (`arr4.chambers`) is imported only when enumeration runs.
 
     The Moebius polynomial is always compared with the closed form in n, h
@@ -86,7 +76,11 @@ def build_report(
     closed form is evaluated again with the chamber count in place of f3,
     which compares Zaslavsky's count from the lattice with the chambers
     found, and the chambers' walls are counted against 2 f2: every 2-cell
-    is a facet of exactly two chambers.
+    is a facet of exactly two chambers.  Then the chamber engine's
+    simpliciality (every chamber has exactly 4 walls) is compared with
+    f2 = 2 f3: a chamber of an essential arrangement is a pointed cone in
+    R^4 and has at least 4 walls, so with 2 f2 walls in all, every chamber
+    has exactly 4 precisely when f2 = 2 f3.
     """
     data = ArrangementData.from_arrangement(arrangement)
     chi = char_poly_moebius(arrangement)
@@ -134,7 +128,10 @@ def build_report(
             for diagram in diagrams:
                 key = diagram.canonical_key()
                 tally[key] = tally.get(key, 0) + 1
-            simplicial = is_simplicial(arrangement)
+            if is_simplicial(arrangement) != simplicial:
+                raise AssertionError(
+                    "wall and facet counting routes disagree about simpliciality"
+                )
             simply_laced = is_simply_laced(arrangement)
             # A disconnected chamber diagram implies a product structure only
             # for simplicial arrangements, so the routes are compared there.
@@ -149,60 +146,49 @@ def build_report(
             }
 
     checks = run_data_checks(data, simplicial=simplicial, irreducible=irreducible)
-    by_name = {o.name: o for o in checks}
+    by_name = {result.name: result for result in checks}
 
     def check_doc(name: str):
-        outcome = by_name.get(name)
-        return encode_outcome(outcome) if outcome else None
+        result = by_name.get(name)
+        return encode_outcome(result) if result else None
 
-    report = {
+    def section(*names: str) -> dict:
+        return {name: check_doc(name) for name in names}
+
+    return {
         "n": data.n,
         "field": arrangement.field.value,
-        "h_vector": weight_map(data.h),
-        "t_vector": weight_map(data.t),
+        "h_vector": encode_exact(data.h),
+        "t_vector": encode_exact(data.t),
         "f_vector": list(data.f),
-        "char_poly": [encode_exact(c) for c in chi.coefficients],
+        "char_poly": encode_exact(chi.coefficients),
         "char_poly_integer_roots": list(chi.integer_roots()),
-        "real_rooted": by_name["cubic_discriminant"].result.holds,
-        "relations": {
-            "line_weight_cap": check_doc("line_weight_cap"),
-            "chamber_count_cap": check_doc("chamber_count_cap"),
-            "chamber_count_floor": check_doc("chamber_count_floor"),
-            "cubic_discriminant": check_doc("cubic_discriminant"),
-        },
+        "real_rooted": by_name["cubic_discriminant"].holds,
+        "relations": section(
+            "line_weight_cap", "chamber_count_cap", "chamber_count_floor",
+            "cubic_discriminant",
+        ),
         "simplicial": simplicial,
         "simply_laced": simply_laced,
         "irreducible": irreducible,
         "multiplicity": data.m,
         "double_line_dominance": check_doc("double_line_dominance"),
-        "simplicial_identities": {
-            "vertex_sum_identity": check_doc("vertex_sum_identity"),
-            "vertex_sum_cap": check_doc("vertex_sum_cap"),
-            "vertex_sum_floor": check_doc("vertex_sum_floor"),
-            "vertex_sum_cube_cap": check_doc("vertex_sum_cube_cap"),
-            "edge_supply": check_doc("edge_supply"),
-        },
+        "simplicial_identities": section(
+            "vertex_sum_identity", "vertex_sum_cap", "vertex_sum_floor",
+            "vertex_sum_cube_cap", "edge_supply",
+        ),
         "bounds": {
-            "chamber_cube_cap": check_doc("chamber_cube_cap"),
-            "heavy_line_quota": check_doc("heavy_line_quota"),
-            "cube_growth_conjecture": check_doc("cube_growth_conjecture"),
-            "multiplicity_cap": check_doc("multiplicity_cap"),
-            "multiplicity_floor": check_doc("multiplicity_floor"),
-            "simply_laced": {
-                name: check_doc(name)
-                for name in (
-                    "sl_double_line_cap",
-                    "sl_triple_line_floor",
-                    "sl_chamber_cap",
-                    "sl_chamber_floor",
-                    "sl_size_cap",
-                    "sl_size_cap_gs",
-                )
-            },
+            **section(
+                "chamber_cube_cap", "heavy_line_quota", "cube_growth_conjecture",
+                "multiplicity_cap", "multiplicity_floor",
+            ),
+            "simply_laced": section(
+                "sl_double_line_cap", "sl_triple_line_floor", "sl_chamber_cap",
+                "sl_chamber_floor", "sl_size_cap", "sl_size_cap_gs",
+            ),
         },
         "chambers": chambers_doc,
     }
-    return report
 
 
 def row_report_doc(report) -> dict:

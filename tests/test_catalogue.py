@@ -262,7 +262,7 @@ def test_verify_row_data_only():
     assert all(o.status == "skip" for o in report.geometry)
     by_name = {o.name: o for o in report.checks}
     for name in ("line_weight_cap", "chamber_count_cap", "chamber_count_floor"):
-        assert by_name[name].status == "pass" and by_name[name].result.tight
+        assert by_name[name].status == "pass" and by_name[name].tight
     report = verify_row("A^3_1(21)")
     assert report.passed
     assert any(o.status == "skip" for o in report.geometry)

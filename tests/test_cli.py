@@ -76,6 +76,17 @@ def test_analyze_non_simplicial_irreducible(capsys, tmp_path):
     assert doc["irreducible"] is True
 
 
+def test_analyze_simpliciality_routes_disagree_exit5(capsys, tmp_path, monkeypatch):
+    # the chamber engine's verdict negated: f2 = 2 f3 no longer matches it
+    is_simplicial = arr4.chambers.is_simplicial
+    monkeypatch.setattr(arr4.chambers, "is_simplicial", lambda arr: not is_simplicial(arr))
+    path = tmp_path / "boolean.arr"
+    path.write_text("field: rational\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    code, out, err = run_cli(capsys, "analyze", str(path), "--json", "--chambers")
+    assert code == 5 and out == ""
+    assert err.startswith("arr4: internal check failed: ") and "simpliciality" in err
+
+
 def test_analyze_round_trip_matches_catalogue(capsys, tmp_path):
     path = tmp_path / "d4.arr"
     assert run_cli(capsys, "generate", "D4", "-o", str(path))[0] == 0
@@ -418,7 +429,7 @@ def test_catalogue_verify_text_fail_line(capsys, monkeypatch):
     def one_failure(label):
         report = verify_row(label)
         first = report.checks[0]
-        failed = first._replace(status="fail", result=first.result._replace(holds=False))
+        failed = first._replace(holds=False)
         return report._replace(checks=(failed, *report.checks[1:]))
 
     monkeypatch.setattr(arr4.catalogue, "verify_row", one_failure)

@@ -9,6 +9,7 @@ from arr4 import (
     Arrangement,
     ArrangementData,
     CharPoly,
+    CheckResult,
     builtin,
     char_poly_formula,
     char_poly_moebius,
@@ -252,3 +253,99 @@ def test_truncated_h_warning_path():
     outcomes = {o.name: o for o in run_data_checks(data, simplicial=True,
                                                    irreducible=False)}
     assert "differs" in outcomes["vertex_sum_cap"].note
+
+
+#: The six-plane input of `test_analyze_non_simplicial_irreducible`: neither
+#: simplicial nor real-rooted.
+SIX_PLANES = (
+    "field: rational\n-2 0 -2 1\n1 1 1 -1\n-2 1 -2 1\n"
+    "1 2 -2 1\n0 -1 2 -2\n0 -2 -2 -2\n"
+)
+
+SIMPLICIAL_IDENTITIES = (
+    "vertex_sum_identity", "vertex_sum_cap", "vertex_sum_floor",
+    "vertex_sum_cube_cap", "edge_supply",
+)
+VERTEX_SUM_WINDOW = ("vertex_sum_cap", "vertex_sum_floor", "vertex_sum_cube_cap")
+REAL_ROOTED_BOUNDS = ("chamber_cube_cap", "heavy_line_quota", "cube_growth_conjecture")
+
+
+def _six_planes() -> Arrangement:
+    from arr4.fileformat import parse_arrangement
+
+    return parse_arrangement(SIX_PLANES)
+
+
+def _report_keys(document) -> list[str]:
+    keys = []
+    for key, value in document.items():
+        keys.append(key)
+        if isinstance(value, dict):
+            keys.extend(_report_keys(value))
+    return keys
+
+
+def test_every_check_sits_in_one_report_section(boolean):
+    # the names run_data_checks emits over the catalogue rows, the boolean
+    # arrangement and the six-plane input, under every simplicial and
+    # irreducible flag, each in exactly one place of the analyze report
+    records = [row.data() for row in catalogue_rows()]
+    records += [ArrangementData.from_arrangement(a) for a in (boolean, _six_planes())]
+    names = {
+        result.name
+        for data, simplicial, irreducible in product(records, (True, False), (True, False))
+        for result in run_data_checks(data, simplicial=simplicial, irreducible=irreducible)
+    }
+    left_out = {"pair_count", "euler_characteristic", "facet_pairing"}
+    assert left_out < names
+    counts = {}
+    for key in _report_keys(build_report(boolean, with_chambers=False)):
+        counts[key] = counts.get(key, 0) + 1
+    for name in names:
+        assert counts.get(name, 0) == (0 if name in left_out else 1), name
+
+
+def test_skip_rule_not_simplicial_not_real_rooted():
+    data = ArrangementData.from_arrangement(_six_planes())
+    assert not real_roots_test(data.n, data.h_total, data.f[3]).real_rooted
+    assert data.f[2] != 2 * data.f[3]
+    results = run_data_checks(data, simplicial=False, irreducible=True)
+    skipped = {r.name: r.note for r in results if r.status == "skip"}
+    assert skipped == {
+        **{name: "not simplicial" for name in SIMPLICIAL_IDENTITIES},
+        **{name: "polynomial is not real-rooted" for name in REAL_ROOTED_BOUNDS},
+    }
+    for result in results:
+        if result.status == "skip":
+            assert result.holds is None and result.lhs is result.rhs is None
+            assert not result.tight
+        else:
+            assert result.holds is not None and not result.note
+    assert not any(r.name.startswith("sl_") for r in results)
+
+
+def test_skip_rule_simplicial_not_real_rooted(generic5):
+    data = ArrangementData.from_arrangement(generic5)
+    assert data.simply_laced
+    assert not real_roots_test(data.n, data.h_total, data.f[3]).real_rooted
+    results = run_data_checks(data, simplicial=True, irreducible=True)
+    skipped = {r.name for r in results if r.status == "skip"}
+    assert skipped & set(SIMPLICIAL_IDENTITIES) == set(VERTEX_SUM_WINDOW)
+    assert skipped == set(VERTEX_SUM_WINDOW + REAL_ROOTED_BOUNDS)
+    # the simply laced suite needs a real-rooted polynomial: absent, not skipped
+    assert not any(r.name.startswith("sl_") for r in results)
+    by_name = {r.name: r for r in results}
+    assert str(by_name["vertex_sum_cap"]) == (
+        "vertex_sum_cap: skipped (polynomial is not real-rooted)"
+    )
+    assert by_name["vertex_sum_cap"].status == "skip"
+
+
+def test_relation_constructors_set_tightness():
+    assert CheckResult.at_most("x", 3, 3) == ("x", True, 3, 3, True, "")
+    assert CheckResult.at_most("x", 4, 3).status == "fail"
+    assert CheckResult.at_least("x", 3, Fraction(5, 2)) == (
+        "x", True, 3, Fraction(5, 2), False, ""
+    )
+    assert CheckResult.equal("x", {2: 1}, {2: 1}).tight
+    assert CheckResult.equal("x", 1, 2).status == "fail"
