@@ -17,6 +17,7 @@ import re
 from fractions import Fraction
 
 from .arrangement import Arrangement
+from .linalg import KERNELS
 from .scalars import Field, QuadScalar
 
 
@@ -120,11 +121,13 @@ def _format_quadratic(x: QuadScalar) -> str:
 
 
 def emit_arrangement(arrangement: Arrangement) -> str:
-    """Canonical file contents for an arrangement: tuple order of the field
-    scalars (ints, or `QuadScalar`s with exact `==` and `<`) sorts the normals."""
+    """Canonical file contents for an arrangement: the canonical normals,
+    sorted by the kernel's `order` of their integer keys, which sorts them
+    as their field points sort, with no field scalar compared."""
     field = arrangement.field
+    kernel = KERNELS[field]
     fmt = _format_quadratic if field is Field.QUADRATIC_TAU else _format_rational
     lines = [f"field: {field.value}"]
-    for vec in sorted(arrangement.normals):
-        lines.append(" ".join(map(fmt, vec)))
+    for key in sorted(arrangement._integer_normals(), key=kernel.order):
+        lines.append(" ".join(map(fmt, kernel.point(key))))
     return "\n".join(lines) + "\n"

@@ -405,11 +405,9 @@ def check_heavy_line_quota(data: ArrangementData) -> CheckResult:
 
 
 def check_cube_growth_conjecture(n: int, f3: int) -> CheckResult:
-    """Conjectured chamber bound (1 + (n-1)/3)^3; for rank 4 this coincides
-    with the proven cube bound, and that coincidence is asserted."""
-    rhs = (1 + Fraction(n - 1, 3)) ** 3
-    assert rhs == _cube_bound(n)
-    return CheckResult.at_most("cube_growth_conjecture", f3, rhs)
+    """Conjectured chamber bound (1 + (n-1)/3)^3; for rank 4 this is the
+    proven cube bound, since (1 + (n-1)/3)^3 = ((n+2)/3)^3 = (n+2)^3/27."""
+    return CheckResult.at_most("cube_growth_conjecture", f3, _cube_bound(n))
 
 
 def check_vertex_sum_identity(data: ArrangementData) -> CheckResult:
