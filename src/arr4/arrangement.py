@@ -24,11 +24,11 @@ keys the plain integer normals off it; the normals at one position, with
 the line's members, are one vertex's members.  Position keys only group
 hits; every key a flat stores comes from `canonical`.
 Vertices are keyed by their member masks.  Each vertex is grouped once, on
-its first line, and later lines skip its members; its lines are then read
-off the pair -> rank-2 flat map (`_pair_lines`), which tallies, per vertex,
-the lines through it and the sum of their weights (`vertex_line_tallies`),
-from which the vertices' Moebius values, the t-vector and the f-vector are
-read.  The pass makes no vertex key: as a line's, it is the canonical
+its first line, and later lines skip its members; its other lines are then
+read off the pair -> rank-2 flat map (`_pair_lines`) from its members off
+the first line, which tallies, per vertex, the lines through it and the
+sum of their weights (`vertex_line_tallies`), from which the vertices'
+Moebius values, the t-vector and the f-vector are read.  The pass makes no vertex key: as a line's, it is the canonical
 `normal` of a basis of its members (its two lowest members and its lowest
 member off their line), made on the first read of `vertices()`, which only
 the chamber walk, `parabolic` and explicit callers do.  A restriction's
@@ -38,9 +38,11 @@ chamber count comes from the positions of the later lines on each line of
 P^2: one `meets` call per line keys them by their pivot minors with it,
 restricting at the pivot of the line's normal as the restriction itself
 restricts at the pivot of h, and each point is grouped once on its first
-line; `restriction_counts` reads that count off `restriction(h)` for every
-h, and nothing of the vertex pass.  A parabolic's normals are the integer
-normals through the vertex with the `pivot` of the vertex key dropped.
+line; `restriction_counts` builds and checks `restriction(h)` for every h
+and reads that count once per distinct set of restricted keys (equal sets
+are one arrangement), and nothing of the vertex pass.  A parabolic's
+normals are the integer normals through the vertex with the `pivot` of the
+vertex key dropped.
 Every rank decision reads the written-out maximal minors of
 `KERNELS[field].normal`: essentialness and the derived arrangements' checks
 take the length of the first basis `linalg.rank_basis` meets, and
@@ -338,14 +340,20 @@ class Arrangement(_CentralArrangement):
         vertex's members (every member of a vertex is on the line or meets
         it there).
 
-        Each vertex is grouped once, on its first line.  Its lines are then
-        walked through `_pair_lines()`: each is asserted to lie inside the
-        vertex (the line of two members passes through their vertex), is
-        tallied, and adds the vertex's mask to its `seen`, so later lines
-        skip the vertex's members.  Two vertices on one line share no
-        member off it, so every group left on a line is a new vertex with
-        its full member mask.  The weight check names a vertex by the point
-        of its key (`_vertex_keys`).
+        Each vertex is grouped once, on its first line, which is tallied
+        directly.  Its other lines are walked through `_pair_lines()` from
+        the group, the vertex's members off the first line: two lines share
+        at most one member, so each other line holds a group member and is
+        tallied from its lowest one, with its weight read from a table built
+        once.  From each group member the walk meets the lines to the first
+        line's members and to the later group members, so every pair of
+        members not both on the first line lies on a line met; each line met
+        is asserted to lie inside the vertex (the line of two members passes
+        through their vertex), and each line tallied adds the vertex's mask
+        to its `seen`, so later lines skip the vertex's members.  Two
+        vertices on one line share no member off it, so every group left on
+        a line is a new vertex with its full member mask.  The weight check
+        names a vertex by the point of its key (`_vertex_keys`).
 
         The pass meets the vertices in member order: a vertex with lowest
         members m1 < m2 is first grouped on the line through them, which
@@ -360,6 +368,7 @@ class Arrangement(_CentralArrangement):
         lines = self._rank2()
         pair_lines = self._pair_lines()
         line_masks = [line.mask for line in lines]
+        line_weights = [line.weight for line in lines]
         # per line: its members and those of the vertices found on it so far
         seen = line_masks[:]
         every = (1 << self.n) - 1
@@ -372,13 +381,13 @@ class Arrangement(_CentralArrangement):
             rows = [row for row in normals if not skip & row[0]]
             for group in kernel.group(*line_forms(line.key, kernel), rows).values():
                 mask = line_mask | group
-                count = total = 0
-                rest = mask
-                while rest:  # the lines inside the vertex, each at its lowest member
+                count, total = 1, line_weights[index]
+                rest = group
+                while rest:  # the other lines inside, each at its lowest member off `line`
                     low = rest & -rest
                     rest ^= low
                     through = pair_lines[low.bit_length() - 1]
-                    todo = rest
+                    todo = line_mask | rest
                     while todo:
                         other = through[(todo & -todo).bit_length() - 1]
                         other_mask = line_masks[other]
@@ -389,10 +398,10 @@ class Arrangement(_CentralArrangement):
                                 f"{members} of two of its members"
                             )
                         todo &= ~other_mask
-                        if other_mask & -other_mask == low:
+                        if not other_mask & group & (low - 1):
                             seen[other] |= mask
                             count += 1
-                            total += other_mask.bit_count()
+                            total += line_weights[other]
                 masks.append(mask)
                 counts.append(count)
                 sums.append(total)
@@ -451,12 +460,22 @@ class Arrangement(_CentralArrangement):
     def restriction_counts(self) -> tuple[tuple[int, int], ...]:
         """(size, projective chamber count) of the restriction to each
         hyperplane h: `restriction(h).n` and its `projective_chamber_count`,
-        which `_rank3_second` reads off the restricted keys.  Cached."""
+        which `_rank3_second` reads off the restricted keys.  Cached.
+
+        Every restriction is built and checked, but its points are counted
+        once per distinct set of restricted keys: equal sets are one rank-3
+        arrangement (of H4's 60 restrictions, 35 are distinct; B4's 16 are
+        one).
+        """
         if "restriction_counts" not in self._cache:
-            self._cache["restriction_counts"] = tuple(
-                (sub.n, sub.projective_chamber_count())
-                for sub in map(self.restriction, range(self.n))
-            )
+            chambers = {}  # frozenset of restricted keys -> chamber count
+            counts = []
+            for sub in map(self.restriction, range(self.n)):
+                keys = frozenset(sub._integer_normals())
+                if keys not in chambers:
+                    chambers[keys] = sub.projective_chamber_count()
+                counts.append((sub.n, chambers[keys]))
+            self._cache["restriction_counts"] = tuple(counts)
         return self._cache["restriction_counts"]
 
     def parabolic(self, vertex: Flat) -> "Rank3Arrangement":

@@ -176,10 +176,12 @@ def verify_row(label: str) -> RowReport:
     recomputed from scratch and compared to the table; data-only rows report
     those comparisons as skipped.  For rows with vectors, f2 is also
     counted restriction by restriction, from the points of the restricted
-    normals (`Arrangement.restriction_counts`), and asserted equal to the f2
-    of the vertex tallies.
+    normals (`Arrangement.restriction_counts`, which counts each distinct
+    set of restricted normals once), and asserted equal to the f2 of the
+    vertex tallies.
     """
     entry = catalogue_entry(label)
+    data = entry.data()
     geometry: list[CheckResult] = []
     if entry.has_vectors:
         arr = builtin(entry.label)
@@ -189,7 +191,6 @@ def verify_row(label: str) -> RowReport:
         f = f_vector(arr)
         geometry.append(CheckResult.equal("f_vector", f, entry.f))
         # h = sum of restriction sizes minus the number of lines
-        data = entry.data()
         counts = arr.restriction_counts()
         lhs = sum(size for size, _ in counts) - data.g1
         geometry.append(CheckResult.equal("restriction_sum_identity", lhs, data.h_total))
@@ -203,5 +204,5 @@ def verify_row(label: str) -> RowReport:
         for name in ("n", "h_vector", "t_vector", "f_vector",
                      "restriction_sum_identity"):
             geometry.append(CheckResult(name, None, note="no vectors known"))
-    checks = run_data_checks(entry.data(), simplicial=True, irreducible=True)
+    checks = run_data_checks(data, simplicial=True, irreducible=True)
     return RowReport(entry.label, entry.has_vectors, tuple(geometry), tuple(checks))

@@ -15,8 +15,8 @@ of each restriction summed over the hyperplanes, so in `analyze` the Euler
 relation holds by construction.  The independent route to f2 builds every
 restriction and counts its points from the restricted normals' own pair
 geometry (`Rank3Arrangement.projective_chamber_count`, summed by
-`Arrangement.restriction_counts`); it runs in `catalogue verify` and in the
-tests.
+`Arrangement.restriction_counts`, which counts each distinct set of
+restricted normals once); it runs in `catalogue verify` and in the tests.
 
 Every checker accepts plain combinatorial data (n, h-vector, t-vector,
 f-vector), so catalogue rows without known normal vectors can be verified.

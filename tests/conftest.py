@@ -6,10 +6,11 @@ from hypothesis import settings
 from helpers import boolean_arrangement, generic5_arrangement
 
 # Example budgets of the tests that set none of their own (the
-# `kernel_property` and `construction_property` tests; every other @given
-# test sets its own): "tier1", loaded here, derandomized, and "search", a
-# larger randomized budget for a time-boxed run,
-# `pytest --hypothesis-profile=search -k "kernel_property or construction_property"`.
+# `kernel_property`, `construction_property` and `restriction_property`
+# tests; every other @given test sets its own): "tier1", loaded here,
+# derandomized, and "search", a larger randomized budget for a time-boxed
+# run, `pytest --hypothesis-profile=search -k "kernel_property or
+# construction_property or restriction_property"`.
 settings.register_profile(
     "tier1", max_examples=100, deadline=None, derandomize=True, database=None
 )

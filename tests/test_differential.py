@@ -12,10 +12,12 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from arr4 import (
     TAU,
     Arrangement,
+    NotEssential,
     Rank3Arrangement,
     builtin,
     char_poly_moebius,
@@ -25,6 +27,7 @@ from arr4 import (
     parse_arrangement,
 )
 from arr4.arrangement import _rank3_second
+from arr4.constructions import _RECIPES, _build
 from arr4.invariants import _mu_data
 from arr4.linalg import _MINORS, KERNELS, cross_forms, hodge_forms
 from arr4.report import build_report, to_json
@@ -37,6 +40,9 @@ from helpers import (
 )
 
 _DRAWS = {Field.RATIONAL: 12, Field.QUADRATIC_TAU: 8}
+
+# coordinates closed under sign changes, drawn in every position
+_POOL = {Field.RATIONAL: (0, 1, -1), Field.QUADRATIC_TAU: (0, 1, -1, TAU, -TAU)}
 
 _BUILTINS = {
     Field.RATIONAL: ("A4", "D4", "B4", "F4"),
@@ -51,7 +57,7 @@ def _draws(field):
 def _heavy_draws(field, count=4, seed=20240619):
     """10-16 distinct hyperplanes with coordinates in {0, +-1} (and +-tau)."""
     rng = random.Random(seed)
-    pool = (0, 1, -1) if field is Field.RATIONAL else (0, 1, -1, TAU, -TAU)
+    pool = _POOL[field]
     out = []
     while len(out) < count:
         size = rng.randint(10, 16)
@@ -154,13 +160,14 @@ def _counting_group(monkeypatch, field):
 
 
 @pytest.mark.parametrize("label, vertex_rows, restriction_rows", [
-    ("H4", 3433, 14340),
+    ("H4", 3433, 8365),
     ("A^3_1(28)", 476, 1892),
 ])
 def test_group_rows_on_builtins(monkeypatch, label, vertex_rows, restriction_rows):
     """Each vertex and each restricted point is grouped once: the rows that
     the vertex pass hands to `group` and the restriction route to `meets`
-    on the two largest Q(tau) built-ins."""
+    on the two largest Q(tau) built-ins (35 distinct restrictions of H4's
+    60 counted, all 28 of A^3_1(28))."""
     template = builtin(label)
     handed = _counting_group(monkeypatch, template.field)
     arr = Arrangement(template.normals, template.field)
@@ -176,7 +183,8 @@ def test_each_flat_grouped_once(monkeypatch, field):
     """The vertex pass hands `group` the w_v - |L| normals off the first line
     L of each vertex v (the line of its two lowest members), and the
     restriction route hands `meets` the w_p - 1 later lines of each
-    restricted point p, Sum_h (chambers_h - 1) rows in all."""
+    restricted point p, once per distinct set of restricted normals:
+    Sum (chambers - 1) over those sets."""
     templates = [builtin(label) for label in _BUILTINS[field]] + _draws(field) + _heavy_draws(field)
     handed = _counting_group(monkeypatch, field)
     for template in templates:
@@ -191,7 +199,11 @@ def test_each_flat_grouped_once(monkeypatch, field):
         assert sum(handed) == sum(arr.vertex_weights()) - first_lines
         handed.clear()
         counts = arr.restriction_counts()
-        assert sum(handed) == sum(chambers - 1 for _, chambers in counts)
+        distinct = {
+            frozenset(arr.restriction(h)._integer_normals()): chambers
+            for h, (_, chambers) in enumerate(counts)
+        }
+        assert sum(handed) == sum(chambers - 1 for chambers in distinct.values())
 
 
 def _rank3_draws(field, count=40, seed=20240620):
@@ -307,6 +319,66 @@ def test_f2_formula_matches_restriction_counts(field):
     """f2 from the vertex tallies equals the restrictions' chamber counts."""
     for arr in _draws(field) + _heavy_draws(field):
         assert f_vector(arr)[2] == sum(chambers for _, chambers in arr.restriction_counts())
+
+
+def _assert_counts_match_restrictions(arr):
+    """Each hyperplane's cached (size, chamber count) is its own
+    restriction's, counted afresh; returns the distinct chamber counts
+    per restriction size."""
+    fresh = tuple(
+        (sub.n, sub.projective_chamber_count()) for sub in map(arr.restriction, range(arr.n))
+    )
+    assert arr.restriction_counts() == fresh
+    by_size = {}
+    for size, chambers in fresh:
+        by_size.setdefault(size, set()).add(chambers)
+    return by_size
+
+
+@pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU])
+def test_restriction_counts_match_each_restriction(field):
+    """On the seeded draws, most of them non-simplicial, and some with
+    restrictions of one size and different chamber counts, so the counts
+    can only be shared between equal sets of restricted normals."""
+    split = 0
+    for arr in _draws(field) + _heavy_draws(field):
+        by_size = _assert_counts_match_restrictions(arr)
+        split += any(len(counts) > 1 for counts in by_size.values())
+    assert split
+
+
+def test_restriction_counts_match_each_restriction_on_rows(monkeypatch):
+    """On every catalogue row built by its construction; B4's 16
+    restrictions have one set of restricted normals, so `meets` is handed
+    the rows of a single restriction."""
+    for label in _RECIPES:
+        _assert_counts_match_restrictions(_build(label))
+    template = builtin("B4")
+    handed = _counting_group(monkeypatch, template.field)
+    arr = Arrangement(template.normals, template.field)
+    counts = arr.restriction_counts()
+    assert len(set(counts)) == 1
+    assert sum(handed) == counts[0][1] - 1
+
+
+@pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU])
+@given(data=st.data())
+def test_restriction_property_counts_match_each_restriction(field, data):
+    """The cached counts against each restriction counted afresh, on 4-16
+    distinct normals with coordinates from `_POOL`: the pool is the same in
+    every position and closed under sign changes, so restrictions with
+    equal sets of restricted normals are common.  Takes its example budget
+    from the loaded hypothesis profile, as the kernel properties do."""
+    vectors = st.tuples(*[st.sampled_from(_POOL[field])] * 4).filter(any)
+    normals = data.draw(st.lists(
+        vectors, min_size=4, max_size=16,
+        unique_by=lambda vec: canonicalize_vector(vec, field),
+    ))
+    try:
+        arr = Arrangement(normals, field)
+    except NotEssential:
+        assume(False)
+    _assert_counts_match_restrictions(arr)
 
 
 @pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU])
