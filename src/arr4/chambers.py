@@ -14,9 +14,13 @@ The per-arrangement context keeps big-int bitsets over the oriented
 corners, built once: bit j is corner j and bit j + C its negation, C the
 number of corners.  Each hyperplane i has `P_i`, `N_i` and `Z_i`, the
 oriented corners on its positive side, on its negative side and on it, read
-off one written-out batch of dots (`KERNELS[field].dots`) per hyperplane.
-The corner rays of the chamber with sign mask m (bit i set where the sign is
--1) are then `ALL & ~(OR_{i in m} P_i | OR_{i not in m} N_i)`, n big-int ORs.
+off its sign code: one digit per corner, from one written-out batch of dots
+(`KERNELS[field].dots`) per hyperplane.  The corners on i must be exactly
+the corner flats with i among their members, so every member's dot is
+checked.  The corner rays of the chamber with sign mask m (bit i set where
+the sign is -1) are then `ALL & ~(OR_{i in m} P_i | OR_{i not in m} N_i)`,
+read off ceil(n/4) side tables: one per block of four hyperplanes, whose 16
+entries are that OR over the block for each of its sign patterns.
 A chamber has only a few corners, so its candidate walls are read off the
 corners' member masks instead of scanning every hyperplane: three running
 ORs over those masks give the hyperplanes on at least dim - 1 corners.
@@ -25,15 +29,17 @@ certified: the maximal minors (`KERNELS[field].normal`) of the first dim - 1
 tight corners' rank forms (primitive ints for rational corners, (a, b)
 integer pairs for Q(tau) ones) must be nonzero, and every further tight
 corner must be orthogonal to them, which proves rank exactly dim - 1.  The
-certificate runs once per distinct facet of a walk, keyed by h and the
-unoriented tight corner set in a set local to that walk: the neighbour
-across h has the same facet, its corners negated when mask canonicalization
-flips the global sign.  The interior witness is the sum of the corner rays'
-rank forms, each a positive rescaling of its ray, so it is a sum of plain
-integers (summed per component of the pairs over Q(tau)) converted to field
-scalars.  No report reads it, so the walk leaves it out: a chamber keeps its
-mask and the context, and reads its signs off the mask and computes its
-witness on demand.
+certificate runs once per distinct facet of a walk, when the first of its
+two chambers is walked: a chamber certifies the facet across h unless the
+neighbour across h is in the walk's set of walked masks.  The interior
+witness is the sum of the corner rays' rank forms, each a positive
+rescaling of its ray, so it is a sum of plain integers (summed per
+component of the pairs over Q(tau)) converted to field scalars.  No report
+reads it, so the walk leaves it out: a chamber keeps its mask and the
+context, and reads its signs off the mask and computes its witness on
+demand.  Each chamber's Coxeter diagram and its label are built in one
+pass and cached beside the chambers; the report's tally and
+`is_irreducible_diagrams` read the labels.
 
 The `walls` operation decides each candidate independently instead, by
 eliminating onto the candidate hyperplane and running an exact strict
@@ -49,7 +55,8 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
+from operator import itemgetter
 from typing import NamedTuple
 
 from .arrangement import _ReadOnly
@@ -142,19 +149,22 @@ class _Context:
 
     Bit j stands for corner j of `corner_flats()` and bit j + size for its
     negation.  `pos[i]`, `neg[i]` and `zero[i]` hold the oriented corners on
-    the positive side of hyperplane i, on its negative side and on it.
-    `members[j]`, for j < 2 * size, is the member mask of the flat of
-    oriented corner j (flat j mod size), so oriented corner j is in
-    `zero[h]` exactly when bit h of `members[j]` is set.  `forms[j]` is the
-    rank form of corner j, its flat's key (primitive ints, or integer pairs
-    for Q(tau)), a positive rescaling of its point.  The context holds no
-    walk state: the facets already certified belong to one walk of
-    `_bfs_chambers`.
+    the positive side of hyperplane i, on its negative side and on it, read
+    off the hyperplane's sign code (`_sides`).  `tables[b]` serves hyperplanes
+    4b to 4b + 3: entry k is the OR, over those hyperplanes, of `pos[i]` where
+    bit i - 4b of k is set and `neg[i]` where it is clear, so `compatible`
+    makes one lookup per block of four hyperplanes.  `members[j]`, for
+    j < 2 * size, is the member mask of the flat of oriented corner j (flat
+    j mod size), so oriented corner j is in `zero[h]` exactly when bit h of
+    `members[j]` is set.  `forms[j]` is the rank form of corner j, its flat's
+    key (primitive ints, or integer pairs for Q(tau)), a positive rescaling of
+    its point.  The context holds no walk state: the chambers already walked
+    belong to one walk of `_bfs_chambers`.
     """
 
     __slots__ = (
         "n", "dim", "kernel", "full", "size", "low", "everything",
-        "pos", "neg", "zero", "members", "forms",
+        "pos", "neg", "zero", "tables", "members", "forms",
     )
 
     def __init__(self, arr):
@@ -162,57 +172,77 @@ class _Context:
         self.dim = arr.dim
         self.full = (1 << arr.n) - 1
         flats = arr.corner_flats()
-        kernel = self.kernel = KERNELS[arr.field]
-        normals = arr._integer_normals()
+        self.kernel = KERNELS[arr.field]
         self.forms = [flat.key for flat in flats]
         self.members = [flat.mask for flat in flats] * 2
         size = self.size = len(flats)
         self.low = (1 << size) - 1
         self.everything = (1 << 2 * size) - 1
-        members, isign = self.members, kernel.sign
+        self.pos, self.neg, self.zero = self._sides(arr, flats)
+        self.tables = []
+        for start in range(0, arr.n, 4):
+            entries = [0]
+            for i in range(start, min(start + 4, arr.n)):
+                entries = [e | self.neg[i] for e in entries] + [e | self.pos[i] for e in entries]
+            self.tables.append(entries * (16 // len(entries)))
+
+    def _sides(self, arr, flats):
+        """(pos, neg, zero) of every hyperplane, from its sign code.
+
+        The sign code of hyperplane i is one digit per corner, last corner
+        first: "1" on its positive side, "2" on its negative side, "0" on it.
+        Each bitset is that code with its own digit mapped to "1" and the
+        others to "0", read in base 2.  The corners on i must be exactly the
+        corner flats with i among their members.
+        """
+        size, kernel = self.size, self.kernel
+        expected = [0] * arr.n
+        for j, flat in enumerate(flats):
+            for i in flat.members:
+                expected[i] |= 1 << j
         pos, neg, zero = [], [], []
-        for i, vi in enumerate(normals):
-            bit = 1 << i
-            plus = minus = on = 0
-            for j, s in enumerate(map(isign, kernel.dots(vi, self.forms))):
-                if members[j] & bit:
-                    on |= 1 << j
-                elif s > 0:
-                    plus |= 1 << j
-                elif s < 0:
-                    minus |= 1 << j
-                else:
-                    raise AssertionError("corner flat membership is incomplete")
+        for i, vi in enumerate(arr._integer_normals()):
+            signs = map(kernel.sign, kernel.dots(vi, self.forms))
+            code = "".join(map(_DIGITS.__getitem__, signs))[::-1]
+            plus = int(code.translate(_PLUS), 2)
+            minus = int(code.translate(_MINUS), 2)
+            on = int(code.translate(_ON), 2)
+            if on != expected[i]:
+                raise AssertionError(
+                    f"corner flat membership disagrees with the signs of hyperplane {i}"
+                )
             pos.append(plus | minus << size)
             neg.append(minus | plus << size)
             zero.append(on | on << size)
-        self.pos, self.neg, self.zero = pos, neg, zero
+        return pos, neg, zero
 
     def compatible(self, mask: int) -> int:
         """Oriented corner rays of the closed cone of the chamber `mask`."""
-        pos, neg = self.pos, self.neg
         against = 0
-        for i in range(self.n):
-            against |= pos[i] if mask >> i & 1 else neg[i]
+        for table in self.tables:
+            against |= table[mask & 15]
+            mask >>= 4
         return self.everything & ~against
 
     def unoriented(self, corners: int) -> int:
         """The corner indices of a set of oriented corners, as bits below size."""
         return corners & self.low | corners >> self.size
 
-    def walls(self, corners: int, certified: set):
-        """Hyperplanes whose tight corners among `corners` span a facet.
+    def walls(self, corners: int, mask: int, walked: set):
+        """Hyperplanes whose tight corners among `corners` span a facet of the
+        chamber `mask`.
 
         The candidates are the hyperplanes on at least dim - 1 of the
         corners, read off the corners' member masks by three running ORs
         (`one`, `two`, `three`: the hyperplanes on at least one, two and
-        three corners so far), ascending.  `certified` holds the facets the
-        current walk has certified, as (hyperplane, unoriented corner set).
-        Each distinct facet is certified by `spans_hyperplane` once: the
-        neighbour across it sees the same corner set, up to the global sign
-        of mask canonicalization, and finds it certified.
+        three corners so far), ascending.  `walked` holds the chamber masks
+        the current walk has walked.  The facet across candidate h, its
+        corners in `zero[h]`, is certified by `spans_hyperplane` unless the
+        neighbour across h is walked: that neighbour shares the facet and
+        certified it.  So each distinct facet is certified once, by the first
+        of its two chambers to be walked.
         """
-        members, zero, forms, kernel = self.members, self.zero, self.forms, self.kernel
+        members, zero, forms, full = self.members, self.zero, self.forms, self.full
         one = two = three = 0
         rest = corners
         while rest:
@@ -223,12 +253,21 @@ class _Context:
             one |= m
             rest ^= low
         out = []
-        for h in _bits(three if self.dim == 4 else two):
-            facet = (h, self.unoriented(corners & zero[h]))
-            if facet not in certified:
-                if not spans_hyperplane([forms[j] for j in _bits(facet[1])], kernel):
+        rest = three if self.dim == 4 else two
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            h = low.bit_length() - 1
+            across = mask ^ low  # the neighbour's mask, canonical as in `_canonical_mask`
+            if (across ^ full if across & 1 else across) not in walked:
+                tight = self.unoriented(corners & zero[h])
+                rows = []
+                while tight:  # the tight corners' forms, ascending
+                    bit = tight & -tight
+                    rows.append(forms[bit.bit_length() - 1])
+                    tight ^= bit
+                if not spans_hyperplane(rows, self.kernel):
                     raise AssertionError("tight corner rays of a facet must span it")
-                certified.add(facet)
             out.append(h)
         return tuple(out)
 
@@ -247,6 +286,14 @@ class _Context:
                 for c in range(self.dim)
             )
         return tuple(total(lambda u: u[c]) for c in range(self.dim))
+
+
+#: sign code digits, indexed by a sign (-1 reads the last), and the
+#: translations of a code to the digits of its pos, neg and zero bitsets
+_DIGITS = "012"
+_PLUS = str.maketrans("2", "0")
+_MINUS = str.maketrans("12", "01")
+_ON = str.maketrans("012", "100")
 
 
 def _bits(x: int):
@@ -269,14 +316,15 @@ def _canonical_mask(mask: int, full: int) -> int:
     return mask ^ full if mask & 1 else mask
 
 
-def _primes(count: int):
+def _primes():
+    """The primes, ascending, made as they are read."""
     found = []
     candidate = 2
-    while len(found) < count:
+    while True:
         if all(candidate % p for p in found):
             found.append(candidate)
+            yield candidate
         candidate += 1
-    return found
 
 
 def generic_point(arr):
@@ -288,7 +336,7 @@ def generic_point(arr):
     """
     kernel = KERNELS[arr.field]
     normals = arr._integer_normals()
-    for p in _primes(3 * arr.n + 8):
+    for p in islice(_primes(), 3 * arr.n + 8):
         cand = tuple(p**k for k in range(arr.dim))
         signs = list(map(kernel.sign, kernel.dots(kernel.ints(cand), normals)))
         if all(signs):
@@ -351,19 +399,22 @@ def _bfs_chambers(arr, limit=None):
             mask |= 1 << i
     mask = _canonical_mask(mask, ctx.full)
     visited = {mask}
+    walked = set()
     queue = deque([mask])
-    certified = set()
     count = 0
     while queue:
         m = queue.popleft()
         corners = ctx.compatible(m)
         if not corners:
             raise AssertionError("enumerated chamber has no extreme rays")
-        wl = ctx.walls(corners, certified)
+        wl = ctx.walls(corners, m, walked)
+        walked.add(m)
         count += 1
         yield Chamber(wl, m, ctx)
         for h in wl:
-            nm = _canonical_mask(m ^ (1 << h), ctx.full)
+            nm = m ^ 1 << h
+            if nm & 1:  # `_canonical_mask`, inline in the walk's hottest loop
+                nm ^= ctx.full
             if nm not in visited:
                 visited.add(nm)
                 queue.append(nm)
@@ -494,7 +545,7 @@ def _shape_of(k: int, edges: tuple):
     shapes.
 
     The label is the smallest upper-triangle weight word over all orderings
-    of k <= 6 walls, and the sorted edge weights beyond six.
+    of k <= 6 walls (`_orderings`), and the sorted edge weights beyond six.
     """
     reached = 1
     grown = True
@@ -507,45 +558,84 @@ def _shape_of(k: int, edges: tuple):
     connected = k <= 1 or reached == (1 << k) - 1
     if k > 6:
         return connected, f"walls={k};weights={sorted(w for _, _, w in edges)}"
-    weight = [[0] * k for _ in range(k)]
+    weight = [0] * (k * k)
     for a, b, w in edges:
-        weight[a][b] = weight[b][a] = w
-    best = None
-    for perm in permutations(range(k)):
-        key = tuple(
-            weight[perm[a]][perm[b]] for a in range(k) for b in range(a + 1, k)
-        )
-        if best is None or key < best:
-            best = key
+        weight[a * k + b] = weight[b * k + a] = w
+    best = min(word(weight) for word in _orderings(k))
     return connected, f"walls={k};graph={','.join(map(str, best))}"
+
+
+@lru_cache(maxsize=None)
+def _orderings(k: int) -> list:
+    """One reader per ordering of k walls, which picks that ordering's
+    upper-triangle weight word off a flattened k x k weight matrix; built
+    once per k, so a new diagram shape costs k! C-level reads."""
+    readers = []
+    for perm in permutations(range(k)):
+        at = [perm[a] * k + perm[b] for a in range(k) for b in range(a + 1, k)]
+        if len(at) > 1:
+            readers.append(itemgetter(*at))
+        else:  # itemgetter returns a bare item for one index
+            readers.append(lambda m, at=at: tuple(m[i] for i in at))
+    return readers
+
+
+def _edges(walls, weights, pair_lines):
+    """(edges by hyperplane, edges by wall position) of the diagram on
+    `walls`: two walls are joined where their rank-2 flat, read through the
+    pair -> rank-2 flat map, has weight >= 3."""
+    edges, placed = [], []
+    for a in range(len(walls)):
+        through = pair_lines[walls[a]]
+        for b in range(a + 1, len(walls)):
+            weight = weights[through[walls[b]]]
+            if weight >= 3:
+                edges.append((walls[a], walls[b], weight))
+                placed.append((a, b, weight))
+    return tuple(edges), tuple(placed)
+
+
+def _line_weights(arr) -> list:
+    """The weight of every rank-2 flat, in `_rank2()` order, cached."""
+    weights = arr._cache.get("line_weights")
+    if weights is None:
+        weights = arr._cache["line_weights"] = [flat.weight for flat in arr._rank2()]
+    return weights
 
 
 def coxeter_diagram(arr, chamber: Chamber) -> CoxeterDiagram:
     """The chamber's walls, joined where two walls meet in a rank-2 flat of
     weight >= 3, read through the arrangement's pair -> rank-2 flat map."""
-    flats, pair_lines = arr._rank2(), arr._pair_lines()
-    edges = []
-    w = chamber.walls
-    for a in range(len(w)):
-        through = pair_lines[w[a]]
-        for b in range(a + 1, len(w)):
-            weight = flats[through[w[b]]].weight
-            if weight >= 3:
-                edges.append((w[a], w[b], weight))
-    return CoxeterDiagram(w, tuple(edges))
+    edges = _edges(chamber.walls, _line_weights(arr), arr._pair_lines())[0]
+    return CoxeterDiagram(chamber.walls, edges)
 
 
 def chamber_diagrams(arr) -> tuple:
     """The Coxeter diagram of every chamber, in `enumerate_chambers` order.
 
     Cached beside the chambers, so a report and the diagram routes build
-    each chamber's diagram once.
+    each chamber's diagram once.  The same pass caches each diagram's
+    `_shape_of` label (`diagram_shapes`).
     """
     cached = arr._cache.get("diagrams")
     if cached is None:
-        cached = tuple(coxeter_diagram(arr, ch) for ch in enumerate_chambers(arr))
-        arr._cache["diagrams"] = cached
+        weights, pair_lines = _line_weights(arr), arr._pair_lines()
+        diagrams, shapes = [], []
+        for ch in enumerate_chambers(arr):
+            edges, placed = _edges(ch.walls, weights, pair_lines)
+            diagrams.append(CoxeterDiagram(ch.walls, edges))
+            shapes.append(_shape_of(len(ch.walls), placed))
+        arr._cache["diagram_shapes"] = tuple(shapes)
+        cached = arr._cache["diagrams"] = tuple(diagrams)
     return cached
+
+
+def diagram_shapes(arr) -> tuple:
+    """(is_connected(), canonical_key()) of every chamber's diagram, in
+    `enumerate_chambers` order, cached with the diagrams: the report's tally
+    and `is_irreducible_diagrams` read these labels."""
+    chamber_diagrams(arr)
+    return arr._cache["diagram_shapes"]
 
 
 def is_simplicial(arr) -> bool:
@@ -579,4 +669,4 @@ def is_simply_laced(arr) -> bool:
 
 def is_irreducible_diagrams(arr) -> bool:
     """Diagram route: every chamber's Coxeter diagram is connected."""
-    return all(d.is_connected() for d in chamber_diagrams(arr))
+    return all(connected for connected, _ in diagram_shapes(arr))

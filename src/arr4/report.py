@@ -98,7 +98,7 @@ def build_report(
     if with_chambers:
         from .chambers import (
             ChamberLimitReached,
-            chamber_diagrams,
+            diagram_shapes,
             enumerate_chambers,
             is_irreducible_diagrams,
             is_simplicial,
@@ -123,11 +123,9 @@ def build_report(
                     f"the chambers have {walls} walls, but the vertex tallies "
                     f"give f2 = {data.f[2]}"
                 )
-            diagrams = chamber_diagrams(arrangement)
             tally: dict[str, int] = {}
-            for diagram in diagrams:
-                key = diagram.canonical_key()
-                tally[key] = tally.get(key, 0) + 1
+            for _, label in diagram_shapes(arrangement):
+                tally[label] = tally.get(label, 0) + 1
             if is_simplicial(arrangement) != simplicial:
                 raise AssertionError(
                     "wall and facet counting routes disagree about simpliciality"

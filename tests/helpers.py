@@ -551,6 +551,16 @@ def reference_walls(ctx, corners):
     return tuple(h for h, on in enumerate(ctx.zero) if (corners & on).bit_count() >= need)
 
 
+def misplaced_corners(flats, n, claims):
+    """The corner flats of an arrangement of n hyperplanes with corner 0's
+    member mask made wrong: it claims the lowest hyperplane its point is
+    off, or omits its lowest member."""
+    first = flats[0]
+    off = ~first.mask & ((1 << n) - 1)
+    mask = first.mask | off & -off if claims else first.mask & (first.mask - 1)
+    return (Flat(mask, first.key), *flats[1:])
+
+
 def reference_canonical_key(diagram):
     """`CoxeterDiagram.canonical_key` by a fresh, uncached search.
 

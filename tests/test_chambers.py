@@ -1,16 +1,20 @@
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import arr4.chambers
 from arr4 import (
+    TAU,
     Arrangement,
     ChamberLimitReached,
     EmptyChamber,
+    NotEssential,
     builtin,
     char_poly_moebius,
     coxeter_diagram,
     enumerate_chambers,
+    f_vector,
     is_irreducible_diagrams,
     is_simplicial,
     is_simply_laced,
@@ -21,7 +25,9 @@ from arr4.chambers import (
     _canonical_mask,
     _Context,
     _context,
+    chamber_diagrams,
     chamber_face_counts,
+    diagram_shapes,
     feasible_strict,
     generic_point,
     simply_laced_h_criterion,
@@ -30,8 +36,10 @@ from arr4.report import build_report
 from arr4.scalars import Field, sign
 from helpers import (
     add_forms,
+    canonicalize_vector,
     chamber_feasible,
     dot,
+    misplaced_corners,
     random_arrangements,
     reference_canonical_key,
     reference_compatible_corners,
@@ -293,12 +301,56 @@ def test_compatible_corners_match_list_scan_random(field, count, boolean, generi
     assert not all(simplicial)
 
 
+def _sides_context(n):
+    """A fresh context of an arrangement with n hyperplanes: the coordinate
+    hyperplanes and further small rational normals for n <= 9, A^3_1(27) and
+    A^3_1(28) (Q(tau)) for n = 27, 28."""
+    if n > 9:
+        template = builtin(f"A^3_1({n})")
+        return _Context(Arrangement(template.normals, template.field))
+    pool = [
+        (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 2, 3, 5),
+        (1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (1, 1, 1, 1),
+    ]
+    return _Context(Arrangement(pool[:n]))
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 27, 28])
+def test_side_tables_match_side_masks(n):
+    """`compatible` through the 4-bit side tables equals the OR of n side
+    masks, on every sign mask for n <= 9 and on random ones beyond: the
+    blocks are full for n = 4, 8, 28 and partial for n = 5, 9, 27."""
+    ctx = _sides_context(n)
+    assert ctx.n == n and len(ctx.tables) == (n + 3) // 4
+    rng = random.Random(20240630)
+    masks = range(1 << n) if n <= 9 else [rng.randrange(1 << n) for _ in range(2000)]
+    for mask in masks:
+        against = 0
+        for i in range(n):
+            against |= ctx.pos[i] if mask >> i & 1 else ctx.neg[i]
+        assert ctx.compatible(mask) == ctx.everything & ~against
+
+
+@pytest.mark.parametrize("claims", [True, False], ids=["claims", "omits"])
+@pytest.mark.parametrize("name", ["A4", "A^3_1(28)"])
+def test_corner_membership_check_fires(name, claims, monkeypatch):
+    """A corner flat whose member mask disagrees with the signs of its point
+    raises as the context is built, in both ranks and both fields."""
+    template = builtin(name)
+    fresh = Arrangement(template.normals, template.field)
+    for arr in (fresh, fresh.restriction(0)):
+        flats = misplaced_corners(arr.corner_flats(), arr.n, claims)
+        monkeypatch.setattr(type(arr), "corner_flats", lambda self, flats=flats: flats)
+        with pytest.raises(AssertionError, match="corner flat membership"):
+            enumerate_chambers(arr)
+
+
 def _walls_agree(arr):
     """Every chamber's walls equal the per-hyperplane popcount scan."""
     ctx = _context(arr)
     for ch in enumerate_chambers(arr):
         corners = ctx.compatible(ch.mask)
-        assert ch.walls == reference_walls(ctx, corners) == ctx.walls(corners, set())
+        assert ch.walls == reference_walls(ctx, corners) == ctx.walls(corners, ch.mask, set())
     return is_simplicial(arr)
 
 
@@ -526,3 +578,58 @@ def test_canonical_key_matches_uncached_search():
             labels.add(diagram.canonical_key())
     # several shapes share a wall count, so a key that ignored the edges fails
     assert len(labels) > len({label.split(";")[0] for label in labels})
+
+
+@pytest.mark.parametrize("walls, edges", [
+    ((), ()), ((3,), ()), ((1, 2), ()), ((1, 2), ((1, 2, 4),)), ((0, 5, 7), ((0, 7, 3),)),
+])
+def test_canonical_key_of_small_diagrams(walls, edges):
+    """Diagrams on fewer than three walls, whose weight words have fewer
+    than two entries, get the same labels as the uncached search."""
+    diagram = arr4.chambers.CoxeterDiagram(walls, edges)
+    assert diagram.canonical_key() == reference_canonical_key(diagram)
+
+
+def test_cached_diagram_labels_match_each_diagram():
+    """The labels cached with the diagrams, which the report tallies and
+    `is_irreducible_diagrams` reads, equal each diagram's own
+    `is_connected()` and `canonical_key()`, and the uncached search."""
+    names = ("A4", "D4", "B4", "F4", "H4", "A^3_1(27)", "A^3_1(28)")
+    arrangements = [builtin(name) for name in names]
+    for field in (Field.RATIONAL, Field.QUADRATIC_TAU):
+        arrangements += random_arrangements(field, 10, seed=20240620)
+    for arr in arrangements:
+        diagrams, shapes = chamber_diagrams(arr), diagram_shapes(arr)
+        assert len(diagrams) == len(shapes) == len(enumerate_chambers(arr))
+        for diagram, shape in zip(diagrams, shapes):
+            assert shape == (diagram.is_connected(), diagram.canonical_key())
+            assert shape[1] == reference_canonical_key(diagram)
+        assert is_irreducible_diagrams(arr) == all(d.is_connected() for d in diagrams)
+
+
+# coordinates closed under sign changes, drawn in every position
+_POOL = {Field.RATIONAL: (0, 1, -1, 2, -2), Field.QUADRATIC_TAU: (0, 1, -1, 2, -2, TAU, -TAU)}
+
+
+@pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU], ids=lambda f: f.value)
+@given(data=st.data())
+def test_chamber_property_walk_matches_lattice_and_fm(field, data):
+    """On 4-8 distinct normals with coordinates from `_POOL`: the walk finds
+    f3 chambers with 2 f2 walls in all, and each chamber's walls equal the
+    Fourier-Motzkin `walls`.  Takes its example budget from the loaded
+    hypothesis profile, as the kernel properties do."""
+    vectors = st.tuples(*[st.sampled_from(_POOL[field])] * 4).filter(any)
+    normals = data.draw(st.lists(
+        vectors, min_size=4, max_size=8,
+        unique_by=lambda vec: canonicalize_vector(vec, field),
+    ))
+    try:
+        arr = Arrangement(normals, field)
+    except NotEssential:
+        assume(False)
+    _, _, f2, f3 = f_vector(arr)
+    chambers = enumerate_chambers(arr)
+    assert len(chambers) == f3
+    assert sum(len(ch.walls) for ch in chambers) == 2 * f2
+    for ch in chambers:
+        assert walls(arr, ch.signs) == ch.walls

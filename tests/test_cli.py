@@ -16,6 +16,7 @@ import arr4.report
 from arr4 import Arrangement
 from arr4.cli import main
 from arr4.invariants import CharPoly
+from helpers import misplaced_corners
 
 
 def run_cli(capsys, *argv):
@@ -339,6 +340,22 @@ def test_internal_check_failure_exit5_facet_certificate(capsys, tmp_path, monkey
     assert code == 5 and out == ""
     assert err.startswith("arr4: internal check failed: ")
     assert "tight corner rays of a facet must span it" in err
+
+
+@pytest.mark.parametrize("claims", [True, False], ids=["claims", "omits"])
+def test_internal_check_failure_exit5_corner_membership(capsys, tmp_path, monkeypatch, claims):
+    # a vertex whose member mask claims a hyperplane its point is off, or
+    # omits one its point is on, disagrees with the signs of that hyperplane
+    corner_flats = Arrangement.corner_flats
+    monkeypatch.setattr(
+        Arrangement, "corner_flats",
+        lambda self: misplaced_corners(corner_flats(self), self.n, claims),
+    )
+    path = tmp_path / "a4.arr"
+    assert run_cli(capsys, "generate", "A4", "-o", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "analyze", str(path), "--json", "--chambers")
+    assert code == 5 and out == ""
+    assert err.startswith("arr4: internal check failed: corner flat membership")
 
 
 def test_internal_check_failure_exit5_irreducibility(capsys, tmp_path, monkeypatch):
