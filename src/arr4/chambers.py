@@ -22,16 +22,20 @@ the sign is -1) are then `ALL & ~(OR_{i in m} P_i | OR_{i not in m} N_i)`,
 read off ceil(n/4) side tables: one per block of four hyperplanes, whose 16
 entries are that OR over the block for each of its sign patterns.
 A chamber has only a few corners, so its candidate walls are read off the
-corners' member masks instead of scanning every hyperplane: three running
-ORs over those masks give the hyperplanes on at least dim - 1 corners.
+corners' member masks instead of scanning every hyperplane: running ORs
+over those masks give the hyperplanes on at least dim - 1 corners.
 Each candidate h is a wall, and its facet, the corners in `Z_h`, is
-certified: the maximal minors (`KERNELS[field].normal`) of the first dim - 1
-tight corners' rank forms (primitive ints for rational corners, (a, b)
-integer pairs for Q(tau) ones) must be nonzero, and every further tight
-corner must be orthogonal to them, which proves rank exactly dim - 1.  The
-certificate runs once per distinct facet of a walk, when the first of its
-two chambers is walked: a chamber certifies the facet across h unless the
-neighbour across h is in the walk's set of walked masks.  The interior
+certified from the corners' rank forms (primitive ints for rational corners,
+(a, b) integer pairs for Q(tau) ones) and maximal minors
+(`KERNELS[field].normal`).  A simplicial chamber, with exactly dim corners,
+certifies all its facets with one determinant: its corners' forms must be
+independent, and each candidate must hold exactly dim - 1 of them, which
+then span it.  Any other chamber certifies each facet on its own: the
+minors of its first dim - 1 tight corners must be nonzero, and every further
+tight corner must be orthogonal to them, which proves rank exactly dim - 1.
+That certificate runs once per distinct facet of a walk, when the first of
+its two chambers is walked: a chamber certifies the facet across h unless
+the neighbour across h is in the walk's set of walked masks.  The interior
 witness is the sum of the corner rays' rank forms, each a positive
 rescaling of its ray, so it is a sum of plain integers (summed per
 component of the pairs over Q(tau)) converted to field scalars.  No report
@@ -125,16 +129,21 @@ def feasible_strict(rows) -> bool:
 
 
 def spans_hyperplane(rows, kernel) -> bool:
-    """Whether dim - 1 or more rank forms of length dim span exactly a hyperplane.
+    """Whether rank forms of length dim span exactly a hyperplane.
 
-    The maximal minors (`kernel.normal`) of the first dim - 1 rows must be
-    nonzero, so those rows are independent, and every further row must be
-    orthogonal to that normal, so it lies in their span: a pass proves rank
-    exactly dim - 1.  The tight corners of a facet pass, ordered any way:
-    two distinct extreme rays of a pointed 2-cone, or three of a pointed
-    3-cone (distinct vertices of a convex polygon), are independent.
+    The certificate of a facet of a chamber with more than dim corners
+    (`_Context.walls`).  Fewer than dim - 1 rows span no hyperplane and
+    fail.  Otherwise the maximal minors (`kernel.normal`) of the first
+    dim - 1 rows must be nonzero, so those rows are independent, and every
+    further row must be orthogonal to that normal, so it lies in their
+    span: a pass proves rank exactly dim - 1.  The tight corners of a facet
+    pass, ordered any way: two distinct extreme rays of a pointed 2-cone,
+    or three of a pointed 3-cone (distinct vertices of a convex polygon),
+    are independent.
     """
     need = len(rows[0]) - 1
+    if len(rows) < need:
+        return False
     normal = kernel.normal(rows[:need])
     isign = kernel.sign
     extra = rows[need:]
@@ -153,13 +162,13 @@ class _Context:
     off the hyperplane's sign code (`_sides`).  `tables[b]` serves hyperplanes
     4b to 4b + 3: entry k is the OR, over those hyperplanes, of `pos[i]` where
     bit i - 4b of k is set and `neg[i]` where it is clear, so `compatible`
-    makes one lookup per block of four hyperplanes.  `members[j]`, for
-    j < 2 * size, is the member mask of the flat of oriented corner j (flat
-    j mod size), so oriented corner j is in `zero[h]` exactly when bit h of
-    `members[j]` is set.  `forms[j]` is the rank form of corner j, its flat's
-    key (primitive ints, or integer pairs for Q(tau)), a positive rescaling of
-    its point.  The context holds no walk state: the chambers already walked
-    belong to one walk of `_bfs_chambers`.
+    makes one lookup per block of four hyperplanes.  `members[j]` is the
+    member mask of corner j's flat, so both orientations of corner j are in
+    `zero[h]` exactly when bit h of `members[j]` is set.  `forms[j]` is the
+    rank form of corner j, its flat's key (primitive ints, or integer pairs
+    for Q(tau)), a positive rescaling of its point.  The context holds no
+    walk state: the chambers already walked belong to one walk of
+    `_bfs_chambers`.
     """
 
     __slots__ = (
@@ -174,7 +183,7 @@ class _Context:
         flats = arr.corner_flats()
         self.kernel = KERNELS[arr.field]
         self.forms = [flat.key for flat in flats]
-        self.members = [flat.mask for flat in flats] * 2
+        self.members = [flat.mask for flat in flats]
         size = self.size = len(flats)
         self.low = (1 << size) - 1
         self.everything = (1 << 2 * size) - 1
@@ -233,40 +242,61 @@ class _Context:
         chamber `mask`.
 
         The candidates are the hyperplanes on at least dim - 1 of the
-        corners, read off the corners' member masks by three running ORs
-        (`one`, `two`, `three`: the hyperplanes on at least one, two and
-        three corners so far), ascending.  `walked` holds the chamber masks
-        the current walk has walked.  The facet across candidate h, its
-        corners in `zero[h]`, is certified by `spans_hyperplane` unless the
-        neighbour across h is walked: that neighbour shares the facet and
-        certified it.  So each distinct facet is certified once, by the first
-        of its two chambers to be walked.
+        corners, read off the corners' member masks by four running ORs
+        (`one` to `four`: the hyperplanes on at least one to four corners so
+        far), ascending; `every` holds those on at least dim corners.  Each
+        candidate is a wall, and its facet is certified in one of two ways.
+
+        A simplicial chamber, one with exactly dim corners, certifies all its
+        facets at once.  The maximal minors of its first dim - 1 corners'
+        rank forms, dotted with the last, must be nonzero, so the dim
+        corners are a basis of K^dim.  One mask test then asserts that no
+        candidate holds all dim corners (no nonzero normal is orthogonal to
+        a basis) and that there are exactly dim candidates (a simplicial
+        cone has one facet per corner, the one opposite it).  So every wall
+        holds exactly dim - 1 corners, and any dim - 1 members of a basis
+        are independent: they span the wall's hyperplane.
+
+        Any other chamber certifies the facet across candidate h, its
+        corners in `zero[h]`, by `spans_hyperplane`, unless the neighbour
+        across h is in `walked`, the chamber masks the current walk has
+        walked: that neighbour shares the facet and certified it.  So each
+        such facet is certified once, by the first of its two chambers to
+        be walked.
         """
-        members, zero, forms, full = self.members, self.zero, self.forms, self.full
-        one = two = three = 0
-        rest = corners
+        members, forms, dim = self.members, self.forms, self.dim
+        one = two = three = four = 0
+        rows = []  # the corners' rank forms, ascending
+        rest = self.unoriented(corners)
         while rest:
             low = rest & -rest
-            m = members[low.bit_length() - 1]
+            j = low.bit_length() - 1
+            m = members[j]
+            four |= three & m
             three |= two & m
             two |= one & m
             one |= m
+            rows.append(forms[j])
             rest ^= low
+        rest, every = (three, four) if dim == 4 else (two, three)
+        if len(rows) == dim:
+            if every or rest.bit_count() != dim:
+                raise AssertionError("a simplicial chamber's walls must each hold all but one corner")
+            last = rows.pop()
+            kernel = self.kernel
+            if not kernel.sign(kernel.dot(kernel.normal(rows), last)):
+                raise AssertionError("the corner rays of a simplicial chamber must be independent")
+            return tuple(_bits(rest))
+        zero, full = self.zero, self.full
         out = []
-        rest = three if self.dim == 4 else two
         while rest:
             low = rest & -rest
             rest ^= low
             h = low.bit_length() - 1
             across = mask ^ low  # the neighbour's mask, canonical as in `_canonical_mask`
             if (across ^ full if across & 1 else across) not in walked:
-                tight = self.unoriented(corners & zero[h])
-                rows = []
-                while tight:  # the tight corners' forms, ascending
-                    bit = tight & -tight
-                    rows.append(forms[bit.bit_length() - 1])
-                    tight ^= bit
-                if not spans_hyperplane(rows, self.kernel):
+                tight = [forms[j] for j in _bits(self.unoriented(corners & zero[h]))]
+                if not spans_hyperplane(tight, self.kernel):
                     raise AssertionError("tight corner rays of a facet must span it")
             out.append(h)
         return tuple(out)
@@ -296,12 +326,14 @@ _MINUS = str.maketrans("12", "01")
 _ON = str.maketrans("012", "100")
 
 
-def _bits(x: int):
+def _bits(x: int) -> list:
     """Indices of the set bits of x, ascending."""
+    out = []
     while x:
         low = x & -x
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         x ^= low
+    return out
 
 
 def _context(arr) -> _Context:

@@ -8,9 +8,10 @@ from helpers import boolean_arrangement, generic5_arrangement
 # Example budgets of the tests that set none of their own (the
 # `kernel_property`, `construction_property`, `restriction_property` and
 # `chamber_property` tests; every other @given test sets its own): "tier1",
-# loaded here, derandomized, and "search", a larger randomized budget for a
-# time-boxed run, `pytest --hypothesis-profile=search -k "kernel_property or
-# construction_property or restriction_property or chamber_property"`.
+# loaded here, derandomized, and "search", a larger randomized budget for
+# time-boxed runs, each with its own 60 s budget in CI: `pytest
+# --hypothesis-profile=search -k "kernel_property or construction_property or
+# restriction_property"`, and `-k chamber_property` on its own.
 settings.register_profile(
     "tier1", max_examples=100, deadline=None, derandomize=True, database=None
 )

@@ -22,7 +22,7 @@ from itertools import permutations
 from math import gcd, isqrt
 
 from arr4 import Arrangement, Field, Flat, QuadScalar, Rank3Arrangement, sign
-from arr4.chambers import _oriented_normals, feasible_strict
+from arr4.chambers import _bits, _canonical_mask, _oriented_normals, feasible_strict, generic_point
 from arr4.invariants import NegativeRadicand, ceil_sub_sqrt, floor_add_sqrt
 from arr4.linalg import _PAIR_INFINITY, KERNELS
 from arr4.scalars import lift
@@ -559,6 +559,50 @@ def misplaced_corners(flats, n, claims):
     off = ~first.mask & ((1 << n) - 1)
     mask = first.mask | off & -off if claims else first.mask & (first.mask - 1)
     return (Flat(mask, first.key), *flats[1:])
+
+
+def seed_chamber(ctx, arr):
+    """(mask, oriented corners) of the first chamber a walk of `arr` walks,
+    the chamber of its generic point, read off the context `ctx`."""
+    _, signs = generic_point(arr)
+    mask = _canonical_mask(sum(1 << i for i, s in enumerate(signs) if s < 0), ctx.full)
+    return mask, ctx.compatible(mask)
+
+
+def seed_corners(ctx, arr):
+    """The unoriented corner indices of the first chamber a walk of `arr`
+    walks (`seed_chamber`)."""
+    return _bits(ctx.unoriented(seed_chamber(ctx, arr)[1]))
+
+
+def tamper_seed_chamber(ctx, arr, how):
+    """Tamper the chamber context `ctx` of `arr` at the corners of the first
+    chamber its walk walks (`seed_corners`), in place:
+
+    - "dependent": the last corner's rank form becomes the sum of the first
+      two corners' forms, so the chamber's corner forms are dependent;
+    - "holds_all": the first corner's member mask gains a hyperplane on
+      all other corners but off it, which then holds every corner;
+    - "holds_short": the first corner's member mask gains a hyperplane on
+      dim - 2 corners and off it, which then passes for one on dim - 1;
+    - "zero": every corner's rank form becomes the zero form.
+    """
+    js = seed_corners(ctx, arr)
+    if how == "dependent":
+        ctx.forms[js[-1]] = add_forms(ctx.forms[js[0]], ctx.forms[js[1]])
+    elif how == "zero":
+        for j in js:
+            ctx.forms[j] = tuple(0 if isinstance(x, int) else (0, 0) for x in ctx.forms[j])
+    else:
+        want = arr.dim - 1 if how == "holds_all" else arr.dim - 2
+        first = js[0]
+        h = next(
+            h for h in range(arr.n)
+            if not ctx.members[first] >> h & 1
+            and sum(ctx.members[j] >> h & 1 for j in js) == want
+        )
+        ctx.members[first] |= 1 << h
+    return ctx
 
 
 def reference_canonical_key(diagram):

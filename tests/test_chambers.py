@@ -21,6 +21,7 @@ from arr4 import (
     walls,
 )
 from arr4.chambers import (
+    _bfs_chambers,
     _bits,
     _canonical_mask,
     _Context,
@@ -32,6 +33,7 @@ from arr4.chambers import (
     generic_point,
     simply_laced_h_criterion,
 )
+from arr4.linalg import KERNELS
 from arr4.report import build_report
 from arr4.scalars import Field, sign
 from helpers import (
@@ -45,6 +47,9 @@ from helpers import (
     reference_compatible_corners,
     reference_corner_signs,
     reference_walls,
+    seed_chamber,
+    seed_corners,
+    tamper_seed_chamber,
 )
 
 
@@ -398,19 +403,80 @@ def test_walk_makes_no_rank_call(monkeypatch):
             assert all(len(ch.walls) == arr.dim for ch in enumerate_chambers(arr))
 
 
+def _per_facet_certificates(arr):
+    """The `spans_hyperplane` calls one walk of arr must make: one per
+    distinct facet whose first chamber walked has more than dim corners
+    (more than dim walls), found by a walk of its own."""
+    walk = list(_bfs_chambers(arr))
+    position = {ch.mask: i for i, ch in enumerate(walk)}
+    full = (1 << arr.n) - 1
+    return sum(
+        position[_canonical_mask(ch.mask ^ 1 << h, full)] > i
+        for i, ch in enumerate(walk)
+        if len(ch.walls) > arr.dim
+        for h in ch.walls
+    )
+
+
 @pytest.mark.parametrize("field,count", [(Field.RATIONAL, 4), (Field.QUADRATIC_TAU, 3)])
 def test_every_facet_certified_once(field, count, rank_calls):
-    """The certificate runs once per distinct facet, on that facet's corners."""
+    """Each simplicial chamber certifies its facets with one determinant, and
+    every other distinct facet is certified once, on that facet's corners,
+    by the first of its chambers to be walked."""
     arrangements = [builtin("A4"), builtin("A^3_1(27)")]
     arrangements += random_arrangements(field, count, seed=20240620)
+    wide = 0
     for template in arrangements:
         fresh = Arrangement(template.normals, template.field)
         for arr in (fresh, fresh.restriction(0)):
+            expected = _per_facet_certificates(type(arr)(arr.normals, arr.field))
+            determinants = []
+            ctx = _Context(arr)
+            dot = ctx.kernel.dot
+            ctx.kernel = ctx.kernel._replace(dot=lambda u, v: determinants.append(1) or dot(u, v))
+            arr._cache["chamber_ctx"] = ctx
             rank_calls.clear()
             chambers = enumerate_chambers(arr)
             facets = sum(len(ch.walls) for ch in chambers)
-            assert facets % 2 == 0 and len(rank_calls) == facets // 2
-            assert min(rank_calls) >= arr.dim - 1
+            assert facets % 2 == 0 and len(rank_calls) == expected <= facets // 2
+            assert len(determinants) == sum(len(ch.walls) == arr.dim for ch in chambers)
+            assert min(rank_calls, default=arr.dim - 1) >= arr.dim - 1
+            wide += expected
+    assert wide > 0  # the random draws reach the per-facet certificate
+
+
+@pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU], ids=lambda f: f.value)
+def test_spans_hyperplane_rejects_too_few_rows(field):
+    """Two independent forms of length 4 have nonzero 2x2 minors, but they
+    span no hyperplane of K^4."""
+    rng = random.Random(20261020)
+    kernel = KERNELS[field]
+    for _ in range(20):
+        if field is Field.RATIONAL:
+            u, v = (tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(2))
+        else:
+            u, v = (tuple((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)) for _ in range(2))
+        if not any(map(kernel.sign, kernel.normal([u, v]))):
+            continue  # dependent: not the case in point
+        assert not arr4.chambers.spans_hyperplane([u, v], kernel)
+        assert not arr4.chambers.spans_hyperplane([u], kernel)
+
+
+def test_non_simplicial_walks_match_fm_walls(rank_calls):
+    """On draws whose first chamber has more than four corners, the walls
+    that the per-facet certificates pass equal the Fourier-Motzkin walls,
+    and no certificate gets fewer than dim - 1 tight corners."""
+    checked = 0
+    for template in random_arrangements(Field.RATIONAL, 12, seed=20240615):
+        arr = Arrangement(template.normals, template.field)
+        if len(seed_corners(_Context(arr), arr)) <= arr.dim:
+            continue
+        rank_calls.clear()
+        for ch in enumerate_chambers(arr):
+            assert ch.walls == walls(arr, ch.signs)
+        assert min(rank_calls) >= arr.dim - 1
+        checked += 1
+    assert checked == 8
 
 
 def _corrupted(arr):
@@ -422,13 +488,72 @@ def _corrupted(arr):
 
 @pytest.mark.parametrize("name", ["A4", "A^3_1(28)"])
 def test_facet_certificate_fires(name):
-    """Tight corners that stop spanning their facet raise, in both ranks."""
+    """A corner with the zero rank form makes the corners of its simplicial
+    chambers dependent, which raises, in both ranks."""
     template = builtin(name)
     fresh = Arrangement(template.normals, template.field)
     for arr in (fresh, fresh.restriction(0)):
         arr._cache["chamber_ctx"] = _corrupted(arr)
+        with pytest.raises(AssertionError, match="corner rays of a simplicial chamber"):
+            enumerate_chambers(arr)
+
+
+#: the tamperings of `helpers.tamper_seed_chamber` that the simplicial
+#: certificate must catch, with the check that fires
+_SIMPLICIAL_MUTANTS = {
+    "dependent": "corner rays of a simplicial chamber must be independent",
+    "holds_all": "walls must each hold all but one corner",
+    "holds_short": "walls must each hold all but one corner",
+}
+
+
+@pytest.mark.parametrize("how", sorted(_SIMPLICIAL_MUTANTS))
+@pytest.mark.parametrize("name", ["A4", "A^3_1(27)"])
+def test_simplicial_certificate_fires(name, how):
+    """Dependent corner forms, or a member mask widened so that a candidate
+    holds dim or dim - 2 of a simplicial chamber's corners, raise, in both
+    ranks and both fields: at that chamber, and in a walk and a report."""
+    template = builtin(name)
+    fresh = Arrangement(template.normals, template.field)
+    for arr in (fresh, fresh.restriction(0)):
+        ctx = tamper_seed_chamber(_Context(arr), arr, how)
+        mask, corners = seed_chamber(ctx, arr)
+        with pytest.raises(AssertionError, match=_SIMPLICIAL_MUTANTS[how]):
+            ctx.walls(corners, mask, set())
+        arr._cache["chamber_ctx"] = ctx
+        with pytest.raises(AssertionError, match=_SIMPLICIAL_MUTANTS[how]):
+            if arr is fresh:
+                build_report(arr, with_chambers=True)
+            else:
+                enumerate_chambers(arr)
+
+
+@pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU], ids=lambda f: f.value)
+def test_facet_certificate_fires_on_wider_chambers(field):
+    """Zero rank forms on the corners of a first chamber with more than dim
+    corners raise from its per-facet certificate, in both ranks."""
+    for arr in (
+        next(a for a in random_arrangements(field, 12, seed=20240615) if len(seed_corners(_Context(a), a)) > 4),
+        next(
+            r for a in random_arrangements(field, 12, seed=20240615)
+            for r in [a.restriction(0)] if len(seed_corners(_Context(r), r)) > 3
+        ),
+    ):
+        arr._cache["chamber_ctx"] = tamper_seed_chamber(_Context(arr), arr, "zero")
         with pytest.raises(AssertionError, match="tight corner rays of a facet"):
             enumerate_chambers(arr)
+
+
+def test_chamber_without_corners_fires():
+    """Side tables that put every corner on the wrong side of the first
+    chamber raise: a walked chamber has corner rays."""
+    template = builtin("A4")
+    arr = Arrangement(template.normals, template.field)
+    ctx = _Context(arr)
+    ctx.tables = [[ctx.everything] * 16 for _ in ctx.tables]
+    arr._cache["chamber_ctx"] = ctx
+    with pytest.raises(AssertionError, match="enumerated chamber has no extreme rays"):
+        enumerate_chambers(arr)
 
 
 def _wide_facet(arr):
@@ -466,13 +591,13 @@ def test_facet_certificate_fires_on_wide_facets(field, generic5):
 
 def test_aborted_walk_leaves_no_certificates(rank_calls):
     """A walk stopped by the limit certifies nothing for the next walk."""
-    template = builtin("D4")
+    template = random_arrangements(Field.RATIONAL, 1, seed=20240615)[0]
     arr = Arrangement(template.normals, template.field)
     with pytest.raises(ChamberLimitReached):
-        enumerate_chambers(arr, limit=10)
+        enumerate_chambers(arr, limit=3)
     rank_calls.clear()
-    chambers = enumerate_chambers(arr)
-    assert len(rank_calls) == sum(len(ch.walls) for ch in chambers) // 2 == 192
+    enumerate_chambers(arr)
+    assert len(rank_calls) == _per_facet_certificates(template) == 29
 
 
 def test_enumeration_limit():

@@ -1,4 +1,5 @@
 import ast
+import gc
 import importlib
 import json
 import os
@@ -13,10 +14,13 @@ import arr4.catalogue
 import arr4.chambers
 import arr4.cli
 import arr4.report
-from arr4 import Arrangement
+from arr4 import Arrangement, Field, builtin, emit_arrangement
 from arr4.cli import main
+from arr4.fileformat import parse_arrangement
 from arr4.invariants import CharPoly
-from helpers import misplaced_corners
+from arr4.report import build_report, to_json
+from golden import random_files
+from helpers import misplaced_corners, random_arrangements, seed_corners, tamper_seed_chamber
 
 
 def run_cli(capsys, *argv):
@@ -325,21 +329,53 @@ def test_internal_check_failure_exit5_f2_routes(capsys, monkeypatch):
     assert "restriction chamber counts sum to 193, the vertex tallies give f2 = 192" in err
 
 
-def test_internal_check_failure_exit5_facet_certificate(capsys, tmp_path, monkeypatch):
-    # a corner with the zero rank form leaves its facets' tight corners
-    # short of spanning them
-    class Corrupted(arr4.chambers._Context):
+def _tamper_contexts(monkeypatch, how):
+    """Every chamber context the command builds is tampered at its walk's
+    first chamber (`helpers.tamper_seed_chamber`)."""
+
+    class Tampered(arr4.chambers._Context):
         def __init__(self, arr):
             super().__init__(arr)
-            self.forms[0] = (0,) * len(self.forms[0])
+            tamper_seed_chamber(self, arr, how)
 
-    monkeypatch.setattr(arr4.chambers, "_Context", Corrupted)
-    path = tmp_path / "a4.arr"
-    assert run_cli(capsys, "generate", "A4", "-o", str(path))[0] == 0
+    monkeypatch.setattr(arr4.chambers, "_Context", Tampered)
+
+
+def test_internal_check_failure_exit5_facet_certificate(capsys, tmp_path, monkeypatch):
+    # zero rank forms on the corners of a first chamber with more than four
+    # corners leave its facets' tight corners short of spanning them
+    text = next(
+        text for arr in random_arrangements(Field.RATIONAL, 12, seed=20240615)
+        for text in [emit_arrangement(arr)]
+        for parsed in [parse_arrangement(text)]
+        if len(seed_corners(arr4.chambers._Context(parsed), parsed)) > 4
+    )
+    _tamper_contexts(monkeypatch, "zero")
+    path = tmp_path / "wide.arr"
+    path.write_text(text)
     code, out, err = run_cli(capsys, "analyze", str(path), "--json", "--chambers")
     assert code == 5 and out == ""
     assert err.startswith("arr4: internal check failed: ")
     assert "tight corner rays of a facet must span it" in err
+
+
+@pytest.mark.parametrize("how,message", [
+    ("dependent", "the corner rays of a simplicial chamber must be independent"),
+    ("holds_all", "a simplicial chamber's walls must each hold all but one corner"),
+    ("holds_short", "a simplicial chamber's walls must each hold all but one corner"),
+])
+@pytest.mark.parametrize("label", ["A4", "A^3_1(27)"])
+def test_internal_check_failure_exit5_simplicial_certificate(
+    capsys, tmp_path, monkeypatch, label, how, message
+):
+    # dependent corner forms, or a member mask widened so that a candidate
+    # holds four or two of a simplicial chamber's corners
+    _tamper_contexts(monkeypatch, how)
+    path = tmp_path / "simplicial.arr"
+    assert run_cli(capsys, "generate", label, "-o", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "analyze", str(path), "--json", "--chambers")
+    assert code == 5 and out == ""
+    assert err == f"arr4: internal check failed: {message}\n"
 
 
 @pytest.mark.parametrize("claims", [True, False], ids=["claims", "omits"])
@@ -493,6 +529,44 @@ def test_cli_import_is_lean():
     loaded = set(done.stdout.decode().split())
     assert "arr4.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_cli_process_runs_without_cyclic_collector():
+    """`arr4.cli.entry`, behind `python -m arr4` and the `arr4` script, turns
+    the cyclic garbage collector off for the process; importing the package
+    leaves it on."""
+    probe = (
+        "import atexit, gc, sys\n"
+        "import arr4.cli\n"
+        "assert gc.isenabled()\n"
+        "atexit.register(lambda: print('collector on:', gc.isenabled(), file=sys.stderr))\n"
+        "sys.argv = ['arr4', 'catalogue', 'list']\n"
+        "arr4.cli.entry()\n"
+    )
+    done = _fresh_python(probe)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stderr.decode() == "collector on: False\n"
+
+
+def test_cyclic_garbage_of_a_report_does_not_grow_with_input():
+    """With the collector off, as in the command line, one report and its
+    JSON leave the same cyclic garbage on inputs of 10, 28 and 20
+    hyperplanes, two simplicial and one not: the lattice and chamber layers
+    build no reference cycles, so nothing the collector would have freed
+    grows with the input."""
+    texts = [emit_arrangement(builtin(label)) for label in ("A4", "A^3_1(28)")]
+    texts.append(next(text for name, text, _ in random_files(1) if name == "generic20"))
+    counts = []
+    for text in texts:
+        arr = parse_arrangement(text)
+        gc.collect()
+        gc.disable()
+        try:
+            to_json(build_report(arr, with_chambers=True))
+            counts.append(gc.collect())
+        finally:
+            gc.enable()
+    assert len(set(counts)) == 1, counts
 
 
 def test_import_arr4_loads_no_submodule():

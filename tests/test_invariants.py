@@ -122,6 +122,18 @@ def test_f_vector_generic5(generic5):
     assert f2 != 2 * f3  # not simplicial
 
 
+def test_f_vector_chamber_count_check_fires():
+    """A cached Moebius polynomial whose value at -1 is not positive (so no
+    chamber count, against Zaslavsky's theorem) raises."""
+    template = builtin("A4")
+    arr = Arrangement(template.normals, template.field)
+    chi = char_poly_moebius(arr)
+    *head, c0 = chi.coefficients
+    arr._cache["moebius"] = CharPoly((*head, c0 - chi(-1)))
+    with pytest.raises(AssertionError, match=r"chi\(-1\) must be positive"):
+        f_vector(arr)
+
+
 def test_f_vector_a4():
     assert f_vector(builtin("A4")) == (15, 75, 120, 60)
 
