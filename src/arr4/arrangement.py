@@ -283,6 +283,12 @@ class _CentralArrangement(_ReadOnly):
             self._cache["pair_lines"] = table
         return self._cache["pair_lines"]
 
+    def _rank2_weights(self):
+        """The weight of every rank-2 flat, in `_rank2()` order."""
+        if "rank2_weights" not in self._cache:
+            self._cache["rank2_weights"] = tuple(flat.weight for flat in self._rank2())
+        return self._cache["rank2_weights"]
+
 
 class Arrangement(_CentralArrangement):
     """An essential central arrangement of n >= 1 hyperplanes in K^4."""
@@ -344,13 +350,14 @@ class Arrangement(_CentralArrangement):
         directly.  Its other lines are walked through `_pair_lines()` from
         the group, the vertex's members off the first line: two lines share
         at most one member, so each other line holds a group member and is
-        tallied from its lowest one, with its weight read from a table built
-        once.  From each group member the walk meets the lines to the first
-        line's members and to the later group members, so every pair of
-        members not both on the first line lies on a line met; each line met
-        is asserted to lie inside the vertex (the line of two members passes
-        through their vertex), and each line tallied adds the vertex's mask
-        to its `seen`, so later lines skip the vertex's members.  Two
+        tallied from its lowest one, with its weight read from
+        `_rank2_weights()`.  From each group member the walk meets the
+        lines to the first line's members and to the later group members,
+        so every pair of members not both on the first line lies on a line
+        met; each line met is asserted to lie inside the vertex (the line
+        of two members passes through their vertex), and each line tallied
+        adds the vertex's mask to its `seen`, so later lines skip the
+        vertex's members.  Two
         vertices on one line share no member off it, so every group left on
         a line is a new vertex with its full member mask.  The weight check
         names a vertex by the point of its key (`_vertex_keys`).
@@ -368,7 +375,7 @@ class Arrangement(_CentralArrangement):
         lines = self._rank2()
         pair_lines = self._pair_lines()
         line_masks = [line.mask for line in lines]
-        line_weights = [line.weight for line in lines]
+        line_weights = self._rank2_weights()
         # per line: its members and those of the vertices found on it so far
         seen = line_masks[:]
         every = (1 << self.n) - 1

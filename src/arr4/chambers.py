@@ -41,9 +41,11 @@ rescaling of its ray, so it is a sum of plain integers (summed per
 component of the pairs over Q(tau)) converted to field scalars.  No report
 reads it, so the walk leaves it out: a chamber keeps its mask and the
 context, and reads its signs off the mask and computes its witness on
-demand.  Each chamber's Coxeter diagram and its label are built in one
-pass and cached beside the chambers; the report's tally and
-`is_irreducible_diagrams` read the labels.
+demand.  Each chamber's diagram is kept as one record, (connected,
+label, heaviest edge weight), read off its edges by wall position and
+cached beside the chambers (`diagram_shapes`); the report's tally and both
+diagram predicates read these records, and `coxeter_diagram` builds a
+chamber's full diagram only on request.
 
 The `walls` operation decides each candidate independently instead, by
 eliminating onto the candidate hyperplane and running an exact strict
@@ -558,7 +560,7 @@ class CoxeterDiagram(NamedTuple):
         return tuple(sorted(deg.values()))
 
     def _shape(self):
-        """(connected, label) of the diagram, memoised per edge pattern."""
+        """`_shape_of` of the diagram's edges by wall position."""
         index = {w: i for i, w in enumerate(self.walls)}
         return _shape_of(len(self.walls), tuple((index[i], index[j], w) for i, j, w in self.edges))
 
@@ -572,9 +574,10 @@ class CoxeterDiagram(NamedTuple):
 
 @lru_cache(maxsize=4096)
 def _shape_of(k: int, edges: tuple):
-    """(connected, canonical label) of a diagram on k walls, its edges given
-    between wall positions; memoised, as most chambers share a few diagram
-    shapes.
+    """(connected, canonical label, heaviest edge weight) of a diagram on k
+    walls, its edges given between wall positions (`_placed`); memoised, as
+    most chambers share a few diagram shapes.  The heaviest weight is 0
+    without edges.
 
     The label is the smallest upper-triangle weight word over all orderings
     of k <= 6 walls (`_orderings`), and the sorted edge weights beyond six.
@@ -588,13 +591,14 @@ def _shape_of(k: int, edges: tuple):
                 reached |= 1 << a | 1 << b
                 grown = True
     connected = k <= 1 or reached == (1 << k) - 1
+    heaviest = max((w for _, _, w in edges), default=0)
     if k > 6:
-        return connected, f"walls={k};weights={sorted(w for _, _, w in edges)}"
+        return connected, f"walls={k};weights={sorted(w for _, _, w in edges)}", heaviest
     weight = [0] * (k * k)
     for a, b, w in edges:
         weight[a * k + b] = weight[b * k + a] = w
     best = min(word(weight) for word in _orderings(k))
-    return connected, f"walls={k};graph={','.join(map(str, best))}"
+    return connected, f"walls={k};graph={','.join(map(str, best))}", heaviest
 
 
 @lru_cache(maxsize=None)
@@ -612,62 +616,43 @@ def _orderings(k: int) -> list:
     return readers
 
 
-def _edges(walls, weights, pair_lines):
-    """(edges by hyperplane, edges by wall position) of the diagram on
-    `walls`: two walls are joined where their rank-2 flat, read through the
+def _placed(walls, weights, pair_lines):
+    """The diagram edges on `walls` by wall position, (a, b, weight) with
+    a < b: two walls are joined where their rank-2 flat, read through the
     pair -> rank-2 flat map, has weight >= 3."""
-    edges, placed = [], []
+    placed = []
     for a in range(len(walls)):
         through = pair_lines[walls[a]]
         for b in range(a + 1, len(walls)):
             weight = weights[through[walls[b]]]
             if weight >= 3:
-                edges.append((walls[a], walls[b], weight))
                 placed.append((a, b, weight))
-    return tuple(edges), tuple(placed)
-
-
-def _line_weights(arr) -> list:
-    """The weight of every rank-2 flat, in `_rank2()` order, cached."""
-    weights = arr._cache.get("line_weights")
-    if weights is None:
-        weights = arr._cache["line_weights"] = [flat.weight for flat in arr._rank2()]
-    return weights
+    return tuple(placed)
 
 
 def coxeter_diagram(arr, chamber: Chamber) -> CoxeterDiagram:
     """The chamber's walls, joined where two walls meet in a rank-2 flat of
-    weight >= 3, read through the arrangement's pair -> rank-2 flat map."""
-    edges = _edges(chamber.walls, _line_weights(arr), arr._pair_lines())[0]
-    return CoxeterDiagram(chamber.walls, edges)
-
-
-def chamber_diagrams(arr) -> tuple:
-    """The Coxeter diagram of every chamber, in `enumerate_chambers` order.
-
-    Cached beside the chambers, so a report and the diagram routes build
-    each chamber's diagram once.  The same pass caches each diagram's
-    `_shape_of` label (`diagram_shapes`).
-    """
-    cached = arr._cache.get("diagrams")
-    if cached is None:
-        weights, pair_lines = _line_weights(arr), arr._pair_lines()
-        diagrams, shapes = [], []
-        for ch in enumerate_chambers(arr):
-            edges, placed = _edges(ch.walls, weights, pair_lines)
-            diagrams.append(CoxeterDiagram(ch.walls, edges))
-            shapes.append(_shape_of(len(ch.walls), placed))
-        arr._cache["diagram_shapes"] = tuple(shapes)
-        cached = arr._cache["diagrams"] = tuple(diagrams)
-    return cached
+    weight >= 3, read through the arrangement's pair -> rank-2 flat map.
+    Built on each call; the report and the diagram predicates read
+    `diagram_shapes` instead."""
+    walls = chamber.walls
+    placed = _placed(walls, arr._rank2_weights(), arr._pair_lines())
+    return CoxeterDiagram(walls, tuple((walls[a], walls[b], w) for a, b, w in placed))
 
 
 def diagram_shapes(arr) -> tuple:
-    """(is_connected(), canonical_key()) of every chamber's diagram, in
-    `enumerate_chambers` order, cached with the diagrams: the report's tally
-    and `is_irreducible_diagrams` read these labels."""
-    chamber_diagrams(arr)
-    return arr._cache["diagram_shapes"]
+    """(connected, canonical label, heaviest edge weight) of every chamber's
+    diagram, in `enumerate_chambers` order: `_shape_of` of its edges by wall
+    position, cached beside the chambers.  The report's tally and both
+    diagram predicates read these records; no `CoxeterDiagram` is built."""
+    cached = arr._cache.get("diagram_shapes")
+    if cached is None:
+        weights, pair_lines = arr._rank2_weights(), arr._pair_lines()
+        cached = arr._cache["diagram_shapes"] = tuple(
+            _shape_of(len(ch.walls), _placed(ch.walls, weights, pair_lines))
+            for ch in enumerate_chambers(arr)
+        )
+    return cached
 
 
 def is_simplicial(arr) -> bool:
@@ -689,7 +674,7 @@ def is_simply_laced(arr) -> bool:
     cone, and a simplicial cone cuts that face out by exactly two of its
     walls, whose diagram edge then carries the flat's weight.
     """
-    verdict = all(max(d.edge_weights(), default=0) < 4 for d in chamber_diagrams(arr))
+    verdict = all(heaviest < 4 for _, _, heaviest in diagram_shapes(arr))
     expected = simply_laced_h_criterion(arr)
     if verdict != expected and is_simplicial(arr):
         raise AssertionError(
@@ -701,4 +686,4 @@ def is_simply_laced(arr) -> bool:
 
 def is_irreducible_diagrams(arr) -> bool:
     """Diagram route: every chamber's Coxeter diagram is connected."""
-    return all(connected for connected, _ in diagram_shapes(arr))
+    return all(connected for connected, _, _ in diagram_shapes(arr))

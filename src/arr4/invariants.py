@@ -107,10 +107,6 @@ class CharPoly(NamedTuple):
             value = value * t + c
         return value
 
-    @classmethod
-    def from_invariants(cls, n: int, h: int, f3: int) -> "CharPoly":
-        return cls((1, -n, h, n - f3, f3 - 1 - h))
-
     def reduced_cubic(self) -> ReducedCubic:
         """Divide by (t - 1); the remainder must vanish."""
         c4, c3, c2, c1, c0 = self.coefficients
@@ -160,7 +156,7 @@ def char_poly_formula(n: int, h: int, f3: int) -> CharPoly:
     """Closed form (t-1)(t^3 + (1-n)t^2 + (h+1-n)t + (h+1-f3)), expanded."""
     if n < 1 or f3 < 1:
         raise ValueError("need n >= 1 and f3 >= 1")
-    return CharPoly.from_invariants(n, h, f3)
+    return CharPoly((1, -n, h, n - f3, f3 - 1 - h))
 
 
 def _mu_data(arrangement: Arrangement):

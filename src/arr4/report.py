@@ -124,7 +124,7 @@ def build_report(
                     f"give f2 = {data.f[2]}"
                 )
             tally: dict[str, int] = {}
-            for _, label in diagram_shapes(arrangement):
+            for _, label, _ in diagram_shapes(arrangement):
                 tally[label] = tally.get(label, 0) + 1
             if is_simplicial(arrangement) != simplicial:
                 raise AssertionError(

@@ -26,7 +26,6 @@ from arr4.chambers import (
     _canonical_mask,
     _Context,
     _context,
-    chamber_diagrams,
     chamber_face_counts,
     diagram_shapes,
     feasible_strict,
@@ -104,21 +103,30 @@ def test_simply_laced_predicates():
 
 
 def test_report_builds_each_diagram_once(monkeypatch):
-    """`build_report` and the diagram routes share one diagram per chamber."""
-    built = []
+    """`build_report` and the diagram predicates share one diagram record
+    per chamber: each chamber's edges are read once, and no
+    `CoxeterDiagram` is built."""
+    placed, built = [], []
+    real_placed = arr4.chambers._placed
+
+    def counting_placed(*args):
+        placed.append(args)
+        return real_placed(*args)
 
     class Counting(arr4.chambers.CoxeterDiagram):
         def __new__(cls, *args):
             built.append(args)
             return super().__new__(cls, *args)
 
+    monkeypatch.setattr(arr4.chambers, "_placed", counting_placed)
     monkeypatch.setattr(arr4.chambers, "CoxeterDiagram", Counting)
     arr = Arrangement(builtin("A4").normals)  # fresh, with nothing cached
     report = build_report(arr, with_chambers=True)
     assert report["chambers"]["count"] == 60
-    assert len(built) == len(enumerate_chambers(arr)) == 60
+    assert len(placed) == len(enumerate_chambers(arr)) == 60
     assert is_simply_laced(arr) and is_irreducible_diagrams(arr)
-    assert len(built) == 60
+    assert len(placed) == 60
+    assert built == []
 
 
 def test_irreducibility_agreement(boolean):
@@ -716,20 +724,24 @@ def test_canonical_key_of_small_diagrams(walls, edges):
 
 
 def test_cached_diagram_labels_match_each_diagram():
-    """The labels cached with the diagrams, which the report tallies and
-    `is_irreducible_diagrams` reads, equal each diagram's own
-    `is_connected()` and `canonical_key()`, and the uncached search."""
+    """The cached diagram records, which the report tallies and both
+    diagram predicates read, equal each chamber's `coxeter_diagram`: its
+    `is_connected()`, `canonical_key()` and heaviest edge weight, and the
+    uncached search."""
     names = ("A4", "D4", "B4", "F4", "H4", "A^3_1(27)", "A^3_1(28)")
     arrangements = [builtin(name) for name in names]
     for field in (Field.RATIONAL, Field.QUADRATIC_TAU):
         arrangements += random_arrangements(field, 10, seed=20240620)
     for arr in arrangements:
-        diagrams, shapes = chamber_diagrams(arr), diagram_shapes(arr)
-        assert len(diagrams) == len(shapes) == len(enumerate_chambers(arr))
-        for diagram, shape in zip(diagrams, shapes):
-            assert shape == (diagram.is_connected(), diagram.canonical_key())
+        chambers, shapes = enumerate_chambers(arr), diagram_shapes(arr)
+        assert len(shapes) == len(chambers)
+        diagrams = [coxeter_diagram(arr, ch) for ch in chambers]
+        heaviest = [max(d.edge_weights(), default=0) for d in diagrams]
+        for diagram, weight, shape in zip(diagrams, heaviest, shapes):
+            assert shape == (diagram.is_connected(), diagram.canonical_key(), weight)
             assert shape[1] == reference_canonical_key(diagram)
         assert is_irreducible_diagrams(arr) == all(d.is_connected() for d in diagrams)
+        assert is_simply_laced(arr) == all(weight < 4 for weight in heaviest)
 
 
 # coordinates closed under sign changes, drawn in every position
