@@ -88,6 +88,16 @@ class _ReadOnly:
         raise AttributeError(f"{type(self).__name__} is read-only; cannot delete {name!r}")
 
 
+def _bits(x: int) -> list:
+    """Indices of the set bits of x, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
 class Flat(_ReadOnly):
     """A flat of the intersection lattice: the hyperplanes containing it.
 
@@ -99,13 +109,8 @@ class Flat(_ReadOnly):
     __slots__ = ("members", "mask", "weight", "key")
 
     def __init__(self, mask, key):
-        members = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            members.append(low.bit_length() - 1)
-            rest ^= low
-        object.__setattr__(self, "members", tuple(members))  # sorted hyperplane indices
+        members = tuple(_bits(mask))
+        object.__setattr__(self, "members", members)          # sorted hyperplane indices
         object.__setattr__(self, "mask", mask)                # same set as a bitmask
         object.__setattr__(self, "weight", len(members))
         object.__setattr__(self, "key", key)
@@ -347,7 +352,7 @@ class Arrangement(_CentralArrangement):
         it there).
 
         Each vertex is grouped once, on its first line, which is tallied
-        directly.  Its other lines are walked through `_pair_lines()` from
+        directly.  Its other lines are reached through `_pair_lines()` from
         the group, the vertex's members off the first line: two lines share
         at most one member, so each other line holds a group member and is
         tallied from its lowest one, with its weight read from
@@ -364,7 +369,7 @@ class Arrangement(_CentralArrangement):
 
         The pass meets the vertices in member order: a vertex with lowest
         members m1 < m2 is first grouped on the line through them, which
-        comes first among its lines; lines are walked in member order, and
+        comes first among its lines; lines are taken in member order, and
         one line's hits are grouped in the order of their lowest member.
         """
         if "vertex_pass" in self._cache:
@@ -514,42 +519,33 @@ class Arrangement(_CentralArrangement):
         a subset of the normals, from the fundamental circuits of the first
         basis B (`rank_basis`): a normal e off B is tied to every b in B with
         B - b + e again a basis, i.e. with a nonzero dot of e and the normal
-        (`KERNELS[field].normal`) of B - b, read off one `dots` batch per b
-        (of the basis, only b itself is off that normal).  The blocks are
-        the classes of that relation; the arrangement is reducible exactly
-        when there are at least two.
+        (`KERNELS[field].normal`) of B - b.  So each b ties the mask of the
+        normals with a nonzero dot against that normal, read off one `dots`
+        batch (of the basis, only b itself is off it).  The blocks are those
+        tie masks merged wherever they meet; every normal is in one, and the
+        arrangement is reducible exactly when there are at least two.
         """
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-
         kernel = self._kernel
         sign = kernel.sign
         ints = self._integer_normals()
         basis = rank_basis(ints, kernel)
         rows = [ints[b] for b in basis]
-        for k, b in enumerate(basis):
+        blocks = []
+        for k in range(len(basis)):
             normal = kernel.normal(rows[:k] + rows[k + 1:])
+            tie = 0
             for e, x in enumerate(kernel.dots(normal, ints)):
                 if sign(x):
-                    union(e, b)
-        blocks = {}
-        for i in range(self.n):
-            blocks.setdefault(find(i), []).append(i)
-        parts = sorted(blocks.values(), key=lambda blk: blk[0])
-        if len(parts) == 1:
+                    tie |= 1 << e
+            for block in [block for block in blocks if block & tie]:
+                blocks.remove(block)
+                tie |= block
+            blocks.append(tie)
+        if len(blocks) == 1:
             return None
-        first = tuple(parts[0])
-        rest = tuple(sorted(i for blk in parts[1:] for i in blk))
+        blocks.sort(key=lambda block: block & -block)
+        first = tuple(_bits(blocks[0]))
+        rest = tuple(_bits(sum(blocks[1:])))
         return (first, rest)
 
     # chamber machinery reads corner flats generically (vertices here,

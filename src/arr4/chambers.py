@@ -12,40 +12,41 @@ span a hyperplane of the ambient space.
 
 The per-arrangement context keeps big-int bitsets over the oriented
 corners, built once: bit j is corner j and bit j + C its negation, C the
-number of corners.  Each hyperplane i has `P_i`, `N_i` and `Z_i`, the
-oriented corners on its positive side, on its negative side and on it, read
-off its sign code: one digit per corner, from one written-out batch of dots
-(`KERNELS[field].dots`) per hyperplane.  The corners on i must be exactly
+number of corners.  Each hyperplane i has a sign code: one digit per
+corner, from one written-out batch of dots (`KERNELS[field].dots`) per
+hyperplane, which gives the oriented corners on its positive side and on
+its negative side.  The corners off both sides, those on i, must be exactly
 the corner flats with i among their members, so every member's dot is
 checked.  The corner rays of the chamber with sign mask m (bit i set where
-the sign is -1) are then `ALL & ~(OR_{i in m} P_i | OR_{i not in m} N_i)`,
-read off ceil(n/4) side tables: one per block of four hyperplanes, whose 16
-entries are that OR over the block for each of its sign patterns.
+the sign is -1) are then the oriented corners that no hyperplane puts on
+the wrong side, read off ceil(n/4) side tables: one per block of four
+hyperplanes, whose 16 entries are the OR of the wrong sides over the block
+for each of its sign patterns.
 A chamber has only a few corners, so its candidate walls are read off the
 corners' member masks instead of scanning every hyperplane: running ORs
 over those masks give the hyperplanes on at least dim - 1 corners.
-Each candidate h is a wall, and its facet, the corners in `Z_h`, is
-certified from the corners' rank forms (primitive ints for rational corners,
-(a, b) integer pairs for Q(tau) ones) and maximal minors
+Each candidate h is a wall, and its facet, the corners with h among their
+members, is certified from the corners' rank forms (primitive ints for
+rational corners, (a, b) integer pairs for Q(tau) ones) and maximal minors
 (`KERNELS[field].normal`).  A simplicial chamber, with exactly dim corners,
 certifies all its facets with one determinant: its corners' forms must be
 independent, and each candidate must hold exactly dim - 1 of them, which
 then span it.  Any other chamber certifies each facet on its own: the
 minors of its first dim - 1 tight corners must be nonzero, and every further
 tight corner must be orthogonal to them, which proves rank exactly dim - 1.
-That certificate runs once per distinct facet of a walk, when the first of
-its two chambers is walked: a chamber certifies the facet across h unless
-the neighbour across h is in the walk's set of walked masks.  The interior
-witness is the sum of the corner rays' rank forms, each a positive
-rescaling of its ray, so it is a sum of plain integers (summed per
-component of the pairs over Q(tau)) converted to field scalars.  No report
-reads it, so the walk leaves it out: a chamber keeps its mask and the
-context, and reads its signs off the mask and computes its witness on
-demand.  Each chamber's diagram is kept as one record, (connected,
-label, heaviest edge weight), read off its edges by wall position and
-cached beside the chambers (`diagram_shapes`); the report's tally and both
-diagram predicates read these records, and `coxeter_diagram` builds a
-chamber's full diagram only on request.
+Such a chamber certifies the facet across h exactly when the neighbour
+across h has the larger canonical mask, so a chamber's walls and
+certificates depend on that chamber alone; a complete walk reaches both
+sides of every facet.  The interior witness is the sum of the corner
+rays' rank forms, each a positive rescaling of its ray, so it is a sum of
+plain integers (summed per component of the pairs over Q(tau)) converted
+to field scalars.  No report reads it, so the walk leaves it out: a
+chamber keeps its mask and the context, and reads its signs off the mask
+and computes its witness on demand.  Each chamber's diagram is kept as one
+record, (connected, label, heaviest edge weight), read off its edges by
+wall position and cached beside the chambers (`diagram_shapes`); the
+report's tally and both diagram predicates read these records, and
+`coxeter_diagram` builds a chamber's full diagram only on request.
 
 The `walls` operation decides each candidate independently instead, by
 eliminating onto the candidate hyperplane and running an exact strict
@@ -65,7 +66,7 @@ from itertools import islice, permutations
 from operator import itemgetter
 from typing import NamedTuple
 
-from .arrangement import _ReadOnly
+from .arrangement import _ReadOnly, _bits
 from .linalg import KERNELS, pivot, rank_basis
 from .scalars import Field, QuadScalar
 
@@ -156,26 +157,24 @@ def spans_hyperplane(rows, kernel) -> bool:
 
 
 class _Context:
-    """Per-hyperplane bitsets over the oriented corners of one arrangement.
+    """Side tables, member masks and rank forms of one arrangement's corners.
 
-    Bit j stands for corner j of `corner_flats()` and bit j + size for its
-    negation.  `pos[i]`, `neg[i]` and `zero[i]` hold the oriented corners on
-    the positive side of hyperplane i, on its negative side and on it, read
-    off the hyperplane's sign code (`_sides`).  `tables[b]` serves hyperplanes
-    4b to 4b + 3: entry k is the OR, over those hyperplanes, of `pos[i]` where
-    bit i - 4b of k is set and `neg[i]` where it is clear, so `compatible`
-    makes one lookup per block of four hyperplanes.  `members[j]` is the
-    member mask of corner j's flat, so both orientations of corner j are in
-    `zero[h]` exactly when bit h of `members[j]` is set.  `forms[j]` is the
-    rank form of corner j, its flat's key (primitive ints, or integer pairs
-    for Q(tau)), a positive rescaling of its point.  The context holds no
-    walk state: the chambers already walked belong to one walk of
-    `_bfs_chambers`.
+    Bit j of an oriented corner set stands for corner j of `corner_flats()`
+    and bit j + size for its negation.  `tables[b]` serves hyperplanes 4b to
+    4b + 3: entry k is the OR, over those hyperplanes, of the oriented
+    corners on the positive side of hyperplane i where bit i - 4b of k is
+    set and on its negative side where it is clear (`_sides`), so
+    `compatible` makes one lookup per block of four hyperplanes.
+    `members[j]` is the member mask of corner j's flat: both orientations of
+    corner j lie on hyperplane h exactly when bit h of `members[j]` is set.
+    `forms[j]` is the rank form of corner j, its flat's key (primitive ints,
+    or integer pairs for Q(tau)), a positive rescaling of its point.  The
+    context holds no walk state.
     """
 
     __slots__ = (
         "n", "dim", "kernel", "full", "size", "low", "everything",
-        "pos", "neg", "zero", "tables", "members", "forms",
+        "tables", "members", "forms",
     )
 
     def __init__(self, arr):
@@ -189,43 +188,41 @@ class _Context:
         size = self.size = len(flats)
         self.low = (1 << size) - 1
         self.everything = (1 << 2 * size) - 1
-        self.pos, self.neg, self.zero = self._sides(arr, flats)
+        sides = self._sides(arr, flats)
         self.tables = []
         for start in range(0, arr.n, 4):
             entries = [0]
-            for i in range(start, min(start + 4, arr.n)):
-                entries = [e | self.neg[i] for e in entries] + [e | self.pos[i] for e in entries]
+            for pos, neg in sides[start:start + 4]:
+                entries = [e | neg for e in entries] + [e | pos for e in entries]
             self.tables.append(entries * (16 // len(entries)))
 
     def _sides(self, arr, flats):
-        """(pos, neg, zero) of every hyperplane, from its sign code.
+        """(pos, neg) of every hyperplane: the oriented corners on its
+        positive side and on its negative side, read off its sign code.
 
         The sign code of hyperplane i is one digit per corner, last corner
         first: "1" on its positive side, "2" on its negative side, "0" on it.
-        Each bitset is that code with its own digit mapped to "1" and the
-        others to "0", read in base 2.  The corners on i must be exactly the
-        corner flats with i among their members.
+        `plus` and `minus` are that code with "1", or "2", mapped to "1" and
+        the others to "0", read in base 2.  The corners on i, those in
+        neither, must be exactly the corner flats with i among their members.
         """
         size, kernel = self.size, self.kernel
         expected = [0] * arr.n
         for j, flat in enumerate(flats):
             for i in flat.members:
                 expected[i] |= 1 << j
-        pos, neg, zero = [], [], []
+        sides = []
         for i, vi in enumerate(arr._integer_normals()):
             signs = map(kernel.sign, kernel.dots(vi, self.forms))
             code = "".join(map(_DIGITS.__getitem__, signs))[::-1]
             plus = int(code.translate(_PLUS), 2)
             minus = int(code.translate(_MINUS), 2)
-            on = int(code.translate(_ON), 2)
-            if on != expected[i]:
+            if self.low ^ (plus | minus) != expected[i]:
                 raise AssertionError(
                     f"corner flat membership disagrees with the signs of hyperplane {i}"
                 )
-            pos.append(plus | minus << size)
-            neg.append(minus | plus << size)
-            zero.append(on | on << size)
-        return pos, neg, zero
+            sides.append((plus | minus << size, minus | plus << size))
+        return sides
 
     def compatible(self, mask: int) -> int:
         """Oriented corner rays of the closed cone of the chamber `mask`."""
@@ -239,7 +236,7 @@ class _Context:
         """The corner indices of a set of oriented corners, as bits below size."""
         return corners & self.low | corners >> self.size
 
-    def walls(self, corners: int, mask: int, walked: set):
+    def walls(self, corners: int, mask: int):
         """Hyperplanes whose tight corners among `corners` span a facet of the
         chamber `mask`.
 
@@ -260,11 +257,10 @@ class _Context:
         are independent: they span the wall's hyperplane.
 
         Any other chamber certifies the facet across candidate h, its
-        corners in `zero[h]`, by `spans_hyperplane`, unless the neighbour
-        across h is in `walked`, the chamber masks the current walk has
-        walked: that neighbour shares the facet and certified it.  So each
-        such facet is certified once, by the first of its two chambers to
-        be walked.
+        corners j with bit h of `members[j]` set, by `spans_hyperplane`,
+        exactly when the neighbour across h has the larger canonical mask.
+        A complete walk reaches both sides of every facet, so, whatever its
+        order, it certifies each facet between two such chambers once.
         """
         members, forms, dim = self.members, self.forms, self.dim
         one = two = three = four = 0
@@ -289,15 +285,16 @@ class _Context:
             if not kernel.sign(kernel.dot(kernel.normal(rows), last)):
                 raise AssertionError("the corner rays of a simplicial chamber must be independent")
             return tuple(_bits(rest))
-        zero, full = self.zero, self.full
+        full = self.full
+        js = _bits(self.unoriented(corners))
         out = []
         while rest:
             low = rest & -rest
             rest ^= low
             h = low.bit_length() - 1
             across = mask ^ low  # the neighbour's mask, canonical as in `_canonical_mask`
-            if (across ^ full if across & 1 else across) not in walked:
-                tight = [forms[j] for j in _bits(self.unoriented(corners & zero[h]))]
+            if (across ^ full if across & 1 else across) > mask:
+                tight = [forms[j] for j in js if members[j] >> h & 1]
                 if not spans_hyperplane(tight, self.kernel):
                     raise AssertionError("tight corner rays of a facet must span it")
             out.append(h)
@@ -321,21 +318,10 @@ class _Context:
 
 
 #: sign code digits, indexed by a sign (-1 reads the last), and the
-#: translations of a code to the digits of its pos, neg and zero bitsets
+#: translations of a code to the digits of its plus and minus bitsets
 _DIGITS = "012"
 _PLUS = str.maketrans("2", "0")
 _MINUS = str.maketrans("12", "01")
-_ON = str.maketrans("012", "100")
-
-
-def _bits(x: int) -> list:
-    """Indices of the set bits of x, ascending."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
 
 
 def _context(arr) -> _Context:
@@ -433,7 +419,6 @@ def _bfs_chambers(arr, limit=None):
             mask |= 1 << i
     mask = _canonical_mask(mask, ctx.full)
     visited = {mask}
-    walked = set()
     queue = deque([mask])
     count = 0
     while queue:
@@ -441,8 +426,7 @@ def _bfs_chambers(arr, limit=None):
         corners = ctx.compatible(m)
         if not corners:
             raise AssertionError("enumerated chamber has no extreme rays")
-        wl = ctx.walls(corners, m, walked)
-        walked.add(m)
+        wl = ctx.walls(corners, m)
         count += 1
         yield Chamber(wl, m, ctx)
         for h in wl:
@@ -480,14 +464,12 @@ def chamber_face_counts(arr, chamber):
     corners = ctx.compatible(chamber.mask)
     if arr.dim == 3:
         return corners.bit_count(), len(chamber.walls)
-    zero = ctx.zero
+    js = _bits(ctx.unoriented(corners))
     edges = 0
     for flat in arr.lines():
-        tight = corners
-        for i in flat.members:
-            tight &= zero[i]
-        if tight.bit_count() >= 2:
-            rows = [ctx.forms[j] for j in _bits(ctx.unoriented(tight))]
+        line = flat.mask
+        rows = [ctx.forms[j] for j in js if ctx.members[j] & line == line]
+        if len(rows) >= 2:
             if len(rank_basis(rows, ctx.kernel)) != 2:
                 raise AssertionError("tight corner rays of an edge must span it")
             edges += 1

@@ -118,37 +118,30 @@ class CharPoly(NamedTuple):
         return ReducedCubic(p, q, r)
 
     def integer_roots(self) -> tuple[int, ...]:
-        """All integer roots with multiplicity, found by divisor trial."""
+        """All integer roots with multiplicity, found by divisor trial.
+
+        The zero roots come off first; every other integer root divides the
+        remaining constant c0.  Its divisors, listed by one loop up to
+        isqrt(|c0|), are tried ascending with both signs, each divided out by
+        synthetic division for as long as it is a root.
+        """
         coeffs = list(self.coefficients)
         roots = []
-        while len(coeffs) > 1:
-            constant = coeffs[-1]
-            if constant == 0:
-                root = 0
-            else:
-                root = None
-                limit = abs(constant)
-                d = 1
-                while d * d <= limit:
-                    if limit % d == 0:
-                        for cand in (d, -d, limit // d, -(limit // d)):
-                            value = 0
-                            for c in coeffs:
-                                value = value * cand + c
-                            if value == 0:
-                                root = cand
-                                break
-                    if root is not None:
-                        break
-                    d += 1
-                if root is None:
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs.pop()
+            roots.append(0)
+        constant = abs(coeffs[-1])
+        small = [d for d in range(1, isqrt(constant) + 1) if constant % d == 0]
+        divisors = sorted({*small, *(constant // d for d in small)})
+        for cand in (r for d in divisors for r in (-d, d)):
+            while len(coeffs) > 1:
+                out = [coeffs[0]]  # synthetic division by (t - cand)
+                for c in coeffs[1:]:
+                    out.append(c + out[-1] * cand)
+                if out.pop():
                     break
-            # synthetic division by (t - root)
-            out = [coeffs[0]]
-            for c in coeffs[1:-1]:
-                out.append(c + out[-1] * root)
-            coeffs = out
-            roots.append(root)
+                coeffs = out
+                roots.append(cand)
         return tuple(sorted(roots))
 
 

@@ -544,11 +544,12 @@ def reference_walls(ctx, corners):
     """The candidate walls of a chamber, by a scan over every hyperplane.
 
     The reference route: hyperplane h is a candidate when at least dim - 1 of
-    the chamber's oriented corners `corners` lie on it, by an AND with the
-    context's `zero[h]` and a popcount, for every h in turn.
+    the chamber's corners `corners` lie on it, counted by bit h of each
+    corner's member mask, for every h in turn.
     """
     need = ctx.dim - 1
-    return tuple(h for h, on in enumerate(ctx.zero) if (corners & on).bit_count() >= need)
+    js = _bits(ctx.unoriented(corners))
+    return tuple(h for h in range(ctx.n) if sum(ctx.members[j] >> h & 1 for j in js) >= need)
 
 
 def misplaced_corners(flats, n, claims):

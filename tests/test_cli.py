@@ -89,7 +89,8 @@ def test_analyze_simpliciality_routes_disagree_exit5(capsys, tmp_path, monkeypat
     path.write_text("field: rational\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
     code, out, err = run_cli(capsys, "analyze", str(path), "--json", "--chambers")
     assert code == 5 and out == ""
-    assert err.startswith("arr4: internal check failed: ") and "simpliciality" in err
+    assert err.startswith("arr4: internal check failed: ")
+    assert "wall and facet counting routes disagree about simpliciality" in err
 
 
 def test_analyze_round_trip_matches_catalogue(capsys, tmp_path):

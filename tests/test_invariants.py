@@ -46,6 +46,39 @@ def test_char_poly_formula_examples():
     assert char_poly_formula(15, 79, 180).integer_roots() == (1, 4, 5, 5)
 
 
+def _times(p, q):
+    """The product of two integer polynomials, descending coefficients."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _has_integer_root(p):
+    """Whether some integer within the Cauchy bound 1 + max |c_i| (p monic)
+    is a root of p: a scan of every candidate, no divisor trial."""
+    bound = 1 + max(map(abs, p[1:]), default=0)
+    return any(CharPoly(tuple(p))(t) == 0 for t in range(-bound, bound + 1))
+
+
+def test_integer_roots_from_known_linear_factors():
+    """Monic quartics built from 0, 1, 2 or 4 known linear factors (t - r),
+    r in [-12, 12] with repeats and zero, times a monic factor with no
+    integer root: `integer_roots` gives exactly the known roots, sorted.
+    Three integer roots force a fourth, so 3 is not drawn."""
+    rng = random.Random(20261020)
+    for _ in range(4000):
+        roots = [rng.randint(-12, 12) for _ in range(rng.choice((0, 1, 2, 4)))]
+        rest = [1] + [rng.randint(-30, 30) for _ in range(4 - len(roots))]
+        while _has_integer_root(rest):
+            rest = [1] + [rng.randint(-30, 30) for _ in range(4 - len(roots))]
+        poly = rest
+        for r in roots:
+            poly = _times(poly, [1, -r])
+        assert CharPoly(tuple(poly)).integer_roots() == tuple(sorted(roots)), poly
+
+
 def test_char_poly_moebius_boolean(boolean):
     chi = char_poly_moebius(boolean)
     assert chi.coefficients == (1, -4, 6, -4, 1)
