@@ -33,7 +33,7 @@ Moebius values, the t-vector and the f-vector are read.  The pass makes no verte
 member off their line), made on the first read of `vertices()`, which only
 the chamber walk, `parabolic` and explicit callers do.  A restriction's
 normals are the `restricted_minors` of the Pluecker keys of the lines inside
-the hyperplane (`_lines_inside`, listed once for every hyperplane), and its
+the hyperplane (its row of `_pair_lines`, as a set of line indices), and its
 chamber count comes from the positions of the later lines on each line of
 P^2: one `meets` call per line keys them by their pivot minors with it,
 restricting at the pivot of the line's normal as the restriction itself
@@ -447,27 +447,19 @@ class Arrangement(_CentralArrangement):
 
         Coordinates on H_h are those other than the `pivot` p of integer
         normal h.  A line through h and k induces the normal v_k restricted
-        to H_h, the line's `restricted_minors` at p.  Distinct lines give
-        distinct normals that span K^3; both are asserted.
+        to H_h, the line's `restricted_minors` at p.  The lines inside H_h
+        are read off row h of `_pair_lines()`, in `lines()` order.  Distinct
+        lines give distinct normals that span K^3; both are asserted.
         """
         if not 0 <= h < self.n:
             raise IndexError(f"hyperplane index {h} out of range")
         kernel = self._kernel
         p = pivot(self._integer_normals()[h], kernel)
-        inside = self._lines_inside()[h]
-        keys = [kernel.canonical(restricted_minors(key, p, kernel)) for key in inside]
+        lines = self._rank2()
+        inside = sorted(set(self._pair_lines()[h]) - {None})
+        keys = [kernel.canonical(restricted_minors(lines[i].key, p, kernel)) for i in inside]
         where = f"the restriction to hyperplane {h}"
         return Rank3Arrangement._from_keys(_checked_keys(keys, kernel, where), self.field)
-
-    def _lines_inside(self):
-        """Row h: the keys of the lines inside hyperplane h, in `lines()` order."""
-        if "lines_inside" not in self._cache:
-            inside = [[] for _ in range(self.n)]
-            for flat in self.lines():
-                for h in flat.members:
-                    inside[h].append(flat.key)
-            self._cache["lines_inside"] = inside
-        return self._cache["lines_inside"]
 
     def restriction_counts(self) -> tuple[tuple[int, int], ...]:
         """(size, projective chamber count) of the restriction to each

@@ -62,13 +62,13 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import permutations
 from operator import itemgetter
 from typing import NamedTuple
 
 from .arrangement import _ReadOnly, _bits
 from .linalg import KERNELS, pivot, rank_basis
-from .scalars import Field, QuadScalar
+from .scalars import QuadScalar
 
 
 class GenericPointNotFound(RuntimeError):
@@ -90,44 +90,45 @@ class ChamberLimitReached(RuntimeError):
 # -- strict homogeneous feasibility by Fourier-Motzkin elimination ---------------
 
 
-def feasible_strict(rows) -> bool:
+def feasible_strict(rows, kernel) -> bool:
     """Exact feasibility of {x : r . x > 0 for every row r}.
 
-    Rows are integer forms, as `linalg.KERNELS` takes them: all ints (Q) or
-    all (a, b) pairs standing for a + b*tau (Q(tau)).  Eliminates variables
-    left to right: a row p with a positive and a row q with a negative
-    leading entry combine into p0*q - q0*p, a positive combination without
-    that variable.  Rows are deduplicated up to positive scaling (the
-    oriented canonical form) every round.  An all-zero row certifies 0 > 0
-    and therefore infeasibility.  Public as the feasibility test of `walls`
-    and of the tests' chamber oracle.
+    Rows are integer forms of `kernel`, one of `linalg.KERNELS`: all ints
+    (Q) or all (a, b) pairs standing for a + b*tau (Q(tau)).  Eliminates
+    variables left to right: a row p with a positive and a row q with a
+    negative leading entry combine into p0*q - q0*p, a positive combination
+    without that variable.  Rows are deduplicated up to positive scaling: each
+    input row and each combination is put in oriented canonical form once,
+    when it is made, and a canonical row with a zero lead passes on its tail,
+    which is then canonical too.  An all-zero row certifies 0 > 0 and
+    therefore infeasibility.  Public as the feasibility test of `walls` and
+    of the tests' chamber oracle.
     """
-    work = list(rows)
-    pairs = bool(work) and any(isinstance(x, tuple) for x in work[0])
-    kernel = KERNELS[Field.QUADRATIC_TAU if pairs else Field.RATIONAL]
     isign, idot, neg, canonical = kernel.sign, kernel.dot, kernel.neg, kernel.canonical
+    work = {}
+    for row in rows:
+        if not any(map(isign, row)):
+            return False
+        work[canonical(row, oriented=True)] = None
     while work:
-        distinct = {}
+        pos, negs, rest = [], [], {}
         for row in work:
-            if not any(map(isign, row)):
-                return False
-            distinct[canonical(row, oriented=True)] = None
-        pos, negs, work = [], [], []
-        for row in distinct:
             s = isign(row[0])
             if s > 0:
                 pos.append(row)
             elif s < 0:
                 negs.append(row)
             else:
-                work.append(row[1:])
+                rest[row[1:]] = None
         for p in pos:
             p0, ptail = p[0], p[1:]
             for q in negs:
                 q0 = q[0]
-                work.append(
-                    tuple(idot((p0, q0), (qj, neg(pj))) for pj, qj in zip(ptail, q[1:]))
-                )
+                row = tuple(idot((p0, q0), (qj, neg(pj))) for pj, qj in zip(ptail, q[1:]))
+                if not any(map(isign, row)):
+                    return False
+                rest[canonical(row, oriented=True)] = None
+        work = rest
     return True
 
 
@@ -336,28 +337,19 @@ def _canonical_mask(mask: int, full: int) -> int:
     return mask ^ full if mask & 1 else mask
 
 
-def _primes():
-    """The primes, ascending, made as they are read."""
-    found = []
-    candidate = 2
-    while True:
-        if all(candidate % p for p in found):
-            found.append(candidate)
-            yield candidate
-        candidate += 1
-
-
 def generic_point(arr):
     """Deterministic point off every hyperplane: first good moment-curve point.
 
-    Candidates are (1, p, p^2, ..., p^(dim-1)) for increasing primes p; each
-    hyperplane can reject at most dim-1 of them.  Signs are read off the
-    integer normals.
+    Candidates are (1, t, t^2, ..., t^(dim-1)) for t = 1, 2, ..., 3n + 8.  A
+    nonzero normal dotted with the candidate is a nonzero polynomial in t of
+    degree at most dim - 1, so each hyperplane rejects at most dim - 1 of
+    them and the n hyperplanes leave a good one among the first
+    n (dim - 1) + 1.  Signs are read off the integer normals.
     """
     kernel = KERNELS[arr.field]
     normals = arr._integer_normals()
-    for p in islice(_primes(), 3 * arr.n + 8):
-        cand = tuple(p**k for k in range(arr.dim))
+    for t in range(1, 3 * arr.n + 9):
+        cand = tuple(t**k for k in range(arr.dim))
         signs = list(map(kernel.sign, kernel.dots(kernel.ints(cand), normals)))
         if all(signs):
             return cand, signs
@@ -441,7 +433,13 @@ def _bfs_chambers(arr, limit=None):
 
 
 def enumerate_chambers(arr, limit=None):
-    """Complete duplicate-free chamber list in canonical (sign-mask) order."""
+    """Complete duplicate-free chamber list in canonical (sign-mask) order.
+
+    With a `limit`, at least 1, raises ChamberLimitReached if the
+    arrangement has more chambers than that, whether or not the list is
+    cached; a smaller limit raises ValueError."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"chamber limit must be at least 1, got {limit}")
     cached = arr._cache.get("chambers")
     if cached is None:
         chambers = sorted(_bfs_chambers(arr, limit=limit), key=lambda c: c.mask)
@@ -492,20 +490,21 @@ def walls(arr, signs):
     A hyperplane H bounds the chamber iff the system keeping every other
     constraint strict and pinning x onto H stays solvable; each candidate is
     decided by eliminating onto H and testing strict feasibility with
-    Fourier-Motzkin elimination.  With p the pivot (first nonzero entry) of
-    the integer normal w of H, the coordinates off p parametrize H, and an
-    oriented normal v restricts to the minors v_f*w_p - v_p*w_f, f != p: a
-    positive rescaling of v restricted to H.  No command runs it; it stays
+    Fourier-Motzkin elimination (`feasible_strict` on the arrangement's own
+    kernel).  With p the pivot (first nonzero entry) of the integer normal w
+    of H, the coordinates off p parametrize H, and an oriented normal v
+    restricts to the minors v_f*w_p - v_p*w_f, f != p: a positive rescaling
+    of v restricted to H.  No command runs it; it stays
     public as the wall route that demo 01, the tests and the benchmark's
     traced pass check the enumerator against.
     """
     signs = tuple(signs)
     if len(signs) != arr.n or any(s not in (-1, 1) for s in signs):
         raise ValueError("signs must be a +-1 vector over the hyperplanes")
+    kernel = arr._kernel
     rows = _oriented_normals(arr, signs)
-    if not feasible_strict(rows):
+    if not feasible_strict(rows, kernel):
         raise EmptyChamber("sign vector cuts out an empty cone")
-    kernel = KERNELS[arr.field]
     idot, neg = kernel.dot, kernel.neg
     out = []
     for h, w in enumerate(arr._integer_normals()):
@@ -516,7 +515,7 @@ def walls(arr, signs):
             for i, v in enumerate(rows)
             if i != h
         ]
-        if feasible_strict(reduced):
+        if feasible_strict(reduced, kernel):
             out.append(h)
     return tuple(out)
 

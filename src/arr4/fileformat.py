@@ -107,27 +107,15 @@ def parse_arrangement(text: str) -> Arrangement:
     return Arrangement(normals, field)
 
 
-def _format_rational(x: int | Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _format_quadratic(x: QuadScalar) -> str:
-    if not x.b:
-        return _format_rational(x.a)
-    sep = "+" if x.b > 0 else "-"
-    return f"{_format_rational(x.a)}{sep}{_format_rational(abs(x.b))}*t"
-
-
 def emit_arrangement(arrangement: Arrangement) -> str:
     """Canonical file contents for an arrangement: the canonical normals,
     sorted by the kernel's `order` of their integer keys, which sorts them
-    as their field points sort, with no field scalar compared."""
+    as their field points sort, with no field scalar compared.  Each
+    coordinate is written by `str`, which writes `p`, `p/q`, `a+b*t` and
+    `a-b*t` as the parser reads them."""
     field = arrangement.field
     kernel = KERNELS[field]
-    fmt = _format_quadratic if field is Field.QUADRATIC_TAU else _format_rational
     lines = [f"field: {field.value}"]
     for key in sorted(arrangement._integer_normals(), key=kernel.order):
-        lines.append(" ".join(map(fmt, kernel.point(key))))
+        lines.append(" ".join(map(str, kernel.point(key))))
     return "\n".join(lines) + "\n"

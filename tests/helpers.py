@@ -489,7 +489,7 @@ def reference_vertices(arr):
 
 def chamber_feasible(arr, signs) -> bool:
     """Whether the open cone cut out by the +-1 sign vector is nonempty."""
-    return feasible_strict(_oriented_normals(arr, signs))
+    return feasible_strict(_oriented_normals(arr, signs), arr._kernel)
 
 
 def reference_corner_signs(arr):

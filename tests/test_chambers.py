@@ -217,12 +217,13 @@ def test_walls_rejects_empty_chamber():
 
 
 def test_feasible_strict_basics():
-    assert feasible_strict([(1, 0), (0, 1)])
-    assert not feasible_strict([(1, 0), (-1, 0)])
-    assert not feasible_strict([(0, 0)])
-    assert feasible_strict([])
+    kernel = KERNELS[Field.RATIONAL]
+    assert feasible_strict([(1, 0), (0, 1)], kernel)
+    assert not feasible_strict([(1, 0), (-1, 0)], kernel)
+    assert not feasible_strict([(0, 0)], kernel)
+    assert feasible_strict([], kernel)
     # opposite rays in disguise (positive rescaling must not merge them)
-    assert not feasible_strict([(2, -4), (-1, 2)])
+    assert not feasible_strict([(2, -4), (-1, 2)], kernel)
 
 
 def test_generic_point_avoids_all_hyperplanes(boolean, generic5):
@@ -230,6 +231,23 @@ def test_generic_point_avoids_all_hyperplanes(boolean, generic5):
         point, signs = generic_point(arr)
         assert all(s != 0 for s in signs)
         assert tuple(sign(dot(v, point)) for v in arr.normals) == tuple(signs)
+
+
+@pytest.mark.parametrize("n,count", [(4, 8), (5, 15), (7, 42)])
+def test_generic_point_outlasts_adversarial_normals(n, count):
+    """Normal i dots the moment-curve point (1, t, t^2, t^3) to
+    (t - a)(t - b)(t - c) with a, b, c = 3i + 1, 3i + 2, 3i + 3, so the n
+    normals reject every candidate t = 1 ... 3n: the seed is t = 3n + 1, and
+    the walk from it finds f3 chambers."""
+    normals = []
+    for i in range(n):
+        a, b, c = 3 * i + 1, 3 * i + 2, 3 * i + 3
+        normals.append((-a * b * c, a * b + b * c + c * a, -(a + b + c), 1))
+    arr = Arrangement(normals, Field.RATIONAL)
+    point, signs = generic_point(arr)
+    t = 3 * n + 1
+    assert point == (1, t, t**2, t**3) and all(signs)
+    assert len(enumerate_chambers(arr)) == f_vector(arr)[3] == count
 
 
 def test_simplicial_face_counts():
@@ -497,7 +515,7 @@ def test_non_simplicial_walks_match_fm_walls(rank_calls):
             assert ch.walls == walls(arr, ch.signs)
         assert min(rank_calls) >= arr.dim - 1
         checked += 1
-    assert checked == 8
+    assert checked == 11
 
 
 def _corrupted(arr):
@@ -629,6 +647,21 @@ def test_enumeration_limit():
     assert len(enumerate_chambers(arr)) == 96
     with pytest.raises(ChamberLimitReached):
         enumerate_chambers(arr, limit=10)  # served from cache, still enforced
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_enumeration_limit_below_one_is_refused(limit):
+    """A limit below 1 raises ValueError on a fresh arrangement and on one
+    whose chamber list is cached, and `build_report` passes it on."""
+    template = builtin("A4")
+    arr = Arrangement(template.normals, template.field)
+    with pytest.raises(ValueError, match="at least 1"):
+        enumerate_chambers(arr, limit=limit)
+    assert len(enumerate_chambers(arr)) == 60
+    with pytest.raises(ValueError, match="at least 1"):
+        enumerate_chambers(arr, limit=limit)
+    with pytest.raises(ValueError, match="at least 1"):
+        build_report(arr, max_chambers=limit)
 
 
 def test_canonical_output_order():
@@ -764,13 +797,13 @@ _POOL = {Field.RATIONAL: (0, 1, -1, 2, -2), Field.QUADRATIC_TAU: (0, 1, -1, 2, -
 @pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU], ids=lambda f: f.value)
 @given(data=st.data())
 def test_chamber_property_walk_matches_lattice_and_fm(field, data):
-    """On 4-8 distinct normals with coordinates from `_POOL`: the walk finds
+    """On 4-9 distinct normals with coordinates from `_POOL`: the walk finds
     f3 chambers with 2 f2 walls in all, and each chamber's walls equal the
     Fourier-Motzkin `walls`.  Takes its example budget from the loaded
     hypothesis profile, as the kernel properties do."""
     vectors = st.tuples(*[st.sampled_from(_POOL[field])] * 4).filter(any)
     normals = data.draw(st.lists(
-        vectors, min_size=4, max_size=8,
+        vectors, min_size=4, max_size=9,
         unique_by=lambda vec: canonicalize_vector(vec, field),
     ))
     try:

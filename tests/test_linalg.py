@@ -131,8 +131,8 @@ def test_oriented_forms_preserve_orientation():
     assert pair_vector_canonical(((-2, 0), (4, 0), (-6, 0)), oriented=True) == (
         (-1, 0), (2, 0), (-3, 0))
     # a zero row has no oriented form: Fourier-Motzkin reads it as 0 > 0
-    assert not feasible_strict([(0, 0)])
-    assert not feasible_strict([((0, 0), (0, 0))])
+    assert not feasible_strict([(0, 0)], KERNELS[Field.RATIONAL])
+    assert not feasible_strict([((0, 0), (0, 0))], KERNELS[Field.QUADRATIC_TAU])
     ray = pair_vector_canonical(to_int_pairs((QuadScalar(0, -2), QuadScalar(4))), oriented=True)
     assert pair_sign(ray[0]) == -1
 
