@@ -13,8 +13,9 @@ over Q, integer pairs a + b*tau over Q(tau)), through the per-field table
 `linalg.KERNELS`; nothing else here depends on the field.  Every flat carries
 its canonical integer form as its `key`, which is all the lattice, the
 derived arrangements and the chamber context read.  The keys are the only
-stored form: field scalars are made when the public `normals` and
-`Flat.point` views are read.
+stored form: field scalars are made, by the arrangement's kernel `point`,
+when the public `normals` and `Flat.point` views are read (each flat holds
+the kernel of the arrangement that made it).
 Rank-2 flats group the hyperplane pairs by the canonical 2x2 minors of
 their normals: the Pluecker coordinates of the line in K^4, the cross
 product (which is the point itself) in K^3.  The line geometry lives in
@@ -27,11 +28,13 @@ Vertices are keyed by their member masks.  Each vertex is grouped once, on
 its first line, and later lines skip its members; its other lines are then
 read off the pair -> rank-2 flat map (`_pair_lines`) from its members off
 the first line, which tallies, per vertex, the lines through it and the
-sum of their weights (`vertex_line_tallies`), from which the vertices'
-Moebius values, the t-vector and the f-vector are read.  The pass makes no vertex key: as a line's, it is the canonical
-`normal` of a basis of its members (its two lowest members and its lowest
-member off their line), made on the first read of `vertices()`, which only
-the chamber walk, `parabolic` and explicit callers do.  A restriction's
+sum of their weights (`vertex_line_tallies`), whose totals give the
+vertices' share of the Moebius recursion, and from which the t-vector and
+the f-vector are read.  The pass makes no vertex key: as a line's, it is
+the canonical `normal` of a basis of its members (its two lowest members
+and its lowest member off their line), made on the first read of
+`vertices()`, which only the chamber walk, `parabolic` and explicit
+callers do.  A restriction's
 normals are the `restricted_minors` of the Pluecker keys of the lines inside
 the hyperplane (its row of `_pair_lines`, as a set of line indices), and its
 chamber count comes from the positions of the later lines on each line of
@@ -101,30 +104,29 @@ def _bits(x: int) -> list:
 class Flat(_ReadOnly):
     """A flat of the intersection lattice: the hyperplanes containing it.
 
-    `key` is its canonical `linalg.KERNELS` form: the Pluecker minors of a
-    line of P^3, the point itself for a vertex or a point of P^2.  Flats are
-    read-only, since arrangements (and the shared built-ins) cache them.
+    `key` is its canonical form in `kernel`, the integer kernel of the
+    arrangement that made it: the Pluecker minors of a line of P^3, the
+    point itself for a vertex or a point of P^2.  A flat keeps the kernel,
+    not the arrangement, which caches its flats.  Flats are read-only, since
+    arrangements (and the shared built-ins) cache them.
     """
 
-    __slots__ = ("members", "mask", "weight", "key")
+    __slots__ = ("members", "mask", "weight", "key", "_kernel")
 
-    def __init__(self, mask, key):
+    def __init__(self, mask, key, kernel):
         members = tuple(_bits(mask))
         object.__setattr__(self, "members", members)          # sorted hyperplane indices
         object.__setattr__(self, "mask", mask)                # same set as a bitmask
         object.__setattr__(self, "weight", len(members))
         object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_kernel", kernel)
 
     @property
     def point(self):
-        """The key of a point flat in field scalars, made on each read; None
-        for the six-minor key of a line of P^3.  The field is read off the
-        key's own form: (a, b) pairs for Q(tau), ints for Q."""
+        """The key of a point flat in field scalars (the kernel's `point`),
+        made on each read; None for the six-minor key of a line of P^3."""
         key = self.key
-        if len(key) == 6:
-            return None
-        field = Field.QUADRATIC_TAU if isinstance(key[0], tuple) else Field.RATIONAL
-        return KERNELS[field].point(key)
+        return None if len(key) == 6 else self._kernel.point(key)
 
     def __repr__(self):
         return f"Flat(members={self.members}, point={self.point})"
@@ -262,7 +264,8 @@ class _CentralArrangement(_ReadOnly):
         sets; its key is the canonical minors (`normal`) of any two members'
         normals."""
         if "rank2" not in self._cache:
-            normal, canonical = self._kernel.normal, self._kernel.canonical
+            kernel = self._kernel
+            normal, canonical = kernel.normal, kernel.canonical
             ints = self._integer_normals()
             groups = {}
             for i, u in enumerate(ints):
@@ -270,7 +273,7 @@ class _CentralArrangement(_ReadOnly):
                 for j in range(i + 1, self.n):
                     key = canonical(normal((u, ints[j])))
                     groups[key] = groups.get(key, 0) | bit | 1 << j
-            flats = [Flat(mask, key) for key, mask in groups.items()]
+            flats = [Flat(mask, key, kernel) for key, mask in groups.items()]
             self._cache["rank2"] = tuple(sorted(flats, key=lambda flat: flat.members))
         return self._cache["rank2"]
 
@@ -315,7 +318,10 @@ class Arrangement(_CentralArrangement):
         """
         if "vertices" not in self._cache:
             masks = self._vertex_pass()[0]
-            self._cache["vertices"] = tuple(map(Flat, masks, self._vertex_keys(masks)))
+            kernel = self._kernel
+            self._cache["vertices"] = tuple(
+                Flat(mask, key, kernel) for mask, key in zip(masks, self._vertex_keys(masks))
+            )
         return self._cache["vertices"]
 
     def _vertex_keys(self, masks):

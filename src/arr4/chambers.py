@@ -13,7 +13,7 @@ span a hyperplane of the ambient space.
 The per-arrangement context keeps big-int bitsets over the oriented
 corners, built once: bit j is corner j and bit j + C its negation, C the
 number of corners.  Each hyperplane i has a sign code: one digit per
-corner, from one written-out batch of dots (`KERNELS[field].dots`) per
+corner, from one batch of dots (the arrangement's kernel `dots`) per
 hyperplane, which gives the oriented corners on its positive side and on
 its negative side.  The corners off both sides, those on i, must be exactly
 the corner flats with i among their members, so every member's dot is
@@ -28,21 +28,23 @@ over those masks give the hyperplanes on at least dim - 1 corners.
 Each candidate h is a wall, and its facet, the corners with h among their
 members, is certified from the corners' rank forms (primitive ints for
 rational corners, (a, b) integer pairs for Q(tau) ones) and maximal minors
-(`KERNELS[field].normal`).  A simplicial chamber, with exactly dim corners,
-certifies all its facets with one determinant: its corners' forms must be
-independent, and each candidate must hold exactly dim - 1 of them, which
-then span it.  Any other chamber certifies each facet on its own: the
+(the kernel's `normal`).  The context takes its kernel from the
+arrangement, so nothing here knows the field.  A simplicial chamber, with
+exactly dim corners, certifies all its facets with one determinant: its
+corners' forms must be independent, and each candidate must hold exactly
+dim - 1 of them, which then span it.  Any other chamber certifies each facet on its own: the
 minors of its first dim - 1 tight corners must be nonzero, and every further
 tight corner must be orthogonal to them, which proves rank exactly dim - 1.
 Such a chamber certifies the facet across h exactly when the neighbour
 across h has the larger canonical mask, so a chamber's walls and
 certificates depend on that chamber alone; a complete walk reaches both
 sides of every facet.  The interior witness is the sum of the corner
-rays' rank forms, each a positive rescaling of its ray, so it is a sum of
-plain integers (summed per component of the pairs over Q(tau)) converted
-to field scalars.  No report reads it, so the walk leaves it out: a
-chamber keeps its mask and the context, and reads its signs off the mask
-and computes its witness on demand.  Each chamber's diagram is kept as one
+rays' points (the kernel's `point` of each rank form, a positive
+rescaling of its ray: a canonical key has a positive lead), so it is a
+positive combination of every extreme ray and lies inside the cone.  No
+report reads it, so the walk leaves it out: a chamber keeps its mask and
+the context, and reads its signs off the mask and computes its witness on
+demand.  Each chamber's diagram is kept as one
 record, (connected, label, heaviest edge weight), read off its edges by
 wall position and cached beside the chambers (`diagram_shapes`); the
 report's tally and both diagram predicates read these records, and
@@ -55,7 +57,7 @@ integer normals restricted to the candidate through their own 2x2 minors
 against its normal, never the lattice's line keys, so the two routes share
 only the integer normals and are cross-checked in the test suite.  The
 seed point's signs are read off the same integer normals; field scalars are
-built only for the witness.
+made only for the witness, by the kernel's `point`.
 """
 
 from __future__ import annotations
@@ -67,8 +69,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .arrangement import _ReadOnly, _bits
-from .linalg import KERNELS, pivot, rank_basis
-from .scalars import QuadScalar
+from .linalg import pivot, rank_basis
 
 
 class GenericPointNotFound(RuntimeError):
@@ -93,7 +94,7 @@ class ChamberLimitReached(RuntimeError):
 def feasible_strict(rows, kernel) -> bool:
     """Exact feasibility of {x : r . x > 0 for every row r}.
 
-    Rows are integer forms of `kernel`, one of `linalg.KERNELS`: all ints
+    Rows are integer forms of `kernel`, an arrangement's `_kernel`: all ints
     (Q) or all (a, b) pairs standing for a + b*tau (Q(tau)).  Eliminates
     variables left to right: a row p with a positive and a row q with a
     negative leading entry combine into p0*q - q0*p, a positive combination
@@ -183,7 +184,7 @@ class _Context:
         self.dim = arr.dim
         self.full = (1 << arr.n) - 1
         flats = arr.corner_flats()
-        self.kernel = KERNELS[arr.field]
+        self.kernel = arr._kernel
         self.forms = [flat.key for flat in flats]
         self.members = [flat.mask for flat in flats]
         size = self.size = len(flats)
@@ -302,20 +303,14 @@ class _Context:
         return tuple(out)
 
     def witness(self, corners: int):
-        """The sum of the oriented corners' rank forms, as field scalars:
-        oriented corner j adds forms[j], and j + size subtracts it."""
-        plus = [self.forms[j] for j in _bits(corners & self.low)]
-        minus = [self.forms[j] for j in _bits(corners >> self.size)]
-
-        def total(entry):
-            return sum(map(entry, plus)) - sum(map(entry, minus))
-
-        if isinstance(self.forms[0][0], tuple):  # Q(tau): (a, b) integer pairs
-            return tuple(
-                QuadScalar(total(lambda u: u[c][0]), total(lambda u: u[c][1]))
-                for c in range(self.dim)
-            )
-        return tuple(total(lambda u: u[c]) for c in range(self.dim))
+        """The sum of the oriented corners' points, in field scalars:
+        oriented corner j adds point(forms[j]), and j + size subtracts it."""
+        point, forms = self.kernel.point, self.forms
+        plus = [point(forms[j]) for j in _bits(corners & self.low)]
+        minus = [point(forms[j]) for j in _bits(corners >> self.size)]
+        return tuple(
+            sum(p[c] for p in plus) - sum(p[c] for p in minus) for c in range(self.dim)
+        )
 
 
 #: sign code digits, indexed by a sign (-1 reads the last), and the
@@ -346,7 +341,7 @@ def generic_point(arr):
     them and the n hyperplanes leave a good one among the first
     n (dim - 1) + 1.  Signs are read off the integer normals.
     """
-    kernel = KERNELS[arr.field]
+    kernel = arr._kernel
     normals = arr._integer_normals()
     for t in range(1, 3 * arr.n + 9):
         cand = tuple(t**k for k in range(arr.dim))
@@ -360,9 +355,9 @@ class Chamber(_ReadOnly):
     """A projective chamber: canonical sign mask plus derived geometry.
 
     `mask` has bit i set where `signs[i]` is -1.  `signs` is read off the
-    mask on every read; `witness`, an interior point, is the sum of the rank
-    forms of the chamber's corner rays, computed from the chamber context on
-    first access, as no report reads it.  Chambers are read-only; they
+    mask on every read; `witness`, an interior point, is the sum of the
+    points of the chamber's corner rays, computed from the chamber context
+    on first access, as no report reads it.  Chambers are read-only; they
     compare and hash by (signs, walls, witness, mask), and the repr leaves
     out the mask.
     """

@@ -178,8 +178,21 @@ def _catalogue_export(args) -> int:
     return _write(to_json(doc), args.output)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose invalid-choice error quotes every choice, as
+    the argparse of Python 3.10 to 3.13.0 does; later releases (3.13.13,
+    for one) print the choices bare, which changes the usage error's bytes."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value!r} (choose from {choices})"
+            )
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arr4",
         description="Exact analysis of hyperplane arrangements in projective 3-space.",
     )

@@ -7,8 +7,8 @@ three integer relations (with exact floor/ceil handling of square roots via
 integer-sqrt bracketing) and from the discriminant of the cubic factor; the
 two verdicts are asserted to agree on every evaluation.
 
-The Moebius values of the vertices and the whole f-vector are read off the
-per-vertex weights and line tallies that the vertex pass takes
+The vertices' share of the Moebius recursion and the whole f-vector are
+sums of the per-vertex weights and line tallies that the vertex pass takes
 (`Arrangement.vertex_weights`, `Arrangement.vertex_line_tallies`), in O(V)
 and with no vertex flat built; f2 is Zaslavsky's chamber count
 of each restriction summed over the hyperplanes, so in `analyze` the Euler
@@ -152,35 +152,23 @@ def char_poly_formula(n: int, h: int, f3: int) -> CharPoly:
     return CharPoly((1, -n, h, n - f3, f3 - 1 - h))
 
 
-def _mu_data(arrangement: Arrangement):
-    """Moebius value and incident-line count of every vertex, in `vertices()`
-    order.
-
-    Read off the weights and tallies of the vertex pass, which builds no
-    vertex flat: mu(v) = -(1 - w_v + sum over the lines L through v of
-    (|L| - 1)).
-    """
-    line_counts, line_weights = arrangement.vertex_line_tallies()
-    vertex_mu = tuple(
-        -(1 - weight + weights - count)
-        for weight, count, weights in zip(
-            arrangement.vertex_weights(), line_counts, line_weights
-        )
-    )
-    return vertex_mu, line_counts
-
-
 def char_poly_moebius(arrangement: Arrangement) -> CharPoly:
     """Characteristic polynomial by Moebius recursion over all flats.
 
+    c2 sums mu over the lines, |L| - 1 each.  c1 sums mu over the
+    vertices, mu(v) = -(1 - w_v + sum over the lines L through v of
+    (|L| - 1)), read off the vertex pass's totals alone: c1 = sum of the
+    line counts - sum of the line weight sums + sum of the weights - V
+    (`Arrangement.vertex_line_tallies`, `Arrangement.vertex_weights`).
     Cached on the arrangement, so a report and its `f_vector` share one
     recursion.
     """
     chi = arrangement._cache.get("moebius")
     if chi is None:
-        vertex_mu, _ = _mu_data(arrangement)
+        counts, sums = arrangement.vertex_line_tallies()
+        weights = arrangement.vertex_weights()
         c2 = sum(flat.weight - 1 for flat in arrangement.lines())
-        c1 = sum(vertex_mu)
+        c1 = sum(counts) - sum(sums) + sum(weights) - len(weights)
         c0 = -(1 - arrangement.n + c2 + c1)
         chi = arrangement._cache["moebius"] = CharPoly((1, -arrangement.n, c2, c1, c0))
     return chi

@@ -1,10 +1,13 @@
 """Exact linear algebra over the coordinate fields, on one integer kernel.
 
 Every decision runs on positive rescalings of vectors into primitive ints
-(Q) or integer pairs a + b*tau (Q(tau)): the per-field table `KERNELS`
-(integer form, zero, dot, negation, sign, canonical key with an orientation
-flag, batched grouping on P^1 for lines of P^3 and of P^2, maximal minors,
-batched dots, field point and its integer order) and `rank_basis`.  The
+(Q) or integer pairs a + b*tau (Q(tau)), so minors, dots, reflections and
+Fourier-Motzkin elimination stay in Z or Z[tau]: the per-field table
+`KERNELS` (integer form, zero, dot, negation, sign, canonical key with an
+orientation flag, batched grouping on P^1 for lines of P^3 and of P^2,
+maximal minors, batched dots, field point and its integer order), which
+holds every field decision, and `rank_basis`.  An arrangement holds its
+field's kernel, and its flats and chamber context read that one.  The
 intersection lattice, the restrictions, the reflection closure,
 reducibility, the chamber context and its facet certificate, and the
 Fourier-Motzkin wall test all run on it: field scalars come in through
@@ -18,13 +21,15 @@ restriction drop.  The batches take plain normals, written out:
 of K^4 from its two integer-form scalars (for Q(tau), by the ratio y/x),
 `meets(u, rows)` keys the point where line v of P^2 meets line u by the two
 pivot minors u_t v_f - u_f v_t, f != t, of u's pivot t (the step that
-`restricted_minors` takes one level up), and `dots(v, forms)` is v's dot
-with each form.  All line geometry is here too: the layout of Pluecker
-keys, the Hodge and cross-product forms, and `line_forms`, the two rows of
-the Hodge dual of a line of P^3 with which the lattice groups the hits on
-a line.  Both batches are handed only the normals of flats that no earlier
-line has grouped, and their keys are never stored.  `restricted_minors`
-reads a restriction's normals off line keys.
+`restricted_minors` takes one level up; two-term products where the cross
+product would dot three terms, one always zero), and `dots(v, forms)` is
+v's dot with each form, written out in K^4.  All line geometry is here
+too: the layout of Pluecker keys, the Hodge and cross-product forms, and
+`line_forms`, the two rows of the Hodge dual of a line of P^3 with which
+the lattice groups the hits on a line.  Both batches are handed only the
+normals of flats that no earlier line has grouped, and their keys are
+never stored.  `restricted_minors` reads a restriction's normals off line
+keys.
 `normal` writes out the maximal minors of k = 1 ... dim - 1 forms, and it
 is the one rank primitive: the rank-2 flats are keyed by the minors of two
 normals, and a vertex by the normal of three of its members that span it;
@@ -348,7 +353,9 @@ def pair_normal(rows):
 
 def pair_dots(v, forms):
     """The dot v . f for each integer-pair form f, all of v's length (3 or
-    4), as a list of integer pairs; the pair products are written out."""
+    4), as a list of integer pairs.  The pair products are written out for
+    length 4, the chamber context's sign codes; length 3 takes `pair_dot`
+    per form, as at `_int_dots`."""
     if len(v) == 4:
         (c0, d0), (c1, d1), (c2, d2), (c3, d3) = v
         return [
@@ -360,14 +367,7 @@ def pair_dots(v, forms):
             )
             for (a0, b0), (a1, b1), (a2, b2), (a3, b3) in forms
         ]
-    (c0, d0), (c1, d1), (c2, d2) = v
-    return [
-        (
-            a0 * c0 + a1 * c1 + a2 * c2 + (bd := b0 * d0 + b1 * d1 + b2 * d2),
-            a0 * d0 + b0 * c0 + a1 * d1 + b1 * c1 + a2 * d2 + b2 * c2 + bd,
-        )
-        for (a0, b0), (a1, b1), (a2, b2) in forms
-    ]
+    return [pair_dot(v, f) for f in forms]
 
 
 def pair_point(pairs):
@@ -408,38 +408,6 @@ class _PairPointOrder:
 
 
 # -- the kernel table --------------------------------------------------------------
-#
-# The intersection lattice, the restrictions, the reflection closure,
-# reducibility and both chamber routes run on integer forms only.  Each vector
-# is scaled by a positive factor into primitive ints (rational) or integer
-# pairs (Q(tau)); minors, dot products, reflections and Fourier-Motzkin
-# elimination then stay in Z or Z[tau], and flats and mirror normals are
-# grouped by a canonical key that is unique per projective class.  The
-# grouping batches take plain integer normals, and their keys are never
-# stored.  The hits on one line of P^3 are grouped in one `group` call on rows
-# (bit, w), keyed by [p.w : q.w] for the two `line_forms` p and q of the
-# line; the points on one line u of P^2 (a restriction's points) in one
-# `meets` call on rows (bit, v), keyed by the two pivot minors of u and v,
-# two-term products where the cross product would dot three terms of which
-# one is always zero.  `dots` gives the dot of one vector with a batch of
-# forms, from which the chamber context reads the side of every corner on one
-# hyperplane; it is written out for lengths 3 and 4, and `dot` is the general
-# loop, for any length.  `normal` writes out the maximal minors of k = 1 ...
-# dim - 1 forms (for dim - 1 forms the cross product in K^3 and its analogue
-# in K^4, orthogonal to each of them): nonzero exactly when the forms are
-# independent, so every rank decision reads them, through `rank_basis` or
-# directly, without an elimination, and canonical they key a flat from a
-# basis of its members.  Field scalars come back only when an arrangement's
-# normals or a flat's point are read: `point` divides by the first nonzero
-# coordinate in integers (for Q(tau), by its norm after multiplying by its
-# conjugate), and point(canonical(ints(v))) is the one canonical path from a
-# field vector to its class representative.  `order` sorts keys as their
-# points sort without making them: over Q(tau) it compares x/N with y/M by
-# the sign of x*M - y*N.  `canonical` is written out for the Q(tau) key
-# lengths the lattice makes, 3 and 6.  With `oriented=True` the same
-# `canonical` keeps the sign (a positive multiple of its input), which is how
-# Fourier-Motzkin deduplicates half-space constraints.  The table below holds
-# every field decision these layers make.
 
 
 class FieldKernel(NamedTuple):
@@ -498,10 +466,15 @@ def _int_normal(rows):
     ... m23 of two rows of length 4, or the signed normal of dim - 1 rows:
     `cross_forms` of the first row dotted with the second in K^3.
 
-    In K^4 the minors stay written out per field: the chamber walk makes one
-    three-row call per facet, and the shared form (`hodge_forms` of the
-    first two rows' minors dotted with the third) cost 1.1-2.9 us more per
-    call (Python 3.11, 2-core x86-64 VM).
+    In K^4 the minors stay written out per field.  Three-row calls come
+    from the chamber walk (one per simplicial chamber and one per certified
+    facet of a wider chamber) and from the vertex keys (one per vertex):
+    per pass, 1,166 rational and 2,174 Q(tau) calls on the six `analyze
+    --chambers` inputs of the benchmark, 4,362 on its seed-1 `random`
+    inputs and 15 on `catalogue verify --all`.  The shared form
+    (`hodge_forms` of the first two rows' minors dotted with the third)
+    costs about 2.0 us (Q) and 3.6 us (Q(tau)) more per call (Python
+    3.11, 2-core x86-64 VM).
     """
     if len(rows) == 1:
         return rows[0]
@@ -528,12 +501,17 @@ def _int_normal(rows):
 
 def _int_dots(v, forms):
     """The dot v . f for each integer form f, all of v's length (3 or 4), as
-    a list; the products are written out."""
+    a list.  The products are written out for length 4, where the chamber
+    context makes one call per hyperplane.  Length 3 takes `_int_dot` per
+    form: of the benchmark's workloads only `catalogue verify --all` makes
+    such calls, 62 rational and 115 Q(tau) per pass, all from the K^3
+    `normal`s of the restrictions' rank checks, and the written-out form
+    saved about 1.1 us (Q) and 1.4 us (Q(tau)) a call (Python 3.11, 2-core
+    x86-64 VM)."""
     if len(v) == 4:
         v0, v1, v2, v3 = v
         return [v0 * a0 + v1 * a1 + v2 * a2 + v3 * a3 for a0, a1, a2, a3 in forms]
-    v0, v1, v2 = v
-    return [v0 * a0 + v1 * a1 + v2 * a2 for a0, a1, a2 in forms]
+    return [_int_dot(v, f) for f in forms]
 
 
 def _int_positions(hits):

@@ -478,7 +478,7 @@ def reference_vertices(arr):
                 entry[3] += size
     rows = sorted(
         (
-            (Flat(mask, x), count, weights)
+            (Flat(mask, x, arr._kernel), count, weights)
             for x, (mask, _, count, weights) in found.items()
         ),
         key=lambda row: row[0].members,
@@ -559,7 +559,7 @@ def misplaced_corners(flats, n, claims):
     first = flats[0]
     off = ~first.mask & ((1 << n) - 1)
     mask = first.mask | off & -off if claims else first.mask & (first.mask - 1)
-    return (Flat(mask, first.key), *flats[1:])
+    return (Flat(mask, first.key, first._kernel), *flats[1:])
 
 
 def seed_chamber(ctx, arr):

@@ -204,7 +204,7 @@ def _corrupt(arr, cached, index, key):
     key (flats are read-only); returns the copy."""
     flats = list(arr._cache[cached])
     old = flats[index]
-    flats[index] = Flat(old.mask, key)
+    flats[index] = Flat(old.mask, key, old._kernel)
     arr._cache[cached] = tuple(flats)
     return flats[index]
 

@@ -1,8 +1,10 @@
+import ast
 import random
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import arr4.arrangement
 import arr4.chambers
 from arr4 import (
     TAU,
@@ -147,6 +149,35 @@ def test_witness_points_realize_signs(boolean, generic5):
         for ch in enumerate_chambers(arr):
             observed = tuple(sign(dot(v, ch.witness)) for v in arr.normals)
             assert observed == ch.signs
+
+
+def test_chambers_and_flats_take_their_arrangement_kernel():
+    """The chamber module and the flats read the field through the kernel
+    their arrangement holds: `chambers.py` imports nothing from
+    `arr4.scalars` and names no `KERNELS` table, and neither it nor
+    `arrangement.py` guesses the field from a form's shape (`isinstance`)."""
+    def source(module):
+        with open(module.__file__, encoding="utf-8") as handle:
+            text = handle.read()
+        return text, ast.parse(text)
+
+    def calls_isinstance(tree):
+        return any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            for node in ast.walk(tree)
+        )
+
+    text, tree = source(arr4.chambers)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not [name for name in imported if name.split(".")[-1] == "scalars"]
+    assert "KERNELS" not in text
+    assert not calls_isinstance(tree)
+    assert not calls_isinstance(source(arr4.arrangement)[1])
 
 
 @pytest.mark.parametrize("name", ["A4", "A^3_1(28)"])

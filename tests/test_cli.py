@@ -1,3 +1,4 @@
+import argparse
 import ast
 import gc
 import importlib
@@ -256,6 +257,32 @@ def test_contradictory_flags_are_usage_errors(capsys, tmp_path, argv, message):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert message in captured.err
+
+
+def test_invalid_choice_quotes_the_choices_on_every_python(capsys, monkeypatch):
+    """An unknown command or catalogue action is a usage error that quotes
+    every choice, whatever the interpreter's argparse prints: here its check
+    is replaced by one that prints them bare, as Python 3.13.13 does."""
+    def bare(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(str, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value!r} (choose from {choices})"
+            )
+
+    monkeypatch.setattr(argparse.ArgumentParser, "_check_value", bare)
+    cases = (
+        (["bogus"], "command", "'analyze', 'generate', 'catalogue'"),
+        (["catalogue", "bogus"], "action", "'list', 'verify', 'export'"),
+    )
+    for argv, name, choices in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument {name}: invalid choice: 'bogus' (choose from {choices})\n"
+        )
 
 
 def test_records_do_not_encode_as_arrays():

@@ -28,7 +28,6 @@ from arr4 import (
 )
 from arr4.arrangement import _rank3_second
 from arr4.constructions import _RECIPES, _build
-from arr4.invariants import _mu_data
 from arr4.linalg import _MINORS, KERNELS, cross_forms, hodge_forms
 from arr4.report import build_report, to_json
 from arr4.scalars import Field
@@ -76,10 +75,18 @@ def _heavy_draws(field, count=4, seed=20240619):
 @pytest.mark.parametrize("field", [Field.RATIONAL, Field.QUADRATIC_TAU])
 def test_vertex_tallies_match_reference_scan(field):
     """Moebius values and incident-line counts from the vertex pass equal
-    the vertex-by-line scan."""
+    the vertex-by-line scan, and the values sum to chi's c1."""
     heavy = 0
     for arr in _draws(field) + _heavy_draws(field):
-        assert _mu_data(arr) == reference_mu_data(arr)
+        reference_mu, reference_counts = reference_mu_data(arr)
+        counts, sums = arr.vertex_line_tallies()
+        mu = tuple(
+            -(1 - weight + total - count)
+            for weight, count, total in zip(arr.vertex_weights(), counts, sums)
+        )
+        assert mu == reference_mu
+        assert counts == reference_counts
+        assert sum(reference_mu) == char_poly_moebius(arr).coefficients[3]
         heavy += max(v.weight for v in arr.vertices()) >= 6
     assert heavy  # the draws do reach heavy vertices
 

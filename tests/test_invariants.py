@@ -16,10 +16,8 @@ from arr4 import (
     f_vector,
     real_roots_test,
 )
-from arr4 import invariants
 from arr4.catalogue import catalogue_rows
 from arr4.invariants import (
-    _mu_data,
     check_cube_growth_conjecture,
     check_chamber_cube_cap,
     check_double_line_dominance,
@@ -98,20 +96,26 @@ def test_moebius_equals_formula(boolean, generic5):
 
 
 def test_report_runs_one_moebius_recursion(monkeypatch):
-    """A report and its f-vector share one Moebius recursion."""
+    """A report and its f-vector share one Moebius recursion: the report
+    reads the vertex tallies once for the f-vector and once for chi, a later
+    `f_vector` reads them once more, and a later `char_poly_moebius` not
+    at all."""
     template = builtin("A^3_1(28)")
     arr = Arrangement(template.normals, template.field)
     calls = []
+    tallies = Arrangement.vertex_line_tallies
 
     def counting(arrangement):
         calls.append(arrangement)
-        return _mu_data(arrangement)
+        return tallies(arrangement)
 
-    monkeypatch.setattr(invariants, "_mu_data", counting)
+    monkeypatch.setattr(Arrangement, "vertex_line_tallies", counting)
     build_report(arr, with_chambers=False)
-    assert calls == [arr]
-    assert f_vector(arr)[3] == char_poly_moebius(arr)(-1) // 2
-    assert calls == [arr]
+    assert calls == [arr, arr]
+    f3 = f_vector(arr)[3]
+    assert calls == [arr] * 3
+    assert f3 == char_poly_moebius(arr)(-1) // 2
+    assert calls == [arr] * 3
 
 
 def test_char_poly_evaluations(boolean, generic5):
