@@ -5,18 +5,18 @@ t-vector, f-vector).  Seven of them come with exact normal vectors: the five
 reflection arrangements of types A4, D4, B4, F4, H4 and two golden-ratio
 arrangements of 27 and 28 hyperplanes.  The remaining rows are data only;
 verification degrades gracefully for them.  How each row is built lives in
-`arr4.constructions`, which only `builtin` imports, so reading the rows
-loads no lattice module.
+`arr4.constructions`, which only `builtin` imports, and the checks live in
+`arr4.invariants`, which only `CatalogueEntry.data` and `verify_row` import,
+so reading the rows loads no lattice module and no check module.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
-
-from .invariants import ArrangementData, CheckResult, f_vector, run_data_checks
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     from .arrangement import Arrangement
+    from .invariants import ArrangementData, CheckResult
 
 
 class UnknownLabel(KeyError):
@@ -42,11 +42,22 @@ class CatalogueEntry(NamedTuple):
     has_vectors: bool
 
     def data(self) -> ArrangementData:
+        from .invariants import ArrangementData
+
         return ArrangementData(self.n, dict(self.h), dict(self.t), self.f)
 
 
 def _h(start, values):
     return {start + i: c for i, c in enumerate(values) if c}
+
+
+def positional(vector: Mapping[int, int], start: int) -> tuple[int, ...]:
+    """Dense tuple form of a weight -> count map, beginning at `start`;
+    the inverse of `_h`."""
+    if not vector:
+        return ()
+    top = max(vector)
+    return tuple(vector.get(i, 0) for i in range(start, top + 1))
 
 
 _ROWS = (
@@ -180,6 +191,8 @@ def verify_row(label: str) -> RowReport:
     set of restricted normals once), and asserted equal to the f2 of the
     vertex tallies.
     """
+    from .invariants import CheckResult, f_vector, run_data_checks
+
     entry = catalogue_entry(label)
     data = entry.data()
     geometry: list[CheckResult] = []

@@ -113,8 +113,7 @@ def cmd_generate(args) -> int:
 
 
 def _catalogue_list(args) -> int:
-    from .catalogue import catalogue_rows
-    from .invariants import positional
+    from .catalogue import catalogue_rows, positional
 
     for row in catalogue_rows():
         h = positional(row.h, 2)

@@ -202,14 +202,6 @@ def f_vector(arrangement: Arrangement) -> tuple[int, int, int, int]:
 # -- combinatorial data records ---------------------------------------------------
 
 
-def positional(vector: Mapping[int, int], start: int) -> tuple[int, ...]:
-    """Dense tuple form of a weight -> count map, beginning at `start`."""
-    if not vector:
-        return ()
-    top = max(vector)
-    return tuple(vector.get(i, 0) for i in range(start, top + 1))
-
-
 class ArrangementData(NamedTuple):
     """Bare combinatorial record: size, h-vector, t-vector, f-vector."""
 

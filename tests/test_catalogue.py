@@ -28,7 +28,7 @@ from arr4 import (
     sign,
     verify_row,
 )
-from arr4.catalogue import catalogue_entry
+from arr4.catalogue import catalogue_entry, positional
 from arr4.constructions import (
     _WEYL_CARTANS,
     REFLECTION_SPECS,
@@ -36,7 +36,6 @@ from arr4.constructions import (
     _parabolic_restriction,
     _positive_roots,
 )
-from arr4.invariants import positional
 from arr4.linalg import KERNELS
 from arr4.scalars import lift
 from helpers import (

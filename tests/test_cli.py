@@ -613,35 +613,56 @@ def test_import_arr4_loads_no_submodule():
 
 #: loaded by every command that builds or reads an arrangement: the command
 #: line and the lattice modules
-_BASE = {"cli", "scalars", "linalg", "arrangement", "invariants"}
+_BASE = {"cli", "scalars", "linalg", "arrangement"}
 
 #: the arr4 submodules each command loads, run in order in one directory;
-#: the catalogue's rows alone load no lattice module
+#: the catalogue's rows alone load no lattice module and no check module
 _COMMAND_MODULES = {
-    "catalogue list": {"cli", "catalogue", "invariants"},
-    "catalogue verify A4": _BASE | {"catalogue", "constructions"},
-    "catalogue verify A4 --json": _BASE | {"catalogue", "constructions", "report"},
+    "catalogue list": {"cli", "catalogue"},
+    "catalogue verify A4": _BASE | {"catalogue", "constructions", "invariants"},
+    "catalogue verify A4 --json": _BASE | {"catalogue", "constructions", "invariants", "report"},
     "catalogue export": {"cli", "catalogue", "invariants", "report"},
     "generate A4 -o a4.arr": _BASE | {"catalogue", "constructions", "fileformat"},
-    "analyze a4.arr --json --no-chambers": _BASE | {"fileformat", "report"},
-    "analyze a4.arr --json --chambers": _BASE | {"chambers", "fileformat", "report"},
+    "analyze a4.arr --json --no-chambers": _BASE | {"fileformat", "invariants", "report"},
+    "analyze a4.arr --json --chambers": _BASE | {"chambers", "fileformat", "invariants", "report"},
 }
+
+
+#: runs `python -m arr4` with the given arguments, then prints every loaded
+#: module's name to standard error
+_LOADED_PROBE = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(' '.join(sys.modules), file=sys.stderr))\n"
+    "sys.argv[0] = 'arr4'\n"
+    "runpy.run_module('arr4', run_name='__main__', alter_sys=True)\n"
+)
 
 
 def test_each_command_loads_only_its_modules(tmp_path):
     """`python -m arr4 ...` imports only the modules its command runs."""
-    probe = (
-        "import atexit, runpy, sys\n"
-        "atexit.register(lambda: print(' '.join(sorted(\n"
-        "    m for m in sys.modules if m.startswith('arr4.'))), file=sys.stderr))\n"
-        "sys.argv[0] = 'arr4'\n"
-        "runpy.run_module('arr4', run_name='__main__', alter_sys=True)\n"
-    )
     for command, expected in _COMMAND_MODULES.items():
-        done = _fresh_python(probe, *command.split(), cwd=tmp_path)
+        done = _fresh_python(_LOADED_PROBE, *command.split(), cwd=tmp_path)
         assert done.returncode == 0, (command, done.stderr.decode())
-        loaded = done.stderr.decode().split()
+        loaded = sorted(m for m in done.stderr.decode().split() if m.startswith("arr4."))
         assert loaded == sorted(f"arr4.{name}" for name in expected), command
+
+
+def test_catalogue_rows_load_no_exact_arithmetic():
+    """`catalogue list` loads none of `fractions`, `decimal`, `numbers` or
+    `json`, and reading the rows loads no other arr4 submodule."""
+    done = _fresh_python(_LOADED_PROBE, "catalogue", "list")
+    assert done.returncode == 0, done.stderr.decode()
+    loaded = set(done.stderr.decode().split())
+    assert not loaded & {"fractions", "decimal", "numbers", "json"}
+    probe = (
+        "import sys\n"
+        "import arr4.catalogue\n"
+        "assert len(arr4.catalogue.catalogue_rows()) == 20\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('arr4.'))))\n"
+    )
+    done = _fresh_python(probe)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode().split() == ["arr4.catalogue"]
 
 
 def test_public_names_resolve_to_their_home_modules():

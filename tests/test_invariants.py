@@ -16,7 +16,7 @@ from arr4 import (
     f_vector,
     real_roots_test,
 )
-from arr4.catalogue import catalogue_rows
+from arr4.catalogue import catalogue_rows, positional
 from arr4.invariants import (
     check_cube_growth_conjecture,
     check_chamber_cube_cap,
@@ -27,7 +27,6 @@ from arr4.invariants import (
     check_pair_count,
     check_simply_laced_bounds,
     check_vertex_sum_identity,
-    positional,
     run_data_checks,
 )
 from arr4.report import build_report
