@@ -253,14 +253,29 @@ def entry() -> None:
     without the cyclic garbage collector: the lattice and chamber layers
     build no reference cycles, so reference counting frees everything but
     the same few dozen cyclic objects per report (the JSON encoder's
-    closures), whatever the input.  The collector's passes took 0.5-4 ms
-    per command (2-core x86-64 VM, Python 3.11.7) and freed nothing else.
-    The library leaves the collector as it finds it.
+    closures), whatever the input.  The library leaves the collector as it
+    finds it.
+
+    Once `main` returns, both standard streams are flushed and the process
+    ends by `os._exit` with main's code: no atexit handler and no
+    interpreter finalization (the final collection, module teardown,
+    freeing every object) runs, which took 4-12 ms per command (2-core
+    x86-64 VM, Python 3.11.7).  So anything the command line writes must
+    go to standard output or standard error, or be flushed, before `main`
+    returns.  A flush that fails falls back to `sys.exit`, and the
+    interpreter reports it; a `SystemExit` from the argument parser (usage
+    errors, `--help`) leaves by the normal path too.
     """
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     gc.disable()
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -12,16 +12,9 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .invariants import (
-    ArrangementData,
-    CheckResult,
-    char_poly_formula,
-    char_poly_moebius,
-    run_data_checks,
-)
-
 if TYPE_CHECKING:
     from .arrangement import Arrangement
+    from .invariants import CheckResult
 
 _SAFE = 2**53 - 1
 
@@ -82,6 +75,13 @@ def build_report(
     arrangement is a pointed cone in R^4 and has at least 4 walls, so with
     2 f2 walls in all, every chamber has exactly 4 precisely when f2 = 2 f3.
     """
+    from .invariants import (
+        ArrangementData,
+        char_poly_formula,
+        char_poly_moebius,
+        run_data_checks,
+    )
+
     data = ArrangementData.from_arrangement(arrangement)
     chi = char_poly_moebius(arrangement)
     chi_formula = char_poly_formula(data.n, data.h_total, data.f[3])

@@ -298,7 +298,7 @@ def test_internal_check_failure_exit5_analyze(capsys, tmp_path, monkeypatch):
     path = tmp_path / "boolean.arr"
     path.write_text("field: rational\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
     monkeypatch.setattr(
-        "arr4.report.char_poly_formula", lambda n, h, f3: CharPoly((1, 0, 0, 0, -1))
+        "arr4.invariants.char_poly_formula", lambda n, h, f3: CharPoly((1, 0, 0, 0, -1))
     )
     code, out, err = run_cli(capsys, "analyze", str(path), "--json")
     assert code == 5 and out == ""
@@ -535,11 +535,13 @@ def test_closed_stdout_ends_quietly():
     assert err == b""
 
 
-def _fresh_python(code, *args, cwd=None):
-    """Run code in a fresh interpreter that imports arr4 from this checkout."""
+def _fresh_python(code, *args, cwd=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+    """Run code in a fresh interpreter that imports arr4 from this checkout,
+    with the standard streams buffered as a user's shell leaves them."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arr4.__file__)))
     env.pop("ARR4_THREADS", None)
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-c", code, *args], stdout=stdout, stderr=stderr,
                           env=env, cwd=cwd, timeout=60)
 
 
@@ -564,16 +566,75 @@ def test_cli_process_runs_without_cyclic_collector():
     the cyclic garbage collector off for the process; importing the package
     leaves it on."""
     probe = (
-        "import atexit, gc, sys\n"
+        "import gc, os, sys\n"
         "import arr4.cli\n"
         "assert gc.isenabled()\n"
-        "atexit.register(lambda: print('collector on:', gc.isenabled(), file=sys.stderr))\n"
+        "real_exit = os._exit\n"
+        "def probe_exit(code):\n"
+        "    print('collector on:', gc.isenabled(), file=sys.stderr, flush=True)\n"
+        "    real_exit(code)\n"
+        "os._exit = probe_exit\n"
         "sys.argv = ['arr4', 'catalogue', 'list']\n"
         "arr4.cli.entry()\n"
     )
     done = _fresh_python(probe)
     assert done.returncode == 0, done.stderr.decode()
     assert done.stderr.decode() == "collector on: False\n"
+
+
+def test_cli_process_exit_status_and_streams_arrive_in_full(tmp_path):
+    """`entry` ends the process by `os._exit` with main's code, after both
+    standard streams are flushed, through a pipe and into a file alike: the
+    probe's `main` writes more than 64 KiB to standard output and, to the
+    line-buffered standard error, a line without its newline, which stays
+    buffered until a flush."""
+    probe = (
+        "import sys\n"
+        "import arr4.cli\n"
+        "def main():\n"
+        "    for i in range(5000):\n"
+        "        sys.stdout.write(f'{i:>15}\\n')\n"
+        "    sys.stderr.write('arr4: last line')\n"
+        "    return int(sys.argv[1])\n"
+        "arr4.cli.main = main\n"
+        "arr4.cli.entry()\n"
+    )
+    expected_out = "".join(f"{i:>15}\n" for i in range(5000)).encode()
+    assert len(expected_out) > 64 * 1024
+    for code in range(6):
+        done = _fresh_python(probe, str(code))
+        assert done.returncode == code, done.stderr.decode()
+        assert done.stdout == expected_out
+        assert done.stderr == b"arr4: last line"
+        out, err = tmp_path / f"out{code}", tmp_path / f"err{code}"
+        with open(out, "wb") as out_file, open(err, "wb") as err_file:
+            status = _fresh_python(probe, str(code), stdout=out_file, stderr=err_file).returncode
+        assert status == code, err.read_text()
+        assert out.read_bytes() == expected_out
+        assert err.read_bytes() == b"arr4: last line"
+
+
+def test_cli_exit_status_after_failed_flush():
+    """A standard output whose flush fails makes `entry` fall back to
+    `sys.exit` rather than `os._exit`: the interpreter reports the failed
+    flush and exits 120."""
+    probe = (
+        "import io, sys\n"
+        "import arr4.cli\n"
+        "class Full(io.RawIOBase):\n"
+        "    def writable(self):\n"
+        "        return True\n"
+        "    def write(self, data):\n"
+        "        raise OSError(28, 'No space left on device')\n"
+        "sys.stdout = io.TextIOWrapper(io.BufferedWriter(Full()))\n"
+        "arr4.cli.main = lambda: sys.stdout.write('report') and 3\n"
+        "arr4.cli.entry()\n"
+    )
+    done = _fresh_python(probe)
+    assert done.returncode == 120
+    err = done.stderr.decode()
+    assert err.startswith("Exception ignored ")  # the rest of the line varies by version
+    assert err.endswith("OSError: [Errno 28] No space left on device\n")
 
 
 def test_cyclic_garbage_of_a_report_does_not_grow_with_input():
@@ -621,7 +682,7 @@ _COMMAND_MODULES = {
     "catalogue list": {"cli", "catalogue"},
     "catalogue verify A4": _BASE | {"catalogue", "constructions", "invariants"},
     "catalogue verify A4 --json": _BASE | {"catalogue", "constructions", "invariants", "report"},
-    "catalogue export": {"cli", "catalogue", "invariants", "report"},
+    "catalogue export": {"cli", "catalogue", "report"},
     "generate A4 -o a4.arr": _BASE | {"catalogue", "constructions", "fileformat"},
     "analyze a4.arr --json --no-chambers": _BASE | {"fileformat", "invariants", "report"},
     "analyze a4.arr --json --chambers": _BASE | {"chambers", "fileformat", "invariants", "report"},
@@ -629,10 +690,14 @@ _COMMAND_MODULES = {
 
 
 #: runs `python -m arr4` with the given arguments, then prints every loaded
-#: module's name to standard error
+#: module's name to standard error as the process ends by `os._exit`
 _LOADED_PROBE = (
-    "import atexit, runpy, sys\n"
-    "atexit.register(lambda: print(' '.join(sys.modules), file=sys.stderr))\n"
+    "import os, runpy, sys\n"
+    "real_exit = os._exit\n"
+    "def probe_exit(code):\n"
+    "    print(' '.join(sys.modules), file=sys.stderr, flush=True)\n"
+    "    real_exit(code)\n"
+    "os._exit = probe_exit\n"
     "sys.argv[0] = 'arr4'\n"
     "runpy.run_module('arr4', run_name='__main__', alter_sys=True)\n"
 )
